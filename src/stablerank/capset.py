@@ -26,6 +26,7 @@ from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 THETA = 0.375 * (207.0 + 33.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
 
 FULL_LP_MAX_N = 3
+TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
 
 
 def trinomial(n: int) -> list[int]:
@@ -239,8 +240,8 @@ def asymptotic_report(n_max: int) -> list[tuple[int, int, float]]:
 
     The ratio column is informational; no asymptotic claim is asserted.
     """
-    if not 1 <= n_max <= 60:
-        raise ValueError("n_max must be between 1 and 60")
+    if not 1 <= n_max <= TABLE_MAX_N:
+        raise ValueError(f"n_max must be between 1 and {TABLE_MAX_N}")
     out = []
     for n in range(1, n_max + 1):
         bound = capset_bound(n)

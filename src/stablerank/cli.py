@@ -177,6 +177,13 @@ def _capset_row(n: int, full: bool) -> dict:
 
 
 def _cmd_capset(args, out) -> int:
+    for flag, n in (
+        ("--n", args.n),
+        ("--table", args.table),
+        ("--verify-conjecture", args.verify_conjecture),
+    ):
+        if n is not None and not 1 <= n <= capset.TABLE_MAX_N:
+            raise ValueError(f"{flag} must be between 1 and {capset.TABLE_MAX_N}, got {n}")
     if args.verify_conjecture is not None:
         report = capset.verify_conjecture(args.verify_conjecture)
         _emit(report.to_json(), args.format, out)
@@ -270,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_grank)
 
     p = sub.add_parser("capset", help="cap-set upper bound table")
-    p.add_argument("--n", type=int, help="single table row")
-    p.add_argument("--table", type=int, metavar="N", help="rows 1..N")
-    p.add_argument("--verify-conjecture", type=int, metavar="N")
+    p.add_argument("--n", type=int, help="single table row, 1..60")
+    p.add_argument("--table", type=int, metavar="N", help="rows 1..N, N at most 60")
+    p.add_argument("--verify-conjecture", type=int, metavar="N", help="N at most 60")
     p.add_argument("--full", action="store_true", help="also solve the uncollapsed LP")
     p.add_argument("--jobs", type=int, default=1, help="parallel rows in --table mode")
     common(p)

@@ -7,8 +7,18 @@ terminates and an optimal run yields an exactly optimal basis.  The dual
 vector is read off the optimal basis, giving a certificate with
 ``c . x == b . y`` as an identity of rationals, no tolerances anywhere.
 
-The public API speaks ``fractions.Fraction``; the pivot loop uses
-``gmpy2.mpq`` when available (several times faster on big numerators).
+The public API speaks ``fractions.Fraction``; the pivot loop runs on
+Python ints, fraction-free in the manner of Edmonds and Bareiss.  Each
+tableau row is a list of integer numerators over one positive integer
+denominator.  A pivot on ``(r, k)`` with ``p = a_rk`` turns every other row
+into ``(row_i * p - a_ik * row_r) / (den_i * p)``, cancelling
+``gcd(a_ik, p)`` first; a row whose denominator grew is then divided by
+the gcd of all its entries and its denominator.  Because the denominators are
+positive, the signs Bland's rule reads are numerator signs, and the ratio
+test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is the
+rational one, so the pivots, and the returned vertex, are those of a
+rational tableau.  Fractions appear only in the program data, the solution
+and :func:`verify_certificate`.
 """
 
 from __future__ import annotations
@@ -16,11 +26,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
+_Q = int  # the arithmetic of the pivot loop, recorded by benchmark runs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,9 +45,8 @@ class LPSizeError(RuntimeError):
 SparseRow = tuple[tuple[int, Fraction], ...]
 
 
-def _as_fraction(v) -> Fraction:
-    # plain-int internals: Fraction(mpq) would keep mpz fields around
-    return Fraction(int(v.numerator), int(v.denominator))
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _canonical_row(row, num_vars: int) -> SparseRow:
@@ -47,9 +55,9 @@ def _canonical_row(row, num_vars: int) -> SparseRow:
         col = int(col)
         if not 0 <= col < num_vars:
             raise ValueError(f"column {col} out of range for {num_vars} variables")
-        c = Fraction(coeff)
+        c = _fraction(coeff)
         if c:
-            acc[col] = acc.get(col, Fraction(0)) + c
+            acc[col] = acc[col] + c if col in acc else c
     return tuple(sorted((j, c) for j, c in acc.items() if c))
 
 
@@ -65,8 +73,8 @@ class LinearProgram:
     rhs: tuple[Fraction, ...]
 
     def __init__(self, objective, rows, rhs):
-        obj = tuple(Fraction(c) for c in objective)
-        rhs_t = tuple(Fraction(b) for b in rhs)
+        obj = tuple(_fraction(c) for c in objective)
+        rhs_t = tuple(_fraction(b) for b in rhs)
         rows_t = tuple(_canonical_row(r, len(obj)) for r in rows)
         if len(rows_t) != len(rhs_t):
             raise ValueError("row count does not match rhs length")
@@ -120,38 +128,64 @@ def _row_cap() -> int | None:
         raise LPSizeError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
 
 
-def _run_simplex(objective, rows, rhs):
-    """Two-phase primal simplex with Bland's rule.
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row / den`` with all entries and the denominator divided by their gcd."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
 
-    Returns ``(status, x, y)`` over the internal rational type.  ``y`` is the
-    dual vector for the original inequality rows, read from the bookkeeping
+
+def _eliminate(row, den, f, piv, p, nz):
+    """Clear the pivot column from ``row / den`` with the pivot row ``piv / p``.
+
+    ``f`` is the entry of ``row`` in that column and ``nz`` lists the
+    columns where ``piv`` is nonzero.  The result is ``(row * p - f * piv) / (den * p)``, after first
+    cancelling ``gcd(f, p)``.  When that leaves ``p == 1`` the denominator
+    cannot grow, so only the pivot row's nonzero columns change and ``row``
+    is updated in place; otherwise every entry is scaled and the row is
+    reduced.
+    """
+    g = gcd(f, p)
+    f //= g
+    p //= g
+    if p == 1:
+        for j in nz:
+            row[j] -= f * piv[j]
+        return row, den
+    return _reduced([a * p - f * b for a, b in zip(row, piv)], den * p)
+
+
+def _run_simplex(lp: LinearProgram):
+    """Two-phase primal simplex with Bland's rule on integer rows.
+
+    Returns ``(status, x, y)`` with ``Fraction`` entries.  ``y`` is the dual
+    vector for the original inequality rows, read from the bookkeeping
     columns of the optimal tableau.
     """
-    n = len(objective)
-    m = len(rhs)
-    zero = _Q(0)
-    one = _Q(1)
+    n = lp.num_vars
+    m = lp.num_rows
     width = n + 2 * m  # structural | surplus | per-row bookkeeping
     enter_limit = n + m  # bookkeeping columns never enter
 
-    tab: list[list] = []
-    b: list = []
+    # Row i of the tableau is tab[i] / den[i] with den[i] > 0; tab[i][width]
+    # holds its right-hand side.  A cost row is a list [numerators, den] in
+    # the same layout, its last slot minus the objective value.
+    tab: list[list[int]] = []
+    den: list[int] = []
     sigma: list[int] = []
-    for i in range(m):
-        row = [zero] * width
-        for j, a in rows[i]:
-            row[j] = _Q(a)
-        row[n + i] = -one
-        bi = _Q(rhs[i])
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-            sigma.append(-1)
-        else:
-            sigma.append(1)
-        row[n + m + i] = one  # identity after the sign flip
+    for i, (coeffs, bi) in enumerate(zip(lp.rows, lp.rhs)):
+        d = lcm(bi.denominator, *(a.denominator for _, a in coeffs))
+        s = -1 if bi < 0 else 1
+        row = [0] * (width + 1)
+        for j, a in coeffs:
+            row[j] = s * a.numerator * (d // a.denominator)
+        row[n + i] = -s * d
+        row[n + m + i] = d  # identity after the sign flip
+        row[width] = s * bi.numerator * (d // bi.denominator)
         tab.append(row)
-        b.append(bi)
+        den.append(d)
+        sigma.append(s)
 
     basis: list[int] = []
     art_rows: list[int] = []
@@ -162,103 +196,95 @@ def _run_simplex(objective, rows, rhs):
             basis.append(n + m + i)
             art_rows.append(i)
 
-    def pivot(i_out: int, j_in: int, cost: list) -> None:
-        row = tab[i_out]
-        inv = one / row[j_in]
-        for j in range(width):
-            if row[j]:
-                row[j] *= inv
-        b[i_out] *= inv
-        for i in range(len(tab)):
-            if i == i_out:
-                continue
-            f = tab[i][j_in]
-            if f:
-                ri = tab[i]
-                for j in range(width):
-                    rj = row[j]
-                    if rj:
-                        ri[j] -= f * rj
-                b[i] -= f * b[i_out]
-        f = cost[j_in]
-        if f:
-            for j in range(width):
-                rj = row[j]
-                if rj:
-                    cost[j] -= f * rj
-        basis[i_out] = j_in
+    def pivot(r: int, k: int, cost: list | None) -> None:
+        piv = tab[r]
+        if piv[k] < 0:
+            piv = [-v for v in piv]
+        piv, p = _reduced(piv, piv[k])  # row_r / a_rk, over denominator p
+        tab[r] = piv
+        den[r] = p
+        nz = list(compress(range(len(piv)), piv))
+        for i, row in enumerate(tab):
+            f = row[k]
+            if f and i != r:
+                tab[i], den[i] = _eliminate(row, den[i], f, piv, p, nz)
+        if cost is not None and cost[0][k]:
+            cost[:] = _eliminate(cost[0], cost[1], cost[0][k], piv, p, nz)
+        basis[r] = k
 
     def bland(cost: list) -> str:
         while True:
-            j_in = -1
+            c = cost[0]
+            k = -1
             for j in range(enter_limit):
-                if cost[j] < 0:
-                    j_in = j
+                if c[j] < 0:
+                    k = j
                     break
-            if j_in < 0:
+            if k < 0:
                 return OPTIMAL
-            i_out = -1
-            best = None
-            for i in range(len(tab)):
-                a = tab[i][j_in]
+            # Ratio test: b_i / a_ik with the row denominators cancelled.
+            r = -1
+            for i, row in enumerate(tab):
+                a = row[k]
                 if a > 0:
-                    ratio = b[i] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[i_out])
-                    ):
-                        best = ratio
-                        i_out = i
-            if i_out < 0:
+                    if r < 0:
+                        r, best_b, best_a = i, row[width], a
+                        continue
+                    lhs = row[width] * best_a
+                    rhs = best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r, best_b, best_a = i, row[width], a
+            if r < 0:
                 return UNBOUNDED
-            pivot(i_out, j_in, cost)
+            pivot(r, k, cost)
 
     if art_rows:
         # Phase I: minimize the sum of the artificial starting variables.
-        cost = [zero] * width
+        d = lcm(*(den[i] for i in art_rows))
+        c = [0] * (width + 1)
         for i in art_rows:
-            ri = tab[i]
-            for j in range(width):
-                if ri[j]:
-                    cost[j] -= ri[j]
+            s = d // den[i]
+            c = [v - s * a for v, a in zip(c, tab[i])]
+        cost = list(_reduced(c, d))
         status = bland(cost)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
-        total = sum((b[i] for i in range(len(tab)) if basis[i] >= n + m), zero)
-        if total > 0:
+        if any(tab[i][width] > 0 for i in range(len(tab)) if basis[i] >= n + m):
             return INFEASIBLE, [], []
         # Drive leftover zero-level artificials out; drop redundant rows.
         for i in reversed(range(len(tab))):
             if basis[i] < n + m:
                 continue
-            j_in = next((j for j in range(enter_limit) if tab[i][j]), -1)
-            if j_in >= 0:
-                pivot(i, j_in, cost)
+            k = next((j for j in range(enter_limit) if tab[i][j]), -1)
+            if k >= 0:
+                pivot(i, k, None)
             else:
-                del tab[i], b[i], basis[i]
+                del tab[i], den[i], basis[i]
 
-    # Phase II on the original objective.
-    cost = [zero] * width
-    for j in range(n):
-        cost[j] = _Q(objective[j])
-    for i in range(len(tab)):
-        cb = _Q(objective[basis[i]]) if basis[i] < n else zero
+    # Phase II on the original objective: c - sum of c_B(i) * row_i.
+    obj = lp.objective
+    d = lcm(*(v.denominator for v in obj))
+    c = [v.numerator * (d // v.denominator) for v in obj] + [0] * (2 * m + 1)
+    for i, row in enumerate(tab):
+        cb = obj[basis[i]] if basis[i] < n else 0
         if cb:
-            ri = tab[i]
-            for j in range(width):
-                if ri[j]:
-                    cost[j] -= cb * ri[j]
+            e = cb.denominator * den[i]
+            d_new = lcm(d, e)
+            s = d_new // d
+            t = cb.numerator * (d_new // e)
+            c, d = _reduced([v * s - t * a for v, a in zip(c, row)], d_new)
+    cost = [c, d]
     status = bland(cost)
     if status != OPTIMAL:
         return status, [], []
 
-    x = [zero] * n
-    for i in range(len(tab)):
+    x = [Fraction(0)] * n
+    for i, row in enumerate(tab):
         if basis[i] < n:
-            x[basis[i]] = b[i]
+            x[basis[i]] = Fraction(row[width], den[i])
     # cost[n + m + k] equals -(dual of flipped row k); undo the sign flips.
-    y = [-sigma[k] * cost[n + m + k] for k in range(m)]
+    c, d = cost
+    y = [Fraction(-sigma[k] * c[n + m + k], d) for k in range(m)]
     return OPTIMAL, x, y
 
 
@@ -288,24 +314,16 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
         raise LPSizeError(
             f"LP has {lp.num_rows} rows, exceeding {_ROW_CAP_ENV}={cap}"
         )
+    status = None
     if not force_direct and lp.num_rows > 2 * lp.num_vars + 8:
-        dual = _dual_program(lp)
-        status, ys, xs = _run_simplex(dual.objective, dual.rows, dual.rhs)
-        if status == OPTIMAL:
-            x = tuple(_as_fraction(v) for v in xs)
-            y = tuple(_as_fraction(v) for v in ys)
-            value = sum(
-                (c * v for c, v in zip(lp.objective, x)), Fraction(0)
-            )
-            return LPSolution(OPTIMAL, value, x, y)
-        # Non-optimal dual status does not pin the primal status; fall back.
-    status, xs, ys = _run_simplex(lp.objective, lp.rows, lp.rhs)
+        status, y, x = _run_simplex(_dual_program(lp))
+    if status != OPTIMAL:
+        # A non-optimal dual status does not pin the primal status.
+        status, x, y = _run_simplex(lp)
     if status != OPTIMAL:
         return LPSolution(status, None, (), ())
-    x = tuple(_as_fraction(v) for v in xs)
-    y = tuple(_as_fraction(v) for v in ys)
     value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    return LPSolution(OPTIMAL, value, x, y)
+    return LPSolution(OPTIMAL, value, tuple(x), tuple(y))
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:

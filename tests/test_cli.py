@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stablerank
 from stablerank.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -166,6 +170,38 @@ class TestCapsetCommand:
     def test_missing_selector_exits_2(self, capsys):
         code, _ = run(capsys, "capset")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--table", "0", "--format", "csv"),
+            ("--table", "-3"),
+            ("--table", "61"),
+            ("--n", "0"),
+            ("--n", "61"),
+            ("--n", "70", "--format", "json"),
+            ("--verify-conjecture", "61"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, argv):
+        code = main(["capset", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "between 1 and 60" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = Path(stablerank.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablerank", "capset", "--n", "3", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "n,value,bound,eg,eg_prime,conjecture_match\n3,15,15,30,18,true\n"
 
 
 class TestNcrkCommand:
