@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import capset
@@ -189,12 +188,7 @@ def _cmd_capset(args, out) -> int:
         _emit(report.to_json(), args.format, out)
         return EXIT_OK
     if args.table is not None:
-        ns = list(range(1, args.table + 1))
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(lambda n: _capset_row(n, args.full), ns))
-        else:
-            rows = [_capset_row(n, args.full) for n in ns]
+        rows = [_capset_row(n, args.full) for n in range(1, args.table + 1)]
         _emit(rows, args.format, out)
         return EXIT_OK
     if args.n is None:
@@ -281,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, metavar="N", help="rows 1..N, N at most 60")
     p.add_argument("--verify-conjecture", type=int, metavar="N", help="N at most 60")
     p.add_argument("--full", action="store_true", help="also solve the uncollapsed LP")
-    p.add_argument("--jobs", type=int, default=1, help="parallel rows in --table mode")
     common(p)
     p.set_defaults(handler=_cmd_capset)
 
@@ -316,7 +309,8 @@ def main(argv=None) -> int:
     except (LPSizeError, SliceLimitError, SubspaceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RuntimeError as exc:

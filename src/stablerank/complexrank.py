@@ -23,15 +23,12 @@ from .ranks import grank_upper_search
 from .tensors import SparseTensor, as_weight, flatten, ones_weight, to_dense_complex
 
 
-def spectral_norm(m, tol: float = 1e-14, max_iters: int = 2000) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+def spectral_norm(m) -> float:
+    """Largest singular value: the root of the top eigenvalue of the
+    smaller of the two Gram matrices (LAPACK ``eigvalsh``).
 
-    Uses the smaller of the two Gram matrices, a deterministic start
-    vector, and a Rayleigh-quotient convergence test.  The iteration runs
-    on a repeatedly squared copy of the Gram matrix (same eigenvectors,
-    eigenvalue gaps amplified), so nearly degenerate spectra converge too;
-    the Rayleigh quotient is always taken against the original Gram.  The
-    zero matrix has norm 0.
+    The matrix is divided by its largest entry first, so the Gram matrix
+    cannot overflow.  The zero matrix has norm 0.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
@@ -41,32 +38,7 @@ def spectral_norm(m, tol: float = 1e-14, max_iters: int = 2000) -> float:
         return 0.0
     a = a / scale
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    k = gram.shape[0]
-    powered = gram / np.linalg.norm(gram)
-    for _ in range(20):
-        powered = powered @ powered
-        norm = np.linalg.norm(powered)
-        if norm == 0.0:  # pragma: no cover - PSD with positive top eigenvalue
-            break
-        powered = powered / norm
-    x = np.linspace(1.0, 2.0, k).astype(complex)
-    x /= np.linalg.norm(x)
-    lam_prev = -1.0
-    lam = 0.0
-    for _ in range(max_iters):
-        z = powered @ x
-        nz = np.linalg.norm(z)
-        if nz < 1e-200:
-            # start vector lay (numerically) in the kernel; restart off it
-            x = np.cos(np.arange(k)) + 1j * np.sin(0.5 + np.arange(k))
-            x /= np.linalg.norm(x)
-            continue
-        x = z / nz
-        lam = float(np.real(np.vdot(x, gram @ x)))
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-            break
-        lam_prev = lam
-    return float(scale * np.sqrt(max(lam, 0.0)))
+    return float(scale * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def mode_apply(v, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -183,8 +155,12 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10,
     alpha_f = [float(x) for x in w]
     if not np.any(a):
         raise ValueError("cannot bound the zero tensor")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise ValueError("tensor norm overflows double precision")
 
-    cur = a / np.linalg.norm(a)
+    cur = a / norm
     gs = _identity_group(a.shape)
     ratios = _ratios(cur, alpha_f)
     best = min(ratios)

@@ -288,7 +288,7 @@ def _run_simplex(lp: LinearProgram):
     return OPTIMAL, x, y
 
 
-def _dual_program(lp: LinearProgram) -> LinearProgram:
+def dual_program(lp: LinearProgram) -> LinearProgram:
     """The dual ``max b.y : A^T y <= c, y >= 0`` recast in solver min-form."""
     cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(lp.num_vars)]
     for i, row in enumerate(lp.rows):
@@ -316,7 +316,7 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
         )
     status = None
     if not force_direct and lp.num_rows > 2 * lp.num_vars + 8:
-        status, y, x = _run_simplex(_dual_program(lp))
+        status, y, x = _run_simplex(dual_program(lp))
     if status != OPTIMAL:
         # A non-optimal dual status does not pin the primal status.
         status, x, y = _run_simplex(lp)

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lp import OPTIMAL, LinearProgram, solve, verify_certificate
+from .lp import OPTIMAL, LinearProgram, dual_program, solve, verify_certificate
 from .tensors import (
     Index,
     SparseTensor,
     Support,
-    Weight,
     as_weight,
     mod_domain,
     mode_transform,
@@ -121,22 +120,6 @@ def trank(support: Support, alpha=None) -> TRankResult:
     return TRankResult(sol.value, _split_by_mode(sol.x, support.shape), dual, ok)
 
 
-def _dual_lp(support: Support, alpha: Weight) -> LinearProgram:
-    # max sum y(s) : sum_{s_i=j} y(s) <= alpha_i, y >= 0, in solver min-form
-    elements = support.sorted_elements
-    pos = {s: k for k, s in enumerate(elements)}
-    rows = []
-    rhs = []
-    for i, n in enumerate(support.shape):
-        buckets: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        for s in elements:
-            buckets[s[i]].append((pos[s], Fraction(-1)))
-        for j in range(n):
-            rows.append(buckets[j])
-            rhs.append(-alpha[i])
-    return LinearProgram([Fraction(-1)] * len(elements), rows, rhs)
-
-
 def dual_trank(support: Support, alpha=None) -> TRankResult:
     """Solve the dual covering program directly.
 
@@ -150,7 +133,7 @@ def dual_trank(support: Support, alpha=None) -> TRankResult:
     w = as_weight(alpha, support.order)
     if not support.elements:
         return _zero_result(support.shape)
-    lp = _dual_lp(support, w)
+    lp = dual_program(build_lp(support, w))
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"dual support LP unexpectedly {sol.status}")

@@ -24,7 +24,10 @@ Weight = tuple[Fraction, ...]
 
 
 def _check_shape(dims: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(n) for n in dims)
+    raw = tuple(dims)
+    shape = tuple(int(n) for n in raw)
+    if shape != raw:
+        raise ValueError(f"dimensions must be integers, got {list(raw)}")
     if len(shape) < 1:
         raise ValueError("tensor order must be at least 1")
     if any(n < 1 for n in shape):
@@ -33,7 +36,10 @@ def _check_shape(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_index(idx: Sequence[int], shape: tuple[int, ...]) -> Index:
-    coords = tuple(int(c) for c in idx)
+    raw = tuple(idx)
+    coords = tuple(int(c) for c in raw)
+    if coords != raw:
+        raise ValueError(f"index coordinates must be integers, got {list(raw)}")
     if len(coords) != len(shape):
         raise ValueError(f"index {coords} has wrong length for shape {shape}")
     for c, n in zip(coords, shape):
@@ -66,6 +72,8 @@ def modulus_of(domain: str) -> int | None:
 
 
 def mod_domain(p: int) -> str:
+    if not isinstance(p, int):
+        raise ValueError(f"modulus must be an integer, got {p!r}")
     if not _is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return f"mod:{p}"

@@ -162,11 +162,6 @@ class TestCapsetCommand:
         _, out = run(capsys, "capset", "--table", "20", "--format", "csv")
         assert out == (DATA_DIR / "capset_table_20.csv").read_text()
 
-    def test_jobs_matches_serial(self, capsys):
-        _, serial = run(capsys, "capset", "--table", "8", "--format", "csv")
-        _, parallel = run(capsys, "capset", "--table", "8", "--format", "csv", "--jobs", "4")
-        assert serial == parallel
-
     def test_missing_selector_exits_2(self, capsys):
         code, _ = run(capsys, "capset")
         assert code == 2
@@ -270,3 +265,35 @@ class TestEnvironmentCap:
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "1")
         code, _ = run(capsys, "trank", w_support_file)
         assert code == 4
+
+
+def _tensor_text(val: str) -> str:
+    return json.dumps({"shape": [2, 2], "entries": [{"idx": [0, 0], "val": val}]})
+
+
+# Raw JSON text: the literal 1e400 parses as float("inf").
+@pytest.mark.parametrize(
+    "command,text,exponents",
+    [
+        ("trank", '{"shape": [2, 2, 1e400], "elements": [[0, 0, 0]]}', None),
+        ("trank", '{"shape": [2, 2, 2], "elements": [[0, 0, 1e400]]}', None),
+        ("trank", '{"shape": [2, 2, 2], "elements": [[0, 0, 1.5]]}', None),
+        ("trank", '{"shape": [2, 2, 2.5], "elements": [[0, 0, 1]]}', None),
+        ("slope", json.dumps(W_SUPPORT), '{"x": [[1e400, 0], [1, 0], [1, 0]]}'),
+        ("grank", _tensor_text("1e400"), None),
+        ("grank", _tensor_text("1e200"), None),
+        ("ncrk", '{"modulus": 1e400, "matrices": [[[1, 0], [0, 1]]]}', None),
+    ],
+)
+def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, str(path)]
+    if exponents is not None:
+        exps = tmp_path / "x.json"
+        exps.write_text(exponents)
+        argv += ["--exponents", str(exps)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -68,6 +68,17 @@ class TestSpectralNorm:
                 float(np.sqrt(gram_eigs[-1])), abs=1e-10
             )
 
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    @pytest.mark.parametrize("k,n", [(4, 16), (5, 25), (3, 27)])
+    def test_near_degenerate_singular_values(self, k, n, gap):
+        # rows of a unitary scaled by 1, 1+gap, ...: the singular values are
+        # known exactly, without a Gram matrix
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a = (1.0 + gap * np.arange(k))[:, None] * q[:k]
+        exact = 1.0 + gap * (k - 1)
+        assert abs(spectral_norm(a) - exact) <= 1e-14 * exact
+
 
 class TestObjective:
     def test_w_state_at_identity(self):
