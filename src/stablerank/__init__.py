@@ -63,7 +63,6 @@ from .tensors import (
     boxplus,
     boxtimes,
     complex_from_json,
-    complex_to_json,
     flatten,
     mod_domain,
     mode_transform,

@@ -162,14 +162,7 @@ def t_vector_feasible(t, n: int) -> bool:
         return False
     denom = math.lcm(*(v.denominator for v in vec))
     scaled = [int(v * denom) for v in vec]
-    top = 2 * n
-    for i in range(top + 1):
-        for j in range(i, top + 1 - i):
-            ti_tj = scaled[i] + scaled[j]
-            for k in range(j, top + 1 - i - j):
-                if ti_tj + scaled[k] < denom:
-                    return False
-    return True
+    return all(scaled[i] + scaled[j] + scaled[k] >= denom for i, j, k in _triples(n))
 
 
 def t_vector_value(t, n: int) -> Fraction:

@@ -56,18 +56,6 @@ def _identity_group(shape) -> list[np.ndarray]:
     return [np.eye(n, dtype=complex) for n in shape]
 
 
-def validate_group(mats: Sequence[np.ndarray], shape, cond_cap: float = 1e12) -> None:
-    """Check a per-mode transform tuple: square, matching, well conditioned."""
-    if len(mats) != len(shape):
-        raise ValueError("need exactly one matrix per mode")
-    for g, n in zip(mats, shape):
-        arr = np.asarray(g)
-        if arr.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {arr.shape}")
-        if np.linalg.cond(arr) > cond_cap:
-            raise ValueError("matrix is numerically singular")
-
-
 def _ratios(w: np.ndarray, alpha_f: Sequence[float]) -> list[float]:
     n2 = float(np.vdot(w, w).real)
     out = []

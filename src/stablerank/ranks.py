@@ -40,26 +40,31 @@ class SubspaceLimitError(RuntimeError):
     """Raised when non-commutative rank enumeration would be too large."""
 
 
-def _offsets(shape: Sequence[int]) -> list[int]:
-    off = [0]
-    for n in shape:
-        off.append(off[-1] + n)
-    return off[:-1]
+_ONE = Fraction(1)
+
+
+def _cover_lp(shape: Sequence[int], weights, elements, banned=frozenset()):
+    """The covering LP over the (mode, slice) slots of ``shape`` not in
+    ``banned``: one column per slot in (mode, slice) order, costing the
+    weight of its mode, and one row per element of ``elements``, in order,
+    asking its slots to cover it.  Returns the program and its slots."""
+    slots = [(i, j) for i, n in enumerate(shape) for j in range(n) if (i, j) not in banned]
+    col: list[list[int | None]] = [[None] * n for n in shape]
+    for k, (i, j) in enumerate(slots):
+        col[i][j] = k
+    rows = [
+        [(k, _ONE) for i, j in enumerate(e) if (k := col[i][j]) is not None]
+        for e in elements
+    ]
+    objective = [weights[i] for i, _ in slots]
+    return LinearProgram(objective, rows, [_ONE] * len(rows)), slots
 
 
 def build_lp(support: Support, alpha) -> LinearProgram:
     """The covering LP of a support: one variable per (mode, slice),
     one constraint per support element, objective weighted by alpha."""
     w = as_weight(alpha, support.order)
-    off = _offsets(support.shape)
-    objective: list[Fraction] = []
-    for i, n in enumerate(support.shape):
-        objective.extend([w[i]] * n)
-    rows = [
-        [(off[i] + s[i], Fraction(1)) for i in range(support.order)]
-        for s in support.sorted_elements
-    ]
-    return LinearProgram(objective, rows, [Fraction(1)] * len(rows))
+    return _cover_lp(support.shape, w, support.sorted_elements)[0]
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,9 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
 
     Exact 0/1 optimum via branch and bound on the covering LP relaxation.
     Branches on the fractional slice closest to 1/2, ties broken by (mode,
-    slice) order, taking the slice before discarding it.
+    slice) order, taking the slice before discarding it.  The root
+    relaxation is solved once and its certificate checked before any bound
+    is trusted; a failed check raises ``RuntimeError``.
     """
     total = sum(support.shape)
     if total > limit:
@@ -195,71 +202,39 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     if not elements:
         return TSliceResult(0, frozenset())
     d = support.order
-
-    def cover_lp(remaining, banned):
-        slots = [
-            (i, j)
-            for i in range(d)
-            for j in range(support.shape[i])
-            if (i, j) not in banned
-        ]
-        col = {slot: k for k, slot in enumerate(slots)}
-        rows = [
-            [(col[(i, s[i])], Fraction(1)) for i in range(d) if (i, s[i]) in col]
-            for s in remaining
-        ]
-        lp = LinearProgram([Fraction(1)] * len(slots), rows, [Fraction(1)] * len(rows))
-        return lp, slots
-
-    best_val: int | None = None
-    best_cover: frozenset | None = None
-
-    def consider(cover: frozenset) -> None:
-        nonlocal best_val, best_cover
-        if best_val is None or len(cover) < best_val:
-            best_val = len(cover)
-            best_cover = cover
-
+    ones = ones_weight(d)
+    root, root_slots = _cover_lp(support.shape, ones, elements)
+    root_sol = solve(root)
+    if not verify_certificate(root, root_sol):
+        raise RuntimeError("slice-cover LP relaxation failed its certificate check")
     # Initial incumbent: slices with LP weight >= 1/d always form a cover.
-    root_sol = solve(build_lp(support, ones_weight(d)))
-    off = _offsets(support.shape)
-    rounded = frozenset(
-        (i, j)
-        for i in range(d)
-        for j in range(support.shape[i])
-        if root_sol.x[off[i] + j] >= Fraction(1, d)
-    )
-    consider(rounded)
+    best = frozenset(slot for slot, v in zip(root_slots, root_sol.x) if v >= Fraction(1, d))
 
-    def explore(fixed: frozenset, banned: frozenset, remaining) -> None:
+    def explore(fixed: frozenset, banned: frozenset, remaining, solved=None) -> None:
+        nonlocal best
         if not remaining:
-            consider(fixed)
+            best = min(best, fixed, key=len)
             return
-        for s in remaining:
-            if all((i, s[i]) in banned for i in range(d)):
-                return  # element can no longer be covered
-        lp, slots = cover_lp(remaining, banned)
-        sol = solve(lp)
-        if sol.status != OPTIMAL:
-            return
-        if best_val is not None and len(fixed) + _ceil(sol.value) >= best_val:
+        if solved is None:
+            lp, slots = _cover_lp(support.shape, ones, remaining, banned)
+            solved = slots, solve(lp)
+        slots, sol = solved
+        if sol.status != OPTIMAL or len(fixed) + _ceil(sol.value) >= len(best):
             return
         x = dict(zip(slots, sol.x))
         fractional = [
             (abs(v - Fraction(1, 2)), slot) for slot, v in x.items() if 0 < v < 1
         ]
         if not fractional:
-            ones = {slot for slot, v in x.items() if v == 1}
-            consider(fixed | ones)
+            best = min(best, fixed | {slot for slot, v in x.items() if v == 1}, key=len)
             return
         _, slot = min(fractional)
         i, j = slot
         explore(fixed | {slot}, banned, tuple(s for s in remaining if s[i] != j))
         explore(fixed, banned | {slot}, remaining)
 
-    explore(frozenset(), frozenset(), elements)
-    assert best_val is not None and best_cover is not None
-    return TSliceResult(best_val, best_cover)
+    explore(frozenset(), frozenset(), elements, (root_slots, root_sol))
+    return TSliceResult(len(best), best)
 
 
 def _det_rational(mat: Sequence[Sequence[Fraction]]) -> Fraction:

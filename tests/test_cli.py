@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stablerank
+from stablerank import ranks
 from stablerank.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -111,6 +112,13 @@ class TestTsliceCommand:
     def test_limit_exits_4(self, capsys, w_support_file):
         code, _ = run(capsys, "tslice", w_support_file, "--limit", "3")
         assert code == 4
+
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch, w_support_file):
+        monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+        code = main(["tslice", w_support_file])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestGrankCommand:
@@ -297,3 +305,32 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# Each run is a subprocess under a timeout: a primality test that trial-divides
+# never returns on the first two moduli.
+@pytest.mark.parametrize(
+    "modulus,expected",
+    [
+        (2**61 - 1, 0),  # a Mersenne prime
+        ((2**31 - 1) ** 2, 2),  # composite with no small factor
+        (318665857834031151167461, 2),  # strong pseudoprime to bases 2, 3, ..., 37
+        (3317044064679887385961981, 2),  # at the primality-test bound
+    ],
+)
+def test_large_moduli_finish(tmp_path, modulus, expected):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"modulus": modulus, "matrices": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}))
+    package_root = Path(stablerank.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablerank", "ncrk", str(path), "--mode", "search"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=20,
+    )
+    assert proc.returncode == expected
+    if expected:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    else:
+        assert "ncrk: 2" in proc.stdout

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -26,6 +28,7 @@ from stablerank import (
     trank,
     tslice,
 )
+from stablerank import ranks
 from stablerank.ranks import _rank_mod_p
 
 from conftest import exhaustive_min_cover, indicator_tensor, random_support
@@ -200,6 +203,35 @@ class TestTslice:
             lp_val = trank(s).value
             cover = tslice(s).value
             assert F(2, d) * cover <= lp_val <= cover
+
+    @pytest.mark.parametrize("support,solves", [(CAPSET_SUPPORT, 1), (W_SUPPORT, 3)])
+    def test_root_lp_solved_once(self, monkeypatch, support, solves):
+        calls = []
+        solve = ranks.solve
+
+        def counting(lp, *args, **kwargs):
+            calls.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(ranks, "solve", counting)
+        tslice(support)
+        assert len(calls) == solves
+
+    def test_chosen_pinned_on_acceptance_corpus(self):
+        rng = random.Random(20240814)
+        results = [tslice(random_support(rng)) for _ in range(200)]
+        text = json.dumps(
+            [[r.value, sorted(list(c) for c in r.chosen)] for r in results],
+            separators=(",", ":"),
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b037e983bd6ab2648d3d30a974b9542d0bf75814e1753758f95b80c822d986bf"
+        )
+
+    def test_failed_root_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+        with pytest.raises(RuntimeError, match="certificate"):
+            tslice(W_SUPPORT)
 
 
 class TestProducts:

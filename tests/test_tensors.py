@@ -63,6 +63,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SparseTensor((2,), {(0,): 1}, "mod:4")
 
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        for n in range(-2, 20000):
+            if trial(n):
+                assert mod_domain(n) == f"mod:{n}"
+            else:
+                with pytest.raises(ValueError):
+                    mod_domain(n)
+
     def test_domain_mismatch(self):
         a = SparseTensor((2,), {(0,): 1})
         b = SparseTensor((2,), {(0,): 1}, mod_domain(2))
