@@ -218,14 +218,18 @@ def base_tensor() -> SparseTensor:
 
 def full_capset_lp(n: int) -> Fraction:
     """Exact support rank of the n-fold Kronecker power of the cap-set
-    tensor, from the uncollapsed LP; cross-validates :func:`reduced_lp`."""
+    tensor, from the uncollapsed LP; cross-validates :func:`reduced_lp`.
+    A failed certificate check raises ``RuntimeError``."""
     if not 1 <= n <= FULL_LP_MAX_N:
         raise ValueError(f"full LP supported for 1 <= n <= {FULL_LP_MAX_N}")
     v = base_tensor()
     power = v
     for _ in range(n - 1):
         power = boxtimes(power, v)
-    return trank(support_of(power)).value
+    result = trank(support_of(power))
+    if not result.certificate_ok:
+        raise RuntimeError("uncollapsed LP certificate failed")
+    return result.value
 
 
 def asymptotic_report(n_max: int) -> list[tuple[int, int, float]]:

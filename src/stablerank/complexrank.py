@@ -213,5 +213,8 @@ def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-
     if v.is_zero():
         empty = LowerBoundReport(0.0, _identity_group(v.shape), [], 0.0, 0)
         return SandwichResult(0.0, Fraction(0), empty)
-    report = ascend(to_dense_complex(v), w, max_iters=max_iters, tol=tol)
+    dense = to_dense_complex(v)
+    if not np.any(dense):
+        raise ValueError("tensor entries underflow double precision")
+    report = ascend(dense, w, max_iters=max_iters, tol=tol)
     return SandwichResult(report.bound, upper, report)

@@ -17,8 +17,10 @@ the gcd of all its entries and its denominator.  Because the denominators are
 positive, the signs Bland's rule reads are numerator signs, and the ratio
 test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is the
 rational one, so the pivots, and the returned vertex, are those of a
-rational tableau.  Fractions appear only in the program data, the solution
-and :func:`verify_certificate`.
+rational tableau.  The optimal value is read from the last slot of the
+final cost row rather than summed again.  Fractions appear only in the
+program data and the solution; :func:`verify_certificate` re-checks a
+solution on integers too, with code of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 _Q = int  # the arithmetic of the pivot loop, recorded by benchmark runs
 
@@ -159,9 +162,10 @@ def _eliminate(row, den, f, piv, p, nz):
 def _run_simplex(lp: LinearProgram):
     """Two-phase primal simplex with Bland's rule on integer rows.
 
-    Returns ``(status, x, y)`` with ``Fraction`` entries.  ``y`` is the dual
-    vector for the original inequality rows, read from the bookkeeping
-    columns of the optimal tableau.
+    Returns ``(status, x, y, value)`` with ``Fraction`` entries.  ``y`` is
+    the dual vector for the original inequality rows, read from the
+    bookkeeping columns of the optimal tableau, and ``value`` is ``c . x``,
+    read from the last slot of the phase-II cost row.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -250,7 +254,7 @@ def _run_simplex(lp: LinearProgram):
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
         if any(tab[i][width] > 0 for i in range(len(tab)) if basis[i] >= n + m):
-            return INFEASIBLE, [], []
+            return INFEASIBLE, [], [], None
         # Drive leftover zero-level artificials out; drop redundant rows.
         for i in reversed(range(len(tab))):
             if basis[i] < n + m:
@@ -276,7 +280,7 @@ def _run_simplex(lp: LinearProgram):
     cost = [c, d]
     status = bland(cost)
     if status != OPTIMAL:
-        return status, [], []
+        return status, [], [], None
 
     x = [Fraction(0)] * n
     for i, row in enumerate(tab):
@@ -285,7 +289,7 @@ def _run_simplex(lp: LinearProgram):
     # cost[n + m + k] equals -(dual of flipped row k); undo the sign flips.
     c, d = cost
     y = [Fraction(-sigma[k] * c[n + m + k], d) for k in range(m)]
-    return OPTIMAL, x, y
+    return OPTIMAL, x, y, Fraction(-c[width], d)
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -316,14 +320,23 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
         )
     status = None
     if not force_direct and lp.num_rows > 2 * lp.num_vars + 8:
-        status, y, x = _run_simplex(dual_program(lp))
+        status, y, x, value = _run_simplex(dual_program(lp))
+        if status == OPTIMAL:
+            value = -value  # the dual program minimizes -b.y
     if status != OPTIMAL:
         # A non-optimal dual status does not pin the primal status.
-        status, x, y = _run_simplex(lp)
+        status, x, y, value = _run_simplex(lp)
     if status != OPTIMAL:
         return LPSolution(status, None, (), ())
-    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
     return LPSolution(OPTIMAL, value, tuple(x), tuple(y))
+
+
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators ``q`` and a denominator ``d > 0`` with
+    ``values[k] == q[k] / d``, ``d`` the lcm of the denominators."""
+    fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    d = lcm(*{f.denominator for f in fracs})
+    return [f.numerator * (d // f.denominator) for f in fracs], d
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
@@ -331,27 +344,42 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
 
     Confirms primal feasibility, dual feasibility, and that the two
     objectives coincide with the reported value.  Independent of the solver:
-    only the problem data and the claimed vectors are used.
+    only the problem data and the claimed vectors are used, and no code is
+    shared with the pivot loop.
+
+    The check runs on Python ints.  ``x`` is brought to one denominator
+    ``dx``, ``y`` to ``dy``, the constraint matrix to ``da``, ``b`` to
+    ``db`` and ``c`` to ``dc``; each inequality and equality is then the
+    rational one with both sides multiplied by the same positive integer,
+    e.g. ``A x >= b`` row by row as ``(da A)(dx x) db >= (db b) da dx``.
     """
     if sol.status != OPTIMAL or sol.value is None:
         return False
     if len(sol.x) != lp.num_vars or len(sol.y) != lp.num_rows:
         return False
-    x = [Fraction(v) for v in sol.x]
-    y = [Fraction(v) for v in sol.y]
+    x, dx = _over_one_denominator(sol.x)
+    y, dy = _over_one_denominator(sol.y)
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         return False
-    for row, b in zip(lp.rows, lp.rhs):
-        if sum((a * x[j] for j, a in row), Fraction(0)) < b:
+    b, db = _over_one_denominator(lp.rhs)
+    c, dc = _over_one_denominator(lp.objective)
+    da = lcm(*{a.denominator for row in lp.rows for _, a in row})
+    rows = [[(j, a.numerator * (da // a.denominator)) for j, a in row] for row in lp.rows]
+    scale = da * dx
+    for row, bi in zip(rows, b):
+        if sum(a * x[j] for j, a in row) * db < bi * scale:
             return False
-    col_sums = [Fraction(0)] * lp.num_vars
-    for i, row in enumerate(lp.rows):
-        yi = y[i]
+    col_sums = [0] * lp.num_vars
+    for row, yi in zip(rows, y):
         if yi:
             for j, a in row:
                 col_sums[j] += a * yi
-    if any(s > c for s, c in zip(col_sums, lp.objective)):
+    scale = da * dy
+    if any(s * dc > cj * scale for s, cj in zip(col_sums, c)):
         return False
-    primal_value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    dual_value = sum((b * v for b, v in zip(lp.rhs, y)), Fraction(0))
-    return primal_value == dual_value == Fraction(sol.value)
+    primal = sum(map(mul, c, x))  # c.x * dc * dx
+    dual = sum(map(mul, b, y))  # b.y * db * dy
+    if primal * db * dy != dual * dc * dx:
+        return False
+    value = Fraction(sol.value)
+    return primal * value.denominator == value.numerator * dc * dx

@@ -324,6 +324,7 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     transvections, and dense random matrices in rotation) and returns the
     minimum.  Every sampled value is a valid upper bound; the reported
     number carries no tightness claim.  Deterministic for a fixed seed.
+    A support LP that fails its certificate check raises ``RuntimeError``.
     """
     if alpha is None:
         alpha = ones_weight(v.order)
@@ -336,7 +337,10 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
         s = support_of(t)
         key = s.elements
         if key not in cache:
-            cache[key] = trank(s, w).value
+            result = trank(s, w)
+            if not result.certificate_ok:
+                raise RuntimeError("support LP failed its certificate check")
+            cache[key] = result.value
         return cache[key]
 
     best = rank_of(v)

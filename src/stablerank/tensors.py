@@ -11,7 +11,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -116,12 +116,14 @@ class Support:
 
     shape: tuple[int, ...]
     elements: frozenset[Index]
+    _sorted: tuple[Index, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, shape: Sequence[int], elements: Iterable[Sequence[int]]):
         shp = _check_shape(shape)
         elems = frozenset(_check_index(e, shp) for e in elements)
         object.__setattr__(self, "shape", shp)
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_sorted", tuple(sorted(elems)))
 
     @property
     def order(self) -> int:
@@ -139,7 +141,7 @@ class Support:
     @property
     def sorted_elements(self) -> tuple[Index, ...]:
         """Elements in lexicographic order; the canonical iteration order."""
-        return tuple(sorted(self.elements))
+        return self._sorted
 
     def to_json(self) -> dict:
         return {

@@ -143,6 +143,17 @@ class TestGrankCommand:
         data = json.loads(out)
         assert json.loads(json.dumps(data)) == data
 
+    def test_underflowing_entries_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "shape": [2, 2],
+            "entries": [{"idx": [0, 0], "val": "1e-400"}, {"idx": [1, 1], "val": "1e-400"}],
+        }))
+        code = main(["grank", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: tensor entries underflow double precision\n"
+
 
 class TestCapsetCommand:
     def test_single_row(self, capsys):
@@ -250,6 +261,26 @@ class TestNcrkCommand:
     def test_limit_exits_4(self, capsys, identity_file):
         code, _ = run(capsys, "ncrk", identity_file, "--limit", "1")
         assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ncrk", "{matrices}", "--mode", "search"],
+        ["grank", "{tensor}"],
+        ["capset", "--n", "2", "--full"],
+    ],
+)
+def test_failed_support_certificate_exits_3(capsys, monkeypatch, tmp_path, argv):
+    matrices = tmp_path / "tuple.json"
+    matrices.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 0], [0, 0]]]}))
+    tensor = tmp_path / "w.json"
+    tensor.write_text(json.dumps(W_TENSOR))
+    monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+    code = main([a.format(matrices=matrices, tensor=tensor) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestSlopeCommand:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +231,74 @@ class TestSerialization:
         sol = solve(dense_lp([F(1)], [[F(1)]], [F(1)]))
         data = sol.to_json()
         assert data == {"status": "optimal", "value": "1", "x": ["1"], "y": ["1"]}
+
+
+def _fraction_reference_verify(lp, sol):
+    """The certificate check on ``Fraction`` arithmetic, kept as the
+    reference for the integer check in ``verify_certificate``."""
+    if sol.status != OPTIMAL or sol.value is None:
+        return False
+    if len(sol.x) != lp.num_vars or len(sol.y) != lp.num_rows:
+        return False
+    x = [F(v) for v in sol.x]
+    y = [F(v) for v in sol.y]
+    if any(v < 0 for v in x) or any(v < 0 for v in y):
+        return False
+    for row, b in zip(lp.rows, lp.rhs):
+        if sum((a * x[j] for j, a in row), F(0)) < b:
+            return False
+    col_sums = [F(0)] * lp.num_vars
+    for i, row in enumerate(lp.rows):
+        yi = y[i]
+        if yi:
+            for j, a in row:
+                col_sums[j] += a * yi
+    if any(s > c for s, c in zip(col_sums, lp.objective)):
+        return False
+    primal_value = sum((c * v for c, v in zip(lp.objective, x)), F(0))
+    dual_value = sum((b * v for b, v in zip(lp.rhs, y)), F(0))
+    return primal_value == dual_value == F(sol.value)
+
+
+def _tampered(rng, sol):
+    """One seeded change to a certificate: an ``x_j`` or ``y_i`` moved by
+    ``1/k``, a sign flipped, or the value moved by ``1/10**6``."""
+    x, y, value = list(sol.x), list(sol.y), sol.value
+    kind = rng.randrange(5)
+    vec = x if kind in (0, 2) or not y else y
+    if kind < 2 and vec:
+        j = rng.randrange(len(vec))
+        vec[j] += rng.choice((1, -1)) * F(1, rng.randint(1, 12))
+    elif kind < 4 and vec:
+        nonzero = [j for j, v in enumerate(vec) if v] or range(len(vec))
+        j = rng.choice(list(nonzero))
+        vec[j] = -vec[j]
+    else:
+        value += rng.choice((1, -1)) * F(1, 10**6)
+    return LPSolution(OPTIMAL, value, tuple(x), tuple(y))
+
+
+def test_verify_matches_fraction_reference():
+    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
+    rng = random.Random(1968)
+    seen = {True: 0, False: 0}
+    optimal = 0
+    for case in cases:
+        if case["solve"]["status"] != OPTIMAL:
+            continue
+        optimal += 1
+        lp = LinearProgram(case["objective"], case["rows"], case["rhs"])
+        sol = solve(lp)
+        # The same certificate as strings and ints, and with a str value.
+        retyped = LPSolution(
+            OPTIMAL,
+            str(sol.value),
+            tuple(str(v) for v in sol.x),
+            tuple(int(v) if v.denominator == 1 else str(v) for v in sol.y),
+        )
+        for cert in [sol, retyped] + [_tampered(rng, sol) for _ in range(10)]:
+            expected = _fraction_reference_verify(lp, cert)
+            assert verify_certificate(lp, cert) is expected, case["name"]
+            seen[expected] += 1
+    assert optimal == 442
+    assert seen[True] >= 2 * optimal and seen[False] >= 6 * optimal

@@ -91,6 +91,28 @@ class TestTrank:
             alpha = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in s.shape)
             assert trank(s, alpha).value >= min(alpha)
 
+    def test_permuting_slices_keeps_value(self):
+        rng = random.Random(41)
+        for _ in range(25):
+            s = random_support(rng)
+            perms = [rng.sample(range(n), n) for n in s.shape]
+            moved = Support(s.shape, [tuple(p[j] for p, j in zip(perms, e)) for e in s.elements])
+            alpha = tuple(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in s.shape)
+            before, after = trank(s, alpha), trank(moved, alpha)
+            assert after.value == before.value
+            assert before.certificate_ok and after.certificate_ok
+
+    def test_scaling_alpha_scales_value(self):
+        # c = 3/7 makes the objective coefficients non-integers.
+        c = F(3, 7)
+        rng = random.Random(43)
+        for _ in range(25):
+            s = random_support(rng)
+            alpha = tuple(F(rng.randint(1, 4)) for _ in s.shape)
+            base, scaled = trank(s, alpha), trank(s, tuple(c * a for a in alpha))
+            assert scaled.value == c * base.value
+            assert base.certificate_ok and scaled.certificate_ok
+
 
 class TestDualTrank:
     def test_matches_primal_on_corpus(self):

@@ -41,6 +41,14 @@ class TestSupportOf:
         v = SparseTensor((3, 3), {(0, 0): F(5, 7)})
         assert support_of(v).elements == {(0, 0)}
 
+    def test_sorted_elements_built_once(self):
+        a = Support((3, 2), [(2, 1), (0, 1), (1, 0)])
+        b = Support((3, 2), [(1, 0), (2, 1), (0, 1)])
+        assert a.sorted_elements == ((0, 1), (1, 0), (2, 1)) == tuple(a)
+        assert a.sorted_elements is a.sorted_elements
+        assert a == b and hash(a) == hash(b)
+        assert a != Support((3, 3), a.elements)
+
     def test_zero_values_dropped(self):
         v = SparseTensor((2, 2), {(0, 0): 0, (1, 1): 3})
         assert support_of(v).elements == {(1, 1)}
