@@ -9,6 +9,18 @@ of any progression-free subset of F_3^n.  Routines here compute the
 coefficients, solve the collapsed LP with certificates, compare against the
 coarser slice-rank style counts, test the conjectured closed-form optimum,
 and cross-validate against the uncollapsed LP for tiny n.
+
+The collapsed LP has about (2n)^3/36 rows, but few of them bind.  Prefix
+minima keep a t vector feasible and cost no more, so some optimal t is
+nonincreasing, and for such a t the *binding* rows, whose triples sum to
+exactly 2n, imply all the others.  :func:`reduced_lp` therefore solves the
+LP on the binding rows only, scans every triple for one the solution leaves
+uncovered, and adds those rows and solves again until none is left (at
+worst every row is added).  The answer is then certified as an optimum of
+the full LP without building it: t covers every triple, the dual vector,
+zero on the rows never added, is nonnegative and loads no column beyond its
+cost, and the primal and dual objectives equal the reported value.  That
+check runs on integers and shares no code with :mod:`stablerank.lp`.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lp import OPTIMAL, LinearProgram, solve, verify_certificate
+from .lp import OPTIMAL, LinearProgram, solve
 from .ranks import trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
@@ -45,14 +57,37 @@ def trinomial(n: int) -> list[int]:
 
 
 def _triples(n: int) -> list[tuple[int, int, int]]:
+    """Every triple ``i <= j <= k`` with ``i + j + k <= 2n``, in lexicographic order."""
     top = 2 * n
     return [
         (i, j, k)
-        for i in range(top + 1)
-        for j in range(i, top + 1)
-        for k in range(j, top + 1)
-        if i + j + k <= top
+        for i in range(top // 3 + 1)
+        for j in range(i, (top - i) // 2 + 1)
+        for k in range(j, top - i - j + 1)
     ]
+
+
+def _binding_triples(n: int) -> list[tuple[int, int, int]]:
+    """The triples of :func:`_triples` with ``i + j + k == 2n``, in the same order."""
+    top = 2 * n
+    return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
+
+
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators ``q`` and the lcm ``d`` of the denominators of the
+    Fractions ``values``, with ``values[k] == q[k] / d``."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _uncovered(t, n: int) -> list[tuple[int, int, int]]:
+    """The triples with ``t_i + t_j + t_k < 1``, in the order of :func:`_triples`.
+
+    ``t`` is brought to one denominator ``d``, so each comparison is one of
+    integer numerators against ``d``.
+    """
+    q, d = _over_one_denominator(t)
+    return [(i, j, k) for i, j, k in _triples(n) if q[i] + q[j] + q[k] < d]
 
 
 @dataclass(frozen=True)
@@ -75,21 +110,52 @@ class CapsetLPResult:
         }
 
 
+def _certified(n: int, alpha_scale: Fraction, active, sol) -> bool:
+    """Is ``sol``, solved on the rows of the ``active`` triples, an optimum
+    of the full collapsed LP, given that ``t = sol.x`` covers every triple?
+
+    Coverage is the caller's final scan.  The rest is checked here, on
+    integers: ``t >= 0``; ``y >= 0``, taken as 0 on every other row; the
+    column load ``sum y * (multiplicity of i in the triple)`` is at most
+    ``c_i = 3 * alpha_scale * f_i``; and ``c . t == sum(y) == sol.value``.
+    """
+    t, dt = _over_one_denominator(sol.x)
+    y, dy = _over_one_denominator(sol.y)
+    if len(t) != 2 * n + 1 or len(y) != len(active):
+        return False
+    if any(v < 0 for v in t) or any(v < 0 for v in y):
+        return False
+    load = [0] * (2 * n + 1)
+    for triple, v in zip(active, y):
+        for idx in triple:
+            load[idx] += v
+    # With alpha_scale = a / b (b > 0), c_i = 3 a f_i / b.
+    a, b = alpha_scale.numerator, alpha_scale.denominator
+    f = trinomial(n)
+    if any(l * b > 3 * a * fi * dy for l, fi in zip(load, f)):
+        return False
+    cost = 3 * a * sum(fi * v for fi, v in zip(f, t))  # c.t * b * dt
+    total = sum(y)  # sum(y) * dy
+    value = Fraction(sol.value)
+    return cost * dy == total * b * dt and total * value.denominator == value.numerator * dy
+
+
 @lru_cache(maxsize=None)
 def _reduced_lp_cached(n: int, alpha_scale: Fraction) -> CapsetLPResult:
-    f = trinomial(n)
-    objective = [3 * alpha_scale * f[i] for i in range(2 * n + 1)]
-    rows = []
-    for triple in _triples(n):
-        counts: dict[int, int] = {}
-        for idx in triple:
-            counts[idx] = counts.get(idx, 0) + 1
-        rows.append([(idx, Fraction(c)) for idx, c in sorted(counts.items())])
-    lp = LinearProgram(objective, rows, [Fraction(1)] * len(rows))
-    sol = solve(lp)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
-    if not verify_certificate(lp, sol):
+    objective = [3 * alpha_scale * v for v in trinomial(n)]
+    active = _binding_triples(n)
+    while True:
+        lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
+        sol = solve(lp)
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
+        missing = set(_uncovered(sol.x, n))
+        if not missing:
+            break
+        if missing.issubset(active):  # the solution breaks one of its own rows
+            raise RuntimeError("collapsed LP certificate failed")
+        active = sorted(missing.union(active))
+    if not _certified(n, alpha_scale, active, sol):
         raise RuntimeError("collapsed LP certificate failed")
     return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value), True)
 
@@ -100,6 +166,14 @@ def reduced_lp(n: int, alpha_scale=1) -> CapsetLPResult:
 
     ``alpha_scale`` scales the objective (all three modes carry the same
     weight); the optimal t vector does not depend on it.
+
+    The LP is solved on the binding rows (``i + j + k == 2n``) first; rows
+    the solution leaves uncovered are added and the LP solved again until
+    every triple is covered.  The result is certified as an optimum of the
+    full LP, which is never built: full coverage by t, and a nonnegative
+    dual on the solved rows whose column loads stay within the costs and
+    whose sum equals ``c . t`` and the value.  A failed check raises
+    ``RuntimeError``.  ``STABLERANK_MAX_LP_ROWS`` applies to the rows solved.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -160,9 +234,7 @@ def t_vector_feasible(t, n: int) -> bool:
     vec = [Fraction(v) for v in t]
     if len(vec) != 2 * n + 1 or any(v < 0 for v in vec):
         return False
-    denom = math.lcm(*(v.denominator for v in vec))
-    scaled = [int(v * denom) for v in vec]
-    return all(scaled[i] + scaled[j] + scaled[k] >= denom for i, j, k in _triples(n))
+    return not _uncovered(vec, n)
 
 
 def t_vector_value(t, n: int) -> Fraction:

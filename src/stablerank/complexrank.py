@@ -147,6 +147,12 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10,
         norm = np.linalg.norm(a)
     if not np.isfinite(norm):
         raise ValueError("tensor norm overflows double precision")
+    # Bring the largest entry into [1/2, 1) by a power of two, so the norm
+    # of tiny entries cannot underflow.  The scaling is exact: ldexp moves
+    # only exponents, and in the normal range no result changes.
+    exp = -int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a.real, exp) + 1j * np.ldexp(a.imag, exp)
+    norm = np.linalg.norm(a)
 
     cur = a / norm
     gs = _identity_group(a.shape)

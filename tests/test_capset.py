@@ -1,4 +1,7 @@
+import dataclasses
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,12 @@ from stablerank import (
     trinomial,
     verify_conjecture,
 )
+from stablerank import capset
 from stablerank.capset import base_tensor, t_vector_feasible, t_vector_value
+from stablerank.cli import main
+from stablerank.lp import LPSolution
+
+LP_VERTICES = Path(__file__).parent / "data" / "lp_vertices.json"
 
 # Published upper bounds for n = 1..20.
 BOUNDS_1_TO_20 = [
@@ -93,6 +101,138 @@ class TestReducedLp:
         for n in (1, 4, 9):
             res = reduced_lp(n)
             assert t_vector_feasible(res.t, n)
+
+
+@pytest.fixture
+def fresh_cache():
+    """Solve every collapsed LP anew, and leave no result of a patched run behind."""
+    capset._reduced_lp_cached.cache_clear()
+    yield
+    capset._reduced_lp_cached.cache_clear()
+
+
+def _counting_solve(monkeypatch):
+    """Make the solver that ``reduced_lp`` calls record the row count of
+    each LP it is given; returns that list."""
+    rows = []
+    real = capset.solve
+
+    def counting(lp, *args, **kwargs):
+        rows.append(lp.num_rows)
+        return real(lp, *args, **kwargs)
+
+    monkeypatch.setattr(capset, "solve", counting)
+    return rows
+
+
+def _lower_one_t(sol):
+    k = max(i for i, v in enumerate(sol.x) if v > 0)
+    x = list(sol.x)
+    x[k] /= 2
+    return dataclasses.replace(sol, x=tuple(x))
+
+
+def _raise_one_y(sol):
+    y = list(sol.y)
+    y[0] += F(1, 7)
+    return dataclasses.replace(sol, y=tuple(y))
+
+
+class TestRowGeneration:
+    def test_triples_in_lexicographic_order(self):
+        for n in range(1, 16):
+            top = 2 * n
+            brute = [
+                (i, j, k)
+                for i in range(top + 1)
+                for j in range(i, top + 1)
+                for k in range(j, top + 1)
+                if i + j + k <= top
+            ]
+            assert capset._triples(n) == brute
+            assert capset._binding_triples(n) == [t for t in brute if sum(t) == top]
+
+    def test_row_counts(self):
+        assert len(capset._triples(20)) == 2282
+        assert len(capset._triples(60)) == 52311
+        assert len(capset._binding_triples(60)) == 1261
+
+    def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
+        rows = _counting_solve(monkeypatch)
+        reduced_lp(20)
+        assert rows == [len(capset._binding_triples(20))]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
+    def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, n):
+        expected = reduced_lp(n).value
+        capset._reduced_lp_cached.cache_clear()
+        binding = capset._binding_triples
+        monkeypatch.setattr(capset, "_binding_triples", lambda m: binding(m)[::2])
+        rows = _counting_solve(monkeypatch)
+        res = reduced_lp(n)
+        assert len(rows) >= 2  # rows were added and the LP solved again
+        assert rows == sorted(set(rows))
+        assert res.value == expected and res.certificate_ok
+        assert t_vector_feasible(res.t, n)
+
+    @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
+    def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
+        real = capset.solve
+        monkeypatch.setattr(capset, "solve", lambda lp: tamper(real(lp)))
+        with pytest.raises(RuntimeError, match="certificate failed"):
+            reduced_lp(5)
+
+    @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
+    def test_tampered_solution_exits_3(self, fresh_cache, monkeypatch, capsys, tamper):
+        real = capset.solve
+        monkeypatch.setattr(capset, "solve", lambda lp: tamper(real(lp)))
+        assert main(["capset", "--n", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: collapsed LP certificate failed\n"
+
+    # n = 1, binding rows (0,0,2) and (0,1,1): t = (1/2, 1/4, 0) and the dual
+    # y = (3/4, 3/2) load columns 0, 1, 2 with 3, 3, 3/4 against costs 3, 3, 3.
+    @pytest.mark.parametrize(
+        "active,t,y,value,ok",
+        [
+            (None, (F(1, 2), F(1, 4), 0), (F(3, 4), F(3, 2)), F(9, 4), True),
+            # every triple active; one y < 0 while the loads and sums hold
+            ("all", (F(1, 2), F(1, 4), 0), (F(-1, 8), 0, F(7, 8), F(3, 2)), F(9, 4), False),
+            # t < 0 while every triple stays covered and c.t stays 9/4
+            (None, (F(5, 8), F(1, 4), F(-1, 8)), (F(3, 4), F(3, 2)), F(9, 4), False),
+            # column 0 loaded with 3 + 1/8 while sum(y) stays 9/4
+            (None, (F(1, 2), F(1, 4), 0), (F(7, 8), F(11, 8)), F(9, 4), False),
+            # c.t = 9/4 + 3/8 while sum(y) == value == 9/4
+            (None, (F(1, 2), F(3, 8), 0), (F(3, 4), F(3, 2)), F(9, 4), False),
+            # value off by 1/10^6 while c.t == sum(y)
+            (None, (F(1, 2), F(1, 4), 0), (F(3, 4), F(3, 2)), F(9, 4) + F(1, 10**6), False),
+        ],
+    )
+    def test_certificate_conditions(self, active, t, y, value, ok):
+        active = capset._triples(1) if active == "all" else capset._binding_triples(1)
+        sol = LPSolution("optimal", value, tuple(F(v) for v in t), tuple(F(v) for v in y))
+        assert capset._certified(1, F(1), active, sol) is ok
+        scaled = LPSolution("optimal", value * F(2, 5), sol.x, tuple(v * F(2, 5) for v in sol.y))
+        assert capset._certified(1, F(2, 5), active, scaled) is ok
+
+    def test_t_is_the_conjectured_vector(self):
+        for n in range(2, 31):
+            assert reduced_lp(n).t == conjectured_t(n)
+
+    def test_values_match_the_pinned_full_lp(self):
+        cases = json.loads(LP_VERTICES.read_text())
+        pinned = {c["name"]: c["solve"]["value"] for c in cases if c["name"].startswith("capset-")}
+        assert len(pinned) == 12
+        for n in range(1, 13):
+            assert reduced_lp(n).value == F(pinned[f"capset-{n}"])
+
+    def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20))))
+        assert reduced_lp(20).bound == BOUNDS_1_TO_20[19]
+        capset._reduced_lp_cached.cache_clear()
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20)) - 1))
+        assert main(["capset", "--n", "20"]) == 4
 
 
 class TestBounds:

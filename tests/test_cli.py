@@ -154,6 +154,23 @@ class TestGrankCommand:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: tensor entries underflow double precision\n"
 
+    @pytest.mark.parametrize("tiny", ["1e-200", "1e-310"])
+    def test_entries_with_underflowing_squares(self, capsys, tmp_path, tiny):
+        # Nonzero doubles whose squares underflow: the ascent rescales them
+        # exactly, so the output is that of the same tensor with entries 1.
+        outputs = []
+        for val in (tiny, "1"):
+            path = tmp_path / f"diag_{val}.json"
+            path.write_text(json.dumps({
+                "shape": [2, 2],
+                "entries": [{"idx": [0, 0], "val": val}, {"idx": [1, 1], "val": val}],
+            }))
+            code = main(["grank", str(path), "--format", "json"])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
 
 class TestCapsetCommand:
     def test_single_row(self, capsys):
@@ -180,6 +197,12 @@ class TestCapsetCommand:
     def test_table_20_golden_file(self, capsys):
         _, out = run(capsys, "capset", "--table", "20", "--format", "csv")
         assert out == (DATA_DIR / "capset_table_20.csv").read_text()
+
+    def test_table_60_golden_file(self, capsys):
+        # Written by the earlier solver, which built the full collapsed LP.
+        code, out = run(capsys, "capset", "--table", "60", "--format", "csv")
+        assert code == 0
+        assert out.encode() == (DATA_DIR / "capset_table_60.csv").read_bytes()
 
     def test_missing_selector_exits_2(self, capsys):
         code, _ = run(capsys, "capset")
