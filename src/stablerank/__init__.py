@@ -62,7 +62,6 @@ from .tensors import (
     as_weight,
     boxplus,
     boxtimes,
-    complex_from_json,
     flatten,
     mod_domain,
     mode_transform,

@@ -110,39 +110,38 @@ class CapsetLPResult:
         }
 
 
-def _certified(n: int, alpha_scale: Fraction, active, sol) -> bool:
+def _certified(f: list[int], active, sol) -> bool:
     """Is ``sol``, solved on the rows of the ``active`` triples, an optimum
-    of the full collapsed LP, given that ``t = sol.x`` covers every triple?
+    of the full collapsed LP with trinomial coefficients ``f``, given that
+    ``t = sol.x`` covers every triple?
 
     Coverage is the caller's final scan.  The rest is checked here, on
     integers: ``t >= 0``; ``y >= 0``, taken as 0 on every other row; the
     column load ``sum y * (multiplicity of i in the triple)`` is at most
-    ``c_i = 3 * alpha_scale * f_i``; and ``c . t == sum(y) == sol.value``.
+    ``c_i = 3 * f_i``; and ``c . t == sum(y) == sol.value``.
     """
     t, dt = _over_one_denominator(sol.x)
     y, dy = _over_one_denominator(sol.y)
-    if len(t) != 2 * n + 1 or len(y) != len(active):
+    if len(t) != len(f) or len(y) != len(active):
         return False
     if any(v < 0 for v in t) or any(v < 0 for v in y):
         return False
-    load = [0] * (2 * n + 1)
+    load = [0] * len(f)
     for triple, v in zip(active, y):
         for idx in triple:
             load[idx] += v
-    # With alpha_scale = a / b (b > 0), c_i = 3 a f_i / b.
-    a, b = alpha_scale.numerator, alpha_scale.denominator
-    f = trinomial(n)
-    if any(l * b > 3 * a * fi * dy for l, fi in zip(load, f)):
+    if any(l > 3 * fi * dy for l, fi in zip(load, f)):
         return False
-    cost = 3 * a * sum(fi * v for fi, v in zip(f, t))  # c.t * b * dt
+    cost = 3 * sum(fi * v for fi, v in zip(f, t))  # c.t * dt
     total = sum(y)  # sum(y) * dy
     value = Fraction(sol.value)
-    return cost * dy == total * b * dt and total * value.denominator == value.numerator * dy
+    return cost * dy == total * dt and total * value.denominator == value.numerator * dy
 
 
 @lru_cache(maxsize=None)
-def _reduced_lp_cached(n: int, alpha_scale: Fraction) -> CapsetLPResult:
-    objective = [3 * alpha_scale * v for v in trinomial(n)]
+def _reduced_lp_cached(n: int) -> CapsetLPResult:
+    f = trinomial(n)
+    objective = [3 * v for v in f]
     active = _binding_triples(n)
     while True:
         lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
@@ -155,17 +154,14 @@ def _reduced_lp_cached(n: int, alpha_scale: Fraction) -> CapsetLPResult:
         if missing.issubset(active):  # the solution breaks one of its own rows
             raise RuntimeError("collapsed LP certificate failed")
         active = sorted(missing.union(active))
-    if not _certified(n, alpha_scale, active, sol):
+    if not _certified(f, active, sol):
         raise RuntimeError("collapsed LP certificate failed")
     return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value), True)
 
 
-def reduced_lp(n: int, alpha_scale=1) -> CapsetLPResult:
+def reduced_lp(n: int) -> CapsetLPResult:
     """Minimize ``3 * sum_i f_i t_i`` over nonnegative t with
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
-
-    ``alpha_scale`` scales the objective (all three modes carry the same
-    weight); the optimal t vector does not depend on it.
 
     The LP is solved on the binding rows (``i + j + k == 2n``) first; rows
     the solution leaves uncovered are added and the LP solved again until
@@ -177,7 +173,7 @@ def reduced_lp(n: int, alpha_scale=1) -> CapsetLPResult:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _reduced_lp_cached(n, Fraction(alpha_scale))
+    return _reduced_lp_cached(n)
 
 
 def capset_bound(n: int) -> int:

@@ -39,7 +39,7 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _parse_alpha(raw: str | None, order: int):
+def _parse_alpha(raw: str | None):
     if raw is None:
         return None
     return [Fraction(tok.strip()) for tok in raw.split(",")]
@@ -100,7 +100,7 @@ def _emit(payload, fmt: str, stream) -> None:
 
 def _cmd_trank(args, out) -> int:
     support = _load_support(args.file)
-    alpha = _parse_alpha(args.alpha, support.order)
+    alpha = _parse_alpha(args.alpha)
     result = trank(support, alpha)
     payload = {
         "command": "trank",
@@ -135,7 +135,7 @@ def _cmd_tslice(args, out) -> int:
 
 def _cmd_grank(args, out) -> int:
     tensor = _load_tensor(args.file)
-    alpha = _parse_alpha(args.alpha, tensor.order)
+    alpha = _parse_alpha(args.alpha)
     result = sandwich(
         tensor,
         alpha,
@@ -220,7 +220,7 @@ def _cmd_ncrk(args, out) -> int:
 def _cmd_slope(args, out) -> int:
     support = _load_support(args.file)
     exponents = _load_json(args.exponents)["x"]
-    alpha = _parse_alpha(args.alpha, support.order)
+    alpha = _parse_alpha(args.alpha)
     if alpha is None:
         alpha = [Fraction(1)] * support.order
     value = psg_slope(exponents, support, alpha)

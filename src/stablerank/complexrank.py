@@ -22,6 +22,8 @@ import numpy as np
 from .ranks import grank_upper_search
 from .tensors import SparseTensor, as_weight, flatten, ones_weight, to_dense_complex
 
+_STEP = 0.3  # damping of each whitening step in ascend
+
 
 def spectral_norm(m) -> float:
     """Largest singular value: the root of the top eigenvalue of the
@@ -125,8 +127,7 @@ class LowerBoundReport:
         }
 
 
-def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10,
-           step: float = 0.3) -> LowerBoundReport:
+def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoundReport:
     """Push the minimum norm ratio upward by damped mode-wise whitening.
 
     Starts at the identity (so the starting bound is the plain norm-ratio
@@ -170,7 +171,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10,
         eps = 1e-12 * float(np.vdot(cur, cur).real)
         evals, evecs = np.linalg.eigh(gram)
         whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
-        blend = (1.0 - step) * np.eye(a.shape[i]) + step * whiten
+        blend = (1.0 - _STEP) * np.eye(a.shape[i]) + _STEP * whiten
         gs[i] = blend @ gs[i]
         cur = mode_apply(cur, [blend if k == i else np.eye(a.shape[k])
                                for k in range(a.ndim)])

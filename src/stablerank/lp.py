@@ -3,9 +3,10 @@
 Problems are minimizations of ``c . x`` subject to ``A x >= b`` and
 ``x >= 0`` with rational data.  The solver is a two-phase primal simplex on
 the standard-form tableau with Bland's anti-cycling rule, so every run
-terminates and an optimal run yields an exactly optimal basis.  The dual
-vector is read off the optimal basis, giving a certificate with
-``c . x == b . y`` as an identity of rationals, no tolerances anywhere.
+terminates and an optimal run yields an exactly optimal basis.  The
+tableau is ``[A | -I | b]``; ``[A | -I]`` has full row rank, so no row is
+ever dropped.  The dual vector is the reduced costs of the surplus columns,
+giving a certificate with ``c . x == b . y`` as an identity of rationals.
 
 The public API speaks ``fractions.Fraction``; the pivot loop runs on
 Python ints, fraction-free in the manner of Edmonds and Bareiss.  Each
@@ -162,22 +163,26 @@ def _eliminate(row, den, f, piv, p, nz):
 def _run_simplex(lp: LinearProgram):
     """Two-phase primal simplex with Bland's rule on integer rows.
 
-    Returns ``(status, x, y, value)`` with ``Fraction`` entries.  ``y`` is
-    the dual vector for the original inequality rows, read from the
-    bookkeeping columns of the optimal tableau, and ``value`` is ``c . x``,
-    read from the last slot of the phase-II cost row.
+    Returns ``(status, x, y, value)`` with ``Fraction`` entries.  The
+    tableau is ``[A | -I | b]``, each row with ``b_i < 0`` negated so that
+    its surplus column is ``+e_i`` and starts the basis.  Other rows start
+    on an artificial: a basis label ``n + m + i`` whose column is never
+    stored, as it never enters.  ``[A | -I]`` has full row rank, so every
+    artificial left at level zero after phase I has a nonzero entry to pivot
+    on.  ``y`` is read as the reduced costs of the surplus columns, and
+    ``value`` from the last slot of the phase-II cost row.
     """
     n = lp.num_vars
     m = lp.num_rows
-    width = n + 2 * m  # structural | surplus | per-row bookkeeping
-    enter_limit = n + m  # bookkeeping columns never enter
+    width = n + m  # structural | surplus; artificials are labels width + i
 
     # Row i of the tableau is tab[i] / den[i] with den[i] > 0; tab[i][width]
     # holds its right-hand side.  A cost row is a list [numerators, den] in
     # the same layout, its last slot minus the objective value.
     tab: list[list[int]] = []
     den: list[int] = []
-    sigma: list[int] = []
+    basis: list[int] = []
+    art_rows: list[int] = []
     for i, (coeffs, bi) in enumerate(zip(lp.rows, lp.rhs)):
         d = lcm(bi.denominator, *(a.denominator for _, a in coeffs))
         s = -1 if bi < 0 else 1
@@ -185,19 +190,13 @@ def _run_simplex(lp: LinearProgram):
         for j, a in coeffs:
             row[j] = s * a.numerator * (d // a.denominator)
         row[n + i] = -s * d
-        row[n + m + i] = d  # identity after the sign flip
         row[width] = s * bi.numerator * (d // bi.denominator)
         tab.append(row)
         den.append(d)
-        sigma.append(s)
-
-    basis: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if sigma[i] == -1:
+        if s == -1:
             basis.append(n + i)  # flipped surplus column is +e_i
         else:
-            basis.append(n + m + i)
+            basis.append(width + i)
             art_rows.append(i)
 
     def pivot(r: int, k: int, cost: list | None) -> None:
@@ -220,7 +219,7 @@ def _run_simplex(lp: LinearProgram):
         while True:
             c = cost[0]
             k = -1
-            for j in range(enter_limit):
+            for j in range(width):
                 if c[j] < 0:
                     k = j
                     break
@@ -253,22 +252,17 @@ def _run_simplex(lp: LinearProgram):
         status = bland(cost)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
-        if any(tab[i][width] > 0 for i in range(len(tab)) if basis[i] >= n + m):
+        if any(tab[i][width] > 0 for i in art_rows if basis[i] >= width):
             return INFEASIBLE, [], [], None
-        # Drive leftover zero-level artificials out; drop redundant rows.
-        for i in reversed(range(len(tab))):
-            if basis[i] < n + m:
-                continue
-            k = next((j for j in range(enter_limit) if tab[i][j]), -1)
-            if k >= 0:
-                pivot(i, k, None)
-            else:
-                del tab[i], den[i], basis[i]
+        # Drive the artificials left at level zero out of the basis.
+        for i in reversed(art_rows):
+            if basis[i] >= width:
+                pivot(i, next(j for j in range(width) if tab[i][j]), None)
 
     # Phase II on the original objective: c - sum of c_B(i) * row_i.
     obj = lp.objective
     d = lcm(*(v.denominator for v in obj))
-    c = [v.numerator * (d // v.denominator) for v in obj] + [0] * (2 * m + 1)
+    c = [v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1)
     for i, row in enumerate(tab):
         cb = obj[basis[i]] if basis[i] < n else 0
         if cb:
@@ -286,9 +280,9 @@ def _run_simplex(lp: LinearProgram):
     for i, row in enumerate(tab):
         if basis[i] < n:
             x[basis[i]] = Fraction(row[width], den[i])
-    # cost[n + m + k] equals -(dual of flipped row k); undo the sign flips.
+    # The reduced cost of row k's surplus column is the dual of row k.
     c, d = cost
-    y = [Fraction(-sigma[k] * c[n + m + k], d) for k in range(m)]
+    y = [Fraction(c[n + k], d) for k in range(m)]
     return OPTIMAL, x, y, Fraction(-c[width], d)
 
 

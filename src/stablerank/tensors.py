@@ -370,24 +370,3 @@ def to_dense_complex(v: SparseTensor) -> np.ndarray:
     for idx, val in v.entries.items():
         out[idx] = float(val)
     return out
-
-
-def complex_from_json(data: Mapping) -> np.ndarray:
-    """Load a dense complex tensor from the JSON tensor format.
-
-    Rational entries are coerced to double; the "complex" domain stores
-    values as ``[re, im]`` pairs.  Mod-p tensors are rejected.
-    """
-    shape = _check_shape(data["shape"])
-    domain = data.get("domain", RATIONAL)
-    out = np.zeros(shape, dtype=complex)
-    if domain == "complex":
-        for item in data["entries"]:
-            re, im = item["val"]
-            out[_check_index(item["idx"], shape)] = complex(float(re), float(im))
-        return out
-    if modulus_of(domain) is not None:
-        raise ValueError("mod-p tensors have no canonical complex embedding")
-    for item in data["entries"]:
-        out[_check_index(item["idx"], shape)] = float(Fraction(item["val"]))
-    return out

@@ -16,6 +16,7 @@ from stablerank import (
     solve,
     verify_certificate,
 )
+from stablerank import lp as lp_module
 from stablerank.ranks import build_lp
 from stablerank.tensors import Support
 
@@ -214,6 +215,50 @@ class TestDualizedPath:
             if auto.status == OPTIMAL:
                 assert auto.value == direct.value
                 assert verify_certificate(lp, auto)
+
+
+_TALL_ROWS = [[1, 1]] * 5 + [[2, 2]] * 3 + [[0, 0]] * 3 + [[1, -1]] * 3
+_TALL_RHS = [1] * 5 + [2] * 3 + [0, -1, 0] + [-2] * 3
+
+
+class TestDegenerateRows:
+    """Duplicated, scaled and all-zero rows, with mixed-sign right-hand sides."""
+
+    @pytest.mark.parametrize(
+        "c,rows,rhs,status,value",
+        [
+            ([1, 1], [[1, 1], [1, -1], [1, 1]], [1, -2, 1], OPTIMAL, 1),
+            ([2, 3], [[1, 2], [-1, 0], [3, 6]], [2, -5, 6], OPTIMAL, 3),
+            ([2, 3], [[1, 2], [F(1, 3), F(2, 3)]], [2, F(2, 3)], OPTIMAL, 3),
+            # a negated copy pins x0 + x1 to 3/2; the zero row is 0 >= 0
+            ([1, 2], [[1, 1], [0, 0], [-1, -1]], [F(3, 2), 0, F(-3, 2)], OPTIMAL, F(3, 2)),
+            ([1, 0], [[0, 0], [1, 0], [0, 0]], [0, F(1, 2), -1], OPTIMAL, F(1, 2)),
+            ([1, 1], [[1, 1], [0, 0]], [1, 1], INFEASIBLE, None),
+            ([1, 0], [[1, 0], [-1, 0], [1, 0]], [2, -1, 2], INFEASIBLE, None),
+            ([-1, 0], [[1, -1], [1, -1], [0, 0]], [-1, -1, 0], UNBOUNDED, None),
+            ([1, 2], _TALL_ROWS, _TALL_RHS, OPTIMAL, 1),
+            ([1, 2], _TALL_ROWS + [[0, 0]], _TALL_RHS + [1], INFEASIBLE, None),
+        ],
+    )
+    @pytest.mark.parametrize("force_direct", [False, True])
+    def test_status_value_and_certificate(self, c, rows, rhs, status, value, force_direct):
+        lp = dense_lp(c, rows, rhs)
+        sol = solve(lp, force_direct=force_direct)
+        assert sol.status == status
+        feasible, best = vertex_enumeration_optimum(c, rows, rhs)
+        assert feasible == (status != INFEASIBLE)
+        if status == OPTIMAL:
+            assert sol.value == value == best
+            assert len(sol.y) == lp.num_rows
+            assert verify_certificate(lp, sol)
+
+    @pytest.mark.parametrize("force_direct", [False, True])
+    def test_tall_case_routes(self, monkeypatch, force_direct):
+        calls = []
+        real = lp_module.dual_program
+        monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
+        solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), force_direct=force_direct)
+        assert len(calls) == (0 if force_direct else 1)
 
 
 class TestRowCap:

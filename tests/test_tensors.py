@@ -10,7 +10,6 @@ from stablerank import (
     Support,
     boxplus,
     boxtimes,
-    complex_from_json,
     flatten,
     mod_domain,
     mode_transform,
@@ -292,21 +291,3 @@ class TestJson:
         s = support_of(w_state())
         back = Support.from_json(json.loads(json.dumps(s.to_json())))
         assert back == s
-
-    def test_complex_entries(self):
-        data = {
-            "shape": [2, 2],
-            "domain": "complex",
-            "entries": [{"idx": [0, 1], "val": [1.5, -2.0]}],
-        }
-        arr = complex_from_json(data)
-        assert arr[0, 1] == 1.5 - 2.0j
-
-    def test_rational_coerced_to_complex(self):
-        arr = complex_from_json(w_state().to_json())
-        assert arr[1, 0, 0] == 1.0
-
-    def test_mod_rejected_for_complex(self):
-        v = SparseTensor((2,), {(0,): 1}, mod_domain(2))
-        with pytest.raises(ValueError):
-            complex_from_json(v.to_json())
