@@ -46,7 +46,6 @@ from .ranks import (
     TRankResult,
     TSliceResult,
     build_lp,
-    check_slackness,
     dual_trank,
     grank_upper_search,
     matrix_tuple_tensor,
@@ -71,7 +70,6 @@ from .tensors import (
     psg_slope,
     support_of,
     to_dense_complex,
-    unflatten,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import capset
 from .complexrank import sandwich
@@ -27,7 +26,7 @@ from .ranks import (
     trank,
     tslice,
 )
-from .tensors import SparseTensor, Support, psg_slope, support_of
+from .tensors import SparseTensor, Support, parse_rational, psg_slope, support_of
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,7 +41,7 @@ def _round12(x: float) -> float:
 def _parse_alpha(raw: str | None):
     if raw is None:
         return None
-    return [Fraction(tok.strip()) for tok in raw.split(",")]
+    return [parse_rational(tok.strip()) for tok in raw.split(",")]
 
 
 def _load_json(path: str):
@@ -116,7 +115,7 @@ def _cmd_trank(args, out) -> int:
         payload["primal"] = json.dumps(payload["primal"])
         payload["dual"] = json.dumps(payload["dual"])
     _emit(payload, args.format, out)
-    return EXIT_OK if result.certificate_ok else EXIT_SOLVER
+    return EXIT_OK
 
 
 def _cmd_tslice(args, out) -> int:
@@ -220,10 +219,7 @@ def _cmd_ncrk(args, out) -> int:
 def _cmd_slope(args, out) -> int:
     support = _load_support(args.file)
     exponents = _load_json(args.exponents)["x"]
-    alpha = _parse_alpha(args.alpha)
-    if alpha is None:
-        alpha = [Fraction(1)] * support.order
-    value = psg_slope(exponents, support, alpha)
+    value = psg_slope(exponents, support, _parse_alpha(args.alpha))
     _emit({"command": "slope", "slope": str(value)}, args.format, out)
     return EXIT_OK
 

@@ -1,14 +1,15 @@
-"""Certified lower bounds for the stable rank of complex tensors.
+"""Lower bounds for the stable rank of complex tensors, in double precision.
 
 Over the complex numbers the basis-free stable rank equals the supremum,
 over invertible per-mode transforms g, of the smallest weighted ratio
 ``alpha_i * |g.v|^2 / |flatten(g.v, i)|_sigma^2``.  Evaluating that ratio at
-any particular g therefore certifies a lower bound.  This module evaluates
-it, improves g by a damped mode-wise whitening iteration, and reports the
-best bound seen together with a stationarity residual measuring how far the
+any particular g therefore gives a lower bound.  This module evaluates it,
+improves g by a damped mode-wise whitening iteration, and reports the best
+bound seen together with a stationarity residual measuring how far the
 final point is from the positive-semidefiniteness optimality condition.
 
-Everything here is double precision; claims are tolerance-qualified.
+Everything here is double precision and nothing is checked exactly; the
+bounds are tolerance-qualified, not certified.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .ranks import grank_upper_search
-from .tensors import SparseTensor, as_weight, flatten, ones_weight, to_dense_complex
+from .tensors import SparseTensor, as_weight, flatten, to_dense_complex
 
 _STEP = 0.3  # damping of each whitening step in ascend
 
@@ -106,25 +107,14 @@ def stationarity_residual(v, alpha, r: float) -> float:
 
 @dataclass
 class LowerBoundReport:
-    """Certified lower bound with the transform that attained it."""
+    """Lower bound with the transform that attained it, evaluated in double
+    precision and so tolerance-qualified."""
 
     bound: float
     group: list[np.ndarray]
     ratios: list[float]
     stationarity_residual: float
     iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "ratios": list(self.ratios),
-            "stationarity_residual": self.stationarity_residual,
-            "iterations": self.iterations,
-            "group": [
-                [[[z.real, z.imag] for z in row] for row in g]
-                for g in self.group
-            ],
-        }
 
 
 def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoundReport:
@@ -138,8 +128,6 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     improvement falls below ``tol`` relatively.
     """
     a = np.asarray(v, dtype=complex)
-    if alpha is None:
-        alpha = ones_weight(a.ndim)
     w = as_weight(alpha, a.ndim)
     alpha_f = [float(x) for x in w]
     if not np.any(a):
@@ -199,22 +187,11 @@ class SandwichResult:
     upper: Fraction
     report: LowerBoundReport
 
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": str(self.upper),
-            "iterations": self.report.iterations,
-            "stationarity_residual": self.report.stationarity_residual,
-            "ratios": list(self.report.ratios),
-        }
-
 
 def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-10,
              budget: int = 64, seed: int = 0) -> SandwichResult:
     """Lower bound from the complex ascent, upper bound from the basis
     search, for a tensor with exact rational entries."""
-    if alpha is None:
-        alpha = ones_weight(v.order)
     w = as_weight(alpha, v.order)
     upper = grank_upper_search(v, w, budget=budget, seed=seed)
     if v.is_zero():

@@ -73,24 +73,14 @@ class TRankResult:
 
     ``primal[i][j]`` is the weight put on slice j of mode i; ``dual`` maps
     each support element to its multiplier.  The two objectives agree
-    exactly, and ``certificate_ok`` records an independent re-check.
+    exactly.  ``certificate_ok`` is always true: a pair that fails its
+    independent re-check is never returned.
     """
 
     value: Fraction
     primal: tuple[tuple[Fraction, ...], ...]
     dual: Mapping[Index, Fraction]
     certificate_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": str(self.value),
-            "primal": [[str(v) for v in mode] for mode in self.primal],
-            "dual": [
-                {"idx": list(idx), "val": str(self.dual[idx])}
-                for idx in sorted(self.dual)
-            ],
-            "certificate_ok": self.certificate_ok,
-        }
 
 
 def _zero_result(shape: Sequence[int]) -> TRankResult:
@@ -110,19 +100,20 @@ def _split_by_mode(values: Sequence[Fraction], shape) -> tuple[tuple[Fraction, .
 def trank(support: Support, alpha=None) -> TRankResult:
     """Stable rank of a support: the exact optimum of its covering LP.
 
-    The zero tensor (empty support) has rank 0 by convention.
+    The zero tensor (empty support) has rank 0 by convention.  ``alpha``
+    defaults to all ones.  A certificate that fails its check raises
+    ``RuntimeError``.
     """
-    if alpha is None:
-        alpha = ones_weight(support.order)
     if not support.elements:
         return _zero_result(support.shape)
     lp = build_lp(support, alpha)
     sol = solve(lp)
     if sol.status != OPTIMAL:  # covering LPs are always feasible and bounded
         raise RuntimeError(f"support LP unexpectedly {sol.status}")
-    ok = verify_certificate(lp, sol)
+    if not verify_certificate(lp, sol):
+        raise RuntimeError("support LP failed its certificate check")
     dual = dict(zip(support.sorted_elements, sol.y))
-    return TRankResult(sol.value, _split_by_mode(sol.x, support.shape), dual, ok)
+    return TRankResult(sol.value, _split_by_mode(sol.x, support.shape), dual, True)
 
 
 def dual_trank(support: Support, alpha=None) -> TRankResult:
@@ -131,10 +122,9 @@ def dual_trank(support: Support, alpha=None) -> TRankResult:
     Variables are multipliers on the support elements, constrained so that
     each slice carries at most its alpha weight.  The optimum equals
     :func:`trank` exactly; the primal vector is recovered from the dual of
-    this formulation.
+    this formulation.  A certificate that fails its check raises
+    ``RuntimeError``.
     """
-    if alpha is None:
-        alpha = ones_weight(support.order)
     w = as_weight(alpha, support.order)
     if not support.elements:
         return _zero_result(support.shape)
@@ -142,30 +132,10 @@ def dual_trank(support: Support, alpha=None) -> TRankResult:
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"dual support LP unexpectedly {sol.status}")
-    ok = verify_certificate(lp, sol)
+    if not verify_certificate(lp, sol):
+        raise RuntimeError("dual support LP failed its certificate check")
     dual = dict(zip(support.sorted_elements, sol.x))
-    return TRankResult(-sol.value, _split_by_mode(sol.y, support.shape), dual, ok)
-
-
-def check_slackness(support: Support, alpha, primal, dual: Mapping[Index, Fraction]) -> bool:
-    """Exact complementary slackness for a feasible primal/dual pair:
-    every slice is saturated or unused, every element is tight or unpaid."""
-    d = support.order
-    w = as_weight(alpha, d)
-    elements = support.sorted_elements
-    for i in range(d):
-        for j in range(support.shape[i]):
-            load = sum(
-                (Fraction(dual.get(s, 0)) for s in elements if s[i] == j),
-                Fraction(0),
-            )
-            if load != w[i] and Fraction(primal[i][j]) != 0:
-                return False
-    for s in elements:
-        cover = sum((Fraction(primal[i][s[i]]) for i in range(d)), Fraction(0))
-        if cover != 1 and Fraction(dual.get(s, 0)) != 0:
-            return False
-    return True
+    return TRankResult(-sol.value, _split_by_mode(sol.y, support.shape), dual, True)
 
 
 @dataclass(frozen=True)
@@ -174,9 +144,6 @@ class TSliceResult:
 
     value: int
     chosen: frozenset[tuple[int, int]]
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "chosen": [list(c) for c in sorted(self.chosen)]}
 
 
 def _ceil(q: Fraction) -> int:
@@ -326,8 +293,6 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     number carries no tightness claim.  Deterministic for a fixed seed.
     A support LP that fails its certificate check raises ``RuntimeError``.
     """
-    if alpha is None:
-        alpha = ones_weight(v.order)
     w = as_weight(alpha, v.order)
     if v.is_zero():
         return Fraction(0)
@@ -337,10 +302,7 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
         s = support_of(t)
         key = s.elements
         if key not in cache:
-            result = trank(s, w)
-            if not result.certificate_ok:
-                raise RuntimeError("support LP failed its certificate check")
-            cache[key] = result.value
+            cache[key] = trank(s, w).value
         return cache[key]
 
     best = rank_of(v)
@@ -351,6 +313,15 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
         mats = [_basis_change(rng, n, p, kind) for n in v.shape]
         best = min(best, rank_of(mode_transform(v, mats)))
     return best
+
+
+def _matrix_entry(v) -> int:
+    """An integer matrix entry: integer text, or a number with no fractional
+    part; ``1.5`` is refused rather than truncated."""
+    n = int(v)
+    if n != v and not isinstance(v, str):
+        raise ValueError(f"matrix entries must be integers, got {v!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -364,7 +335,7 @@ class MatrixTuple:
         p = modulus_of(mod_domain(modulus))
         mats = []
         for m in matrices:
-            mats.append(tuple(tuple(int(v) % p for v in row) for row in m))
+            mats.append(tuple(tuple(_matrix_entry(v) % p for v in row) for row in m))
         if not mats:
             raise ValueError("matrix tuple must contain at least one matrix")
         rows = len(mats[0])

@@ -83,7 +83,7 @@ def modulus_of(domain: str) -> int | None:
     """Prime modulus of a scalar domain tag, or None for the rationals."""
     if domain == RATIONAL:
         return None
-    if domain.startswith("mod:"):
+    if isinstance(domain, str) and domain.startswith("mod:"):
         p = int(domain[4:])
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
@@ -97,6 +97,15 @@ def mod_domain(p: int) -> str:
     if not _is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return f"mod:{p}"
+
+
+def parse_rational(raw) -> Fraction:
+    """``Fraction(raw)`` for input text or JSON numbers; a zero denominator
+    such as ``"1/0"`` raises ``ValueError`` like any other malformed value."""
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {raw!r}") from None
 
 
 def _coerce_scalar(value, p: int | None):
@@ -209,7 +218,7 @@ class SparseTensor:
         entries = {}
         for item in data["entries"]:
             raw = item["val"]
-            entries[tuple(item["idx"])] = Fraction(raw) if p is None else int(raw)
+            entries[tuple(item["idx"])] = parse_rational(raw) if p is None else int(raw)
         return SparseTensor(data["shape"], entries, domain)
 
 
@@ -306,7 +315,10 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
 
 
 def as_weight(alpha, order: int) -> Weight:
-    """Validate a per-mode weight vector of positive rationals."""
+    """Validate a per-mode weight vector of positive rationals; ``None`` is
+    the all-ones weight."""
+    if alpha is None:
+        return ones_weight(order)
     w = tuple(Fraction(a) for a in alpha)
     if len(w) != order:
         raise ValueError(f"weight has length {len(w)}, tensor order is {order}")
@@ -351,15 +363,6 @@ def flatten(a: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < arr.ndim:
         raise ValueError(f"mode {mode} out of range for order {arr.ndim}")
     return np.moveaxis(arr, mode, 0).reshape(arr.shape[mode], -1)
-
-
-def unflatten(m: np.ndarray, shape: Sequence[int], mode: int) -> np.ndarray:
-    """Inverse of :func:`flatten` for the given shape and mode."""
-    shp = tuple(shape)
-    if not 0 <= mode < len(shp):
-        raise ValueError(f"mode {mode} out of range for order {len(shp)}")
-    rest = shp[:mode] + shp[mode + 1 :]
-    return np.moveaxis(np.asarray(m).reshape((shp[mode],) + rest), 0, mode)
 
 
 def to_dense_complex(v: SparseTensor) -> np.ndarray:

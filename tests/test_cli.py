@@ -292,6 +292,7 @@ class TestNcrkCommand:
         ["ncrk", "{matrices}", "--mode", "search"],
         ["grank", "{tensor}"],
         ["capset", "--n", "2", "--full"],
+        ["trank", "{tensor}"],
     ],
 )
 def test_failed_support_certificate_exits_3(capsys, monkeypatch, tmp_path, argv):
@@ -333,6 +334,7 @@ def _tensor_text(val: str) -> str:
     return json.dumps({"shape": [2, 2], "entries": [{"idx": [0, 0], "val": val}]})
 
 
+# Out-of-range or malformed numbers, domains and matrix entries, each exiting 2.
 # Raw JSON text: the literal 1e400 parses as float("inf").
 @pytest.mark.parametrize(
     "command,text,exponents",
@@ -345,12 +347,25 @@ def _tensor_text(val: str) -> str:
         ("grank", _tensor_text("1e400"), None),
         ("grank", _tensor_text("1e200"), None),
         ("ncrk", '{"modulus": 1e400, "matrices": [[[1, 0], [0, 1]]]}', None),
+        ("trank", _tensor_text("1/0"), None),
+        ("tslice", _tensor_text("1/0"), None),
+        ("grank", _tensor_text("1/0"), None),
+        ("slope", _tensor_text("1/0"), '{"x": [[1, 0], [1, 0]]}'),
+        ("trank --alpha 1,1,1/0", json.dumps(W_SUPPORT), None),
+        ("grank --alpha 1/0,1,1", json.dumps(W_TENSOR), None),
+        ("slope --alpha 1,1/0,1", json.dumps(W_SUPPORT), '{"x": [[1, 0], [1, 0], [1, 0]]}'),
+        ("trank", '{"shape": [2], "domain": 5, "entries": []}', None),
+        ("grank", '{"shape": [2], "domain": null, "entries": []}', None),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, 1.5]]]}', None),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "1/0"]]]}', None),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "a"]]]}', None),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, null]]]}', None),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents):
     path = tmp_path / "input.json"
     path.write_text(text)
-    argv = [command, str(path)]
+    argv = [*command.split(), str(path)]
     if exponents is not None:
         exps = tmp_path / "x.json"
         exps.write_text(exponents)

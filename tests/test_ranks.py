@@ -15,7 +15,6 @@ from stablerank import (
     boxplus,
     boxtimes,
     build_lp,
-    check_slackness,
     dual_trank,
     grank_upper_search,
     matrix_tuple_tensor,
@@ -153,22 +152,11 @@ class TestDualTrank:
         assert dual_trank(Support((2, 2), [])).value == 0
 
 
-class TestSlackness:
-    def test_optimal_pair_passes(self):
-        r = trank(W_SUPPORT)
-        assert check_slackness(W_SUPPORT, (1, 1, 1), r.primal, r.dual)
-
-    def test_suboptimal_primal_fails(self):
-        r = trank(W_SUPPORT)
-        sloppy = tuple((F(1), F(1)) for _ in range(3))  # feasible, not optimal
-        assert not check_slackness(W_SUPPORT, (1, 1, 1), sloppy, r.dual)
-
-    def test_random_optimal_pairs_pass(self):
-        rng = random.Random(13)
-        for _ in range(15):
-            s = random_support(rng)
-            r = trank(s)
-            assert check_slackness(s, (1,) * s.order, r.primal, r.dual)
+@pytest.mark.parametrize("rank", [trank, dual_trank])
+def test_failed_certificate_raises(monkeypatch, rank):
+    monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        rank(W_SUPPORT)
 
 
 class TestSlopeConsistency:
@@ -358,6 +346,15 @@ class TestNcrk:
         wide = MatrixTuple([[[1] * 25]], 2)
         with pytest.raises(SubspaceLimitError):
             ncrk_bruteforce(wide, limit=1 << 20)
+
+    @pytest.mark.parametrize("entry", [1.5, F(1, 2), "1.5", "1/0", "a", None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises((TypeError, ValueError)):
+            MatrixTuple([[[1, 0], [0, entry]]], 2)
+
+    def test_integral_entries_accepted(self):
+        tup = MatrixTuple([[[1.0, "0"], [F(4), 3]]], 2)
+        assert tup.matrices == (((1, 0), (0, 1)),)
 
     def test_tensor_construction(self):
         tup = MatrixTuple([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], 2)

@@ -8,16 +8,17 @@ import pytest
 from stablerank import (
     SparseTensor,
     Support,
+    as_weight,
     boxplus,
     boxtimes,
     flatten,
     mod_domain,
     mode_transform,
+    ones_weight,
     outer,
     psg_slope,
     support_of,
     to_dense_complex,
-    unflatten,
 )
 
 W_ENTRIES = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
@@ -221,12 +222,18 @@ class TestFlatten:
         for mode in range(3):
             assert np.linalg.matrix_rank(flatten(t, mode)) == 1
 
-    def test_roundtrip_every_mode(self):
+    def test_column_order_every_mode(self):
+        # Row j of flatten(t, mode) lists t with index j in that mode, the
+        # other modes running lexicographically in ascending mode order.
         rng = np.random.default_rng(11)
         t = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
         for mode in range(3):
-            back = unflatten(flatten(t, mode), t.shape, mode)
-            assert np.array_equal(back, t)
+            rest = [k for k in range(3) if k != mode]
+            m = flatten(t, mode)
+            assert m.shape == (t.shape[mode], t.size // t.shape[mode])
+            for idx in np.ndindex(t.shape):
+                col = idx[rest[0]] * t.shape[rest[1]] + idx[rest[1]]
+                assert m[idx[mode], col] == t[idx]
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
@@ -291,3 +298,19 @@ class TestJson:
         s = support_of(w_state())
         back = Support.from_json(json.loads(json.dumps(s.to_json())))
         assert back == s
+
+    @pytest.mark.parametrize("domain", [5, None, ["rational"]])
+    def test_non_string_domain_rejected(self, domain):
+        data = {"shape": [2], "domain": domain, "entries": [{"idx": [0], "val": "1"}]}
+        with pytest.raises(ValueError, match="domain"):
+            SparseTensor.from_json(data)
+
+    def test_zero_denominator_rejected(self):
+        data = {"shape": [2], "entries": [{"idx": [0], "val": "1/0"}]}
+        with pytest.raises(ValueError, match="zero denominator"):
+            SparseTensor.from_json(data)
+
+
+class TestAsWeight:
+    def test_none_is_all_ones(self):
+        assert as_weight(None, 3) == (F(1), F(1), F(1)) == ones_weight(3)
