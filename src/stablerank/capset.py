@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .lp import OPTIMAL, LinearProgram, solve
 from .ranks import trank
@@ -41,8 +42,19 @@ FULL_LP_MAX_N = 3
 TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
 
 
+# A table row asks for the coefficients and the triples of its n from
+# reduced_lp, both cutoff counts and verify_conjecture.  One cache entry each
+# serves the whole row, and holds one n's triples, not every n's (about
+# 800k triples in a table to n = 60).
+
+
 def trinomial(n: int) -> list[int]:
     """Coefficients of (1 + x + x^2)^n, exactly, by iterated convolution."""
+    return list(_coefficients(n))
+
+
+@lru_cache(maxsize=1)
+def _coefficients(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     row = [1]
@@ -53,18 +65,19 @@ def trinomial(n: int) -> list[int]:
             out[i + 1] += c
             out[i + 2] += c
         row = out
-    return row
+    return tuple(row)
 
 
-def _triples(n: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=1)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """Every triple ``i <= j <= k`` with ``i + j + k <= 2n``, in lexicographic order."""
     top = 2 * n
-    return [
+    return tuple(
         (i, j, k)
         for i in range(top // 3 + 1)
         for j in range(i, (top - i) // 2 + 1)
         for k in range(j, top - i - j + 1)
-    ]
+    )
 
 
 def _binding_triples(n: int) -> list[tuple[int, int, int]]:
@@ -101,7 +114,7 @@ class CapsetLPResult:
     certificate_ok: bool
 
 
-def _certified(f: list[int], active, sol) -> bool:
+def _certified(f: Sequence[int], active, sol) -> bool:
     """Is ``sol``, solved on the rows of the ``active`` triples, an optimum
     of the full collapsed LP with trinomial coefficients ``f``, given that
     ``t = sol.x`` covers every triple?
@@ -131,7 +144,7 @@ def _certified(f: list[int], active, sol) -> bool:
 
 @lru_cache(maxsize=None)
 def _reduced_lp_cached(n: int) -> CapsetLPResult:
-    f = trinomial(n)
+    f = _coefficients(n)
     objective = [3 * v for v in f]
     active = _binding_triples(n)
     while True:
@@ -174,14 +187,14 @@ def capset_bound(n: int) -> int:
 
 def eg_bound(n: int) -> int:
     """The single-cutoff count ``3 * sum_{i <= 2n/3} f_i``."""
-    f = trinomial(n)
+    f = _coefficients(n)
     return 3 * sum(f[i] for i in range(0, 2 * n // 3 + 1))
 
 
 def eg_prime_bound(n: int) -> int:
     """The sharper three-cutoff count with per-coordinate thresholds
     2n/3, (2n-1)/3 and (2n-2)/3."""
-    f = trinomial(n)
+    f = _coefficients(n)
     return sum(
         sum(f[i] for i in range(0, cutoff + 1))
         for cutoff in ((2 * n) // 3, (2 * n - 1) // 3, (2 * n - 2) // 3)
@@ -225,7 +238,7 @@ def t_vector_feasible(t, n: int) -> bool:
 
 
 def t_vector_value(t, n: int) -> Fraction:
-    f = trinomial(n)
+    f = _coefficients(n)
     return 3 * sum((f[i] * Fraction(v) for i, v in enumerate(t)), Fraction(0))
 
 

@@ -7,6 +7,8 @@ any particular g therefore gives a lower bound.  This module evaluates it,
 improves g by a damped mode-wise whitening iteration, and reports the best
 bound seen together with a stationarity residual measuring how far the
 final point is from the positive-semidefiniteness optimality condition.
+Each whitening step multiplies only the whitened mode; the other modes are
+left as they are.
 
 Everything here is double precision and nothing is checked exactly; the
 bounds are tolerance-qualified, not certified.
@@ -39,9 +41,14 @@ def spectral_norm(m) -> float:
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return 0.0
-    a = a / scale
+    return float(scale * _top_singular_value(a / scale))
+
+
+def _top_singular_value(a: np.ndarray):
+    """Largest singular value of a matrix whose entries are at most 1 in
+    modulus, from the top eigenvalue of its smaller Gram matrix."""
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    return float(scale * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return np.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 def mode_apply(v, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -60,12 +67,39 @@ def _identity_group(shape) -> list[np.ndarray]:
 
 
 def _ratios(w: np.ndarray, alpha_f: Sequence[float]) -> list[float]:
+    """``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2`` for every mode.
+
+    Every flattening holds the same entries, so one division by the largest
+    entry serves them all.
+    """
     n2 = float(np.vdot(w, w).real)
+    scale = np.max(np.abs(w))
+    if scale == 0.0:
+        raise ValueError("ratios undefined for the zero tensor")
+    scaled = w / scale
     out = []
     for i in range(w.ndim):
-        sigma = spectral_norm(flatten(w, i))
+        sigma = float(scale * _top_singular_value(flatten(scaled, i)))
         out.append(alpha_f[i] * n2 / (sigma * sigma))
     return out
+
+
+def _whitening_product(cur: np.ndarray, i: int, m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``mode_apply(cur, mats)`` with ``mats[i] = m`` and identities
+    elsewhere, given ``f = flatten(cur, i)``.
+
+    Only mode i is multiplied: an identity product changes no value.  The
+    result is laid out in memory as ``mode_apply`` lays out its own, last
+    mode outermost, because ``np.linalg.norm`` sums in memory order and the
+    iterate's norm must keep every bit.
+    """
+    d = cur.ndim
+    prod = np.dot(m, f).reshape((m.shape[0],) + cur.shape[:i] + cur.shape[i + 1:])
+    # prod holds modes (i, 0, .., i-1, i+1, ..); take them in the order
+    # (d-1, 0, .., d-2), copy, and view the copy in mode order.
+    last_first = [d - 1] + list(range(d - 1))
+    stored = np.ascontiguousarray(prod.transpose([0 if k == i else k + (k < i) for k in last_first]))
+    return stored.transpose(tuple(range(1, d)) + (0,))
 
 
 def objective(v, mats: Sequence[np.ndarray], alpha) -> float:
@@ -122,7 +156,8 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
 
     Starts at the identity (so the starting bound is the plain norm-ratio
     bound), repeatedly whitens the mode attaining the minimum, and reports
-    the best value seen.  The reported bound is monotone in the iteration
+    the best value seen.  Each step updates only the whitened mode, of the
+    group and of the iterate.  The reported bound is monotone in the iteration
     count and always a valid lower bound, whether or not the iteration
     converges.  Stops after ``max_iters`` steps or when the step-to-step
     improvement falls below ``tol`` relatively.
@@ -161,8 +196,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
         whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
         blend = (1.0 - _STEP) * np.eye(a.shape[i]) + _STEP * whiten
         gs[i] = blend @ gs[i]
-        cur = mode_apply(cur, [blend if k == i else np.eye(a.shape[k])
-                               for k in range(a.ndim)])
+        cur = _whitening_product(cur, i, blend, f)
         norm = np.linalg.norm(cur)
         cur = cur / norm
         gs[i] = gs[i] / norm

@@ -299,10 +299,9 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     cache: dict[frozenset, Fraction] = {}
 
     def rank_of(t: SparseTensor) -> Fraction:
-        s = support_of(t)
-        key = s.elements
+        key = frozenset(t.entries)  # support_of(t).elements, without the checks
         if key not in cache:
-            cache[key] = trank(s, w).value
+            cache[key] = trank(support_of(t), w).value
         return cache[key]
 
     best = rank_of(v)

@@ -11,6 +11,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -217,8 +218,9 @@ class SparseTensor:
         p = modulus_of(domain)
         entries = {}
         for item in data["entries"]:
-            raw = item["val"]
-            entries[tuple(item["idx"])] = parse_rational(raw) if p is None else int(raw)
+            val = parse_rational(item["val"])
+            _coerce_scalar(val, p)  # also a value that a repeated index overwrites
+            entries[tuple(item["idx"])] = val
         return SparseTensor(data["shape"], entries, domain)
 
 
@@ -280,38 +282,69 @@ def outer(v: SparseTensor, w: SparseTensor) -> SparseTensor:
     return SparseTensor(shape, entries, v.domain)
 
 
+def _integer_columns(mat, width: int, p: int | None, axis: int):
+    """The matrix for mode ``axis`` over one denominator: for each column,
+    the ``(row, numerator)`` pairs with a nonzero numerator, and the
+    denominator.  Over F_p the denominator is 1 and the numerators are
+    reduced mod p."""
+    if len(mat) < 1:
+        raise ValueError(f"matrix for mode {axis} has no rows")
+    if any(len(row) != width for row in mat):
+        raise ValueError(f"matrix for mode {axis} has wrong column count")
+    rows = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in mat]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    if p is None:
+        nums = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    elif den != 1:
+        raise ValueError(f"mod-{p} matrix entries must be integers")
+    else:
+        nums = [[int(x) % p for x in row] for row in rows]
+    columns = [[(r, row[c]) for r, row in enumerate(nums) if row[c]] for c in range(width)]
+    return columns, den
+
+
 def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> SparseTensor:
     """Apply one matrix per mode to a sparse tensor, exactly.
 
-    ``mats[i]`` has ``v.shape[i]`` columns; the result's mode-i dimension is
-    the row count of ``mats[i]``.  Scalars must lie in the tensor's domain.
+    ``mats[i]`` has ``v.shape[i]`` columns and at least one row; the
+    result's mode-i dimension is the row count of ``mats[i]``.  Scalars must
+    lie in the tensor's domain: rationals (a float is taken at its exact
+    value), or integers on a mod-p tensor.  The work runs on integers: the
+    entries over one denominator and each matrix over its own.
     """
     if len(mats) != v.order:
         raise ValueError("need exactly one matrix per mode")
     p = modulus_of(v.domain)
-    entries: dict[Index, Fraction | int] = dict(v.entries)
+    if p is None:
+        den = math.lcm(*(x.denominator for x in v.entries.values()))
+        entries = {k: x.numerator * (den // x.denominator) for k, x in v.entries.items()}
+    else:
+        den = 1
+        entries = dict(v.entries)
     shape = list(v.shape)
     for axis, mat in enumerate(mats):
-        rows = len(mat)
-        if any(len(r) != shape[axis] for r in mat):
-            raise ValueError(f"matrix for mode {axis} has wrong column count")
-        acc: dict[Index, Fraction | int] = {}
+        columns, mat_den = _integer_columns(mat, shape[axis], p, axis)
+        den *= mat_den
+        acc: dict[Index, int] = {}
         for idx, val in entries.items():
-            col = idx[axis]
-            for r in range(rows):
-                coeff = mat[r][col]
-                if not coeff:
-                    continue
-                new_idx = idx[:axis] + (r,) + idx[axis + 1 :]
-                term = coeff * val
-                cur = acc.get(new_idx)
-                acc[new_idx] = term if cur is None else cur + term
+            head, tail = idx[:axis], idx[axis + 1 :]
+            for r, coeff in columns[idx[axis]]:
+                key = head + (r,) + tail
+                acc[key] = acc.get(key, 0) + coeff * val
         if p is None:
-            entries = {k: Fraction(x) for k, x in acc.items() if x}
+            entries = {k: x for k, x in acc.items() if x}
         else:
-            entries = {k: x % p for k, x in acc.items() if x % p}
-        shape[axis] = rows
-    return SparseTensor(tuple(shape), entries, v.domain)
+            entries = {k: r for k, x in acc.items() if (r := x % p)}
+        shape[axis] = len(mat)
+    if p is None:
+        entries = {k: Fraction(x, den) for k, x in entries.items()}
+    # Every index and value was made here, in range and in the domain, so
+    # the checks of the constructor are skipped.
+    out = object.__new__(SparseTensor)
+    object.__setattr__(out, "shape", tuple(shape))
+    object.__setattr__(out, "domain", v.domain)
+    object.__setattr__(out, "entries", entries)
+    return out
 
 
 def as_weight(alpha, order: int) -> Weight:
@@ -362,7 +395,8 @@ def flatten(a: np.ndarray, mode: int) -> np.ndarray:
     arr = np.asarray(a)
     if not 0 <= mode < arr.ndim:
         raise ValueError(f"mode {mode} out of range for order {arr.ndim}")
-    return np.moveaxis(arr, mode, 0).reshape(arr.shape[mode], -1)
+    axes = (mode,) + tuple(k for k in range(arr.ndim) if k != mode)
+    return arr.transpose(axes).reshape(arr.shape[mode], -1)
 
 
 def to_dense_complex(v: SparseTensor) -> np.ndarray:

@@ -143,7 +143,7 @@ class TestRowGeneration:
                 for k in range(j, top + 1)
                 if i + j + k <= top
             ]
-            assert capset._triples(n) == brute
+            assert capset._triples(n) == tuple(brute)
             assert capset._binding_triples(n) == [t for t in brute if sum(t) == top]
 
     def test_row_counts(self):

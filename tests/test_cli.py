@@ -360,6 +360,8 @@ def _tensor_text(val: str) -> str:
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "1/0"]]]}', None),
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "a"]]]}', None),
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, null]]]}', None),
+        ("trank", '{"shape": [2, 2], "domain": "mod:3", "entries": [{"idx": [0, 0], "val": 1.5}, '
+                  '{"idx": [1, 1], "val": 2.9}]}', None),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents):

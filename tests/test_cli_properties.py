@@ -3,14 +3,16 @@
 Every input, however malformed, exits 0, 2, 3 or 4: no exception escapes
 ``main``, and stderr carries nothing but ``error:`` lines.  Each run draws a
 small tensor, support, exponent table or matrix tuple and at most one kind of
-fault (malformed JSON, a bad size, a bad index, an odd scalar, a bad domain
-or modulus, a bad ``--alpha``), so that every fault is also reached on input
-that is valid otherwise.
+fault (malformed JSON, a bad size, a bad index, an odd scalar, a fractional
+number in a mod-p tensor, a bad domain or modulus, a bad ``--alpha``), so
+that every fault is also reached on input that is valid otherwise.  A mod-p
+tensor file with a fractional number in it must exit 2.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from stablerank.cli import main
 
-FAULTS = ("none", "json", "size", "index", "scalar", "domain", "alpha")
+FAULTS = ("none", "json", "size", "index", "scalar", "fraction", "domain", "alpha")
 
 ODD_SCALARS = ["1/0", "a", "", None, True, 1.5, [], {}, 1e400, float("nan"), "1e-320"]
 BAD_SIZES = [0, -1, 1.5, "2", None, 1e400]
@@ -60,12 +62,16 @@ def elements(draw, shape, fault):
 def tensor_data(draw, fault):
     shape = draw(shapes(fault))
     idxs = draw(elements(shape, fault))
-    val = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5).map(str))
+    val = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5).map(str),
+                    st.fractions(max_denominator=4).map(float))
     entries = [{"idx": idx, "val": draw(val)} for idx in idxs]
     if fault == "scalar" and entries:
         entries[-1]["val"] = draw(st.sampled_from(ODD_SCALARS))
+    if fault == "fraction" and entries:
+        entries[draw(st.integers(0, len(entries) - 1))]["val"] = draw(st.integers(-12, 12)) + 0.5
     data = {"shape": shape, "entries": entries}
     domain = draw(st.sampled_from(BAD_DOMAINS if fault == "domain"
+                                  else ["mod:2", "mod:3"] if fault == "fraction"
                                   else ["rational", "mod:2", "mod:3", None]))
     if domain is not None or fault == "domain":
         data["domain"] = domain
@@ -115,14 +121,26 @@ def alphas(draw, order, fault):
     return None if w is None else ",".join(map(str, w))
 
 
+def _fractional_mod_entry(data) -> bool:
+    """Does a mod-p tensor file hold a finite number with a fractional part?
+
+    Such an entry is not in the domain, so the run must exit 2."""
+    if not isinstance(data.get("entries"), list) or data.get("domain") not in ("mod:2", "mod:3"):
+        return False
+    return any(isinstance(e["val"], float) and math.isfinite(e["val"]) and e["val"] % 1
+               for e in data["entries"])
+
+
 @st.composite
 def cli_runs(draw):
-    """A command line, the files it reads, and whether warnings are tolerated."""
+    """A command line, the files it reads, whether warnings are tolerated,
+    and the exit codes allowed."""
     command = draw(st.sampled_from(["trank", "tslice", "slope", "ncrk", "grank"]))
     fault = draw(st.sampled_from(FAULTS))
     files = {}
     argv = [command, "{input}"]
     tolerate_warnings = False
+    codes = (0, 2, 3, 4)
     if command == "ncrk":
         files["input"] = as_text(draw, draw(tuple_data(fault)), fault)
         argv += ["--mode", draw(st.sampled_from(["brute", "search", "both"])), "--budget", "2"]
@@ -136,6 +154,8 @@ def cli_runs(draw):
     else:
         data = draw(st.one_of(tensor_data(fault), support_data(fault)))
         files["input"] = as_text(draw, data, fault)
+        if _fractional_mod_entry(data):
+            codes = (2,)
         if command == "slope":
             files["exponents"] = json.dumps(draw(exponent_data(len(data["shape"]), fault)))
             argv += ["--exponents", "{exponents}"]
@@ -144,7 +164,7 @@ def cli_runs(draw):
         if alpha is not None:
             argv.append(f"--alpha={alpha}")
     argv.append(draw(st.sampled_from(["--format=text", "--format=json", "--format=csv"])))
-    return argv, files, tolerate_warnings
+    return argv, files, tolerate_warnings, codes
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +175,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(run=cli_runs())
 def test_every_input_meets_the_exit_code_contract(workdir, run):
-    argv, files, tolerate_warnings = run
+    argv, files, tolerate_warnings, codes = run
     paths = {}
     for name, text in files.items():
         paths[name] = workdir / f"{name}.json"
@@ -170,7 +190,7 @@ def test_every_input_meets_the_exit_code_contract(workdir, run):
             lines = err.getvalue().splitlines()
         except SystemExit as exc:  # argparse prints its own usage message
             code, lines = exc.code, []
-    assert code in (0, 2, 3, 4), (argv, files, err.getvalue())
+    assert code in codes, (argv, files, err.getvalue())
     for line in lines:
         assert line.startswith("error: "), (argv, files, line)
     if not tolerate_warnings:

@@ -120,6 +120,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(np.zeros((2, 2)), [np.eye(2)] * 2, (1, 1))
 
+    def test_transform_to_zero_rejected(self):
+        # a singular transform can map a nonzero tensor to zero
+        with pytest.raises(ValueError, match="zero tensor"):
+            objective(W_DENSE, [np.zeros((2, 2)), np.eye(2), np.eye(2)], (1, 1, 1))
+
 
 class TestStationarityResidual:
     def test_w_state_at_its_rank(self):
@@ -243,3 +248,184 @@ class TestSandwich:
         gs = [rng.normal(size=(n, n)) for n in (2, 3, 4)]
         expect = np.einsum("ai,bj,ck,ijk->abc", gs[0], gs[1], gs[2], t)
         assert np.allclose(mode_apply(t, gs), expect)
+
+
+# Reference ascent: the loop as it was before each step multiplied only the
+# whitened mode, with the helpers it called copied alongside.  It multiplies
+# every mode (identities on all but the whitened one) and scales each
+# flattening on its own.  ``ascend`` must reproduce it bit for bit.  The
+# oracle runs in the test, not from a golden file, because the float bits
+# depend on the BLAS build.
+
+
+def _reference_flatten(a, mode):
+    arr = np.asarray(a)
+    return np.moveaxis(arr, mode, 0).reshape(arr.shape[mode], -1)
+
+
+def _reference_spectral_norm(m):
+    a = np.asarray(m, dtype=complex)
+    scale = np.max(np.abs(a))
+    if scale == 0.0:
+        return 0.0
+    a = a / scale
+    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    return float(scale * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
+def _reference_mode_apply(v, mats):
+    a = np.asarray(v, dtype=complex)
+    for i, g in enumerate(mats):
+        a = np.moveaxis(np.tensordot(np.asarray(g, dtype=complex),
+                                     np.moveaxis(a, i, 0), axes=1), 0, i)
+    return a
+
+
+def _reference_ratios(w, alpha_f):
+    n2 = float(np.vdot(w, w).real)
+    out = []
+    for i in range(w.ndim):
+        sigma = _reference_spectral_norm(_reference_flatten(w, i))
+        out.append(alpha_f[i] * n2 / (sigma * sigma))
+    return out
+
+
+def _reference_residual(a, w, r):
+    n2 = float(np.vdot(a, a).real)
+    worst = 0.0
+    for i in range(a.ndim):
+        f = _reference_flatten(a, i)
+        scale = float(w[i]) * n2
+        h = scale * np.eye(a.shape[i]) - float(r) * (f @ f.conj().T)
+        lam_min = float(np.linalg.eigvalsh(h)[0])
+        worst = max(worst, max(0.0, -lam_min) / scale)
+    return worst
+
+
+def _reference_ascend(v, alpha=None, max_iters=400, tol=1e-10):
+    a = np.asarray(v, dtype=complex)
+    w = (F(1),) * a.ndim if alpha is None else tuple(F(x) for x in alpha)
+    alpha_f = [float(x) for x in w]
+    exp = -int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a.real, exp) + 1j * np.ldexp(a.imag, exp)
+    norm = np.linalg.norm(a)
+
+    cur = a / norm
+    gs = [np.eye(n, dtype=complex) for n in a.shape]
+    ratios = _reference_ratios(cur, alpha_f)
+    best = min(ratios)
+    best_gs = [g.copy() for g in gs]
+    best_ratios = list(ratios)
+    prev = best
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        i = int(np.argmin(ratios))
+        f = _reference_flatten(cur, i)
+        gram = f @ f.conj().T
+        eps = 1e-12 * float(np.vdot(cur, cur).real)
+        evals, evecs = np.linalg.eigh(gram)
+        whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
+        blend = (1.0 - 0.3) * np.eye(a.shape[i]) + 0.3 * whiten
+        gs[i] = blend @ gs[i]
+        cur = _reference_mode_apply(cur, [blend if k == i else np.eye(a.shape[k])
+                                          for k in range(a.ndim)])
+        norm = np.linalg.norm(cur)
+        cur = cur / norm
+        gs[i] = gs[i] / norm
+        ratios = _reference_ratios(cur, alpha_f)
+        val = min(ratios)
+        if val > best:
+            best = val
+            best_gs = [g.copy() for g in gs]
+            best_ratios = list(ratios)
+        if abs(val - prev) <= tol * max(1.0, abs(prev)):
+            break
+        prev = val
+    residual = _reference_residual(_reference_mode_apply(a, best_gs), w, best)
+    return best, best_gs, best_ratios, residual, iterations
+
+
+def _outcome(run):
+    """Every bit of an ascent's result, or the type and text of its error."""
+    with np.errstate(all="ignore"):
+        try:
+            res = run()
+        except Exception as exc:  # the divergent inputs may fail; so must both
+            return type(exc).__name__, str(exc)
+    if not isinstance(res, tuple):
+        res = (res.bound, res.group, res.ratios, res.stationarity_residual, res.iterations)
+    bound, group, ratios, residual, iterations = res
+    return (
+        float.hex(bound),
+        [(g.shape, g.dtype.str, g.tobytes()) for g in group],
+        [float.hex(r) for r in ratios],
+        float.hex(residual),
+        iterations,
+    )
+
+
+def _grank_ascent_corpus():
+    """The tensors of the ``grank-ascent`` benchmark workload."""
+    rng = random.Random(0)
+    w_state = SparseTensor((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    tensors = [w_state]
+    for shape, density in (((3, 3, 3), 0.6), ((4, 4, 4), 1.0), ((5, 5, 5), 1.0),
+                           ((3, 3, 3, 3), 0.5)):
+        entries = {}
+        for idx in itertools.product(*[range(n) for n in shape]):
+            if rng.random() < density:
+                entries[idx] = rng.choice((-2, -1, 1, 2))
+        tensors.append(SparseTensor(shape, entries))
+    return [to_dense_complex(t) for t in tensors]
+
+
+def _random_cases(count=40):
+    """Seeded tensors of order 2-4 with mostly non-cubic shapes, real or
+    complex, half of them with a weight."""
+    cases = []
+    for seed in range(count):
+        rng = np.random.default_rng(1000 + seed)
+        shape = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 5))))
+        t = rng.normal(size=shape)
+        if seed % 3 == 0:
+            t = t + 1j * rng.normal(size=shape)
+        if seed % 4 == 1:  # sparse, with exact zeros
+            t = t * (rng.random(size=shape) < 0.5)
+        if not np.any(t):
+            t.flat[0] = 1.0
+        alpha = None if seed % 2 else tuple(F(int(k), 2) for k in rng.integers(1, 5, size=len(shape)))
+        cases.append((t, alpha))
+    cases.append((rng.normal(size=(3, 2, 4)), None))
+    cases.append((rng.normal(size=(3, 2, 4)), (F(1), F(2), F(1, 3))))
+    return cases
+
+
+# The inputs on which the ascent diverges (ROADMAP item 3): warnings, then an
+# error or a residual that disagrees with the iterate.
+DIVERGENT = [
+    ((4, 2, 2), {(0, 0, 1): 2, (0, 1, 0): 3, (2, 0, 1): F(1, 5)}),
+    ((4, 3, 4), {(0, 0, 0): F(7, 4), (0, 0, 2): F(7, 3), (0, 2, 3): F(1, 2),
+                 (2, 0, 0): F(-3, 4), (3, 2, 3): F(-1, 2)}),
+    ((2, 2, 4), {(0, 0, 0): F(4, 3), (0, 0, 1): -8, (0, 0, 3): F(7, 3), (0, 1, 0): 2,
+                 (0, 1, 1): F(-1, 3), (0, 1, 2): F(-1, 2), (0, 1, 3): F(-1, 2),
+                 (1, 0, 2): F(9, 5), (1, 1, 2): F(-1, 4)}),
+]
+
+
+class TestAscendMatchesReference:
+    @pytest.mark.parametrize("k", range(5))
+    def test_grank_ascent_corpus(self, k):
+        t = _grank_ascent_corpus()[k]
+        assert _outcome(lambda: ascend(t)) == _outcome(lambda: _reference_ascend(t))
+
+    @pytest.mark.parametrize("k", range(42))
+    def test_random_tensors(self, k):
+        t, alpha = _random_cases()[k]
+        assert _outcome(lambda: ascend(t, alpha)) == _outcome(
+            lambda: _reference_ascend(t, alpha))
+
+    @pytest.mark.parametrize("shape,entries", DIVERGENT)
+    def test_divergent_inputs(self, shape, entries):
+        t = to_dense_complex(SparseTensor(shape, entries))
+        assert _outcome(lambda: ascend(t)) == _outcome(lambda: _reference_ascend(t))

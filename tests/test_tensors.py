@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from stablerank import (
     flatten,
     mod_domain,
     mode_transform,
+    modulus_of,
     ones_weight,
     outer,
     psg_slope,
@@ -281,6 +283,80 @@ class TestModeTransform:
         assert summed.entries == {(1,): 1}
 
 
+    @pytest.mark.parametrize("domain", ["rational", "mod:2", "mod:3", "mod:5", "mod:7"])
+    def test_matches_fraction_oracle(self, domain):
+        # 600 tensors per domain, orders 1-4, square and rectangular
+        # matrices with int and Fraction entries: the same entries, of the
+        # same types, as the Fraction implementation below
+        rng = random.Random(f"mode_transform-{domain}")
+        p = None if domain == "rational" else int(domain[4:])
+        for _ in range(600):
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            cells = list(itertools.product(*[range(n) for n in shape]))
+            vals = {idx: rng.randint(-4, 4) for idx in rng.sample(cells, rng.randint(0, len(cells)))}
+            if p is None:
+                vals = {idx: F(x, rng.randint(1, 6)) for idx, x in vals.items()}
+            v = SparseTensor(shape, vals, domain)
+
+            def entry():
+                x = rng.randint(-3, 3)
+                if rng.random() < 0.5:
+                    return x
+                return F(x, rng.randint(1, 4)) if p is None else F(x)
+
+            mats = [[[entry() for _ in range(n)] for _ in range(rng.randint(1, 3))] for n in shape]
+            got, expect = mode_transform(v, mats), _fraction_mode_transform(v, mats)
+            assert (got.shape, got.domain, got.entries) == (expect.shape, expect.domain, expect.entries)
+            assert {k: type(x) for k, x in got.entries.items()} == {
+                k: type(x) for k, x in expect.entries.items()}
+
+    @pytest.mark.parametrize("mats", [
+        [[[1, 0], [0, 1]]] * 2,  # one matrix too few
+        [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0, 0]]],  # three columns, not two
+        [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0]]],  # ragged
+        [[[1, 0], [0, 1]], [], [[1, 0], [0, 1]]],  # no rows
+    ])
+    def test_bad_matrix_rejected(self, mats):
+        with pytest.raises(ValueError):
+            mode_transform(w_state(), mats)
+
+    def test_fraction_entry_on_mod_tensor_rejected(self):
+        v = SparseTensor((2,), {(0,): 1}, mod_domain(3))
+        assert mode_transform(v, [[[F(4, 2), 0]]]).entries == {(0,): 2}
+        with pytest.raises(ValueError, match="integers"):
+            mode_transform(v, [[[F(1, 2), 0]]])
+
+
+def _fraction_mode_transform(v, mats):
+    """Reference ``mode_transform``: the Fraction implementation it replaced."""
+    if len(mats) != v.order:
+        raise ValueError("need exactly one matrix per mode")
+    p = modulus_of(v.domain)
+    entries = dict(v.entries)
+    shape = list(v.shape)
+    for axis, mat in enumerate(mats):
+        rows = len(mat)
+        if any(len(r) != shape[axis] for r in mat):
+            raise ValueError(f"matrix for mode {axis} has wrong column count")
+        acc = {}
+        for idx, val in entries.items():
+            col = idx[axis]
+            for r in range(rows):
+                coeff = mat[r][col]
+                if not coeff:
+                    continue
+                new_idx = idx[:axis] + (r,) + idx[axis + 1 :]
+                term = coeff * val
+                cur = acc.get(new_idx)
+                acc[new_idx] = term if cur is None else cur + term
+        if p is None:
+            entries = {k: F(x) for k, x in acc.items() if x}
+        else:
+            entries = {k: x % p for k, x in acc.items() if x % p}
+        shape[axis] = rows
+    return SparseTensor(tuple(shape), entries, v.domain)
+
+
 class TestJson:
     def test_tensor_roundtrip(self):
         v = SparseTensor((2, 2), {(0, 1): F(3, 7), (1, 0): F(-2)})
@@ -309,6 +385,23 @@ class TestJson:
         data = {"shape": [2], "entries": [{"idx": [0], "val": "1/0"}]}
         with pytest.raises(ValueError, match="zero denominator"):
             SparseTensor.from_json(data)
+
+    @pytest.mark.parametrize("val", [1.5, 2.9, "1/2", -0.25])
+    def test_fractional_mod_entry_rejected(self, val):
+        data = {"shape": [2], "domain": "mod:3", "entries": [{"idx": [0], "val": val}]}
+        with pytest.raises(ValueError, match="integers"):
+            SparseTensor.from_json(data)
+
+    def test_overwritten_fractional_mod_entry_rejected(self):
+        data = {"shape": [2], "domain": "mod:3",
+                "entries": [{"idx": [0], "val": 1.5}, {"idx": [0], "val": 1}]}
+        with pytest.raises(ValueError, match="integers"):
+            SparseTensor.from_json(data)
+
+    def test_integral_mod_entries_accepted(self):
+        data = {"shape": [3], "domain": "mod:3",
+                "entries": [{"idx": [0], "val": 4}, {"idx": [1], "val": "-1"}, {"idx": [2], "val": 2.0}]}
+        assert SparseTensor.from_json(data).entries == {(0,): 1, (1,): 2, (2,): 2}
 
 
 class TestAsWeight:
