@@ -234,12 +234,11 @@ def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
         if piv < 0:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        pivot = rows[rank]
+        inv = pow(pivot[col], p - 2, p)
+        for r in range(rank + 1, len(rows)):  # echelon form: rows below only
+            if f := rows[r][col] * inv % p:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], pivot)]
         rank += 1
         if rank == len(rows):
             break
@@ -283,34 +282,68 @@ def _basis_change(rng: random.Random, n: int, p: int | None, kind: int):
     return _random_invertible(rng, n, p)
 
 
+def _packing_bound(shape: Sequence[int], elements, caps: Sequence[int]) -> int:
+    """A lower bound on ``scale * trank`` of a support, on integers.
+
+    ``caps[i]`` is the weight of mode i times ``scale``.  Greedy packing in
+    the dual covering LP: visiting the elements by ascending (sum of their
+    slots' degrees, index), each gets the smallest cap left among its
+    slots, which is then taken from those slots.  The multipliers stay
+    within every slot's cap, so their sum is a feasible dual value and, by
+    weak duality, at most the optimum.
+    """
+    degree = [[0] * n for n in shape]
+    for e in elements:
+        for i, j in enumerate(e):
+            degree[i][j] += 1
+    left = [[c] * n for c, n in zip(caps, shape)]
+    total = 0
+    for _, e in sorted((sum(degree[i][j] for i, j in enumerate(e)), e) for e in elements):
+        y = min(left[i][j] for i, j in enumerate(e))
+        if y:
+            for i, j in enumerate(e):
+                left[i][j] -= y
+            total += y
+    return total
+
+
 def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int = 0) -> Fraction:
     """Upper bound for the basis-free stable rank by sampling basis changes.
 
-    Evaluates the support rank of ``g . v`` over ``budget`` invertible
-    per-mode basis changes (identity first, then permutations, elementary
-    transvections, and dense random matrices in rotation) and returns the
-    minimum.  Every sampled value is a valid upper bound; the reported
-    number carries no tightness claim.  Deterministic for a fixed seed.
-    A support LP that fails its certificate check raises ``RuntimeError``.
+    Takes the minimum support rank of ``g . v`` over ``budget`` invertible
+    per-mode basis changes: the identity first, then permutations,
+    elementary transvections and dense random matrices in rotation.  A
+    permutation only relabels slices and keeps the identity's value, so it
+    is drawn, keeping the random stream, but not solved.  A sample whose
+    exact packing bound (a feasible dual) already reaches the minimum
+    cannot lower it and skips its LP; every value that enters the minimum
+    is a certificate-checked LP optimum.  Every sampled value is a valid
+    upper bound; the reported number carries no tightness claim.
+    Deterministic for a fixed seed.  A support LP that fails its
+    certificate check raises ``RuntimeError``.
     """
     w = as_weight(alpha, v.order)
     if v.is_zero():
         return Fraction(0)
-    cache: dict[frozenset, Fraction] = {}
-
-    def rank_of(t: SparseTensor) -> Fraction:
-        key = frozenset(t.entries)  # support_of(t).elements, without the checks
-        if key not in cache:
-            cache[key] = trank(support_of(t), w).value
-        return cache[key]
-
-    best = rank_of(v)
+    scale = math.lcm(*(a.denominator for a in w))
+    caps = [a.numerator * (scale // a.denominator) for a in w]
+    best = trank(support_of(v), w).value
+    # Supports already seen: each has rank at least the current minimum.
+    seen = {frozenset(v.entries)}
     rng = random.Random(seed)
     p = modulus_of(v.domain)
     for count in range(1, max(1, budget)):
         kind = count % 3
         mats = [_basis_change(rng, n, p, kind) for n in v.shape]
-        best = min(best, rank_of(mode_transform(v, mats)))
+        if kind == 0:  # a permutation relabels slices: the identity's value
+            continue
+        t = mode_transform(v, mats)
+        key = frozenset(t.entries)  # support_of(t).elements, without the checks
+        if key in seen:
+            continue
+        seen.add(key)
+        if _packing_bound(v.shape, key, caps) * best.denominator < best.numerator * scale:
+            best = min(best, trank(support_of(t), w).value)
     return best
 
 

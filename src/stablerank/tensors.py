@@ -219,8 +219,11 @@ class SparseTensor:
         entries = {}
         for item in data["entries"]:
             val = parse_rational(item["val"])
-            _coerce_scalar(val, p)  # also a value that a repeated index overwrites
-            entries[tuple(item["idx"])] = val
+            _coerce_scalar(val, p)  # names a bad value even where its index repeats
+            idx = tuple(item["idx"])
+            if idx in entries:
+                raise ValueError(f"index {list(idx)} is listed twice")
+            entries[idx] = val
         return SparseTensor(data["shape"], entries, domain)
 
 

@@ -84,6 +84,15 @@ class TestTrankCommand:
         code, _ = run(capsys, "trank", w_support_file, "--alpha", "1,1")
         assert code == 2
 
+    def test_repeated_index_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"shape": [2, 2], "entries": [
+            {"idx": [0, 0], "val": 1}, {"idx": [0, 0], "val": 0}, {"idx": [1, 1], "val": "2"}]}))
+        code = main(["trank", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "listed twice" in captured.err
+
     def test_one_based_display(self, capsys, w_support_file):
         code, out = run(
             capsys, "trank", w_support_file, "--one-based", "--format", "json"

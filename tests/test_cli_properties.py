@@ -6,7 +6,8 @@ small tensor, support, exponent table or matrix tuple and at most one kind of
 fault (malformed JSON, a bad size, a bad index, an odd scalar, a fractional
 number in a mod-p tensor, a bad domain or modulus, a bad ``--alpha``), so
 that every fault is also reached on input that is valid otherwise.  A mod-p
-tensor file with a fractional number in it must exit 2.
+tensor file with a fractional number in it must exit 2, and so must a tensor
+file that lists one index twice.
 """
 
 import contextlib
@@ -131,6 +132,15 @@ def _fractional_mod_entry(data) -> bool:
                for e in data["entries"])
 
 
+def _repeated_index(data) -> bool:
+    """Does a tensor file list one index twice?  It contradicts itself, so
+    the run must exit 2."""
+    if not isinstance(data.get("entries"), list):
+        return False
+    idxs = [tuple(e["idx"]) for e in data["entries"]]
+    return len(set(idxs)) < len(idxs)
+
+
 @st.composite
 def cli_runs(draw):
     """A command line, the files it reads, whether warnings are tolerated,
@@ -151,10 +161,12 @@ def cli_runs(draw):
         # The ascent may warn on rational tensors with a zero Gram direction,
         # a known defect of its own; mod-p and malformed inputs may not warn.
         tolerate_warnings = data.get("domain", "rational") == "rational"
+        if _repeated_index(data):
+            codes = (2,)
     else:
         data = draw(st.one_of(tensor_data(fault), support_data(fault)))
         files["input"] = as_text(draw, data, fault)
-        if _fractional_mod_entry(data):
+        if _fractional_mod_entry(data) or _repeated_index(data):
             codes = (2,)
         if command == "slope":
             files["exponents"] = json.dumps(draw(exponent_data(len(data["shape"]), fault)))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -28,7 +29,8 @@ from stablerank import (
     tslice,
 )
 from stablerank import ranks
-from stablerank.ranks import _rank_mod_p
+from stablerank.ranks import _packing_bound, _rank_mod_p
+from stablerank.tensors import as_weight, mode_transform, modulus_of
 
 from conftest import exhaustive_min_cover, indicator_tensor, random_support
 
@@ -314,6 +316,177 @@ class TestGrankSearch:
     def test_mod_domain_search(self):
         v = SparseTensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}, mod_domain(3))
         assert grank_upper_search(v, budget=30) == 2
+
+
+def _reference_search(v, alpha=None, budget=64, seed=0):
+    """``grank_upper_search`` as it was before pruning, verbatim: every
+    sample is transformed and its support LP solved once."""
+    w = as_weight(alpha, v.order)
+    if v.is_zero():
+        return F(0)
+    cache: dict[frozenset, F] = {}
+
+    def rank_of(t: SparseTensor) -> F:
+        key = frozenset(t.entries)  # support_of(t).elements, without the checks
+        if key not in cache:
+            cache[key] = trank(support_of(t), w).value
+        return cache[key]
+
+    best = rank_of(v)
+    rng = random.Random(seed)
+    p = modulus_of(v.domain)
+    for count in range(1, max(1, budget)):
+        kind = count % 3
+        mats = [ranks._basis_change(rng, n, p, kind) for n in v.shape]
+        best = min(best, rank_of(mode_transform(v, mats)))
+    return best
+
+
+def _reference_rank_mod_p(vectors, p):
+    """``_rank_mod_p`` as it was, verbatim: reduces to row-reduced echelon form."""
+    rows = [list(v) for v in vectors if any(x % p for x in v)]
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), -1)
+        if piv < 0:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _random_tensor(rng, p):
+    """An order 2-4 tensor with dimensions at most 3 over the rationals
+    (``p`` None) or F_p, which may be zero.  A quarter have a random
+    density; the rest are one to three entries hidden by a random basis
+    change, so that the search lowers some of their values."""
+    shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+    domain = "rational" if p is None else mod_domain(p)
+    if rng.random() < 0.25:
+        density = rng.choice((0.2, 0.5, 0.9))
+        entries = {}
+        for idx in itertools.product(*[range(n) for n in shape]):
+            if rng.random() < density:
+                entries[idx] = rng.randint(-3, 3) if p is None else rng.randrange(p)
+        return SparseTensor(shape, entries, domain)
+    entries = {tuple(rng.randrange(n) for n in shape): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+    mats = [ranks._random_invertible(rng, n, p) for n in shape]
+    return mode_transform(SparseTensor(shape, entries, domain), mats)
+
+
+def _random_weight(rng, order):
+    return tuple(F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(order))
+
+
+def _acceptance_ncrk_tuples():
+    """The first 12 tuples of the acceptance generator (F_2, seed 4242)."""
+    rng = random.Random(4242)
+    tuples = []
+    for _ in range(12):
+        size, count = rng.choice((2, 3)), rng.randint(1, 3)
+        mats = [[[rng.randrange(2) for _ in range(size)] for _ in range(size)] for _ in range(count)]
+        tuples.append(MatrixTuple(mats, 2))
+    return tuples
+
+
+class TestPackingBound:
+    @staticmethod
+    def _check(support, weight):
+        scale = math.lcm(*(a.denominator for a in weight))
+        caps = [int(a * scale) for a in weight]
+        bound = _packing_bound(support.shape, support.elements, caps)
+        assert 0 < bound <= scale * trank(support, weight).value
+
+    @pytest.mark.parametrize("weight_seed", [None, 1, 2, 3])
+    def test_at_most_scaled_trank_on_acceptance_corpus(self, weight_seed):
+        rng = random.Random(20240814)
+        weight_rng = random.Random(weight_seed)
+        for _ in range(200):
+            s = random_support(rng)
+            weight = as_weight(None if weight_seed is None else _random_weight(weight_rng, s.order),
+                               s.order)
+            self._check(s, weight)
+
+    def test_at_most_scaled_trank_on_mod_p_supports(self):
+        rng = random.Random(59)
+        for p in (2, 3, 5):
+            checked = 0
+            while checked < 10:
+                v = _random_tensor(rng, p)
+                mats = [ranks._random_invertible(rng, n, p) for n in v.shape]
+                t = mode_transform(v, mats)
+                if t.is_zero():
+                    continue
+                self._check(support_of(t), as_weight(_random_weight(rng, t.order), t.order))
+                checked += 1
+
+    def test_diagonal_packing_is_tight(self):
+        # Each slice holds one element, so every element gets its full cap.
+        diagonal = Support((2, 2, 2), [(0, 0, 0), (1, 1, 1)])
+        assert _packing_bound((2, 2, 2), diagonal.elements, (3, 3, 3)) == 6 == 3 * trank(diagonal).value
+
+    def test_w_state_takes_caps_in_order(self):
+        # (0, 0, 1) comes first among equal degree sums and empties slices
+        # that both other elements need: 2 of 4 * 3/2.
+        assert _packing_bound((2, 2, 2), W_SUPPORT.elements, (2, 2, 2)) == 2
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize("p", [None, 2, 3, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_same_value_and_type(self, p, weighted):
+        rng = random.Random(f"search-{p}-{weighted}")
+        for _ in range(40):
+            v = _random_tensor(rng, p)
+            alpha = _random_weight(rng, v.order) if weighted else None
+            budget = rng.choice((1, 2, 4, 8, 16, 32, 64))
+            seed = rng.randrange(1000)
+            got = grank_upper_search(v, alpha, budget=budget, seed=seed)
+            want = _reference_search(v, alpha, budget=budget, seed=seed)
+            assert type(got) is type(want) and got == want, (v, alpha, budget, seed)
+
+    def test_ncrk_search_tuples(self):
+        for k, tup in enumerate(_acceptance_ncrk_tuples()):
+            t = matrix_tuple_tensor(tup)
+            alpha = (1, 1, F(min(tup.rows, tup.cols)))
+            got = grank_upper_search(t, alpha, budget=200, seed=k)
+            assert got == _reference_search(t, alpha, budget=200, seed=k)
+
+    def test_rank_mod_p_matches_reference(self):
+        rng = random.Random(61)
+        for _ in range(2000):
+            p = rng.choice((2, 3, 5, 7))
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = [[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)]
+            assert _rank_mod_p(m, p) == _reference_rank_mod_p(m, p)
+
+
+def test_search_skips_unneeded_work(monkeypatch):
+    calls = {"trank": 0, "mode_transform": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ranks, "trank", counted("trank", ranks.trank))
+    monkeypatch.setattr(ranks, "mode_transform", counted("mode_transform", ranks.mode_transform))
+    for k, tup in enumerate(_acceptance_ncrk_tuples()):
+        assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
+    # Per tuple: 199 samples, of which 66 are permutations and go unsolved.
+    # Before pruning, the search made 994 trank calls and 2,388 transforms.
+    assert calls["mode_transform"] == 12 * 133
+    assert calls["trank"] <= 24
 
 
 class TestNcrk:

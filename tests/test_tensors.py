@@ -398,6 +398,12 @@ class TestJson:
         with pytest.raises(ValueError, match="integers"):
             SparseTensor.from_json(data)
 
+    @pytest.mark.parametrize("second", [[0, 1], [0, 1.0]])
+    def test_repeated_index_rejected(self, second):
+        data = {"shape": [2, 2], "entries": [{"idx": [0, 1], "val": 1}, {"idx": second, "val": 0}]}
+        with pytest.raises(ValueError, match="listed twice"):
+            SparseTensor.from_json(data)
+
     def test_integral_mod_entries_accepted(self):
         data = {"shape": [3], "domain": "mod:3",
                 "entries": [{"idx": [0], "val": 4}, {"idx": [1], "val": "-1"}, {"idx": [2], "val": 2.0}]}
