@@ -2,7 +2,9 @@
 
 Sparse exact tensors and their supports, an exact rational LP solver with
 primal-dual certificates, support-level rank and slice-cover computations,
-complex-analytic lower bounds, and the cap-set upper-bound pipeline.
+and the cap-set upper-bound pipeline.  This namespace is the exact core and
+runs on the standard library.  The double-precision lower bounds for complex
+tensors live in ``stablerank.complexrank``, the one module that imports numpy.
 """
 
 from .capset import (
@@ -18,16 +20,6 @@ from .capset import (
     reduced_lp,
     trinomial,
     verify_conjecture,
-)
-from .complexrank import (
-    LowerBoundReport,
-    SandwichResult,
-    ascend,
-    mode_apply,
-    objective,
-    sandwich,
-    spectral_norm,
-    stationarity_residual,
 )
 from .lp import (
     INFEASIBLE,
@@ -61,7 +53,6 @@ from .tensors import (
     as_weight,
     boxplus,
     boxtimes,
-    flatten,
     mod_domain,
     mode_transform,
     modulus_of,
@@ -69,7 +60,6 @@ from .tensors import (
     outer,
     psg_slope,
     support_of,
-    to_dense_complex,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,6 @@ import json
 import sys
 
 from . import capset
-from .complexrank import sandwich
 from .lp import LPSizeError
 from .ranks import (
     MatrixTuple,
@@ -133,6 +132,8 @@ def _cmd_tslice(args, out) -> int:
 
 
 def _cmd_grank(args, out) -> int:
+    from .complexrank import sandwich  # numpy loads for this command only
+
     tensor = _load_tensor(args.file)
     alpha = _parse_alpha(args.alpha)
     result = sandwich(

@@ -11,7 +11,9 @@ Each whitening step multiplies only the whitened mode; the other modes are
 left as they are.
 
 Everything here is double precision and nothing is checked exactly; the
-bounds are tolerance-qualified, not certified.
+bounds are tolerance-qualified, not certified.  This is the only module that
+knows dense complex arrays and the only one that imports numpy, so only the
+``grank`` command loads it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,29 @@ from typing import Sequence
 import numpy as np
 
 from .ranks import grank_upper_search
-from .tensors import SparseTensor, as_weight, flatten, to_dense_complex
+from .tensors import SparseTensor, as_weight, modulus_of
 
 _STEP = 0.3  # damping of each whitening step in ascend
+
+
+def flatten(a: np.ndarray, mode: int) -> np.ndarray:
+    """Matricize a dense array: mode ``mode`` indexes rows, the remaining
+    modes index columns lexicographically in ascending mode order."""
+    arr = np.asarray(a)
+    if not 0 <= mode < arr.ndim:
+        raise ValueError(f"mode {mode} out of range for order {arr.ndim}")
+    axes = (mode,) + tuple(k for k in range(arr.ndim) if k != mode)
+    return arr.transpose(axes).reshape(arr.shape[mode], -1)
+
+
+def to_dense_complex(v: SparseTensor) -> np.ndarray:
+    """Embed a rational sparse tensor into a dense complex array."""
+    if modulus_of(v.domain) is not None:
+        raise ValueError("mod-p tensors have no canonical complex embedding")
+    out = np.zeros(v.shape, dtype=complex)
+    for idx, val in v.entries.items():
+        out[idx] = float(val)
+    return out
 
 
 def spectral_norm(m) -> float:
@@ -225,14 +247,15 @@ class SandwichResult:
 def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-10,
              budget: int = 64, seed: int = 0) -> SandwichResult:
     """Lower bound from the complex ascent, upper bound from the basis
-    search, for a tensor with exact rational entries."""
+    search, for a tensor with exact rational entries.  The input is
+    checked before the search runs."""
     w = as_weight(alpha, v.order)
-    upper = grank_upper_search(v, w, budget=budget, seed=seed)
     if v.is_zero():
         empty = LowerBoundReport(0.0, _identity_group(v.shape), [], 0.0, 0)
         return SandwichResult(0.0, Fraction(0), empty)
     dense = to_dense_complex(v)
     if not np.any(dense):
         raise ValueError("tensor entries underflow double precision")
+    upper = grank_upper_search(v, w, budget=budget, seed=seed)
     report = ascend(dense, w, max_iters=max_iters, tol=tol)
     return SandwichResult(report.bound, upper, report)

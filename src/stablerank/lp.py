@@ -129,7 +129,7 @@ def _row_cap() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise LPSizeError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:

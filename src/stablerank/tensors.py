@@ -3,8 +3,8 @@
 Tensors are stored sparsely as a map from index tuples to nonzero scalars.
 Two exact scalar domains are supported: arbitrary-precision rationals
 ("rational") and integers modulo a prime ("mod:<p>").  All indices are
-0-based.  Dense complex tensors are plain ``numpy`` arrays; only the
-flattening helpers here touch them.
+0-based.  Everything here is exact and runs on the standard library; dense
+complex arrays, and numpy, belong to ``stablerank.complexrank`` alone.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 RATIONAL = "rational"
 
@@ -385,28 +383,10 @@ def psg_slope(x: Sequence[Sequence[int]], support: Support, alpha) -> Fraction:
             raise ValueError(f"exponent row {i} has wrong length")
         if any(int(e) != e or e < 0 for e in row):
             raise ValueError("exponents must be nonnegative integers")
+    x = [[int(e) for e in row] for row in x]  # 1.0 counts as 1
     numerator = sum((w[i] * sum(x[i]) for i in range(d)), Fraction(0))
     denominator = min(sum(x[i][s[i]] for i in range(d)) for s in support.elements)
     if denominator <= 0:
         raise ValueError("subgroup action does not vanish as t -> 0")
     return Fraction(numerator, denominator)
 
-
-def flatten(a: np.ndarray, mode: int) -> np.ndarray:
-    """Matricize a dense array: mode ``mode`` indexes rows, the remaining
-    modes index columns lexicographically in ascending mode order."""
-    arr = np.asarray(a)
-    if not 0 <= mode < arr.ndim:
-        raise ValueError(f"mode {mode} out of range for order {arr.ndim}")
-    axes = (mode,) + tuple(k for k in range(arr.ndim) if k != mode)
-    return arr.transpose(axes).reshape(arr.shape[mode], -1)
-
-
-def to_dense_complex(v: SparseTensor) -> np.ndarray:
-    """Embed a rational sparse tensor into a dense complex array."""
-    if modulus_of(v.domain) is not None:
-        raise ValueError("mod-p tensors have no canonical complex embedding")
-    out = np.zeros(v.shape, dtype=complex)
-    for idx, val in v.entries.items():
-        out[idx] = float(val)
-    return out

@@ -25,18 +25,13 @@ from stablerank import (
     dual_trank,
     eg_bound,
     eg_prime_bound,
-    flatten,
     full_capset_lp,
     ncrk_bruteforce,
     ncrk_via_grank,
-    objective,
     outer,
     reduced_lp,
-    sandwich,
     solve,
-    spectral_norm,
     support_of,
-    to_dense_complex,
     trank,
     trinomial,
     tslice,
@@ -44,6 +39,7 @@ from stablerank import (
     verify_conjecture,
 )
 from stablerank.capset import _reduced_lp_cached, t_vector_feasible, t_vector_value
+from stablerank.complexrank import flatten, objective, sandwich, spectral_norm, to_dense_complex
 
 from conftest import exhaustive_min_cover, indicator_tensor, random_support
 

@@ -250,6 +250,46 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == "n,value,bound,eg,eg_prime,conjecture_match\n3,15,15,30,18,true\n"
 
 
+# The exact commands run in a fresh interpreter, since this one has numpy.
+_NUMPY_FREE_SCRIPT = """
+import json, sys
+from pathlib import Path
+from stablerank.cli import main
+
+tmp = Path(sys.argv[1])
+w = {"shape": [2, 2, 2], "entries": [{"idx": i, "val": 1} for i in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+(tmp / "w.json").write_text(json.dumps(w))
+(tmp / "m.json").write_text(json.dumps({"modulus": 2, "matrices": [[[1, 0], [0, 1]]]}))
+(tmp / "x.json").write_text(json.dumps({"x": [[1, 0], [1, 0], [1, 0]]}))
+codes = [
+    main(["trank", str(tmp / "w.json")]),
+    main(["tslice", str(tmp / "w.json")]),
+    main(["capset", "--table", "3"]),
+    main(["ncrk", str(tmp / "m.json"), "--mode", "both"]),
+    main(["slope", str(tmp / "w.json"), "--exponents", str(tmp / "x.json")]),
+]
+assert codes == [0] * 5, codes
+assert "numpy" not in sys.modules, "an exact command imported numpy"
+assert main(["grank", str(tmp / "w.json"), "--format", "json"]) == 0
+assert "numpy" in sys.modules
+from stablerank.complexrank import sandwich
+print("ok")
+"""
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    package_root = Path(stablerank.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"upper_bound": "3/2"' in proc.stdout and proc.stdout.endswith("ok\n")
+
+
 class TestNcrkCommand:
     @pytest.fixture
     def identity_file(self, tmp_path):
@@ -331,12 +371,25 @@ class TestSlopeCommand:
         code, _ = run(capsys, "slope", w_support_file, "--exponents", str(exps))
         assert code == 2
 
+    def test_integral_float_exponents(self, capsys, w_support_file, tmp_path):
+        exps = tmp_path / "x.json"
+        exps.write_text('{"x": [[1.0, 0], [1, 0], [1, 0]]}')
+        code, out = run(capsys, "slope", w_support_file, "--exponents", str(exps))
+        assert code == 0 and out == "command: slope\nslope: 3/2\n"
+
 
 class TestEnvironmentCap:
     def test_lp_row_cap_exits_4(self, capsys, monkeypatch, w_support_file):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "1")
         code, _ = run(capsys, "trank", w_support_file)
         assert code == 4
+
+    def test_malformed_cap_exits_2(self, capsys, monkeypatch, w_support_file):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "abc")
+        code = main(["trank", w_support_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: STABLERANK_MAX_LP_ROWS must be an integer, got 'abc'\n"
 
 
 def _tensor_text(val: str) -> str:

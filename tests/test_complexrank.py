@@ -5,11 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from stablerank import (
-    SparseTensor,
+from stablerank import SparseTensor, grank_upper_search
+from stablerank.complexrank import (
     ascend,
     flatten,
-    grank_upper_search,
     mode_apply,
     objective,
     sandwich,
@@ -241,6 +240,21 @@ class TestSandwich:
         v = SparseTensor((2, 2), {(0, 0): 1}, mod_domain(2))
         with pytest.raises(ValueError):
             sandwich(v)
+
+    def test_input_checked_before_search(self, monkeypatch):
+        from stablerank import complexrank, mod_domain
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the basis search ran")
+
+        monkeypatch.setattr(complexrank, "grank_upper_search", no_search)
+        v = SparseTensor((3, 3, 3), {(0, 0, 0): 1, (1, 1, 1): 2}, mod_domain(3))
+        with pytest.raises(ValueError, match="no canonical complex embedding"):
+            sandwich(v)
+        with pytest.raises(ValueError, match="underflow"):
+            sandwich(SparseTensor((2, 2), {(0, 0): F(1, 10**400)}))
+        res = sandwich(SparseTensor((2, 2), {}, mod_domain(3)))
+        assert res.lower == 0.0 and res.upper == 0
 
     def test_mode_apply_matches_einsum(self):
         rng = np.random.default_rng(37)

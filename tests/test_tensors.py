@@ -12,7 +12,6 @@ from stablerank import (
     as_weight,
     boxplus,
     boxtimes,
-    flatten,
     mod_domain,
     mode_transform,
     modulus_of,
@@ -20,8 +19,8 @@ from stablerank import (
     outer,
     psg_slope,
     support_of,
-    to_dense_complex,
 )
+from stablerank.complexrank import flatten, to_dense_complex
 
 W_ENTRIES = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
 
@@ -184,6 +183,10 @@ class TestPsgSlope:
         s = support_of(w_state())
         x = [[1, 0], [1, 0], [1, 0]]
         assert psg_slope(x, s, (1, 1, 1)) == F(3, 2)
+
+    def test_integral_float_exponents(self):
+        s = support_of(w_state())
+        assert psg_slope([[1.0, 0], [1, 0.0], [1, 0]], s, None) == F(3, 2)
 
     def test_single_element(self):
         s = Support((2, 2), [(0, 0)])
