@@ -16,11 +16,10 @@ nonincreasing, and for such a t the *binding* rows, whose triples sum to
 exactly 2n, imply all the others.  :func:`reduced_lp` therefore solves the
 LP on the binding rows only, scans every triple for one the solution leaves
 uncovered, and adds those rows and solves again until none is left (at
-worst every row is added).  The answer is then certified as an optimum of
-the full LP without building it: t covers every triple, the dual vector,
-zero on the rows never added, is nonnegative and loads no column beyond its
-cost, and the primal and dual objectives equal the reported value.  That
-check runs on integers and shares no code with :mod:`stablerank.lp`.
+worst every row is added).  The answer is then an optimum of the full LP,
+certified without building it: :func:`stablerank.lp.solve` certifies the
+pair on the rows solved, and the final scan shows that t covers every
+other row too, where the dual, taken as zero, stays feasible.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .lp import OPTIMAL, LinearProgram, solve
 from .ranks import trank
@@ -40,6 +38,7 @@ THETA = 0.375 * (207.0 + 33.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
 
 FULL_LP_MAX_N = 3
 TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
+_ONE = Fraction(1)  # every coefficient and right-hand side of the collapsed LP
 
 
 # A table row asks for the coefficients and the triples of its n from
@@ -114,41 +113,14 @@ class CapsetLPResult:
     certificate_ok: bool
 
 
-def _certified(f: Sequence[int], active, sol) -> bool:
-    """Is ``sol``, solved on the rows of the ``active`` triples, an optimum
-    of the full collapsed LP with trinomial coefficients ``f``, given that
-    ``t = sol.x`` covers every triple?
-
-    Coverage is the caller's final scan.  The rest is checked here, on
-    integers: ``t >= 0``; ``y >= 0``, taken as 0 on every other row; the
-    column load ``sum y * (multiplicity of i in the triple)`` is at most
-    ``c_i = 3 * f_i``; and ``c . t == sum(y) == sol.value``.
-    """
-    t, dt = _over_one_denominator(sol.x)
-    y, dy = _over_one_denominator(sol.y)
-    if len(t) != len(f) or len(y) != len(active):
-        return False
-    if any(v < 0 for v in t) or any(v < 0 for v in y):
-        return False
-    load = [0] * len(f)
-    for triple, v in zip(active, y):
-        for idx in triple:
-            load[idx] += v
-    if any(l > 3 * fi * dy for l, fi in zip(load, f)):
-        return False
-    cost = 3 * sum(fi * v for fi, v in zip(f, t))  # c.t * dt
-    total = sum(y)  # sum(y) * dy
-    value = Fraction(sol.value)
-    return cost * dy == total * dt and total * value.denominator == value.numerator * dy
-
-
 @lru_cache(maxsize=None)
 def _reduced_lp_cached(n: int) -> CapsetLPResult:
     f = _coefficients(n)
     objective = [3 * v for v in f]
     active = _binding_triples(n)
     while True:
-        lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
+        rows = [[(idx, _ONE) for idx in tr] for tr in active]
+        lp = LinearProgram(objective, rows, [_ONE] * len(active))
         sol = solve(lp)
         if sol.status != OPTIMAL:
             raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
@@ -158,8 +130,6 @@ def _reduced_lp_cached(n: int) -> CapsetLPResult:
         if missing.issubset(active):  # the solution breaks one of its own rows
             raise RuntimeError("collapsed LP certificate failed")
         active = sorted(missing.union(active))
-    if not _certified(f, active, sol):
-        raise RuntimeError("collapsed LP certificate failed")
     return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value), True)
 
 
@@ -170,9 +140,9 @@ def reduced_lp(n: int) -> CapsetLPResult:
     The LP is solved on the binding rows (``i + j + k == 2n``) first; rows
     the solution leaves uncovered are added and the LP solved again until
     every triple is covered.  The result is certified as an optimum of the
-    full LP, which is never built: full coverage by t, and a nonnegative
-    dual on the solved rows whose column loads stay within the costs and
-    whose sum equals ``c . t`` and the value.  A failed check raises
+    full LP, which is never built: :func:`stablerank.lp.solve` certifies
+    the primal-dual pair on the solved rows, and t covers every row never
+    solved, whose zero duals keep the dual feasible.  A failed check raises
     ``RuntimeError``.  ``STABLERANK_MAX_LP_ROWS`` applies to the rows solved.
     """
     if n < 1:

@@ -20,8 +20,12 @@ test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is the
 rational one, so the pivots, and the returned vertex, are those of a
 rational tableau.  The optimal value is read from the last slot of the
 final cost row rather than summed again.  Fractions appear only in the
-program data and the solution; :func:`verify_certificate` re-checks a
-solution on integers too, with code of its own.
+program data and the solution.
+
+:func:`solve` is the one entry point, and it certifies what it returns:
+every optimal pair is re-checked, before it leaves the solver, by
+:func:`verify_certificate`, which also runs on integers but shares no
+code with the pivot loop.
 """
 
 from __future__ import annotations
@@ -306,6 +310,11 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
     dual formulation (whose tableau is far smaller) and the pair is mapped
     back; the returned solution is identical in meaning.  Deterministic:
     identical input yields an identical solution.
+
+    An optimal pair is re-checked against ``lp`` by
+    :func:`verify_certificate` before it is returned, on either route; a
+    pair that fails raises ``RuntimeError``.  Every optimum that leaves
+    this function is therefore certified, and callers need not check it.
     """
     cap = _row_cap()
     if cap is not None and lp.num_rows > cap:
@@ -322,7 +331,10 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
         status, x, y, value = _run_simplex(lp)
     if status != OPTIMAL:
         return LPSolution(status, None, (), ())
-    return LPSolution(OPTIMAL, value, tuple(x), tuple(y))
+    sol = LPSolution(OPTIMAL, value, tuple(x), tuple(y))
+    if not verify_certificate(lp, sol):
+        raise RuntimeError("LP optimum failed its certificate check")
+    return sol
 
 
 def _over_one_denominator(values) -> tuple[list[int], int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lp import OPTIMAL, LinearProgram, dual_program, solve, verify_certificate
+from .lp import OPTIMAL, LinearProgram, dual_program, solve
 from .tensors import (
     Index,
     SparseTensor,
@@ -73,8 +73,9 @@ class TRankResult:
 
     ``primal[i][j]`` is the weight put on slice j of mode i; ``dual`` maps
     each support element to its multiplier.  The two objectives agree
-    exactly.  ``certificate_ok`` is always true: a pair that fails its
-    independent re-check is never returned.
+    exactly.  ``certificate_ok`` is always true: the pair comes from
+    :func:`~stablerank.lp.solve`, which raises rather than return a pair
+    that fails its independent re-check.
     """
 
     value: Fraction
@@ -101,17 +102,14 @@ def trank(support: Support, alpha=None) -> TRankResult:
     """Stable rank of a support: the exact optimum of its covering LP.
 
     The zero tensor (empty support) has rank 0 by convention.  ``alpha``
-    defaults to all ones.  A certificate that fails its check raises
-    ``RuntimeError``.
+    defaults to all ones.  The optimum is certified by
+    :func:`~stablerank.lp.solve`; a failed check raises ``RuntimeError``.
     """
     if not support.elements:
         return _zero_result(support.shape)
-    lp = build_lp(support, alpha)
-    sol = solve(lp)
+    sol = solve(build_lp(support, alpha))
     if sol.status != OPTIMAL:  # covering LPs are always feasible and bounded
         raise RuntimeError(f"support LP unexpectedly {sol.status}")
-    if not verify_certificate(lp, sol):
-        raise RuntimeError("support LP failed its certificate check")
     dual = dict(zip(support.sorted_elements, sol.y))
     return TRankResult(sol.value, _split_by_mode(sol.x, support.shape), dual, True)
 
@@ -122,18 +120,15 @@ def dual_trank(support: Support, alpha=None) -> TRankResult:
     Variables are multipliers on the support elements, constrained so that
     each slice carries at most its alpha weight.  The optimum equals
     :func:`trank` exactly; the primal vector is recovered from the dual of
-    this formulation.  A certificate that fails its check raises
-    ``RuntimeError``.
+    this formulation, certified by :func:`~stablerank.lp.solve`; a failed
+    check raises ``RuntimeError``.
     """
     w = as_weight(alpha, support.order)
     if not support.elements:
         return _zero_result(support.shape)
-    lp = dual_program(build_lp(support, w))
-    sol = solve(lp)
+    sol = solve(dual_program(build_lp(support, w)))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"dual support LP unexpectedly {sol.status}")
-    if not verify_certificate(lp, sol):
-        raise RuntimeError("dual support LP failed its certificate check")
     dual = dict(zip(support.sorted_elements, sol.x))
     return TRankResult(-sol.value, _split_by_mode(sol.y, support.shape), dual, True)
 
@@ -156,8 +151,10 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     Exact 0/1 optimum via branch and bound on the covering LP relaxation.
     Branches on the fractional slice closest to 1/2, ties broken by (mode,
     slice) order, taking the slice before discarding it.  The root
-    relaxation is solved once and its certificate checked before any bound
-    is trusted; a failed check raises ``RuntimeError``.
+    relaxation is solved once.  Every node's LP value, the root's included,
+    is certified by :func:`~stablerank.lp.solve` before it bounds anything;
+    a failed check, or a node LP that is not optimal, raises
+    ``RuntimeError``.
     """
     total = sum(support.shape)
     if total > limit:
@@ -172,8 +169,6 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     ones = ones_weight(d)
     root, root_slots = _cover_lp(support.shape, ones, elements)
     root_sol = solve(root)
-    if not verify_certificate(root, root_sol):
-        raise RuntimeError("slice-cover LP relaxation failed its certificate check")
     # Initial incumbent: slices with LP weight >= 1/d always form a cover.
     best = frozenset(slot for slot, v in zip(root_slots, root_sol.x) if v >= Fraction(1, d))
 
@@ -186,7 +181,12 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
             lp, slots = _cover_lp(support.shape, ones, remaining, banned)
             solved = slots, solve(lp)
         slots, sol = solved
-        if sol.status != OPTIMAL or len(fixed) + _ceil(sol.value) >= len(best):
+        # Every node LP, the root's too, is feasible and bounded: a ban
+        # removes only a fractional slot, and an element's slots sum to at
+        # least 1, so some other slot of it keeps weight and no row empties.
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"slice-cover LP unexpectedly {sol.status}")
+        if len(fixed) + _ceil(sol.value) >= len(best):
             return
         x = dict(zip(slots, sol.x))
         fractional = [

@@ -20,7 +20,8 @@ from stablerank import (
 from stablerank import capset
 from stablerank.capset import base_tensor, t_vector_feasible, t_vector_value
 from stablerank.cli import main
-from stablerank.lp import LPSolution
+from stablerank import lp as lp_module
+from stablerank.lp import LinearProgram, LPSolution, verify_certificate
 
 LP_VERTICES = Path(__file__).parent / "data" / "lp_vertices.json"
 
@@ -119,17 +120,33 @@ def _counting_solve(monkeypatch):
     return rows
 
 
-def _lower_one_t(sol):
-    k = max(i for i, v in enumerate(sol.x) if v > 0)
-    x = list(sol.x)
-    x[k] /= 2
-    return dataclasses.replace(sol, x=tuple(x))
+def _lower_one_t(monkeypatch):
+    """Halve the last positive t of each solution ``reduced_lp`` gets, so
+    that it breaks one of its own rows; returns the expected error."""
+    real = capset.solve
+
+    def tampered(lp):
+        sol = real(lp)
+        k = max(i for i, v in enumerate(sol.x) if v > 0)
+        x = list(sol.x)
+        x[k] /= 2
+        return dataclasses.replace(sol, x=tuple(x))
+
+    monkeypatch.setattr(capset, "solve", tampered)
+    return "collapsed LP certificate failed"
 
 
-def _raise_one_y(sol):
-    y = list(sol.y)
-    y[0] += F(1, 7)
-    return dataclasses.replace(sol, y=tuple(y))
+def _raise_one_y(monkeypatch):
+    """Raise y_0 by 1/7 in each optimum the pivot loop hands to ``solve``;
+    returns the expected error."""
+    real = lp_module._run_simplex
+
+    def tampered(lp):
+        status, x, y, value = real(lp)
+        return status, x, [y[0] + F(1, 7), *y[1:]], value
+
+    monkeypatch.setattr(lp_module, "_run_simplex", tampered)
+    return "LP optimum failed its certificate check"
 
 
 class TestRowGeneration:
@@ -171,19 +188,17 @@ class TestRowGeneration:
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
-        real = capset.solve
-        monkeypatch.setattr(capset, "solve", lambda lp: tamper(real(lp)))
-        with pytest.raises(RuntimeError, match="certificate failed"):
+        error = tamper(monkeypatch)
+        with pytest.raises(RuntimeError, match=error):
             reduced_lp(5)
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_exits_3(self, fresh_cache, monkeypatch, capsys, tamper):
-        real = capset.solve
-        monkeypatch.setattr(capset, "solve", lambda lp: tamper(real(lp)))
+        error = tamper(monkeypatch)
         assert main(["capset", "--n", "5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: collapsed LP certificate failed\n"
+        assert captured.err == f"error: {error}\n"
 
     # n = 1, binding rows (0,0,2) and (0,1,1): t = (1/2, 1/4, 0) and the dual
     # y = (3/4, 3/2) load columns 0, 1, 2 with 3, 3, 3/4 against costs 3, 3, 3.
@@ -205,8 +220,10 @@ class TestRowGeneration:
     )
     def test_certificate_conditions(self, active, t, y, value, ok):
         active = capset._triples(1) if active == "all" else capset._binding_triples(1)
+        objective = [3 * v for v in trinomial(1)]
+        lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
         sol = LPSolution("optimal", value, tuple(F(v) for v in t), tuple(F(v) for v in y))
-        assert capset._certified(trinomial(1), active, sol) is ok
+        assert verify_certificate(lp, sol) is ok
 
     def test_t_is_the_conjectured_vector(self):
         for n in range(2, 31):

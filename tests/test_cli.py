@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import stablerank
-from stablerank import ranks
 from stablerank.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -123,7 +122,7 @@ class TestTsliceCommand:
         assert code == 4
 
     def test_failed_certificate_exits_3(self, capsys, monkeypatch, w_support_file):
-        monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+        monkeypatch.setattr("stablerank.lp.verify_certificate", lambda lp, sol: False)
         code = main(["tslice", w_support_file])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -349,7 +348,7 @@ def test_failed_support_certificate_exits_3(capsys, monkeypatch, tmp_path, argv)
     matrices.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 0], [0, 0]]]}))
     tensor = tmp_path / "w.json"
     tensor.write_text(json.dumps(W_TENSOR))
-    monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+    monkeypatch.setattr("stablerank.lp.verify_certificate", lambda lp, sol: False)
     code = main([a.format(matrices=matrices, tensor=tensor) for a in argv])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

@@ -261,6 +261,36 @@ class TestDegenerateRows:
         assert len(calls) == (0 if force_direct else 1)
 
 
+class TestSolveCertifies:
+    """``solve`` re-checks every optimum against the LP it was given."""
+
+    @pytest.mark.parametrize("force_direct", [False, True])
+    def test_checks_the_given_lp(self, monkeypatch, force_direct):
+        checked = []
+        real = lp_module.verify_certificate
+        monkeypatch.setattr(
+            lp_module, "verify_certificate", lambda lp, sol: checked.append(lp) or real(lp, sol)
+        )
+        lp = dense_lp([1, 2], _TALL_ROWS, _TALL_RHS)
+        solve(lp, force_direct=force_direct)
+        assert len(checked) == 1 and checked[0] is lp
+        solve(dense_lp([1, 2], _TALL_ROWS + [[0, 0]], _TALL_RHS + [1]), force_direct=force_direct)
+        assert len(checked) == 1  # an infeasible LP has no certificate to check
+
+    @pytest.mark.parametrize("force_direct", [False, True])
+    def test_tampered_optimum_raises(self, monkeypatch, force_direct):
+        real = lp_module._run_simplex
+
+        def tampered(lp):
+            # y of the program pivoted on: the primal's x on the dual route
+            status, x, y, value = real(lp)
+            return status, x, [y[0] + F(1, 7), *y[1:]], value
+
+        monkeypatch.setattr(lp_module, "_run_simplex", tampered)
+        with pytest.raises(RuntimeError, match="LP optimum failed its certificate check"):
+            solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), force_direct=force_direct)
+
+
 class TestRowCap:
     def test_env_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "2")

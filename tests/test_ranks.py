@@ -28,7 +28,8 @@ from stablerank import (
     trank,
     tslice,
 )
-from stablerank import ranks
+from stablerank import INFEASIBLE, LPSolution, ranks
+from stablerank import lp as lp_module
 from stablerank.ranks import _packing_bound, _rank_mod_p
 from stablerank.tensors import as_weight, mode_transform, modulus_of
 
@@ -156,7 +157,7 @@ class TestDualTrank:
 
 @pytest.mark.parametrize("rank", [trank, dual_trank])
 def test_failed_certificate_raises(monkeypatch, rank):
-    monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+    monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
     with pytest.raises(RuntimeError, match="certificate"):
         rank(W_SUPPORT)
 
@@ -240,8 +241,44 @@ class TestTslice:
             "b037e983bd6ab2648d3d30a974b9542d0bf75814e1753758f95b80c822d986bf"
         )
 
+    def test_every_solve_certified_on_acceptance_corpus(self, monkeypatch):
+        solved, verified = [], []
+        real_solve, real_verify = ranks.solve, lp_module.verify_certificate
+
+        def counting_solve(lp, *args, **kwargs):
+            solved.append(lp)
+            return real_solve(lp, *args, **kwargs)
+
+        def counting_verify(lp, sol):
+            verified.append(lp)
+            return real_verify(lp, sol)
+
+        monkeypatch.setattr(ranks, "solve", counting_solve)
+        monkeypatch.setattr(lp_module, "verify_certificate", counting_verify)
+        rng = random.Random(20240814)
+        for _ in range(200):
+            tslice(random_support(rng))
+        # 200 roots and 16 nodes below them, each checked once
+        assert len(solved) == len(verified) == 216
+        assert all(a is b for a, b in zip(solved, verified))
+
+    def test_infeasible_node_lp_raises(self, monkeypatch):
+        real = ranks.solve
+        calls = []
+
+        def root_only(lp, *args, **kwargs):
+            calls.append(lp)
+            if len(calls) == 1:
+                return real(lp, *args, **kwargs)
+            return LPSolution(INFEASIBLE, None, (), ())
+
+        monkeypatch.setattr(ranks, "solve", root_only)
+        with pytest.raises(RuntimeError, match="unexpectedly infeasible"):
+            tslice(W_SUPPORT)
+        assert len(calls) == 2
+
     def test_failed_root_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(ranks, "verify_certificate", lambda lp, sol: False)
+        monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
         with pytest.raises(RuntimeError, match="certificate"):
             tslice(W_SUPPORT)
 
