@@ -204,25 +204,28 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     return TSliceResult(len(best), best)
 
 
-def _det_rational(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), -1)
-        if piv < 0:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def _det_int(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: each entry it computes is a minor of ``mat`` (Sylvester's
+    identity), so every division is exact and every value an integer."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), -1)
+            if piv < 0:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot = a[k]
+        pk = pivot[k]
+        for row in a[k + 1 :]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pk * row[c] - f * pivot[c]) // prev
+        prev = pk
+    return sign * a[-1][-1]
 
 
 def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
@@ -247,15 +250,17 @@ def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
 
 def _random_invertible(rng: random.Random, n: int, p: int | None):
     """Random basis-change matrix: small integer entries over the rationals,
-    uniform entries mod p; rejection sampled to be invertible."""
+    uniform entries mod p; rejection sampled to be invertible: a drawn
+    matrix is kept when its integer determinant is nonzero, over F_p when
+    it is nonzero mod p."""
     for _ in range(64):
         if p is None:
             mat = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
-            if _det_rational(mat):
+            if _det_int(mat):
                 return mat
         else:
             mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if _rank_mod_p(mat, p) == n:
+            if _det_int(mat) % p:
                 return mat
     return _permutation(rng, n)  # vanishing-probability fallback
 
@@ -272,14 +277,6 @@ def _transvection(rng: random.Random, n: int, p: int | None):
     a, b = rng.sample(range(n), 2)
     mat[a][b] = rng.choice((1, -1)) if p is None else rng.randrange(1, p)
     return mat
-
-
-def _basis_change(rng: random.Random, n: int, p: int | None, kind: int):
-    if kind == 0:
-        return _permutation(rng, n)
-    if kind == 1:
-        return _transvection(rng, n, p)
-    return _random_invertible(rng, n, p)
 
 
 def _packing_bound(shape: Sequence[int], elements, caps: Sequence[int]) -> int:
@@ -314,7 +311,9 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     per-mode basis changes: the identity first, then permutations,
     elementary transvections and dense random matrices in rotation.  A
     permutation only relabels slices and keeps the identity's value, so it
-    is drawn, keeping the random stream, but not solved.  A sample whose
+    is drawn, keeping the random stream, but neither built nor solved.  A
+    dense matrix is redrawn until its integer determinant is nonzero (mod p
+    over F_p), which draws exactly the invertible matrices.  A sample whose
     exact packing bound (a feasible dual) already reaches the minimum
     cannot lower it and skips its LP; every value that enters the minimum
     is a certificate-checked LP optimum.  Every sampled value is a valid
@@ -334,10 +333,14 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     p = modulus_of(v.domain)
     for count in range(1, max(1, budget)):
         kind = count % 3
-        mats = [_basis_change(rng, n, p, kind) for n in v.shape]
-        if kind == 0:  # a permutation relabels slices: the identity's value
+        if kind == 0:
+            # A permutation relabels slices and keeps the identity's value:
+            # it is drawn, as _permutation draws it, but never built.
+            for n in v.shape:
+                rng.sample(range(n), n)
             continue
-        t = mode_transform(v, mats)
+        draw = _transvection if kind == 1 else _random_invertible
+        t = mode_transform(v, [draw(rng, n, p) for n in v.shape])
         key = frozenset(t.entries)  # support_of(t).elements, without the checks
         if key in seen:
             continue

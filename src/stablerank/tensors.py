@@ -11,7 +11,9 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -54,6 +56,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     if p >= _MR_LIMIT:
         raise ValueError(f"modulus {p} is too large to test for primality (limit {_MR_LIMIT})")
@@ -78,16 +81,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# The one spelling of a mod-p tag, the one ``mod_domain`` writes: ASCII
+# digits with no leading zero, so that equal fields have equal tags.
+_MOD_TAG = re.compile(r"mod:([1-9][0-9]*)")
+
+
 def modulus_of(domain: str) -> int | None:
     """Prime modulus of a scalar domain tag, or None for the rationals."""
     if domain == RATIONAL:
         return None
-    if isinstance(domain, str) and domain.startswith("mod:"):
-        p = int(domain[4:])
-        if not _is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
-        return p
-    raise ValueError(f"unknown scalar domain {domain!r}")
+    tag = _MOD_TAG.fullmatch(domain) if isinstance(domain, str) else None
+    if tag is None:
+        raise ValueError(f"unknown scalar domain {domain!r}")
+    p = int(tag[1])
+    if not _is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    return p
 
 
 def mod_domain(p: int) -> str:
@@ -286,20 +295,20 @@ def outer(v: SparseTensor, w: SparseTensor) -> SparseTensor:
 def _integer_columns(mat, width: int, p: int | None, axis: int):
     """The matrix for mode ``axis`` over one denominator: for each column,
     the ``(row, numerator)`` pairs with a nonzero numerator, and the
-    denominator.  Over F_p the denominator is 1 and the numerators are
-    reduced mod p."""
+    denominator.  A matrix of ints is its own numerator matrix.  Over F_p
+    the denominator must be 1; the caller reduces its sums mod p."""
     if len(mat) < 1:
         raise ValueError(f"matrix for mode {axis} has no rows")
     if any(len(row) != width for row in mat):
         raise ValueError(f"matrix for mode {axis} has wrong column count")
-    rows = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in mat]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    if p is None:
-        nums = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    elif den != 1:
-        raise ValueError(f"mod-{p} matrix entries must be integers")
+    if all(isinstance(x, int) for row in mat for x in row):
+        den, nums = 1, mat
     else:
-        nums = [[int(x) % p for x in row] for row in rows]
+        rows = [[Fraction(x) for x in row] for row in mat]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        if p is not None and den != 1:
+            raise ValueError(f"mod-{p} matrix entries must be integers")
+        nums = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     columns = [[(r, row[c]) for r, row in enumerate(nums) if row[c]] for c in range(width)]
     return columns, den
 
@@ -311,7 +320,9 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
     result's mode-i dimension is the row count of ``mats[i]``.  Scalars must
     lie in the tensor's domain: rationals (a float is taken at its exact
     value), or integers on a mod-p tensor.  The work runs on integers: the
-    entries over one denominator and each matrix over its own.
+    entries over one denominator and each matrix over its own; a matrix
+    whose entries are all ints is used as it is.  Over F_p each mode's sums
+    are reduced mod p.
     """
     if len(mats) != v.order:
         raise ValueError("need exactly one matrix per mode")
@@ -321,7 +332,7 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
         entries = {k: x.numerator * (den // x.denominator) for k, x in v.entries.items()}
     else:
         den = 1
-        entries = dict(v.entries)
+        entries = v.entries  # only read; each axis builds a new dict
     shape = list(v.shape)
     for axis, mat in enumerate(mats):
         columns, mat_den = _integer_columns(mat, shape[axis], p, axis)

@@ -417,6 +417,10 @@ def _tensor_text(val: str) -> str:
         ("slope --alpha 1,1/0,1", json.dumps(W_SUPPORT), '{"x": [[1, 0], [1, 0], [1, 0]]}'),
         ("trank", '{"shape": [2], "domain": 5, "entries": []}', None),
         ("grank", '{"shape": [2], "domain": null, "entries": []}', None),
+        ("trank", '{"shape": [2], "domain": "mod:07", "entries": []}', None),
+        ("trank", '{"shape": [2], "domain": "mod:+7", "entries": []}', None),
+        ("tslice", '{"shape": [2], "domain": "mod: 0_7", "entries": []}', None),
+        ("trank", '{"shape": [2], "domain": "mod:\\u0667", "entries": []}', None),
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, 1.5]]]}', None),
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "1/0"]]]}', None),
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "a"]]]}', None),

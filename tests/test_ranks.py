@@ -28,7 +28,7 @@ from stablerank import (
     trank,
     tslice,
 )
-from stablerank import INFEASIBLE, LPSolution, ranks
+from stablerank import INFEASIBLE, LPSolution, ranks, tensors
 from stablerank import lp as lp_module
 from stablerank.ranks import _packing_bound, _rank_mod_p
 from stablerank.tensors import as_weight, mode_transform, modulus_of
@@ -354,6 +354,14 @@ class TestGrankSearch:
         v = SparseTensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1}, mod_domain(3))
         assert grank_upper_search(v, budget=30) == 2
 
+    def test_search_proves_modulus_prime_once(self):
+        p = 2**61 - 1
+        is_prime = tensors._is_prime
+        is_prime.cache_clear()
+        v = SparseTensor((3, 3), {(0, 0): 1, (1, 2): 5, (2, 1): p - 1}, mod_domain(p))
+        grank_upper_search(v, budget=200)
+        assert is_prime.cache_info().misses == 1 and is_prime.cache_info().hits > 100
+
 
 def _reference_search(v, alpha=None, budget=64, seed=0):
     """``grank_upper_search`` as it was before pruning, verbatim: every
@@ -374,7 +382,7 @@ def _reference_search(v, alpha=None, budget=64, seed=0):
     p = modulus_of(v.domain)
     for count in range(1, max(1, budget)):
         kind = count % 3
-        mats = [ranks._basis_change(rng, n, p, kind) for n in v.shape]
+        mats = [_reference_basis_change(rng, n, p, kind) for n in v.shape]
         best = min(best, rank_of(mode_transform(v, mats)))
     return best
 
@@ -399,6 +407,66 @@ def _reference_rank_mod_p(vectors, p):
         if rank == len(rows):
             break
     return rank
+
+
+# The basis-change sampler as it was, verbatim apart from the names, so that
+# _reference_search pins the random stream the search draws from.  Its rank
+# routine is _reference_rank_mod_p, whose ranks equal _rank_mod_p's
+# (test_rank_mod_p_matches_reference), so no live code is called.
+def _reference_det_rational(mat):
+    n = len(mat)
+    a = [[F(v) for v in row] for row in mat]
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), -1)
+        if piv < 0:
+            return F(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
+
+
+def _reference_random_invertible(rng, n, p):
+    for _ in range(64):
+        if p is None:
+            mat = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+            if _reference_det_rational(mat):
+                return mat
+        else:
+            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if _reference_rank_mod_p(mat, p) == n:
+                return mat
+    return _reference_permutation(rng, n)  # vanishing-probability fallback
+
+
+def _reference_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return [[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+
+
+def _reference_transvection(rng, n, p):
+    mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    if n == 1:
+        return mat
+    a, b = rng.sample(range(n), 2)
+    mat[a][b] = rng.choice((1, -1)) if p is None else rng.randrange(1, p)
+    return mat
+
+
+def _reference_basis_change(rng, n, p, kind):
+    if kind == 0:
+        return _reference_permutation(rng, n)
+    if kind == 1:
+        return _reference_transvection(rng, n, p)
+    return _reference_random_invertible(rng, n, p)
 
 
 def _random_tensor(rng, p):
@@ -505,6 +573,47 @@ class TestSearchMatchesReference:
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             m = [[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)]
             assert _rank_mod_p(m, p) == _reference_rank_mod_p(m, p)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 2**61 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_matches_reference(self, p, n):
+        # The kinds in the search's rotation.  The search draws a permutation
+        # without building it; _permutation draws it the same way.
+        got_rng, want_rng = random.Random(f"sampler-{p}-{n}"), random.Random(f"sampler-{p}-{n}")
+        for count in range(2000):
+            kind = count % 3
+            if kind == 0:
+                got = ranks._permutation(got_rng, n)
+            elif kind == 1:
+                got = ranks._transvection(got_rng, n, p)
+            else:
+                got = ranks._random_invertible(got_rng, n, p)
+            assert got == _reference_basis_change(want_rng, n, p, kind), count
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_det_int_matches_fraction_elimination(self):
+        rng = random.Random(71)
+        for k in range(3000):
+            n = rng.randint(1, 5)
+            bound = rng.choice((1, 3, 2**64))
+            m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 0:
+                m[0][0] = 0  # a zero leading pivot
+            if k % 5 == 0 and n > 1:
+                m[rng.randrange(n)] = list(m[rng.randrange(n)])  # often singular
+            det = ranks._det_int(m)
+            assert type(det) is int and det == _reference_det_rational(m), m
+
+    def test_det_mod_p_decides_rank(self):
+        rng = random.Random(73)
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5, 7, 2**61 - 1))
+            n = rng.randint(1, 5)
+            m = [[rng.randrange(min(p, 4) if rng.random() < 0.5 else p) for _ in range(n)]
+                 for _ in range(n)]
+            assert (ranks._det_int(m) % p != 0) == (_rank_mod_p(m, p) == n), (m, p)
 
 
 def test_search_skips_unneeded_work(monkeypatch):

@@ -83,6 +83,19 @@ class TestValidation:
                 with pytest.raises(ValueError):
                     mod_domain(n)
 
+    @pytest.mark.parametrize(
+        "domain", ["mod:07", "mod:+7", "mod: 0_7", "mod:7 ", "mod:7\n", "mod:\u0667", "mod:0", "mod:", "MOD:7"]
+    )
+    def test_noncanonical_mod_tag_rejected(self, domain):
+        # int() reads each of the first six as 7, but only "mod:7" names F_7.
+        with pytest.raises(ValueError, match="unknown scalar domain"):
+            modulus_of(domain)
+
+    def test_equal_fields_have_equal_tags(self):
+        a = SparseTensor((1,), {(0,): 1}, "mod:7")
+        b = SparseTensor((1,), {(0,): 2}, mod_domain(7))
+        assert boxplus(a, b).entries == {(0,): 1, (1,): 2}
+
     def test_domain_mismatch(self):
         a = SparseTensor((2,), {(0,): 1})
         b = SparseTensor((2,), {(0,): 1}, mod_domain(2))
