@@ -20,6 +20,12 @@ worst every row is added).  The answer is then an optimum of the full LP,
 certified without building it: :func:`stablerank.lp.solve` certifies the
 pair on the rows solved, and the final scan shows that t covers every
 other row too, where the dual, taken as zero, stays feasible.
+
+From n = 4 on the rows solved outnumber the 2n+1 columns, so
+:func:`reduced_lp` has ``solve`` pivot the packing dual instead (its
+``any_vertex`` route).  That tableau has 2n+1 rows and starts feasible at
+y = 0, while the covering LP starts every row on an artificial variable
+that phase I must drive out.
 """
 
 from __future__ import annotations
@@ -121,7 +127,7 @@ def _reduced_lp_cached(n: int) -> CapsetLPResult:
     while True:
         rows = [[(idx, _ONE) for idx in tr] for tr in active]
         lp = LinearProgram(objective, rows, [_ONE] * len(active))
-        sol = solve(lp)
+        sol = solve(lp, any_vertex=True)
         if sol.status != OPTIMAL:
             raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
         missing = set(_uncovered(sol.x, n))
@@ -143,7 +149,15 @@ def reduced_lp(n: int) -> CapsetLPResult:
     full LP, which is never built: :func:`stablerank.lp.solve` certifies
     the primal-dual pair on the solved rows, and t covers every row never
     solved, whose zero duals keep the dual feasible.  A failed check raises
-    ``RuntimeError``.  ``STABLERANK_MAX_LP_ROWS`` applies to the rows solved.
+    ``RuntimeError``.
+
+    Each LP is pivoted on its shorter side: the covering LP itself for
+    n <= 3, where the rows solved are no more than the 2n+1 columns, and
+    its packing dual, with no phase I, from n = 4 on.  The value is the
+    optimum either way; t is the vector the covering route returns (the
+    tests compare the two routes for n = 1..20), and the duals, which may
+    differ, are not reported.  ``STABLERANK_MAX_LP_ROWS`` applies to the
+    covering rows solved, not to the rows of the tableau pivoted.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -130,10 +130,13 @@ def _row_cap() -> int | None:
     raw = os.environ.get(_ROW_CAP_ENV)
     if raw is None:
         return None
-    try:
+    # ASCII digits only: int() would also take a sign, underscores and
+    # surrounding blanks, and a negative cap would read as a broken limit.
+    if raw.isascii() and raw.isdigit():
         return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
+    if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit():
+        raise ValueError(f"{_ROW_CAP_ENV} must be a nonnegative integer, got {raw!r}")
+    raise ValueError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -303,13 +306,31 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     )
 
 
-def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
+def solve(lp: LinearProgram, force_direct: bool = False, any_vertex: bool = False) -> LPSolution:
     """Solve an LP exactly, producing a primal-dual optimal pair.
 
-    When the LP has many more rows than variables, the pivoting runs on the
-    dual formulation (whose tableau is far smaller) and the pair is mapped
-    back; the returned solution is identical in meaning.  Deterministic:
-    identical input yields an identical solution.
+    The pivoting may run on the dual formulation, whose pair is mapped back;
+    the returned solution is identical in meaning.  Which side is pivoted
+    follows one of two rules:
+
+    - By default the dual is pivoted only when the LP has more than
+      ``2 * cols + 8`` rows.  This pins the vertex a caller gets, so
+      ``trank``, ``dual_trank`` and ``tslice``, which print or branch on
+      ``x`` and ``y``, and the vertices of ``tests/data/lp_vertices.json``
+      depend on it.
+    - With ``any_vertex=True`` the dual is pivoted whenever the LP has more
+      rows than columns, i.e. the side with fewer rows is pivoted.  The
+      value is the same optimum, but ``x`` and ``y`` may be another optimal
+      pair.  For an LP with ``c > 0`` the dual route also has no phase I:
+      every row of the dual starts on its own surplus column at ``y = 0``.
+      ``capset.reduced_lp``, which reports only an optimal ``t`` and the
+      value, solves this way.
+
+    ``force_direct=True`` pivots the LP as given under either rule.  When
+    the dual is not optimal, the LP is pivoted directly, as a non-optimal
+    dual status does not pin the primal one.  ``STABLERANK_MAX_LP_ROWS``
+    counts the rows of ``lp``, whichever side is pivoted.  Deterministic:
+    identical input and keywords yield an identical solution.
 
     An optimal pair is re-checked against ``lp`` by
     :func:`verify_certificate` before it is returned, on either route; a
@@ -322,7 +343,8 @@ def solve(lp: LinearProgram, force_direct: bool = False) -> LPSolution:
             f"LP has {lp.num_rows} rows, exceeding {_ROW_CAP_ENV}={cap}"
         )
     status = None
-    if not force_direct and lp.num_rows > 2 * lp.num_vars + 8:
+    dual_above = lp.num_vars if any_vertex else 2 * lp.num_vars + 8
+    if not force_direct and lp.num_rows > dual_above:
         status, y, x, value = _run_simplex(dual_program(lp))
         if status == OPTIMAL:
             value = -value  # the dual program minimizes -b.y

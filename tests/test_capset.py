@@ -125,8 +125,8 @@ def _lower_one_t(monkeypatch):
     that it breaks one of its own rows; returns the expected error."""
     real = capset.solve
 
-    def tampered(lp):
-        sol = real(lp)
+    def tampered(lp, **kwargs):
+        sol = real(lp, **kwargs)
         k = max(i for i, v in enumerate(sol.x) if v > 0)
         x = list(sol.x)
         x[k] /= 2
@@ -235,6 +235,29 @@ class TestRowGeneration:
         assert len(pinned) == 12
         for n in range(1, 13):
             assert reduced_lp(n).value == F(pinned[f"capset-{n}"])
+
+    def test_shorter_side_keeps_t_and_value(self, fresh_cache, monkeypatch):
+        # the default route pivots the covering LP for n <= 11 and its dual after
+        expected = {}
+        for n in range(1, 21):
+            active = capset._binding_triples(n)
+            lp = LinearProgram(
+                [3 * v for v in trinomial(n)],
+                [[(idx, 1) for idx in tr] for tr in active],
+                [1] * len(active),
+            )
+            sol = lp_module.solve(lp)
+            expected[n] = (sol.x, sol.value)
+        calls = []
+        real = lp_module.dual_program
+        monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
+        for n in range(1, 21):
+            calls.clear()
+            res = reduced_lp(n)
+            assert (res.t, res.value) == expected[n], n
+            assert len(calls) == (1 if n >= 4 else 0), n
+            if calls:  # the covering LP, whose dual has 2n + 1 rows
+                assert calls[0].num_rows > calls[0].num_vars == 2 * n + 1
 
     def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20))))

@@ -390,6 +390,23 @@ class TestEnvironmentCap:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: STABLERANK_MAX_LP_ROWS must be an integer, got 'abc'\n"
 
+    # int() takes each of these; only ASCII digits are a cap
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ("-1", "must be a nonnegative integer, got '-1'"),
+            ("1_0", "must be an integer, got '1_0'"),
+            (" 3 ", "must be an integer, got ' 3 '"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["trank", "tslice"])
+    def test_cap_spellings_exit_2(self, capsys, monkeypatch, w_support_file, raw, message, command):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", raw)
+        code = main([command, w_support_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: STABLERANK_MAX_LP_ROWS {message}\n"
+
 
 def _tensor_text(val: str) -> str:
     return json.dumps({"shape": [2, 2], "entries": [{"idx": [0, 0], "val": val}]})

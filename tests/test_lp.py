@@ -217,6 +217,23 @@ class TestDualizedPath:
                 assert verify_certificate(lp, auto)
 
 
+# The keywords of each route: the default rule, the direct route, and the
+# shorter-side rule; the first two keep their ids from a bool parameter.
+_ROUTES = [
+    pytest.param({}, id="False"),
+    pytest.param({"force_direct": True}, id="True"),
+    pytest.param({"any_vertex": True}, id="any_vertex"),
+]
+
+
+def _spy_dual_program(monkeypatch):
+    """Record each LP that ``solve`` dualizes; returns that list."""
+    calls = []
+    real = lp_module.dual_program
+    monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
+    return calls
+
+
 _TALL_ROWS = [[1, 1]] * 5 + [[2, 2]] * 3 + [[0, 0]] * 3 + [[1, -1]] * 3
 _TALL_RHS = [1] * 5 + [2] * 3 + [0, -1, 0] + [-2] * 3
 
@@ -240,10 +257,10 @@ class TestDegenerateRows:
             ([1, 2], _TALL_ROWS + [[0, 0]], _TALL_RHS + [1], INFEASIBLE, None),
         ],
     )
-    @pytest.mark.parametrize("force_direct", [False, True])
-    def test_status_value_and_certificate(self, c, rows, rhs, status, value, force_direct):
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_status_value_and_certificate(self, c, rows, rhs, status, value, route):
         lp = dense_lp(c, rows, rhs)
-        sol = solve(lp, force_direct=force_direct)
+        sol = solve(lp, **route)
         assert sol.status == status
         feasible, best = vertex_enumeration_optimum(c, rows, rhs)
         assert feasible == (status != INFEASIBLE)
@@ -252,13 +269,27 @@ class TestDegenerateRows:
             assert len(sol.y) == lp.num_rows
             assert verify_certificate(lp, sol)
 
-    @pytest.mark.parametrize("force_direct", [False, True])
-    def test_tall_case_routes(self, monkeypatch, force_direct):
-        calls = []
-        real = lp_module.dual_program
-        monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
-        solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), force_direct=force_direct)
-        assert len(calls) == (0 if force_direct else 1)
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_tall_case_routes(self, monkeypatch, route):
+        calls = _spy_dual_program(monkeypatch)
+        solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), **route)
+        assert len(calls) == (0 if route.get("force_direct") else 1)
+
+    # (rows, cols) around both thresholds: rows > cols and rows > 2 * cols + 8
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (2, 5), (4, 3), (14, 3), (15, 3)])
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_routes_by_shape(self, monkeypatch, m, n, route):
+        calls = _spy_dual_program(monkeypatch)
+        rows = [[1 + (i + j) % 3 for j in range(n)] for i in range(m)]
+        sol = solve(dense_lp([1] * n, rows, [1] * m), **route)
+        assert sol.status == OPTIMAL
+        if route.get("force_direct"):
+            dual = False
+        elif route.get("any_vertex"):
+            dual = m > n
+        else:
+            dual = m > 2 * n + 8
+        assert len(calls) == dual
 
 
 class TestSolveCertifies:
@@ -299,6 +330,41 @@ class TestRowCap:
             solve(lp)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "100")
         assert solve(lp).status == OPTIMAL
+
+    @pytest.mark.parametrize("raw,cap", [("0", 0), ("3", 3), ("007", 7), ("100", 100)])
+    def test_ascii_digits_accepted(self, monkeypatch, raw, cap):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", raw)
+        assert lp_module._row_cap() == cap
+        lp = build_lp(W_SUPPORT, (1, 1, 1))  # 3 rows
+        if lp.num_rows > cap:
+            with pytest.raises(LPSizeError):
+                solve(lp)
+        else:
+            assert solve(lp).status == OPTIMAL
+
+    def test_zero_cap_admits_an_lp_without_rows(self, monkeypatch):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "0")
+        assert solve(dense_lp([F(1)], [], [])).status == OPTIMAL
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ("-1", "must be a nonnegative integer, got '-1'"),
+            ("-0", "must be a nonnegative integer, got '-0'"),
+            ("1_0", "must be an integer, got '1_0'"),
+            (" 3 ", "must be an integer, got ' 3 '"),
+            ("+3", "must be an integer, got '+3'"),
+            ("", "must be an integer, got ''"),
+            ("3.0", "must be an integer, got '3.0'"),
+            ("\uff13", "must be an integer, got '\uff13'"),  # fullwidth digit three
+            ("-", "must be an integer, got '-'"),
+        ],
+    )
+    def test_malformed_cap_raises(self, monkeypatch, raw, message):
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", raw)
+        with pytest.raises(ValueError) as info:
+            solve(build_lp(W_SUPPORT, (1, 1, 1)))
+        assert str(info.value) == f"STABLERANK_MAX_LP_ROWS {message}"
 
 
 class TestSerialization:
@@ -377,3 +443,25 @@ def test_verify_matches_fraction_reference():
             seen[expected] += 1
     assert optimal == 442
     assert seen[True] >= 2 * optimal and seen[False] >= 6 * optimal
+
+
+def test_any_vertex_keeps_the_pinned_optima():
+    """The shorter-side route reaches each pinned optimum, and the pinned
+    vertex itself wherever both rules pick the same side."""
+    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
+    shapes = {"same side": 0, "moved": 0}
+    for case in cases:
+        lp = LinearProgram(case["objective"], case["rows"], case["rhs"])
+        sol = solve(lp, any_vertex=True)
+        pinned = case["solve"]
+        assert sol.status == pinned["status"], case["name"]
+        if sol.status != OPTIMAL:
+            continue
+        assert str(sol.value) == pinned["value"], case["name"]
+        assert verify_certificate(lp, sol), case["name"]
+        if lp.num_rows <= lp.num_vars or lp.num_rows > 2 * lp.num_vars + 8:
+            assert sol.to_json() == pinned, case["name"]
+            shapes["same side"] += 1
+        else:
+            shapes["moved"] += 1
+    assert shapes == {"same side": 327, "moved": 115}
