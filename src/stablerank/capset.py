@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lp import OPTIMAL, LinearProgram, solve
+from .lp import OPTIMAL, LinearProgram, _over_one_denominator, solve
 from .ranks import trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
@@ -89,13 +89,6 @@ def _binding_triples(n: int) -> list[tuple[int, int, int]]:
     """The triples of :func:`_triples` with ``i + j + k == 2n``, in the same order."""
     top = 2 * n
     return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
-
-
-def _over_one_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators ``q`` and the lcm ``d`` of the denominators of the
-    Fractions ``values``, with ``values[k] == q[k] / d``."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _uncovered(t, n: int) -> list[tuple[int, int, int]]:

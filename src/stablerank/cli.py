@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import capset
@@ -96,6 +97,14 @@ def _emit(payload, fmt: str, stream) -> None:
                 stream.write("\n")
 
 
+def _check_counts(args, *flags: str) -> None:
+    """Refuse a negative count given to one of ``flags``; zero is valid."""
+    for flag in flags:
+        n = getattr(args, flag[2:])
+        if n < 0:
+            raise ValueError(f"{flag} must be a nonnegative integer, got {n}")
+
+
 def _cmd_trank(args, out) -> int:
     support = _load_support(args.file)
     alpha = _parse_alpha(args.alpha)
@@ -118,6 +127,7 @@ def _cmd_trank(args, out) -> int:
 
 
 def _cmd_tslice(args, out) -> int:
+    _check_counts(args, "--limit")
     support = _load_support(args.file)
     result = tslice(support, limit=args.limit)
     payload = {
@@ -132,6 +142,9 @@ def _cmd_tslice(args, out) -> int:
 
 
 def _cmd_grank(args, out) -> int:
+    _check_counts(args, "--budget", "--iters")
+    if not 0 <= args.tol < math.inf:  # also false for nan
+        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol}")
     from .complexrank import sandwich  # numpy loads for this command only
 
     tensor = _load_tensor(args.file)
@@ -198,6 +211,7 @@ def _cmd_capset(args, out) -> int:
 
 
 def _cmd_ncrk(args, out) -> int:
+    _check_counts(args, "--budget", "--limit")
     data = _load_json(args.file)
     mats = MatrixTuple(data["matrices"], data["modulus"])
     payload: dict = {"command": "ncrk", "mode": args.mode}

@@ -98,14 +98,6 @@ class LinearProgram:
     def num_rows(self) -> int:
         return len(self.rhs)
 
-    @staticmethod
-    def from_dense(objective, matrix, rhs) -> "LinearProgram":
-        rows = [
-            [(j, a) for j, a in enumerate(row) if a]
-            for row in matrix
-        ]
-        return LinearProgram(objective, rows, rhs)
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -299,19 +291,22 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     for i, row in enumerate(lp.rows):
         for j, a in row:
             cols[j].append((i, -a))
-    return LinearProgram(
-        [-bi for bi in lp.rhs],
-        cols,
-        [-cj for cj in lp.objective],
-    )
+    # The rows of ``lp`` are canonical, so each column collects nonzero
+    # Fractions in increasing row order: a canonical row of the dual, and
+    # the checks of the constructor are skipped.
+    out = object.__new__(LinearProgram)
+    object.__setattr__(out, "objective", tuple(-bi for bi in lp.rhs))
+    object.__setattr__(out, "rows", tuple(map(tuple, cols)))
+    object.__setattr__(out, "rhs", tuple(-cj for cj in lp.objective))
+    return out
 
 
-def solve(lp: LinearProgram, force_direct: bool = False, any_vertex: bool = False) -> LPSolution:
+def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
     """Solve an LP exactly, producing a primal-dual optimal pair.
 
     The pivoting may run on the dual formulation, whose pair is mapped back;
     the returned solution is identical in meaning.  Which side is pivoted
-    follows one of two rules:
+    follows one of two rules, chosen by the one keyword:
 
     - By default the dual is pivoted only when the LP has more than
       ``2 * cols + 8`` rows.  This pins the vertex a caller gets, so
@@ -326,11 +321,11 @@ def solve(lp: LinearProgram, force_direct: bool = False, any_vertex: bool = Fals
       ``capset.reduced_lp``, which reports only an optimal ``t`` and the
       value, solves this way.
 
-    ``force_direct=True`` pivots the LP as given under either rule.  When
-    the dual is not optimal, the LP is pivoted directly, as a non-optimal
-    dual status does not pin the primal one.  ``STABLERANK_MAX_LP_ROWS``
-    counts the rows of ``lp``, whichever side is pivoted.  Deterministic:
-    identical input and keywords yield an identical solution.
+    When the dual is not optimal, the LP is pivoted directly, as a
+    non-optimal dual status does not pin the primal one.
+    ``STABLERANK_MAX_LP_ROWS`` counts the rows of ``lp``, whichever side is
+    pivoted.  Deterministic: identical input and keyword yield an identical
+    solution.
 
     An optimal pair is re-checked against ``lp`` by
     :func:`verify_certificate` before it is returned, on either route; a
@@ -344,7 +339,7 @@ def solve(lp: LinearProgram, force_direct: bool = False, any_vertex: bool = Fals
         )
     status = None
     dual_above = lp.num_vars if any_vertex else 2 * lp.num_vars + 8
-    if not force_direct and lp.num_rows > dual_above:
+    if lp.num_rows > dual_above:
         status, y, x, value = _run_simplex(dual_program(lp))
         if status == OPTIMAL:
             value = -value  # the dual program minimizes -b.y

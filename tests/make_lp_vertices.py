@@ -8,14 +8,15 @@ Each case stores the LP data and the ``to_json()`` of its solution, so
 ``test_lp_vertices.py`` pins the exact vertex (``x`` and ``y``), not just the
 optimal value.  The corpus has three families:
 
-- ``small``: about 600 small LPs with fractional and negative data, some
-  infeasible or unbounded, each solved with ``force_direct`` False and True;
+- ``small``: 600 small LPs with fractional and negative data, some
+  infeasible or unbounded, which are pivoted directly;
 - ``tall``: about 150 LPs with more than ``2 * cols + 8`` rows, which take
   the dual route (or fall back from it when the dual is not optimal);
 - ``capset``: the collapsed cap-set LPs for n = 1..12.
 
-The file was written with the solver that predates the integer-row kernel,
-so the test also shows that the kernel pivots to the same vertices.
+The pins were first recorded with the solver that predates the integer-row
+kernel, and this script rewrites them unchanged, so the test also shows that
+the kernel pivots to the same vertices.
 """
 
 from __future__ import annotations
@@ -93,18 +94,15 @@ def lp_to_json(lp: LinearProgram) -> dict:
     }
 
 
-def case(name: str, lp: LinearProgram, both_routes: bool) -> dict:
-    out = {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
-    if both_routes:
-        out["solve_direct"] = solve(lp, force_direct=True).to_json()
-    return out
+def case(name: str, lp: LinearProgram) -> dict:
+    return {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
 
 
 def main() -> None:
     rng = random.Random(SEED)
-    cases = [case(f"small-{k}", small_lp(rng), True) for k in range(SMALL)]
-    cases += [case(f"tall-{k}", tall_lp(rng), False) for k in range(TALL)]
-    cases += [case(f"capset-{n}", capset_lp(n), False) for n in range(1, CAPSET_N + 1)]
+    cases = [case(f"small-{k}", small_lp(rng)) for k in range(SMALL)]
+    cases += [case(f"tall-{k}", tall_lp(rng)) for k in range(TALL)]
+    cases += [case(f"capset-{n}", capset_lp(n)) for n in range(1, CAPSET_N + 1)]
     lines = ",\n".join(json.dumps(c, separators=(",", ":")) for c in cases)
     OUT.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
     statuses: dict[str, int] = {}

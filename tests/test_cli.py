@@ -412,6 +412,9 @@ def _tensor_text(val: str) -> str:
     return json.dumps({"shape": [2, 2], "entries": [{"idx": [0, 0], "val": val}]})
 
 
+_TUPLE_TEXT = json.dumps({"modulus": 3, "matrices": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]})
+
+
 # Out-of-range or malformed numbers, domains and matrix entries, each exiting 2.
 # Raw JSON text: the literal 1e400 parses as float("inf").
 @pytest.mark.parametrize(
@@ -444,6 +447,16 @@ def _tensor_text(val: str) -> str:
         ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, null]]]}', None),
         ("trank", '{"shape": [2, 2], "domain": "mod:3", "entries": [{"idx": [0, 0], "val": 1.5}, '
                   '{"idx": [1, 1], "val": 2.9}]}', None),
+        # negative counts and a tolerance that is negative or not finite
+        ("tslice --limit -1", json.dumps(W_SUPPORT), None),
+        ("ncrk --limit -1", _TUPLE_TEXT, None),
+        ("ncrk --mode search --budget -5", _TUPLE_TEXT, None),
+        ("grank --iters -3", json.dumps(W_TENSOR), None),
+        ("grank --budget -3", json.dumps(W_TENSOR), None),
+        ("grank --tol -1", json.dumps(W_TENSOR), None),
+        ("grank --tol nan", json.dumps(W_TENSOR), None),
+        ("grank --tol inf", json.dumps(W_TENSOR), None),
+        ("grank --tol nan", _tensor_text("1"), None),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents):
@@ -458,6 +471,17 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_zero_counts_are_valid(capsys, tmp_path, w_tensor_file):
+    code, out = run(capsys, "grank", w_tensor_file, "--iters", "0", "--budget", "0", "--tol", "0")
+    assert code == 0 and "iterations: 0\n" in out
+    path = tmp_path / "tuple.json"
+    path.write_text(_TUPLE_TEXT)
+    code, out = run(capsys, "ncrk", str(path), "--mode", "both", "--budget", "0")
+    assert code == 0 and "agree: true\n" in out
+    code, _ = run(capsys, "tslice", w_tensor_file, "--limit", "0")
+    assert code == 4  # a limit of zero is a limit, not a parse failure
 
 
 # Each run is a subprocess under a timeout: a primality test that trial-divides

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from make_lp_vertices import capset_lp
 
 from stablerank import (
     INFEASIBLE,
@@ -74,7 +75,7 @@ def vertex_enumeration_optimum(c, rows, rhs):
 
 
 def dense_lp(c, rows, rhs):
-    return LinearProgram.from_dense(c, rows, rhs)
+    return LinearProgram(c, [[(j, a) for j, a in enumerate(row) if a] for row in rows], rhs)
 
 
 class TestExamples:
@@ -210,18 +211,17 @@ class TestDualizedPath:
             rhs = [F(rng.randint(-1, 1)) for _ in range(m)]
             lp = dense_lp(c, rows, rhs)
             auto = solve(lp)
-            direct = solve(lp, force_direct=True)
-            assert auto.status == direct.status
+            status, _, _, value = lp_module._run_simplex(lp)
+            assert auto.status == status
             if auto.status == OPTIMAL:
-                assert auto.value == direct.value
+                assert auto.value == value
                 assert verify_certificate(lp, auto)
 
 
-# The keywords of each route: the default rule, the direct route, and the
-# shorter-side rule; the first two keep their ids from a bool parameter.
+# The keywords of each rule: the default and the shorter side; the default
+# keeps its id from a bool parameter.
 _ROUTES = [
     pytest.param({}, id="False"),
-    pytest.param({"force_direct": True}, id="True"),
     pytest.param({"any_vertex": True}, id="any_vertex"),
 ]
 
@@ -262,6 +262,8 @@ class TestDegenerateRows:
         lp = dense_lp(c, rows, rhs)
         sol = solve(lp, **route)
         assert sol.status == status
+        direct_status, _, _, direct_value = lp_module._run_simplex(lp)
+        assert direct_status == status and direct_value == value
         feasible, best = vertex_enumeration_optimum(c, rows, rhs)
         assert feasible == (status != INFEASIBLE)
         if status == OPTIMAL:
@@ -273,7 +275,7 @@ class TestDegenerateRows:
     def test_tall_case_routes(self, monkeypatch, route):
         calls = _spy_dual_program(monkeypatch)
         solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), **route)
-        assert len(calls) == (0 if route.get("force_direct") else 1)
+        assert len(calls) == 1
 
     # (rows, cols) around both thresholds: rows > cols and rows > 2 * cols + 8
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (2, 5), (4, 3), (14, 3), (15, 3)])
@@ -283,33 +285,61 @@ class TestDegenerateRows:
         rows = [[1 + (i + j) % 3 for j in range(n)] for i in range(m)]
         sol = solve(dense_lp([1] * n, rows, [1] * m), **route)
         assert sol.status == OPTIMAL
-        if route.get("force_direct"):
-            dual = False
-        elif route.get("any_vertex"):
-            dual = m > n
-        else:
-            dual = m > 2 * n + 8
+        dual = m > n if route else m > 2 * n + 8
         assert len(calls) == dual
+
+
+# An optimal LP for each route of the default rule, keyed by whether it
+# pivots the dual: 3 rows on 2 columns are pivoted directly, the 14 tall rows
+# through the dual.
+_BY_ROUTE = {
+    False: ([1, 1], [[1, 1], [1, -1], [1, 1]], [1, -2, 1]),
+    True: ([1, 2], _TALL_ROWS, _TALL_RHS),
+}
+
+
+def test_dual_program_matches_the_constructor():
+    """``dual_program`` skips the constructor's checks; it must build the
+    program the constructor builds from the transposed data, and dualizing
+    twice must give the LP back."""
+    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
+    lps = [LinearProgram(c["objective"], c["rows"], c["rhs"]) for c in cases]
+    lps += [capset_lp(n) for n in range(1, 21)]
+    for lp in lps:
+        cols = [[] for _ in range(lp.num_vars)]
+        for i, row in enumerate(lp.rows):
+            for j, a in row:
+                cols[j].append((i, -a))
+        dual = lp_module.dual_program(lp)
+        assert dual == LinearProgram([-b for b in lp.rhs], cols, [-c for c in lp.objective])
+        assert all(type(v) is F for v in dual.objective + dual.rhs)
+        assert all(type(j) is int and type(a) is F for row in dual.rows for j, a in row)
+        assert lp_module.dual_program(dual) == lp
+    assert len(lps) == 782
 
 
 class TestSolveCertifies:
     """``solve`` re-checks every optimum against the LP it was given."""
 
-    @pytest.mark.parametrize("force_direct", [False, True])
-    def test_checks_the_given_lp(self, monkeypatch, force_direct):
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_checks_the_given_lp(self, monkeypatch, dual):
+        c, rows, rhs = _BY_ROUTE[dual]
         checked = []
         real = lp_module.verify_certificate
         monkeypatch.setattr(
             lp_module, "verify_certificate", lambda lp, sol: checked.append(lp) or real(lp, sol)
         )
-        lp = dense_lp([1, 2], _TALL_ROWS, _TALL_RHS)
-        solve(lp, force_direct=force_direct)
+        duals = _spy_dual_program(monkeypatch)
+        lp = dense_lp(c, rows, rhs)
+        solve(lp)
         assert len(checked) == 1 and checked[0] is lp
-        solve(dense_lp([1, 2], _TALL_ROWS + [[0, 0]], _TALL_RHS + [1]), force_direct=force_direct)
+        assert len(duals) == dual
+        solve(dense_lp(c, rows + [[0] * len(c)], rhs + [1]))
         assert len(checked) == 1  # an infeasible LP has no certificate to check
 
-    @pytest.mark.parametrize("force_direct", [False, True])
-    def test_tampered_optimum_raises(self, monkeypatch, force_direct):
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_tampered_optimum_raises(self, monkeypatch, dual):
+        c, rows, rhs = _BY_ROUTE[dual]
         real = lp_module._run_simplex
 
         def tampered(lp):
@@ -319,7 +349,7 @@ class TestSolveCertifies:
 
         monkeypatch.setattr(lp_module, "_run_simplex", tampered)
         with pytest.raises(RuntimeError, match="LP optimum failed its certificate check"):
-            solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), force_direct=force_direct)
+            solve(dense_lp(c, rows, rhs))
 
 
 class TestRowCap:
