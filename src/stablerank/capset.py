@@ -14,14 +14,13 @@ The collapsed LP has about (2n)^3/36 rows, but few of them bind.  Prefix
 minima keep a t vector feasible and cost no more, so some optimal t is
 nonincreasing, and for such a t the *binding* rows, whose triples sum to
 exactly 2n, imply all the others.  :func:`reduced_lp` therefore solves the
-LP on the binding rows only, scans every triple for one the solution leaves
-uncovered, and adds those rows and solves again until none is left (at
-worst every row is added).  The answer is then an optimum of the full LP,
-certified without building it: :func:`stablerank.lp.solve` certifies the
-pair on the rows solved, and the final scan shows that t covers every
-other row too, where the dual, taken as zero, stays feasible.
+LP once, on the binding rows only.  :func:`stablerank.lp.solve` certifies
+the pair on those rows, and :func:`_covers` proves, exactly for any t and in
+O(n^2), that t covers every other row too, where the dual, taken as zero,
+stays feasible.  The answer is then an optimum of the full LP, certified
+without building it.
 
-From n = 4 on the rows solved outnumber the 2n+1 columns, so
+From n = 4 on the binding rows outnumber the 2n+1 columns, so
 :func:`reduced_lp` has ``solve`` pivot the packing dual instead (its
 ``any_vertex`` route).  That tableau has 2n+1 rows and starts feasible at
 y = 0, while the covering LP starts every row on an artificial variable
@@ -34,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .lp import OPTIMAL, LinearProgram, _over_one_denominator, solve
 from .ranks import trank
@@ -47,18 +47,12 @@ TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
 _ONE = Fraction(1)  # every coefficient and right-hand side of the collapsed LP
 
 
-# A table row asks for the coefficients and the triples of its n from
-# reduced_lp, both cutoff counts and verify_conjecture.  One cache entry each
-# serves the whole row, and holds one n's triples, not every n's (about
-# 800k triples in a table to n = 60).
-
-
 def trinomial(n: int) -> list[int]:
     """Coefficients of (1 + x + x^2)^n, exactly, by iterated convolution."""
     return list(_coefficients(n))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)  # a table row asks for one n's coefficients four times
 def _coefficients(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -73,32 +67,31 @@ def _coefficients(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=1)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Every triple ``i <= j <= k`` with ``i + j + k <= 2n``, in lexicographic order."""
-    top = 2 * n
-    return tuple(
-        (i, j, k)
-        for i in range(top // 3 + 1)
-        for j in range(i, (top - i) // 2 + 1)
-        for k in range(j, top - i - j + 1)
-    )
-
-
 def _binding_triples(n: int) -> list[tuple[int, int, int]]:
-    """The triples of :func:`_triples` with ``i + j + k == 2n``, in the same order."""
+    """Every triple ``i <= j <= k`` with ``i + j + k == 2n``, in lexicographic order."""
     top = 2 * n
     return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
 
 
-def _uncovered(t, n: int) -> list[tuple[int, int, int]]:
-    """The triples with ``t_i + t_j + t_k < 1``, in the order of :func:`_triples`.
+def _covers(t, n: int) -> bool:
+    """Whether ``t_i + t_j + t_k >= 1`` on every row ``i <= j <= k``, ``i + j + k <= 2n``.
 
-    ``t`` is brought to one denominator ``d``, so each comparison is one of
-    integer numerators against ``d``.
+    Exact for any t, monotone or not.  The prefix minima ``m`` of t are
+    nonincreasing and at most t, so a row's sum is at least
+    ``m_i + m_j + m_{2n-i-j}``, the m-sum of a binding triple; and each such
+    m-sum is the sum of some row, as ``m_a = t_a'`` with ``a' <= a``.  So t
+    covers every row iff m covers every binding triple.  The triples are
+    enumerated here, not read from the rows solved, and compared on integer
+    numerators over one denominator.
     """
     q, d = _over_one_denominator(t)
-    return [(i, j, k) for i, j, k in _triples(n) if q[i] + q[j] + q[k] < d]
+    m = list(accumulate(q, min))
+    top = 2 * n
+    return all(
+        m[i] + m[j] + m[top - i - j] >= d
+        for i in range(top // 3 + 1)
+        for j in range(i, (top - i) // 2 + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -109,48 +102,36 @@ class CapsetLPResult:
     t: tuple[Fraction, ...]
     value: Fraction
     bound: int
-    certificate_ok: bool
 
 
 @lru_cache(maxsize=None)
 def _reduced_lp_cached(n: int) -> CapsetLPResult:
-    f = _coefficients(n)
-    objective = [3 * v for v in f]
-    active = _binding_triples(n)
-    while True:
-        rows = [[(idx, _ONE) for idx in tr] for tr in active]
-        lp = LinearProgram(objective, rows, [_ONE] * len(active))
-        sol = solve(lp, any_vertex=True)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
-        missing = set(_uncovered(sol.x, n))
-        if not missing:
-            break
-        if missing.issubset(active):  # the solution breaks one of its own rows
-            raise RuntimeError("collapsed LP certificate failed")
-        active = sorted(missing.union(active))
-    return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value), True)
+    objective = [3 * v for v in _coefficients(n)]
+    rows = [[(idx, _ONE) for idx in tr] for tr in _binding_triples(n)]
+    sol = solve(LinearProgram(objective, rows, [_ONE] * len(rows)), any_vertex=True)
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
+    if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered
+        raise RuntimeError("collapsed LP certificate failed")
+    return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value))
 
 
 def reduced_lp(n: int) -> CapsetLPResult:
     """Minimize ``3 * sum_i f_i t_i`` over nonnegative t with
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
 
-    The LP is solved on the binding rows (``i + j + k == 2n``) first; rows
-    the solution leaves uncovered are added and the LP solved again until
-    every triple is covered.  The result is certified as an optimum of the
-    full LP, which is never built: :func:`stablerank.lp.solve` certifies
-    the primal-dual pair on the solved rows, and t covers every row never
-    solved, whose zero duals keep the dual feasible.  A failed check raises
-    ``RuntimeError``.
+    The LP is solved once, on the binding rows (``i + j + k == 2n``), and
+    certified as an optimum of the full LP, which is never built: ``solve``
+    certifies the pair on the binding rows, and :func:`_covers` shows that
+    t covers every other row.  A failed check raises ``RuntimeError``.
 
-    Each LP is pivoted on its shorter side: the covering LP itself for
-    n <= 3, where the rows solved are no more than the 2n+1 columns, and
+    The LP is pivoted on its shorter side: the covering LP itself for
+    n <= 3, where the binding rows are no more than the 2n+1 columns, and
     its packing dual, with no phase I, from n = 4 on.  The value is the
     optimum either way; t is the vector the covering route returns (the
     tests compare the two routes for n = 1..20), and the duals, which may
     differ, are not reported.  ``STABLERANK_MAX_LP_ROWS`` applies to the
-    covering rows solved, not to the rows of the tableau pivoted.
+    binding rows, not to the rows of the tableau pivoted.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -209,9 +190,7 @@ def conjectured_t(n: int) -> tuple[Fraction, ...]:
 def t_vector_feasible(t, n: int) -> bool:
     """Exact feasibility of a t vector for the collapsed LP constraints."""
     vec = [Fraction(v) for v in t]
-    if len(vec) != 2 * n + 1 or any(v < 0 for v in vec):
-        return False
-    return not _uncovered(vec, n)
+    return len(vec) == 2 * n + 1 and min(vec) >= 0 and _covers(vec, n)
 
 
 def t_vector_value(t, n: int) -> Fraction:

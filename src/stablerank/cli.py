@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import capset
@@ -21,6 +20,7 @@ from .ranks import (
     MatrixTuple,
     SliceLimitError,
     SubspaceLimitError,
+    check_count,
     ncrk_bruteforce,
     ncrk_via_grank,
     trank,
@@ -97,14 +97,6 @@ def _emit(payload, fmt: str, stream) -> None:
                 stream.write("\n")
 
 
-def _check_counts(args, *flags: str) -> None:
-    """Refuse a negative count given to one of ``flags``; zero is valid."""
-    for flag in flags:
-        n = getattr(args, flag[2:])
-        if n < 0:
-            raise ValueError(f"{flag} must be a nonnegative integer, got {n}")
-
-
 def _cmd_trank(args, out) -> int:
     support = _load_support(args.file)
     alpha = _parse_alpha(args.alpha)
@@ -127,7 +119,7 @@ def _cmd_trank(args, out) -> int:
 
 
 def _cmd_tslice(args, out) -> int:
-    _check_counts(args, "--limit")
+    check_count("--limit", args.limit)
     support = _load_support(args.file)
     result = tslice(support, limit=args.limit)
     payload = {
@@ -142,10 +134,11 @@ def _cmd_tslice(args, out) -> int:
 
 
 def _cmd_grank(args, out) -> int:
-    _check_counts(args, "--budget", "--iters")
-    if not 0 <= args.tol < math.inf:  # also false for nan
-        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol}")
-    from .complexrank import sandwich  # numpy loads for this command only
+    from .complexrank import check_tolerance, sandwich  # numpy loads for this command only
+
+    check_count("--budget", args.budget)
+    check_count("--iters", args.iters)
+    check_tolerance("--tol", args.tol)
 
     tensor = _load_tensor(args.file)
     alpha = _parse_alpha(args.alpha)
@@ -211,7 +204,8 @@ def _cmd_capset(args, out) -> int:
 
 
 def _cmd_ncrk(args, out) -> int:
-    _check_counts(args, "--budget", "--limit")
+    check_count("--budget", args.budget)
+    check_count("--limit", args.limit)
     data = _load_json(args.file)
     mats = MatrixTuple(data["matrices"], data["modulus"])
     payload: dict = {"command": "ncrk", "mode": args.mode}

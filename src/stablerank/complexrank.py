@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranks import grank_upper_search
+from .ranks import check_count, grank_upper_search
 from .tensors import SparseTensor, as_weight, modulus_of
 
 _STEP = 0.3  # damping of each whitening step in ascend
@@ -173,6 +173,12 @@ class LowerBoundReport:
     iterations: int
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """Refuse a tolerance that is negative, nan or infinite; zero is valid."""
+    if not 0 <= tol < np.inf:  # also false for nan
+        raise ValueError(f"{name} must be a finite nonnegative number, got {tol}")
+
+
 def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoundReport:
     """Push the minimum norm ratio upward by damped mode-wise whitening.
 
@@ -182,8 +188,11 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     group and of the iterate.  The reported bound is monotone in the iteration
     count and always a valid lower bound, whether or not the iteration
     converges.  Stops after ``max_iters`` steps or when the step-to-step
-    improvement falls below ``tol`` relatively.
+    improvement falls below ``tol`` relatively.  A negative ``max_iters``,
+    or a ``tol`` that is negative, nan or infinite, raises ``ValueError``.
     """
+    check_count("max_iters", max_iters)
+    check_tolerance("tol", tol)
     a = np.asarray(v, dtype=complex)
     w = as_weight(alpha, a.ndim)
     alpha_f = [float(x) for x in w]
@@ -247,8 +256,11 @@ class SandwichResult:
 def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-10,
              budget: int = 64, seed: int = 0) -> SandwichResult:
     """Lower bound from the complex ascent, upper bound from the basis
-    search, for a tensor with exact rational entries.  The input is
-    checked before the search runs."""
+    search, for a tensor with exact rational entries.  The input, the
+    counts and ``tol`` are checked before the search runs."""
+    check_count("max_iters", max_iters)
+    check_tolerance("tol", tol)
+    check_count("budget", budget)
     w = as_weight(alpha, v.order)
     if v.is_zero():
         empty = LowerBoundReport(0.0, _identity_group(v.shape), [], 0.0, 0)

@@ -141,6 +141,12 @@ class TSliceResult:
     chosen: frozenset[tuple[int, int]]
 
 
+def check_count(name: str, n: int) -> None:
+    """Refuse a negative count; zero is valid."""
+    if n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
+
+
 def _ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
@@ -154,8 +160,9 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     relaxation is solved once.  Every node's LP value, the root's included,
     is certified by :func:`~stablerank.lp.solve` before it bounds anything;
     a failed check, or a node LP that is not optimal, raises
-    ``RuntimeError``.
+    ``RuntimeError``.  A negative ``limit`` raises ``ValueError``.
     """
+    check_count("limit", limit)
     total = sum(support.shape)
     if total > limit:
         raise SliceLimitError(
@@ -319,8 +326,10 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     is a certificate-checked LP optimum.  Every sampled value is a valid
     upper bound; the reported number carries no tightness claim.
     Deterministic for a fixed seed.  A support LP that fails its
-    certificate check raises ``RuntimeError``.
+    certificate check raises ``RuntimeError``; a negative ``budget`` raises
+    ``ValueError``.
     """
+    check_count("budget", budget)
     w = as_weight(alpha, v.order)
     if v.is_zero():
         return Fraction(0)
@@ -331,7 +340,7 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     seen = {frozenset(v.entries)}
     rng = random.Random(seed)
     p = modulus_of(v.domain)
-    for count in range(1, max(1, budget)):
+    for count in range(1, budget):
         kind = count % 3
         if kind == 0:
             # A permutation relabels slices and keeps the identity's value:
@@ -417,7 +426,9 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
 
     Minimizes ``cols + dim(sum_i A_i W) - dim W`` over all subspaces W of
     the column space, enumerated through canonical RREF generator matrices.
+    A negative ``limit`` raises ``ValueError``.
     """
+    check_count("limit", limit)
     p, q = mats.modulus, mats.cols
     if p**q > limit:
         raise SubspaceLimitError(
@@ -454,7 +465,9 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     Runs the stable-rank upper-bound search on the tuple's order-3 tensor
     with weights (1, 1, min(rows, cols)) and floors the result.  Always at
     least the true rank; equal to it once the search finds an adapted basis.
+    A negative ``budget`` raises ``ValueError``.
     """
+    check_count("budget", budget)
     t = matrix_tuple_tensor(mats)
     if t.is_zero():
         return 0

@@ -12,7 +12,8 @@ optimal value.  The corpus has three families:
   infeasible or unbounded, which are pivoted directly;
 - ``tall``: about 150 LPs with more than ``2 * cols + 8`` rows, which take
   the dual route (or fall back from it when the dual is not optimal);
-- ``capset``: the collapsed cap-set LPs for n = 1..12.
+- ``capset``: the full collapsed cap-set LPs for n = 1..12, every row
+  included, not only the binding rows that ``capset.reduced_lp`` solves.
 
 The pins were first recorded with the solver that predates the integer-row
 kernel, and this script rewrites them unchanged, so the test also shows that
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from stablerank.capset import _triples, trinomial
+from stablerank.capset import trinomial
 from stablerank.lp import LinearProgram, solve
 
 OUT = Path(__file__).parent / "data" / "lp_vertices.json"
@@ -74,15 +76,17 @@ def tall_lp(rng: random.Random) -> LinearProgram:
 
 
 def capset_lp(n: int) -> LinearProgram:
-    """The collapsed cap-set LP of ``capset.reduced_lp(n)``."""
+    """The full collapsed cap-set LP: one row ``t_i + t_j + t_k >= 1`` per
+    triple ``i <= j <= k`` with ``i + j + k <= 2n``, in lexicographic order."""
     f = trinomial(n)
     objective = [3 * f[i] for i in range(2 * n + 1)]
-    rows = []
-    for triple in _triples(n):
-        counts: dict[int, int] = {}
-        for idx in triple:
-            counts[idx] = counts.get(idx, 0) + 1
-        rows.append(sorted(counts.items()))
+    top = 2 * n
+    rows = [
+        sorted(Counter((i, j, k)).items())
+        for i in range(top // 3 + 1)
+        for j in range(i, (top - i) // 2 + 1)
+        for k in range(j, top - i - j + 1)
+    ]
     return LinearProgram(objective, rows, [1] * len(rows))
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -81,9 +83,7 @@ class TestTrinomial:
 class TestReducedLp:
     @pytest.mark.parametrize("n", list(SMALL_TABLE))
     def test_published_values(self, n):
-        res = reduced_lp(n)
-        assert res.value == SMALL_TABLE[n][2]
-        assert res.certificate_ok
+        assert reduced_lp(n).value == SMALL_TABLE[n][2]
 
     @pytest.mark.parametrize("n", list(SMALL_TABLE))
     def test_published_t_vectors_are_optimal(self, n):
@@ -96,6 +96,37 @@ class TestReducedLp:
         for n in (1, 4, 9):
             res = reduced_lp(n)
             assert t_vector_feasible(res.t, n)
+
+
+def _all_rows(n):
+    """Every row of the full collapsed LP, by brute force: the triples
+    ``i <= j <= k`` with ``i + j + k <= 2n``, in lexicographic order."""
+    top = 2 * n
+    return [
+        (i, j, k)
+        for i in range(top + 1)
+        for j in range(i, top + 1)
+        for k in range(j, top + 1)
+        if i + j + k <= top
+    ]
+
+
+def _sampled_t(n, rows, rng):
+    """Seeded t vectors of length 2n+1: sixths in [0, 1] with zeros, in
+    random and in nonincreasing order; each is also scaled so that its
+    smallest row sum is exactly 1, and that scaled vector lowered by 1/1000
+    in one entry (which may turn an entry negative)."""
+    size = 2 * n + 1
+    for _ in range(8):
+        drawn = [F(rng.randint(0, 6), 6) for _ in range(size)]
+        for t in (drawn, sorted(drawn, reverse=True)):
+            yield t
+            low = min(t[i] + t[j] + t[k] for i, j, k in rows)
+            if low:
+                tight = [v / low for v in t]
+                yield tight
+                k = rng.randrange(size)
+                yield [v - F(1, 1000) if idx == k else v for idx, v in enumerate(tight)]
 
 
 @pytest.fixture
@@ -153,38 +184,50 @@ class TestRowGeneration:
     def test_triples_in_lexicographic_order(self):
         for n in range(1, 16):
             top = 2 * n
-            brute = [
-                (i, j, k)
-                for i in range(top + 1)
-                for j in range(i, top + 1)
-                for k in range(j, top + 1)
-                if i + j + k <= top
-            ]
-            assert capset._triples(n) == tuple(brute)
-            assert capset._binding_triples(n) == [t for t in brute if sum(t) == top]
+            assert capset._binding_triples(n) == [t for t in _all_rows(n) if sum(t) == top]
 
     def test_row_counts(self):
-        assert len(capset._triples(20)) == 2282
-        assert len(capset._triples(60)) == 52311
+        assert len(_all_rows(20)) == 2282
         assert len(capset._binding_triples(60)) == 1261
+
+    def test_coverage_check_matches_a_scan_of_every_row(self):
+        rng = random.Random(20200219)
+        seen = Counter()
+        for n in range(1, 11):
+            rows = _all_rows(n)
+            for t in _sampled_t(n, rows, rng):
+                low = min(t[i] + t[j] + t[k] for i, j, k in rows)
+                assert capset._covers(t, n) is (low >= 1), (n, t)
+                assert t_vector_feasible(t, n) is (low >= 1 and min(t) >= 0), (n, t)
+                monotone = all(a >= b for a, b in zip(t, t[1:]))
+                seen[low >= 1, low == 1, monotone] += 1
+        # monotone or not, t occurs covered with every row sum above 1,
+        # covered with some row sum exactly 1, and uncovered
+        for monotone in (True, False):
+            assert seen[True, False, monotone] and seen[True, True, monotone]
+            assert seen[False, False, monotone]
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
         rows = _counting_solve(monkeypatch)
-        reduced_lp(20)
-        assert rows == [len(capset._binding_triples(20))]
+        for n in (1, 3, 4, 11, 12, 20, 30):
+            rows.clear()
+            reduced_lp(n)
+            assert rows == [len(capset._binding_triples(n))], n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
-    def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, n):
-        expected = reduced_lp(n).value
-        capset._reduced_lp_cached.cache_clear()
+    def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
+        # t solved on every other binding row leaves a row of the full LP
+        # uncovered: the one solve is refused, not followed by another
         binding = capset._binding_triples
         monkeypatch.setattr(capset, "_binding_triples", lambda m: binding(m)[::2])
         rows = _counting_solve(monkeypatch)
-        res = reduced_lp(n)
-        assert len(rows) >= 2  # rows were added and the LP solved again
-        assert rows == sorted(set(rows))
-        assert res.value == expected and res.certificate_ok
-        assert t_vector_feasible(res.t, n)
+        with pytest.raises(RuntimeError, match="collapsed LP certificate failed"):
+            reduced_lp(n)
+        assert rows == [len(binding(n)[::2])]
+        assert main(["capset", "--n", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: collapsed LP certificate failed\n"
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
@@ -219,7 +262,7 @@ class TestRowGeneration:
         ],
     )
     def test_certificate_conditions(self, active, t, y, value, ok):
-        active = capset._triples(1) if active == "all" else capset._binding_triples(1)
+        active = _all_rows(1) if active == "all" else capset._binding_triples(1)
         objective = [3 * v for v in trinomial(1)]
         lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
         sol = LPSolution("optimal", value, tuple(F(v) for v in t), tuple(F(v) for v in y))

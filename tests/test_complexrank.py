@@ -5,7 +5,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from stablerank import SparseTensor, grank_upper_search
+from stablerank import (
+    MatrixTuple,
+    SparseTensor,
+    Support,
+    grank_upper_search,
+    ncrk_bruteforce,
+    ncrk_via_grank,
+    tslice,
+)
+from stablerank import complexrank
 from stablerank.complexrank import (
     ascend,
     flatten,
@@ -443,3 +452,42 @@ class TestAscendMatchesReference:
     def test_divergent_inputs(self, shape, entries):
         t = to_dense_complex(SparseTensor(shape, entries))
         assert _outcome(lambda: ascend(t)) == _outcome(lambda: _reference_ascend(t))
+
+
+W_SPARSE = SparseTensor((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: tslice(Support((2, 2, 2), list(W_SPARSE.entries)), limit=-1),
+                     "limit", id="tslice-limit"),
+        pytest.param(lambda: ncrk_bruteforce(MatrixTuple([[[1, 0], [0, 1]]], 2), limit=-1),
+                     "limit", id="ncrk_bruteforce-limit"),
+        pytest.param(lambda: ncrk_via_grank(MatrixTuple([[[0, 0], [0, 0]]], 2), budget=-1),
+                     "budget", id="ncrk_via_grank-zero-tuple"),
+        pytest.param(lambda: grank_upper_search(W_SPARSE, budget=-3),
+                     "budget", id="grank_upper_search-budget"),
+        pytest.param(lambda: grank_upper_search(SparseTensor((2, 2), {}), budget=-1),
+                     "budget", id="grank_upper_search-zero-tensor"),
+        pytest.param(lambda: ascend(W_DENSE, max_iters=-1), "max_iters", id="ascend-max_iters"),
+        pytest.param(lambda: ascend(W_DENSE, tol=-1e-10), "tol", id="ascend-tol-negative"),
+        pytest.param(lambda: ascend(W_DENSE, tol=float("nan")), "tol", id="ascend-tol-nan"),
+        pytest.param(lambda: ascend(W_DENSE, tol=float("inf")), "tol", id="ascend-tol-inf"),
+        pytest.param(lambda: sandwich(W_SPARSE, max_iters=-3),
+                     "max_iters", id="sandwich-max_iters"),
+        pytest.param(lambda: sandwich(W_SPARSE, tol=float("nan")), "tol", id="sandwich-tol-nan"),
+        pytest.param(lambda: sandwich(SparseTensor((2, 2), {}), tol=-1.0),
+                     "tol", id="sandwich-zero-tensor"),
+        pytest.param(lambda: sandwich(SparseTensor((2, 2), {}), budget=-2),
+                     "budget", id="sandwich-zero-tensor-budget"),
+    ],
+)
+def test_library_entry_points_reject_bad_counts(monkeypatch, call, message):
+    # sandwich checks its stopping rule before the basis search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(complexrank, "grank_upper_search", no_search)
+    with pytest.raises(ValueError, match=f"^{message} must be a"):
+        call()
