@@ -2,11 +2,15 @@
 
 Problems are minimizations of ``c . x`` subject to ``A x >= b`` and
 ``x >= 0`` with rational data.  The solver is a two-phase primal simplex on
-the standard-form tableau with Bland's anti-cycling rule, so every run
-terminates and an optimal run yields an exactly optimal basis.  The
-tableau is ``[A | -I | b]``; ``[A | -I]`` has full row rank, so no row is
-ever dropped.  The dual vector is the reduced costs of the surplus columns,
-giving a certificate with ``c . x == b . y`` as an identity of rationals.
+the standard-form tableau.  By default it enters columns by Bland's
+anti-cycling rule (Bland, Math. Oper. Res. 1977), which pins the vertex it
+returns; on the ``any_vertex`` route of :func:`solve` it enters the most
+negative reduced cost, and falls back to Bland's rule after a run of
+degenerate pivots.  Every run terminates, and an optimal run yields an
+exactly optimal basis.  The tableau is ``[A | -I | b]``; ``[A | -I]`` has
+full row rank, so no row is ever dropped.  The dual vector is the reduced
+costs of the surplus columns, giving a certificate with ``c . x == b . y``
+as an identity of rationals.
 
 The public API speaks ``fractions.Fraction``; the pivot loop runs on
 Python ints, fraction-free in the manner of Edmonds and Bareiss.  Each
@@ -15,9 +19,10 @@ denominator.  A pivot on ``(r, k)`` with ``p = a_rk`` turns every other row
 into ``(row_i * p - a_ik * row_r) / (den_i * p)``, cancelling
 ``gcd(a_ik, p)`` first; a row whose denominator grew is then divided by
 the gcd of all its entries and its denominator.  Because the denominators are
-positive, the signs Bland's rule reads are numerator signs, and the ratio
-test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is the
-rational one, so the pivots, and the returned vertex, are those of a
+positive, the signs the entering rules read are numerator signs, the cost
+row's numerators over its one denominator order the reduced costs, and the
+ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is
+the rational one, so the pivots, and the returned vertex, are those of a
 rational tableau.  The optimal value is read from the last slot of the
 final cost row rather than summed again.  Fractions appear only in the
 program data and the solution.
@@ -44,6 +49,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ROW_CAP_ENV = "STABLERANK_MAX_LP_ROWS"
+# Degenerate pivots in a row after which most-negative pricing gives way to
+# Bland's rule for the rest of the phase.
+_DEGENERATE_RUN = 50
 
 
 class LPSizeError(RuntimeError):
@@ -159,8 +167,18 @@ def _eliminate(row, den, f, piv, p, nz):
     return _reduced([a * p - f * b for a, b in zip(row, piv)], den * p)
 
 
-def _run_simplex(lp: LinearProgram):
-    """Two-phase primal simplex with Bland's rule on integer rows.
+def _run_simplex(lp: LinearProgram, dantzig: bool = False):
+    """Two-phase primal simplex on integer rows.
+
+    The entering column is the lowest one with a negative reduced cost
+    (Bland's rule), or with ``dantzig`` set the one with the most negative
+    reduced cost, lowest first on a tie.  Either way the leaving row is the
+    lowest basis label among the ratio test's minima.  Most-negative pricing
+    can cycle, so after ``_DEGENERATE_RUN`` degenerate pivots in a row
+    (ratio-test minimum ``b_r == 0``) the phase continues on Bland's rule.
+    That terminates: each degenerate run before the switch is bounded, each
+    non-degenerate pivot strictly lowers the phase's objective, so no basis
+    recurs across one, and Bland's rule terminates from any basis.
 
     Returns ``(status, x, y, value)`` with ``Fraction`` entries.  The
     tableau is ``[A | -I | b]``, each row with ``b_i < 0`` negated so that
@@ -214,14 +232,23 @@ def _run_simplex(lp: LinearProgram):
             cost[:] = _eliminate(cost[0], cost[1], cost[0][k], piv, p, nz)
         basis[r] = k
 
-    def bland(cost: list) -> str:
+    def price(cost: list) -> str:
+        use_dantzig = dantzig  # until this phase's degenerate run is too long
+        degenerate = 0
         while True:
             c = cost[0]
             k = -1
-            for j in range(width):
-                if c[j] < 0:
-                    k = j
-                    break
+            if use_dantzig:
+                # One denominator for the cost row, so its numerators order
+                # the reduced costs; index() takes the lowest tied column.
+                low = min(c[:width])
+                if low < 0:
+                    k = c.index(low)
+            else:
+                for j in range(width):
+                    if c[j] < 0:
+                        k = j
+                        break
             if k < 0:
                 return OPTIMAL
             # Ratio test: b_i / a_ik with the row denominators cancelled.
@@ -238,6 +265,9 @@ def _run_simplex(lp: LinearProgram):
                         r, best_b, best_a = i, row[width], a
             if r < 0:
                 return UNBOUNDED
+            if use_dantzig:
+                degenerate = 0 if best_b else degenerate + 1
+                use_dantzig = degenerate < _DEGENERATE_RUN
             pivot(r, k, cost)
 
     if art_rows:
@@ -248,7 +278,7 @@ def _run_simplex(lp: LinearProgram):
             s = d // den[i]
             c = [v - s * a for v, a in zip(c, tab[i])]
         cost = list(_reduced(c, d))
-        status = bland(cost)
+        status = price(cost)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
         if any(tab[i][width] > 0 for i in art_rows if basis[i] >= width):
@@ -271,7 +301,7 @@ def _run_simplex(lp: LinearProgram):
             t = cb.numerator * (d_new // e)
             c, d = _reduced([v * s - t * a for v, a in zip(c, row)], d_new)
     cost = [c, d]
-    status = bland(cost)
+    status = price(cost)
     if status != OPTIMAL:
         return status, [], [], None
 
@@ -305,19 +335,22 @@ def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
     """Solve an LP exactly, producing a primal-dual optimal pair.
 
     The pivoting may run on the dual formulation, whose pair is mapped back;
-    the returned solution is identical in meaning.  Which side is pivoted
-    follows one of two rules, chosen by the one keyword:
+    the returned solution is identical in meaning.  The one keyword chooses
+    which side is pivoted and how the entering column is priced:
 
     - By default the dual is pivoted only when the LP has more than
-      ``2 * cols + 8`` rows.  This pins the vertex a caller gets, so
-      ``trank``, ``dual_trank`` and ``tslice``, which print or branch on
-      ``x`` and ``y``, and the vertices of ``tests/data/lp_vertices.json``
-      depend on it.
+      ``2 * cols + 8`` rows, and columns enter by Bland's rule.  This pins
+      the vertex a caller gets, so ``trank``, ``dual_trank`` and
+      ``tslice``, which print or branch on ``x`` and ``y``, and the
+      ``solve`` vertices of ``tests/data/lp_vertices.json`` depend on it.
     - With ``any_vertex=True`` the dual is pivoted whenever the LP has more
       rows than columns, i.e. the side with fewer rows is pivoted.  The
       value is the same optimum, but ``x`` and ``y`` may be another optimal
-      pair.  For an LP with ``c > 0`` the dual route also has no phase I:
-      every row of the dual starts on its own surplus column at ``y = 0``.
+      pair.  Columns enter by the most negative reduced cost, with Bland's
+      rule after a run of degenerate pivots, which takes far fewer pivots
+      on long LPs such as the cap-set LP.  For an LP with ``c > 0`` the
+      dual route also has no phase I: every row of the dual starts on its
+      own surplus column at ``y = 0``.
       ``capset.reduced_lp``, which reports only an optimal ``t`` and the
       value, solves this way.
 
@@ -340,12 +373,12 @@ def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
     status = None
     dual_above = lp.num_vars if any_vertex else 2 * lp.num_vars + 8
     if lp.num_rows > dual_above:
-        status, y, x, value = _run_simplex(dual_program(lp))
+        status, y, x, value = _run_simplex(dual_program(lp), any_vertex)
         if status == OPTIMAL:
             value = -value  # the dual program minimizes -b.y
     if status != OPTIMAL:
         # A non-optimal dual status does not pin the primal status.
-        status, x, y, value = _run_simplex(lp)
+        status, x, y, value = _run_simplex(lp, any_vertex)
     if status != OPTIMAL:
         return LPSolution(status, None, (), ())
     sol = LPSolution(OPTIMAL, value, tuple(x), tuple(y))

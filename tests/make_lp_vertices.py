@@ -6,7 +6,9 @@ Run from the repository root::
 
 Each case stores the LP data and the ``to_json()`` of its solution, so
 ``test_lp_vertices.py`` pins the exact vertex (``x`` and ``y``), not just the
-optimal value.  The corpus has three families:
+optimal value.  A case whose ``solve(lp, any_vertex=True)`` returns another
+pair also stores that pair, under ``any_vertex``; ``test_lp.py`` pins it.
+The corpus has three families:
 
 - ``small``: 600 small LPs with fractional and negative data, some
   infeasible or unbounded, which are pivoted directly;
@@ -99,7 +101,11 @@ def lp_to_json(lp: LinearProgram) -> dict:
 
 
 def case(name: str, lp: LinearProgram) -> dict:
-    return {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
+    out = {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
+    shorter = solve(lp, any_vertex=True).to_json()
+    if shorter != out["solve"]:
+        out["any_vertex"] = shorter
+    return out
 
 
 def main() -> None:

@@ -172,8 +172,8 @@ def _raise_one_y(monkeypatch):
     returns the expected error."""
     real = lp_module._run_simplex
 
-    def tampered(lp):
-        status, x, y, value = real(lp)
+    def tampered(lp, *args):
+        status, x, y, value = real(lp, *args)
         return status, x, [y[0] + F(1, 7), *y[1:]], value
 
     monkeypatch.setattr(lp_module, "_run_simplex", tampered)
@@ -269,7 +269,8 @@ class TestRowGeneration:
         assert verify_certificate(lp, sol) is ok
 
     def test_t_is_the_conjectured_vector(self):
-        for n in range(2, 31):
+        # every n the CLI prints, so each conjecture_match of --table is backed
+        for n in range(2, capset.TABLE_MAX_N + 1):
             assert reduced_lp(n).t == conjectured_t(n)
 
     def test_values_match_the_pinned_full_lp(self):
