@@ -107,17 +107,6 @@ class CapsetLPResult:
 
 
 @lru_cache(maxsize=None)
-def _reduced_lp_cached(n: int) -> CapsetLPResult:
-    objective = [3 * v for v in _coefficients(n)]
-    rows = [[(idx, _ONE) for idx in tr] for tr in _binding_triples(n)]
-    sol = solve(LinearProgram(objective, rows, [_ONE] * len(rows)), any_vertex=True)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
-    if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered
-        raise RuntimeError("collapsed LP certificate failed")
-    return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value))
-
-
 def reduced_lp(n: int) -> CapsetLPResult:
     """Minimize ``3 * sum_i f_i t_i`` over nonnegative t with
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
@@ -135,11 +124,17 @@ def reduced_lp(n: int) -> CapsetLPResult:
     the optimum either way; t is the vector the default route returns (the
     tests compare the two routes for n = 1..20), and the duals, which may
     differ, are not reported.  ``STABLERANK_MAX_LP_ROWS`` applies to the
-    binding rows, not to the rows of the tableau pivoted.
+    binding rows, not to the rows of the tableau pivoted.  An n below 1
+    raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _reduced_lp_cached(n)
+    objective = [3 * v for v in _coefficients(n)]
+    rows = [[(idx, _ONE) for idx in tr] for tr in _binding_triples(n)]
+    sol = solve(LinearProgram(objective, rows, [_ONE] * len(rows)), any_vertex=True)
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
+    if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered
+        raise RuntimeError("collapsed LP certificate failed")
+    return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value))
 
 
 def capset_bound(n: int) -> int:

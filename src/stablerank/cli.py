@@ -74,6 +74,8 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, list):
+        return json.dumps(value)
     return str(value)
 
 
@@ -111,9 +113,6 @@ def _cmd_trank(args, out) -> int:
             for idx in sorted(result.dual)
         ],
     }
-    if args.format != "json":
-        payload["primal"] = json.dumps(payload["primal"])
-        payload["dual"] = json.dumps(payload["dual"])
     _emit(payload, args.format, out)
     return EXIT_OK
 
@@ -127,8 +126,6 @@ def _cmd_tslice(args, out) -> int:
         "value": result.value,
         "chosen": [_shift(c, args.one_based) for c in sorted(result.chosen)],
     }
-    if args.format != "json":
-        payload["chosen"] = json.dumps(payload["chosen"])
     _emit(payload, args.format, out)
     return EXIT_OK
 
@@ -158,8 +155,6 @@ def _cmd_grank(args, out) -> int:
         "stationarity_residual": _round12(result.report.stationarity_residual),
         "ratios": [_round12(r) for r in result.report.ratios],
     }
-    if args.format != "json":
-        payload["ratios"] = json.dumps(payload["ratios"])
     _emit(payload, args.format, out)
     return EXIT_OK
 
@@ -276,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_grank)
 
     p = sub.add_parser("capset", help="cap-set upper bound table")
-    p.add_argument("--n", type=int, help="single table row, 1..60")
-    p.add_argument("--table", type=int, metavar="N", help="rows 1..N, N at most 60")
-    p.add_argument("--verify-conjecture", type=int, metavar="N", help="N at most 60")
+    top = capset.TABLE_MAX_N
+    p.add_argument("--n", type=int, help=f"single table row, 1..{top}")
+    p.add_argument("--table", type=int, metavar="N", help=f"rows 1..N, N at most {top}")
+    p.add_argument("--verify-conjecture", type=int, metavar="N", help=f"N at most {top}")
     p.add_argument("--full", action="store_true", help="also solve the uncollapsed LP")
     common(p)
     p.set_defaults(handler=_cmd_capset)
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         return args.handler(args, out)
-    except (LPSizeError, SliceLimitError, SubspaceLimitError) as exc:
+    except (LPSizeError, SliceLimitError, SubspaceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,

@@ -186,8 +186,14 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
     on an artificial: a basis label ``n + m + i`` whose column is never
     stored, as it never enters.  ``[A | -I]`` has full row rank, so every
     artificial left at level zero after phase I has a nonzero entry to pivot
-    on.  ``y`` is read as the reduced costs of the surplus columns, and
-    ``value`` from the last slot of the phase-II cost row.
+    on.
+
+    Both cost rows are built before the first pivot and carried: every
+    pivot eliminates its column from each live cost row, while a phase
+    prices only its own.  The start basis costs nothing in the objective,
+    so the phase-II row starts as the objective itself; the phase-I row is
+    dropped once phase I ends.  ``y`` is read as the reduced costs of the
+    surplus columns, and ``value`` from the last slot of the phase-II row.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -216,7 +222,13 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             basis.append(width + i)
             art_rows.append(i)
 
-    def pivot(r: int, k: int, cost: list | None) -> None:
+    # The phase-II cost row, the objective itself at the start basis.
+    obj = lp.objective
+    d = lcm(*(v.denominator for v in obj))
+    cost = [[v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1), d]
+    live = [cost]  # the cost rows every pivot eliminates
+
+    def pivot(r: int, k: int) -> None:
         piv = tab[r]
         if piv[k] < 0:
             piv = [-v for v in piv]
@@ -228,8 +240,9 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             f = row[k]
             if f and i != r:
                 tab[i], den[i] = _eliminate(row, den[i], f, piv, p, nz)
-        if cost is not None and cost[0][k]:
-            cost[:] = _eliminate(cost[0], cost[1], cost[0][k], piv, p, nz)
+        for c in live:
+            if c[0][k]:
+                c[:] = _eliminate(c[0], c[1], c[0][k], piv, p, nz)
         basis[r] = k
 
     def price(cost: list) -> str:
@@ -268,7 +281,7 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             if use_dantzig:
                 degenerate = 0 if best_b else degenerate + 1
                 use_dantzig = degenerate < _DEGENERATE_RUN
-            pivot(r, k, cost)
+            pivot(r, k)
 
     if art_rows:
         # Phase I: minimize the sum of the artificial starting variables.
@@ -277,30 +290,19 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
         for i in art_rows:
             s = d // den[i]
             c = [v - s * a for v, a in zip(c, tab[i])]
-        cost = list(_reduced(c, d))
-        status = price(cost)
+        phase1 = list(_reduced(c, d))
+        live.append(phase1)
+        status = price(phase1)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
         if any(tab[i][width] > 0 for i in art_rows if basis[i] >= width):
             return INFEASIBLE, [], [], None
+        live.pop()
         # Drive the artificials left at level zero out of the basis.
         for i in reversed(art_rows):
             if basis[i] >= width:
-                pivot(i, next(j for j in range(width) if tab[i][j]), None)
+                pivot(i, next(j for j in range(width) if tab[i][j]))
 
-    # Phase II on the original objective: c - sum of c_B(i) * row_i.
-    obj = lp.objective
-    d = lcm(*(v.denominator for v in obj))
-    c = [v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1)
-    for i, row in enumerate(tab):
-        cb = obj[basis[i]] if basis[i] < n else 0
-        if cb:
-            e = cb.denominator * den[i]
-            d_new = lcm(d, e)
-            s = d_new // d
-            t = cb.numerator * (d_new // e)
-            c, d = _reduced([v * s - t * a for v, a in zip(c, row)], d_new)
-    cost = [c, d]
     status = price(cost)
     if status != OPTIMAL:
         return status, [], [], None

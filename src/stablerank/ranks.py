@@ -84,11 +84,6 @@ class TRankResult:
     certificate_ok: bool
 
 
-def _zero_result(shape: Sequence[int]) -> TRankResult:
-    primal = tuple(tuple(Fraction(0) for _ in range(n)) for n in shape)
-    return TRankResult(Fraction(0), primal, {}, True)
-
-
 def _split_by_mode(values: Sequence[Fraction], shape) -> tuple[tuple[Fraction, ...], ...]:
     out = []
     pos = 0
@@ -101,12 +96,11 @@ def _split_by_mode(values: Sequence[Fraction], shape) -> tuple[tuple[Fraction, .
 def trank(support: Support, alpha=None) -> TRankResult:
     """Stable rank of a support: the exact optimum of its covering LP.
 
-    The zero tensor (empty support) has rank 0 by convention.  ``alpha``
-    defaults to all ones.  The optimum is certified by
-    :func:`~stablerank.lp.solve`; a failed check raises ``RuntimeError``.
+    The zero tensor (empty support) has rank 0: its LP has no rows, and
+    x = 0 is optimal.  ``alpha`` defaults to all ones.  The optimum is
+    certified by :func:`~stablerank.lp.solve`; a failed check raises
+    ``RuntimeError``.
     """
-    if not support.elements:
-        return _zero_result(support.shape)
     sol = solve(build_lp(support, alpha))
     if sol.status != OPTIMAL:  # covering LPs are always feasible and bounded
         raise RuntimeError(f"support LP unexpectedly {sol.status}")
@@ -123,10 +117,7 @@ def dual_trank(support: Support, alpha=None) -> TRankResult:
     this formulation, certified by :func:`~stablerank.lp.solve`; a failed
     check raises ``RuntimeError``.
     """
-    w = as_weight(alpha, support.order)
-    if not support.elements:
-        return _zero_result(support.shape)
-    sol = solve(dual_program(build_lp(support, w)))
+    sol = solve(dual_program(build_lp(support, alpha)))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"dual support LP unexpectedly {sol.status}")
     dual = dict(zip(support.sorted_elements, sol.x))
@@ -145,10 +136,6 @@ def check_count(name: str, n: int) -> None:
     """Refuse a negative count; zero is valid."""
     if n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n}")
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 def tslice(support: Support, limit: int = 40) -> TSliceResult:
@@ -170,8 +157,6 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
             "use grank_upper_search for a cheaper upper bound"
         )
     elements = support.sorted_elements
-    if not elements:
-        return TSliceResult(0, frozenset())
     d = support.order
     ones = ones_weight(d)
     root, root_slots = _cover_lp(support.shape, ones, elements)
@@ -193,7 +178,7 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
         # least 1, so some other slot of it keeps weight and no row empties.
         if sol.status != OPTIMAL:
             raise RuntimeError(f"slice-cover LP unexpectedly {sol.status}")
-        if len(fixed) + _ceil(sol.value) >= len(best):
+        if len(fixed) + math.ceil(sol.value) >= len(best):
             return
         x = dict(zip(slots, sol.x))
         fractional = [
@@ -469,8 +454,6 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     """
     check_count("budget", budget)
     t = matrix_tuple_tensor(mats)
-    if t.is_zero():
-        return 0
     ell = min(mats.rows, mats.cols)
     bound = grank_upper_search(t, (1, 1, Fraction(ell)), budget=budget, seed=seed)
     return math.floor(bound)

@@ -38,7 +38,7 @@ from stablerank import (
     verify_certificate,
     verify_conjecture,
 )
-from stablerank.capset import _reduced_lp_cached, t_vector_feasible, t_vector_value
+from stablerank.capset import t_vector_feasible, t_vector_value
 from stablerank.complexrank import flatten, objective, sandwich, spectral_norm, to_dense_complex
 
 from conftest import exhaustive_min_cover, indicator_tensor, random_support
@@ -88,7 +88,7 @@ def w_state() -> SparseTensor:
 
 
 def test_c01_capset_table_reproduction():
-    _reduced_lp_cached.cache_clear()
+    reduced_lp.cache_clear()
     start = time.monotonic()
     bounds = [capset_bound(n) for n in range(1, 21)]
     elapsed = time.monotonic() - start

@@ -132,9 +132,9 @@ def _sampled_t(n, rows, rng):
 @pytest.fixture
 def fresh_cache():
     """Solve every collapsed LP anew, and leave no result of a patched run behind."""
-    capset._reduced_lp_cached.cache_clear()
+    capset.reduced_lp.cache_clear()
     yield
-    capset._reduced_lp_cached.cache_clear()
+    capset.reduced_lp.cache_clear()
 
 
 def _counting_solve(monkeypatch):
@@ -306,7 +306,7 @@ class TestRowGeneration:
     def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20))))
         assert reduced_lp(20).bound == BOUNDS_1_TO_20[19]
-        capset._reduced_lp_cached.cache_clear()
+        capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20)) - 1))
         assert main(["capset", "--n", "20"]) == 4
 

@@ -83,6 +83,19 @@ class TestTrankCommand:
         code, _ = run(capsys, "trank", w_support_file, "--alpha", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [("1,1", "error: weight has length 2, tensor order is 3\n"),
+         ("0,1,1", "error: all weight entries must be positive\n"),
+         ("-1,1,1", "error: all weight entries must be positive\n")],
+    )
+    def test_bad_alpha_on_empty_support_exits_2(self, capsys, tmp_path, alpha, message):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"shape": [2, 2, 2], "elements": []}))
+        code = main(["trank", str(path), f"--alpha={alpha}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
+
     def test_repeated_index_exits_2(self, capsys, tmp_path):
         path = tmp_path / "repeated.json"
         path.write_text(json.dumps({"shape": [2, 2], "entries": [
@@ -178,6 +191,16 @@ class TestGrankCommand:
             assert code == 0 and captured.err == ""
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+    def test_dense_array_too_large_exits_4(self, capsys, tmp_path):
+        # numpy refuses the 10^15-entry complex array before allocating it.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"shape": [100000, 100000, 100000], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+        code = main(["grank", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestCapsetCommand:

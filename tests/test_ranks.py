@@ -156,6 +156,28 @@ class TestDualTrank:
 
 
 @pytest.mark.parametrize("rank", [trank, dual_trank])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3, 2), (5, 5)])
+def test_empty_support_is_the_lp_without_rows(rank, shape):
+    # (5, 5) has more slots than 2 * 0 + 8, so dual_trank's program, with
+    # no columns, is pivoted on its own dual side.
+    r = rank(Support(shape, []), (F(2),) + (F(1, 3),) * (len(shape) - 1))
+    assert r.value == 0 and r.dual == {} and r.certificate_ok
+    assert r.primal == tuple((F(0),) * n for n in shape)
+
+
+@pytest.mark.parametrize("rank", [trank, dual_trank])
+@pytest.mark.parametrize(
+    "alpha,message",
+    [((1, 1), "weight has length 2, tensor order is 3"),
+     ((0, 1, 1), "must be positive"),
+     ((-1, 1, 1), "must be positive")],
+)
+def test_empty_support_validates_alpha(rank, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        rank(Support((2, 2, 2), []), alpha)
+
+
+@pytest.mark.parametrize("rank", [trank, dual_trank])
 def test_failed_certificate_raises(monkeypatch, rank):
     monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
     with pytest.raises(RuntimeError, match="certificate"):
@@ -188,7 +210,8 @@ class TestTslice:
         assert tslice(Support((2, 2, 2), [(1, 1, 1)])).value == 1
 
     def test_empty(self):
-        assert tslice(Support((2, 2), [])).value == 0
+        res = tslice(Support((2, 2), []))
+        assert res.value == 0 and res.chosen == frozenset()
 
     def test_capset_support(self):
         assert tslice(CAPSET_SUPPORT).value == 3
