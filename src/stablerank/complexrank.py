@@ -8,7 +8,13 @@ improves g by a damped mode-wise whitening iteration, and reports the best
 bound seen together with a stationarity residual measuring how far the
 final point is from the positive-semidefiniteness optimality condition.
 Each whitening step multiplies only the whitened mode; the other modes are
-left as they are.
+left as they are.  An ascent builds one flattening plan per tensor shape
+(``_plan``): for each mode the axis order and matrix shape of its
+flattening, the transpositions that store a whitened product, and the
+damped identity of a step.  The loop reads them instead of rebuilding them,
+and does its scalar arithmetic on Python floats; the floating-point
+operations, their operands and their order are those of ``flatten`` and
+``spectral_norm``, so every bit of the result is the same.
 
 Everything here is double precision and nothing is checked exactly; the
 bounds are tolerance-qualified, not certified.  This is the only module that
@@ -18,9 +24,10 @@ knows dense complex arrays and the only one that imports numpy, so only the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,11 +73,11 @@ def spectral_norm(m) -> float:
     return float(scale * _top_singular_value(a / scale))
 
 
-def _top_singular_value(a: np.ndarray):
+def _top_singular_value(a: np.ndarray) -> float:
     """Largest singular value of a matrix whose entries are at most 1 in
     modulus, from the top eigenvalue of its smaller Gram matrix."""
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    return np.sqrt(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 def mode_apply(v, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -88,40 +95,73 @@ def _identity_group(shape) -> list[np.ndarray]:
     return [np.eye(n, dtype=complex) for n in shape]
 
 
-def _ratios(w: np.ndarray, alpha_f: Sequence[float]) -> list[float]:
-    """``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2`` for every mode.
+class _Mode(NamedTuple):
+    """One mode's entry of a flattening plan; see ``_plan``."""
+
+    axes: tuple[int, ...]  # the mode first, then the others ascending
+    matrix: tuple[int, int]  # the flattening's shape: mode size, the rest
+    product: tuple[int, ...]  # the shape of the axes-ordered tensor
+    stored: tuple[int, ...]  # product axes in the order last mode, 0, 1, ..
+    view: tuple[int, ...]  # the stored copy's axes back in mode order
+    damped: np.ndarray  # (1 - _STEP) * I, a whitening step's first term
+
+
+def _plan(shape: tuple[int, ...]) -> list[_Mode]:
+    """The flattening plan of a tensor shape, one ``_Mode`` per mode.
+
+    ``w.transpose(p.axes).reshape(p.matrix)`` is ``flatten(w, i)`` without
+    its checks.  A mode-i product holds the modes in the order
+    (i, 0, .., i-1, i+1, ..); ``stored`` takes them in the order
+    (d-1, 0, .., d-2), and ``view`` shows a copy so ordered in mode order.
+    """
+    d = len(shape)
+    last_first = [d - 1] + list(range(d - 1))
+    plan = []
+    for i, n in enumerate(shape):
+        axes = (i,) + tuple(k for k in range(d) if k != i)
+        plan.append(_Mode(
+            axes=axes,
+            matrix=(n, math.prod(shape[k] for k in axes[1:])),
+            product=tuple(shape[k] for k in axes),
+            stored=tuple(0 if k == i else k + (k < i) for k in last_first),
+            view=tuple(range(1, d)) + (0,),
+            damped=(1.0 - _STEP) * np.eye(n),
+        ))
+    return plan
+
+
+def _ratios(w: np.ndarray, alpha_f: Sequence[float], plan: Sequence[_Mode]) -> list[float]:
+    """``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2`` for every mode,
+    with the flattenings read from ``plan``, the plan of ``w.shape``.
 
     Every flattening holds the same entries, so one division by the largest
-    entry serves them all.
+    entry serves them all.  The scalars are Python floats; each operation
+    is the one ``spectral_norm`` does on a numpy scalar.
     """
     n2 = float(np.vdot(w, w).real)
-    scale = np.max(np.abs(w))
+    scale = float(np.abs(w).max())
     if scale == 0.0:
         raise ValueError("ratios undefined for the zero tensor")
     scaled = w / scale
     out = []
-    for i in range(w.ndim):
-        sigma = float(scale * _top_singular_value(flatten(scaled, i)))
-        out.append(alpha_f[i] * n2 / (sigma * sigma))
+    for mode, a in zip(plan, alpha_f):
+        sigma = scale * _top_singular_value(scaled.transpose(mode.axes).reshape(mode.matrix))
+        out.append(a * n2 / (sigma * sigma))
     return out
 
 
-def _whitening_product(cur: np.ndarray, i: int, m: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _whitening_product(mode: _Mode, m: np.ndarray, f: np.ndarray) -> np.ndarray:
     """``mode_apply(cur, mats)`` with ``mats[i] = m`` and identities
-    elsewhere, given ``f = flatten(cur, i)``.
+    elsewhere, given ``f = flatten(cur, i)`` and mode i's entry of the plan
+    of ``cur.shape``.
 
     Only mode i is multiplied: an identity product changes no value.  The
     result is laid out in memory as ``mode_apply`` lays out its own, last
     mode outermost, because ``np.linalg.norm`` sums in memory order and the
-    iterate's norm must keep every bit.
+    iterate's norm must keep every bit.  The plan holds both transpositions.
     """
-    d = cur.ndim
-    prod = np.dot(m, f).reshape((m.shape[0],) + cur.shape[:i] + cur.shape[i + 1:])
-    # prod holds modes (i, 0, .., i-1, i+1, ..); take them in the order
-    # (d-1, 0, .., d-2), copy, and view the copy in mode order.
-    last_first = [d - 1] + list(range(d - 1))
-    stored = np.ascontiguousarray(prod.transpose([0 if k == i else k + (k < i) for k in last_first]))
-    return stored.transpose(tuple(range(1, d)) + (0,))
+    prod = np.dot(m, f).reshape(mode.product)
+    return np.ascontiguousarray(prod.transpose(mode.stored)).transpose(mode.view)
 
 
 def objective(v, mats: Sequence[np.ndarray], alpha) -> float:
@@ -135,7 +175,7 @@ def objective(v, mats: Sequence[np.ndarray], alpha) -> float:
     if not np.any(a):
         raise ValueError("objective undefined for the zero tensor")
     transformed = mode_apply(a, mats)
-    return min(_ratios(transformed, [float(x) for x in w]))
+    return min(_ratios(transformed, [float(x) for x in w], _plan(transformed.shape)))
 
 
 def stationarity_residual(v, alpha, r: float) -> float:
@@ -173,6 +213,15 @@ class LowerBoundReport:
     iterations: int
 
 
+def _first_argmin(values: list[float]) -> int:
+    """``int(np.argmin(values))`` for a list of floats: the first nan if
+    there is one, else the first minimum."""
+    for k, x in enumerate(values):
+        if x != x:
+            return k
+    return values.index(min(values))
+
+
 def check_tolerance(name: str, tol: float) -> None:
     """Refuse a tolerance that is negative, nan or infinite; zero is valid."""
     if not 0 <= tol < np.inf:  # also false for nan
@@ -185,11 +234,13 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     Starts at the identity (so the starting bound is the plain norm-ratio
     bound), repeatedly whitens the mode attaining the minimum, and reports
     the best value seen.  Each step updates only the whitened mode, of the
-    group and of the iterate.  The reported bound is monotone in the iteration
-    count and always a valid lower bound, whether or not the iteration
-    converges.  Stops after ``max_iters`` steps or when the step-to-step
-    improvement falls below ``tol`` relatively.  A negative ``max_iters``,
-    or a ``tol`` that is negative, nan or infinite, raises ``ValueError``.
+    group and of the iterate, and reads that mode's flattening and damped
+    identity from the tensor's flattening plan, built once per call.  The
+    reported bound is monotone in the iteration count and always a valid
+    lower bound, whether or not the iteration converges.  Stops after
+    ``max_iters`` steps or when the step-to-step improvement falls below
+    ``tol`` relatively.  A negative ``max_iters``, or a ``tol`` that is
+    negative, nan or infinite, raises ``ValueError``.
     """
     check_count("max_iters", max_iters)
     check_tolerance("tol", tol)
@@ -210,33 +261,38 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     norm = np.linalg.norm(a)
 
     cur = a / norm
+    plan = _plan(a.shape)
     gs = _identity_group(a.shape)
-    ratios = _ratios(cur, alpha_f)
+    ratios = _ratios(cur, alpha_f, plan)
     best = min(ratios)
-    best_gs = [g.copy() for g in gs]
-    best_ratios = list(ratios)
+    # The loop replaces gs[i] by a new array and never writes into one, and
+    # each _ratios call returns a new list, so neither needs a copy to keep
+    # the best point as it stood.
+    best_gs = list(gs)
+    best_ratios = ratios
     prev = best
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        i = int(np.argmin(ratios))
-        f = flatten(cur, i)
+        i = _first_argmin(ratios)
+        mode = plan[i]
+        f = cur.transpose(mode.axes).reshape(mode.matrix)
         gram = f @ f.conj().T
         eps = 1e-12 * float(np.vdot(cur, cur).real)
         evals, evecs = np.linalg.eigh(gram)
         whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
-        blend = (1.0 - _STEP) * np.eye(a.shape[i]) + _STEP * whiten
+        blend = mode.damped + _STEP * whiten
         gs[i] = blend @ gs[i]
-        cur = _whitening_product(cur, i, blend, f)
+        cur = _whitening_product(mode, blend, f)
         norm = np.linalg.norm(cur)
         cur = cur / norm
         gs[i] = gs[i] / norm
-        ratios = _ratios(cur, alpha_f)
+        ratios = _ratios(cur, alpha_f, plan)
         val = min(ratios)
         if val > best:
             best = val
-            best_gs = [g.copy() for g in gs]
-            best_ratios = list(ratios)
+            best_gs = list(gs)
+            best_ratios = ratios
         if abs(val - prev) <= tol * max(1.0, abs(prev)):
             break
         prev = val

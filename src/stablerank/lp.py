@@ -254,7 +254,8 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             if use_dantzig:
                 # One denominator for the cost row, so its numerators order
                 # the reduced costs; index() takes the lowest tied column.
-                low = min(c[:width])
+                # An LP with no columns has no reduced cost: it is optimal.
+                low = min(c[:width], default=0)
                 if low < 0:
                     k = c.index(low)
             else:

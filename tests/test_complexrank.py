@@ -454,6 +454,89 @@ class TestAscendMatchesReference:
         assert _outcome(lambda: ascend(t)) == _outcome(lambda: _reference_ascend(t))
 
 
+def _edge_case(shape, seed, complex_entries=False):
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=shape)
+    if complex_entries:
+        t = t + 1j * rng.normal(size=shape)
+    return t
+
+
+# Shapes and stopping rules the 50 cases above miss: a mode whose flattening
+# is taller than wide, modes of size 1, order 5, a complex weighted cubic,
+# and runs stopped after 0 or 1 steps or only by the iteration count.
+EDGE_CASES = [
+    pytest.param(_edge_case((6, 2, 2), 1), None, {}, id="tall-mode"),
+    pytest.param(_edge_case((1, 3, 1), 2), None, {}, id="size-1-modes"),
+    pytest.param(_edge_case((3, 1, 1, 2), 3), (F(1), F(2), F(1, 2), F(3)), {},
+                 id="size-1-modes-order-4"),
+    pytest.param(_edge_case((2, 2, 2, 2, 2), 4), None, {}, id="order-5"),
+    pytest.param(_edge_case((3, 3, 3), 5, complex_entries=True), (F(3, 2), F(1), F(2, 3)), {},
+                 id="complex-weighted-cubic"),
+    pytest.param(W_DENSE, None, {"max_iters": 0}, id="max_iters-0"),
+    pytest.param(_edge_case((2, 3, 2), 6, complex_entries=True), None, {"max_iters": 1},
+                 id="max_iters-1"),
+    pytest.param(_edge_case((3, 2, 2), 7), None, {"max_iters": 60, "tol": 0.0},
+                 id="tol-0"),
+]
+
+
+@pytest.mark.parametrize("t,alpha,stop", EDGE_CASES)
+def test_ascend_matches_reference_on_edge_cases(t, alpha, stop):
+    assert _outcome(lambda: ascend(t, alpha, **stop)) == _outcome(
+        lambda: _reference_ascend(t, alpha, **stop))
+
+
+@pytest.mark.parametrize("values", [
+    [2.0, 1.0, 1.0],
+    [1.0, float("nan"), 0.5, float("nan")],
+    [float("nan"), 1.0],
+    [0.0, -0.0],
+    [float("inf"), 3.0, 3.0, float("-inf")],
+    [5.0],
+])
+def test_mode_choice_matches_argmin(values):
+    # ties go to the first minimum, and a nan wins wherever it stands
+    assert complexrank._first_argmin(values) == int(np.argmin(values))
+
+
+def _random_invertible_group(rng, shape):
+    return [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in shape]
+
+
+@pytest.mark.parametrize("k", range(42))
+@pytest.mark.parametrize("group", ["identity", "random"])
+def test_objective_matches_reference(k, group):
+    t, alpha = _random_cases()[k]
+    if group == "identity":
+        gs = [np.eye(n, dtype=complex) for n in t.shape]
+    else:
+        gs = _random_invertible_group(np.random.default_rng(2000 + k), t.shape)
+    alpha_f = [1.0] * t.ndim if alpha is None else [float(x) for x in alpha]
+    expect = min(_reference_ratios(_reference_mode_apply(t, gs), alpha_f))
+    assert float.hex(objective(t, gs, alpha)) == float.hex(expect)
+
+
+def test_ascend_skips_unneeded_work(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for t in _grank_ascent_corpus():
+        calls.update(eigh=0, eigvalsh=0)
+        iterations = ascend(t).iterations
+        # One eigh per step; one eigvalsh per mode for the start, for each
+        # step's ratios and for the residual.
+        assert calls["eigh"] == iterations
+        assert calls["eigvalsh"] == t.ndim * (iterations + 2)
+
+
 W_SPARSE = SparseTensor((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
 
 

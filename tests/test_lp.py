@@ -103,6 +103,21 @@ class TestExamples:
         sol = solve(lp)
         assert sol.status == OPTIMAL and sol.value == 0 and sol.x == (0, 0)
 
+    @pytest.mark.parametrize("any_vertex", [False, True])
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            LinearProgram([], [], []),
+            LinearProgram([F(1), F(0)], [], []),
+            LinearProgram([], [[], []], [F(0), F(-1)]),
+        ],
+        ids=["0x0", "0x2", "2x0"],
+    )
+    def test_lp_without_rows_or_columns(self, lp, any_vertex):
+        sol = solve(lp, any_vertex=any_vertex)
+        assert sol.status == OPTIMAL and sol.value == 0
+        assert verify_certificate(lp, sol)
+
     def test_equality_like_pair(self):
         # x1 + x2 >= 2 and -(x1 + x2) >= -2 pin the sum; minimize x1
         lp = dense_lp(
