@@ -21,6 +21,7 @@ from .ranks import (
     SliceLimitError,
     SubspaceLimitError,
     check_count,
+    check_tolerance,
     ncrk_bruteforce,
     ncrk_via_grank,
     trank,
@@ -131,11 +132,10 @@ def _cmd_tslice(args, out) -> int:
 
 
 def _cmd_grank(args, out) -> int:
-    from .complexrank import check_tolerance, sandwich  # numpy loads for this command only
-
     check_count("--budget", args.budget)
     check_count("--iters", args.iters)
     check_tolerance("--tol", args.tol)
+    from .complexrank import sandwich  # numpy loads for this command only, after the checks
 
     tensor = _load_tensor(args.file)
     alpha = _parse_alpha(args.alpha)

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ranks import check_count, grank_upper_search
+from .ranks import check_count, check_tolerance, grank_upper_search
 from .tensors import SparseTensor, as_weight, modulus_of
 
 _STEP = 0.3  # damping of each whitening step in ascend
@@ -130,9 +130,11 @@ def _plan(shape: tuple[int, ...]) -> list[_Mode]:
     return plan
 
 
-def _ratios(w: np.ndarray, alpha_f: Sequence[float], plan: Sequence[_Mode]) -> list[float]:
-    """``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2`` for every mode,
-    with the flattenings read from ``plan``, the plan of ``w.shape``.
+def _ratios(w: np.ndarray, alpha_f: Sequence[float],
+            plan: Sequence[_Mode]) -> tuple[float, list[float]]:
+    """``|w|^2`` and the list of ``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2``
+    over the modes, with the flattenings read from ``plan``, the plan of
+    ``w.shape``.
 
     Every flattening holds the same entries, so one division by the largest
     entry serves them all.  The scalars are Python floats; each operation
@@ -147,7 +149,7 @@ def _ratios(w: np.ndarray, alpha_f: Sequence[float], plan: Sequence[_Mode]) -> l
     for mode, a in zip(plan, alpha_f):
         sigma = scale * _top_singular_value(scaled.transpose(mode.axes).reshape(mode.matrix))
         out.append(a * n2 / (sigma * sigma))
-    return out
+    return n2, out
 
 
 def _whitening_product(mode: _Mode, m: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -175,7 +177,7 @@ def objective(v, mats: Sequence[np.ndarray], alpha) -> float:
     if not np.any(a):
         raise ValueError("objective undefined for the zero tensor")
     transformed = mode_apply(a, mats)
-    return min(_ratios(transformed, [float(x) for x in w], _plan(transformed.shape)))
+    return min(_ratios(transformed, [float(x) for x in w], _plan(transformed.shape))[1])
 
 
 def stationarity_residual(v, alpha, r: float) -> float:
@@ -222,12 +224,6 @@ def _first_argmin(values: list[float]) -> int:
     return values.index(min(values))
 
 
-def check_tolerance(name: str, tol: float) -> None:
-    """Refuse a tolerance that is negative, nan or infinite; zero is valid."""
-    if not 0 <= tol < np.inf:  # also false for nan
-        raise ValueError(f"{name} must be a finite nonnegative number, got {tol}")
-
-
 def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoundReport:
     """Push the minimum norm ratio upward by damped mode-wise whitening.
 
@@ -263,7 +259,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     cur = a / norm
     plan = _plan(a.shape)
     gs = _identity_group(a.shape)
-    ratios = _ratios(cur, alpha_f, plan)
+    n2, ratios = _ratios(cur, alpha_f, plan)
     best = min(ratios)
     # The loop replaces gs[i] by a new array and never writes into one, and
     # each _ratios call returns a new list, so neither needs a copy to keep
@@ -278,7 +274,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
         mode = plan[i]
         f = cur.transpose(mode.axes).reshape(mode.matrix)
         gram = f @ f.conj().T
-        eps = 1e-12 * float(np.vdot(cur, cur).real)
+        eps = 1e-12 * n2  # |cur|^2, from the _ratios call that made ratios
         evals, evecs = np.linalg.eigh(gram)
         whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
         blend = mode.damped + _STEP * whiten
@@ -287,7 +283,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
         norm = np.linalg.norm(cur)
         cur = cur / norm
         gs[i] = gs[i] / norm
-        ratios = _ratios(cur, alpha_f, plan)
+        n2, ratios = _ratios(cur, alpha_f, plan)
         val = min(ratios)
         if val > best:
             best = val

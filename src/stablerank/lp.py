@@ -14,18 +14,21 @@ as an identity of rationals.
 
 The public API speaks ``fractions.Fraction``; the pivot loop runs on
 Python ints, fraction-free in the manner of Edmonds and Bareiss.  Each
-tableau row is a list of integer numerators over one positive integer
-denominator.  A pivot on ``(r, k)`` with ``p = a_rk`` turns every other row
-into ``(row_i * p - a_ik * row_r) / (den_i * p)``, cancelling
-``gcd(a_ik, p)`` first; a row whose denominator grew is then divided by
-the gcd of all its entries and its denominator.  Because the denominators are
-positive, the signs the entering rules read are numerator signs, the cost
-row's numerators over its one denominator order the reduced costs, and the
-ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is
-the rational one, so the pivots, and the returned vertex, are those of a
-rational tableau.  The optimal value is read from the last slot of the
-final cost row rather than summed again.  Fractions appear only in the
-program data and the solution.
+tableau row is stored as a positive integer multiple of the rational row,
+with no denominator beside it.  A pivot on ``(r, k)`` first makes row r
+primitive (divides it by the gcd of its entries) with ``q = a_rk > 0``;
+every other row with ``f = a_ik != 0`` becomes ``row_i - (f / q) * row_r``
+in place when q divides f, and otherwise ``row_i * q - f * row_r`` made
+primitive.  A row's multiple is positive, so the signs the entering rules
+read are its entries' signs, a cost row orders the reduced costs within
+itself, and the ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``:
+every comparison is the rational one, so the pivots, and the returned
+vertex, are those of a rational tableau.  A basic row's multiple is its
+entry in its basic column.  A cost row keeps its multiple in one trailing
+slot, which every tableau row holds as 0; the duals and the optimal value
+are read from the final cost row over that slot, the value from the slot
+before it rather than summed again.  Fractions appear only in the program
+data and the solution.
 
 :func:`solve` is the one entry point, and it certifies what it returns:
 every optimal pair is re-checked, before it leaves the solver, by
@@ -139,32 +142,10 @@ def _row_cap() -> int | None:
     raise ValueError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """``row / den`` with all entries and the denominator divided by their gcd."""
-    g = gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
-
-
-def _eliminate(row, den, f, piv, p, nz):
-    """Clear the pivot column from ``row / den`` with the pivot row ``piv / p``.
-
-    ``f`` is the entry of ``row`` in that column and ``nz`` lists the
-    columns where ``piv`` is nonzero.  The result is ``(row * p - f * piv) / (den * p)``, after first
-    cancelling ``gcd(f, p)``.  When that leaves ``p == 1`` the denominator
-    cannot grow, so only the pivot row's nonzero columns change and ``row``
-    is updated in place; otherwise every entry is scaled and the row is
-    reduced.
-    """
-    g = gcd(f, p)
-    f //= g
-    p //= g
-    if p == 1:
-        for j in nz:
-            row[j] -= f * piv[j]
-        return row, den
-    return _reduced([a * p - f * b for a, b in zip(row, piv)], den * p)
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries, not all of which are 0."""
+    g = gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
 
 def _run_simplex(lp: LinearProgram, dantzig: bool = False):
@@ -188,34 +169,40 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
     artificial left at level zero after phase I has a nonzero entry to pivot
     on.
 
-    Both cost rows are built before the first pivot and carried: every
-    pivot eliminates its column from each live cost row, while a phase
+    Each row is stored as a positive integer multiple of the rational row,
+    which a pivot makes primitive (divided by the gcd of its entries) unless
+    it only subtracts an integer multiple of the pivot row.  A basic row's
+    multiple is its entry in its basic column, so ``x_k = row[width] /
+    row[k]``; an artificial row's multiple is read once, as ``-row[n + i]``
+    before the first pivot, to build the phase-I row.  A cost row keeps its
+    multiple in a trailing slot, ``width + 1``, where every tableau row
+    holds 0, so one pivot loop clears the column from both kinds of row.
+
+    Both cost rows are built before the first pivot and carried after the
+    tableau rows, the phase-II row at ``tab[m]`` and the phase-I row at
+    ``tab[m + 1]``: every pivot clears its column from each, while a phase
     prices only its own.  The start basis costs nothing in the objective,
     so the phase-II row starts as the objective itself; the phase-I row is
     dropped once phase I ends.  ``y`` is read as the reduced costs of the
-    surplus columns, and ``value`` from the last slot of the phase-II row.
+    surplus columns, and ``value`` from slot ``width`` of the phase-II row,
+    minus the objective value, each over the row's multiple.
     """
     n = lp.num_vars
     m = lp.num_rows
     width = n + m  # structural | surplus; artificials are labels width + i
 
-    # Row i of the tableau is tab[i] / den[i] with den[i] > 0; tab[i][width]
-    # holds its right-hand side.  A cost row is a list [numerators, den] in
-    # the same layout, its last slot minus the objective value.
-    tab: list[list[int]] = []
-    den: list[int] = []
+    tab: list[list[int]] = []  # m tableau rows, then the live cost rows
     basis: list[int] = []
     art_rows: list[int] = []
     for i, (coeffs, bi) in enumerate(zip(lp.rows, lp.rhs)):
         d = lcm(bi.denominator, *(a.denominator for _, a in coeffs))
         s = -1 if bi < 0 else 1
-        row = [0] * (width + 1)
+        row = [0] * (width + 2)
         for j, a in coeffs:
             row[j] = s * a.numerator * (d // a.denominator)
         row[n + i] = -s * d
         row[width] = s * bi.numerator * (d // bi.denominator)
         tab.append(row)
-        den.append(d)
         if s == -1:
             basis.append(n + i)  # flipped surplus column is +e_i
         else:
@@ -225,36 +212,36 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
     # The phase-II cost row, the objective itself at the start basis.
     obj = lp.objective
     d = lcm(*(v.denominator for v in obj))
-    cost = [[v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1), d]
-    live = [cost]  # the cost rows every pivot eliminates
+    tab.append([v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1) + [d])
 
     def pivot(r: int, k: int) -> None:
         piv = tab[r]
         if piv[k] < 0:
             piv = [-v for v in piv]
-        piv, p = _reduced(piv, piv[k])  # row_r / a_rk, over denominator p
-        tab[r] = piv
-        den[r] = p
+        tab[r] = piv = _primitive(piv)
+        q = piv[k]
         nz = list(compress(range(len(piv)), piv))
         for i, row in enumerate(tab):
             f = row[k]
             if f and i != r:
-                tab[i], den[i] = _eliminate(row, den[i], f, piv, p, nz)
-        for c in live:
-            if c[0][k]:
-                c[:] = _eliminate(c[0], c[1], c[0][k], piv, p, nz)
+                if f % q:
+                    tab[i] = _primitive([a * q - f * b for a, b in zip(row, piv)])
+                else:  # q divides f, so the row stays an integer multiple
+                    f //= q
+                    for j in nz:
+                        row[j] -= f * piv[j]
         basis[r] = k
 
-    def price(cost: list) -> str:
+    def price(at: int) -> str:
         use_dantzig = dantzig  # until this phase's degenerate run is too long
         degenerate = 0
         while True:
-            c = cost[0]
+            c = tab[at]
             k = -1
             if use_dantzig:
-                # One denominator for the cost row, so its numerators order
-                # the reduced costs; index() takes the lowest tied column.
-                # An LP with no columns has no reduced cost: it is optimal.
+                # A positive multiple of the cost row orders the reduced
+                # costs; index() takes the lowest tied column.  An LP with
+                # no columns has no reduced cost: it is optimal.
                 low = min(c[:width], default=0)
                 if low < 0:
                     k = c.index(low)
@@ -265,9 +252,9 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
                         break
             if k < 0:
                 return OPTIMAL
-            # Ratio test: b_i / a_ik with the row denominators cancelled.
+            # Ratio test: b_i / a_ik, unchanged by each row's multiple.
             r = -1
-            for i, row in enumerate(tab):
+            for i, row in zip(range(m), tab):
                 a = row[k]
                 if a > 0:
                     if r < 0:
@@ -286,36 +273,35 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
 
     if art_rows:
         # Phase I: minimize the sum of the artificial starting variables.
-        d = lcm(*(den[i] for i in art_rows))
-        c = [0] * (width + 1)
+        d = lcm(*(-tab[i][n + i] for i in art_rows))
+        c = [0] * (width + 1) + [d]
         for i in art_rows:
-            s = d // den[i]
+            s = d // -tab[i][n + i]
             c = [v - s * a for v, a in zip(c, tab[i])]
-        phase1 = list(_reduced(c, d))
-        live.append(phase1)
-        status = price(phase1)
+        tab.append(_primitive(c))
+        status = price(m + 1)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
         if any(tab[i][width] > 0 for i in art_rows if basis[i] >= width):
             return INFEASIBLE, [], [], None
-        live.pop()
+        tab.pop()
         # Drive the artificials left at level zero out of the basis.
         for i in reversed(art_rows):
             if basis[i] >= width:
                 pivot(i, next(j for j in range(width) if tab[i][j]))
 
-    status = price(cost)
+    status = price(m)
     if status != OPTIMAL:
         return status, [], [], None
 
     x = [Fraction(0)] * n
-    for i, row in enumerate(tab):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(row[width], den[i])
+    for k, row in zip(basis, tab):
+        if k < n:
+            x[k] = Fraction(row[width], row[k])
     # The reduced cost of row k's surplus column is the dual of row k.
-    c, d = cost
-    y = [Fraction(c[n + k], d) for k in range(m)]
-    return OPTIMAL, x, y, Fraction(-c[width], d)
+    c = tab[m]
+    y = [Fraction(c[n + k], c[-1]) for k in range(m)]
+    return OPTIMAL, x, y, Fraction(-c[width], c[-1])
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:

@@ -138,6 +138,12 @@ def check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {n}")
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """Refuse a tolerance that is negative, nan or infinite; zero is valid."""
+    if not 0 <= tol < math.inf:  # also false for nan
+        raise ValueError(f"{name} must be a finite nonnegative number, got {tol}")
+
+
 def tslice(support: Support, limit: int = 40) -> TSliceResult:
     """Minimum number of coordinate slices covering a support.
 

@@ -291,6 +291,7 @@ codes = [
     main(["slope", str(tmp / "w.json"), "--exponents", str(tmp / "x.json")]),
 ]
 assert codes == [0] * 5, codes
+assert main(["grank", str(tmp / "w.json"), "--tol", "nan"]) == 2
 assert "numpy" not in sys.modules, "an exact command imported numpy"
 assert main(["grank", str(tmp / "w.json"), "--format", "json"]) == 0
 assert "numpy" in sys.modules

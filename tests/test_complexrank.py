@@ -518,7 +518,7 @@ def test_objective_matches_reference(k, group):
 
 
 def test_ascend_skips_unneeded_work(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "vdot": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -528,13 +528,16 @@ def test_ascend_skips_unneeded_work(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot))
     for t in _grank_ascent_corpus():
-        calls.update(eigh=0, eigvalsh=0)
+        calls.update(eigh=0, eigvalsh=0, vdot=0)
         iterations = ascend(t).iterations
         # One eigh per step; one eigvalsh per mode for the start, for each
-        # step's ratios and for the residual.
+        # step's ratios and for the residual; one vdot for the start, for
+        # each step and for the residual.
         assert calls["eigh"] == iterations
         assert calls["eigvalsh"] == t.ndim * (iterations + 2)
+        assert calls["vdot"] == iterations + 2
 
 
 W_SPARSE = SparseTensor((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
@@ -574,3 +577,22 @@ def test_library_entry_points_reject_bad_counts(monkeypatch, call, message):
     monkeypatch.setattr(complexrank, "grank_upper_search", no_search)
     with pytest.raises(ValueError, match=f"^{message} must be a"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: mode_apply(W_DENSE, [np.eye(2)] * 2),
+                     "need exactly one matrix per mode", id="mode_apply-too-few"),
+        pytest.param(lambda: mode_apply(W_DENSE, [np.eye(2)] * 4),
+                     "need exactly one matrix per mode", id="mode_apply-too-many"),
+        pytest.param(lambda: stationarity_residual(np.zeros((2, 2, 2)), None, 1.0),
+                     "residual undefined for the zero tensor", id="residual-zero-tensor"),
+        pytest.param(lambda: ascend(np.zeros((2, 3), dtype=complex)),
+                     "cannot bound the zero tensor", id="ascend-zero-tensor"),
+    ],
+)
+def test_dense_entry_points_reject_bad_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

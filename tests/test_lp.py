@@ -515,3 +515,22 @@ def test_any_vertex_keeps_the_pinned_optima():
             optima += 1
             moved += "any_vertex" in case
     assert (optima, moved) == (442, 41)
+
+
+@pytest.mark.parametrize(
+    "objective,rows,rhs,message",
+    [
+        pytest.param([1], [[(1, 1)]], [0], "column 1 out of range for 1 variables",
+                     id="column-out-of-range"),
+        pytest.param([1], [[(-1, 1)]], [0], "column -1 out of range for 1 variables",
+                     id="negative-column"),
+        pytest.param([1], [[(0, 1)]], [0, 1], "row count does not match rhs length",
+                     id="rhs-too-long"),
+        pytest.param([1], [[(0, 1)], []], [0], "row count does not match rhs length",
+                     id="rhs-too-short"),
+    ],
+)
+def test_linear_program_rejects_malformed_data(objective, rows, rhs, message):
+    with pytest.raises(ValueError) as info:
+        LinearProgram(objective, rows, rhs)
+    assert str(info.value) == message

@@ -725,3 +725,30 @@ class TestNcrk:
             search = ncrk_via_grank(tup, budget=200, seed=trial)
             assert search >= brute
             assert search == brute  # converges at this budget on this corpus
+
+
+def test_matrix_tuple_rejects_no_matrices():
+    with pytest.raises(ValueError) as info:
+        MatrixTuple([], 2)
+    assert str(info.value) == "matrix tuple must contain at least one matrix"
+
+
+class _ZeroDraws(random.Random):
+    """Draws only zeros from ``choice`` and ``randrange``, so every matrix
+    the basis-change sampler draws is the zero matrix."""
+
+    def choice(self, seq):
+        return 0
+
+    def randrange(self, *args, **kwargs):
+        return 0
+
+
+@pytest.mark.parametrize("p", [None, 2])
+@pytest.mark.parametrize("n", [1, 3])
+def test_random_invertible_falls_back_to_a_permutation(n, p):
+    from stablerank.ranks import _random_invertible
+
+    mat = _random_invertible(_ZeroDraws(5), n, p)
+    assert sorted(map(sorted, mat)) == [[0] * (n - 1) + [1]] * n
+    assert sorted(row.index(1) for row in mat) == list(range(n))

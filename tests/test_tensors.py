@@ -429,3 +429,39 @@ class TestJson:
 class TestAsWeight:
     def test_none_is_all_ones(self):
         assert as_weight(None, 3) == (F(1), F(1), F(1)) == ones_weight(3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: SparseTensor((), {}), "tensor order must be at least 1",
+                     id="tensor-shape-empty"),
+        pytest.param(lambda: Support((), []), "tensor order must be at least 1",
+                     id="support-shape-empty"),
+        pytest.param(lambda: psg_slope([[1, 1], [1, 1]], support_of(w_state()), None),
+                     "exponent table must have one row per mode", id="slope-too-few-rows"),
+        pytest.param(lambda: psg_slope([[1, 1]] * 4, support_of(w_state()), None),
+                     "exponent table must have one row per mode", id="slope-too-many-rows"),
+        pytest.param(lambda: psg_slope([[1, 1], [1, 1.5], [1, 1]], support_of(w_state()), None),
+                     "exponents must be nonnegative integers", id="slope-float-exponent"),
+        pytest.param(lambda: psg_slope([[1, F(1, 2)], [1, 1], [1, 1]], support_of(w_state()), None),
+                     "exponents must be nonnegative integers", id="slope-fraction-exponent"),
+    ],
+)
+def test_constructors_and_slope_reject_bad_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_support_membership_and_tensor_lookup():
+    support = support_of(w_state())
+    assert (1, 0, 0) in support and [0, 0, 1] in support
+    assert (1, 1, 0) not in support and (0, 0, 0) not in support
+    v = w_state()
+    assert v[(1, 0, 0)] == 1 and v[[0, 1, 0]] == 1
+    assert v[(1, 1, 1)] == 0 and type(v[(1, 1, 1)]) is F
+    mod3 = SparseTensor((2, 2), {(0, 1): 2}, mod_domain(3))
+    assert mod3[(0, 1)] == 2 and mod3[(1, 0)] == 0 and type(mod3[(1, 0)]) is int
+    with pytest.raises(ValueError):
+        v[(2, 0, 0)]
