@@ -46,7 +46,6 @@ THETA = 0.375 * (207.0 + 33.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
 
 FULL_LP_MAX_N = 3
 TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
-_ONE = Fraction(1)  # every coefficient and right-hand side of the collapsed LP
 
 
 def trinomial(n: int) -> list[int]:
@@ -128,8 +127,8 @@ def reduced_lp(n: int) -> CapsetLPResult:
     raises ``ValueError``.
     """
     objective = [3 * v for v in _coefficients(n)]
-    rows = [[(idx, _ONE) for idx in tr] for tr in _binding_triples(n)]
-    sol = solve(LinearProgram(objective, rows, [_ONE] * len(rows)), any_vertex=True)
+    rows = [[(idx, 1) for idx in tr] for tr in _binding_triples(n)]
+    sol = solve(LinearProgram(objective, rows, [1] * len(rows)), any_vertex=True)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
     if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered

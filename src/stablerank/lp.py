@@ -12,23 +12,27 @@ full row rank, so no row is ever dropped.  The dual vector is the reduced
 costs of the surplus columns, giving a certificate with ``c . x == b . y``
 as an identity of rationals.
 
-The public API speaks ``fractions.Fraction``; the pivot loop runs on
-Python ints, fraction-free in the manner of Edmonds and Bareiss.  Each
+A :class:`LinearProgram` takes rational data and stores it once as
+integers over one positive denominator ``den``, the lcm of its
+denominators (1 for integer data).  Everything after the constructor runs
+on those Python ints: the dual program, the pivot loop, fraction-free in
+the manner of Edmonds and Bareiss, and the certificate check.  Each
 tableau row is stored as a positive integer multiple of the rational row,
-with no denominator beside it.  A pivot on ``(r, k)`` first makes row r
-primitive (divides it by the gcd of its entries) with ``q = a_rk > 0``;
-every other row with ``f = a_ik != 0`` becomes ``row_i - (f / q) * row_r``
-in place when q divides f, and otherwise ``row_i * q - f * row_r`` made
-primitive.  A row's multiple is positive, so the signs the entering rules
-read are its entries' signs, a cost row orders the reduced costs within
-itself, and the ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``:
-every comparison is the rational one, so the pivots, and the returned
-vertex, are those of a rational tableau.  A basic row's multiple is its
-entry in its basic column.  A cost row keeps its multiple in one trailing
-slot, which every tableau row holds as 0; the duals and the optimal value
-are read from the final cost row over that slot, the value from the slot
-before it rather than summed again.  Fractions appear only in the program
-data and the solution.
+with no denominator beside it; the first rows are the stored rows, with
+surplus coefficient ``-den``, so each starts as ``den`` times its rational
+row.  A pivot on ``(r, k)`` first makes row r primitive (divides it by the
+gcd of its entries) with ``q = a_rk > 0``; every other row with
+``f = a_ik != 0`` becomes ``row_i - (f / q) * row_r`` in place when q
+divides f, and otherwise ``row_i * q - f * row_r`` made primitive.  A
+row's multiple is positive, so the signs the entering rules read are its
+entries' signs, a cost row orders the reduced costs within itself, and the
+ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison
+is the rational one, so the pivots, and the returned vertex, are those of
+a rational tableau.  A basic row's multiple is its entry in its basic
+column.  A cost row keeps its multiple in one trailing slot, which every
+tableau row holds as 0; the duals and the optimal value are read from the
+final cost row over that slot, the value from the slot before it rather
+than summed again.  Fractions appear only in the solution.
 
 :func:`solve` is the one entry point, and it certifies what it returns:
 every optimal pair is re-checked, before it leaves the solver, by
@@ -61,45 +65,58 @@ class LPSizeError(RuntimeError):
     """Raised when an LP exceeds the configured row cap."""
 
 
-SparseRow = tuple[tuple[int, Fraction], ...]
+SparseRow = tuple[tuple[int, int], ...]
 
 
-def _fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
-
-
-def _canonical_row(row, num_vars: int) -> SparseRow:
-    acc: dict[int, Fraction] = {}
+def _canonical_row(row, num_vars: int) -> list:
+    """The nonzero ``(column, coefficient)`` pairs of ``row`` in column order,
+    repeated columns summed, each coefficient an int or a ``Fraction``."""
+    acc: dict = {}
     for col, coeff in row:
-        col = int(col)
-        if not 0 <= col < num_vars:
-            raise ValueError(f"column {col} out of range for {num_vars} variables")
-        c = _fraction(coeff)
+        j = int(col)
+        if j != col:
+            raise ValueError(f"column must be an integer, got {col!r}")
+        if not 0 <= j < num_vars:
+            raise ValueError(f"column {j} out of range for {num_vars} variables")
+        c = coeff if type(coeff) is int else Fraction(coeff)
         if c:
-            acc[col] = acc[col] + c if col in acc else c
-    return tuple(sorted((j, c) for j, c in acc.items() if c))
+            acc[j] = acc[j] + c if j in acc else c
+    return sorted((j, c) for j, c in acc.items() if c)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """Minimize ``objective . x`` subject to ``rows @ x >= rhs`` and ``x >= 0``.
 
-    Constraint rows are sparse ``(column, coefficient)`` tuples.
+    The constructor takes rationals (ints, ``Fraction``s or anything
+    ``Fraction`` accepts) and stores integers over one denominator: the
+    caller's ``objective[j]`` is ``self.objective[j] / self.den``, and so on
+    for ``rhs`` and the coefficients of ``rows``.  ``den`` is the lcm of all
+    the denominators, so it is 1 for integer data.  Constraint rows are
+    sparse ``(column, coefficient)`` tuples in column order, with no zero
+    coefficient.
     """
 
-    objective: tuple[Fraction, ...]
+    objective: tuple[int, ...]
     rows: tuple[SparseRow, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int, ...]
+    den: int
 
     def __init__(self, objective, rows, rhs):
-        obj = tuple(_fraction(c) for c in objective)
-        rhs_t = tuple(_fraction(b) for b in rhs)
-        rows_t = tuple(_canonical_row(r, len(obj)) for r in rows)
-        if len(rows_t) != len(rhs_t):
+        objective, rhs = tuple(objective), tuple(rhs)
+        n, m = len(objective), len(rhs)
+        rows = [_canonical_row(r, n) for r in rows]
+        if len(rows) != m:
             raise ValueError("row count does not match rhs length")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows_t)
-        object.__setattr__(self, "rhs", rhs_t)
+        nums, den = _over_one_denominator(
+            [*objective, *rhs, *(a for row in rows for _, a in row)]
+        )
+        coeffs = iter(nums[n + m :])
+        rows = tuple(tuple((j, next(coeffs)) for j, _ in row) for row in rows)
+        object.__setattr__(self, "objective", tuple(nums[:n]))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", tuple(nums[n : n + m]))
+        object.__setattr__(self, "den", den)
 
     @property
     def num_vars(self) -> int:
@@ -171,12 +188,15 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
 
     Each row is stored as a positive integer multiple of the rational row,
     which a pivot makes primitive (divided by the gcd of its entries) unless
-    it only subtracts an integer multiple of the pivot row.  A basic row's
-    multiple is its entry in its basic column, so ``x_k = row[width] /
-    row[k]``; an artificial row's multiple is read once, as ``-row[n + i]``
-    before the first pivot, to build the phase-I row.  A cost row keeps its
-    multiple in a trailing slot, ``width + 1``, where every tableau row
-    holds 0, so one pivot loop clears the column from both kinds of row.
+    it only subtracts an integer multiple of the pivot row.  Every row
+    starts at multiple ``lp.den``: a constraint row is read as stored, with
+    surplus coefficient ``-den``, and the phase-II row is the stored
+    objective.  A basic row's multiple is its entry in its basic column, so
+    ``x_k = row[width] / row[k]``; an artificial row keeps multiple ``den``
+    until the phase-I row is built, before the first pivot.  A cost row
+    keeps its multiple in a trailing slot, ``width + 1``, where every
+    tableau row holds 0, so one pivot loop clears the column from both
+    kinds of row.
 
     Both cost rows are built before the first pivot and carried after the
     tableau rows, the phase-II row at ``tab[m]`` and the phase-I row at
@@ -189,19 +209,19 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
     """
     n = lp.num_vars
     m = lp.num_rows
+    den = lp.den
     width = n + m  # structural | surplus; artificials are labels width + i
 
     tab: list[list[int]] = []  # m tableau rows, then the live cost rows
     basis: list[int] = []
     art_rows: list[int] = []
     for i, (coeffs, bi) in enumerate(zip(lp.rows, lp.rhs)):
-        d = lcm(bi.denominator, *(a.denominator for _, a in coeffs))
         s = -1 if bi < 0 else 1
         row = [0] * (width + 2)
         for j, a in coeffs:
-            row[j] = s * a.numerator * (d // a.denominator)
-        row[n + i] = -s * d
-        row[width] = s * bi.numerator * (d // bi.denominator)
+            row[j] = s * a
+        row[n + i] = -s * den
+        row[width] = s * bi
         tab.append(row)
         if s == -1:
             basis.append(n + i)  # flipped surplus column is +e_i
@@ -210,9 +230,7 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             art_rows.append(i)
 
     # The phase-II cost row, the objective itself at the start basis.
-    obj = lp.objective
-    d = lcm(*(v.denominator for v in obj))
-    tab.append([v.numerator * (d // v.denominator) for v in obj] + [0] * (m + 1) + [d])
+    tab.append(list(lp.objective) + [0] * (m + 1) + [den])
 
     def pivot(r: int, k: int) -> None:
         piv = tab[r]
@@ -272,12 +290,11 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
             pivot(r, k)
 
     if art_rows:
-        # Phase I: minimize the sum of the artificial starting variables.
-        d = lcm(*(-tab[i][n + i] for i in art_rows))
-        c = [0] * (width + 1) + [d]
+        # Phase I: minimize the sum of the artificial starting variables;
+        # no pivot has run, so each artificial row is at multiple den.
+        c = [0] * (width + 1) + [den]
         for i in art_rows:
-            s = d // -tab[i][n + i]
-            c = [v - s * a for v, a in zip(c, tab[i])]
+            c = [v - a for v, a in zip(c, tab[i])]
         tab.append(_primitive(c))
         status = price(m + 1)
         if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
@@ -305,18 +322,20 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
-    """The dual ``max b.y : A^T y <= c, y >= 0`` recast in solver min-form."""
-    cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(lp.num_vars)]
+    """The dual ``max b.y : A^T y <= c, y >= 0`` recast in solver min-form,
+    over the same denominator."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.num_vars)]
     for i, row in enumerate(lp.rows):
         for j, a in row:
             cols[j].append((i, -a))
     # The rows of ``lp`` are canonical, so each column collects nonzero
-    # Fractions in increasing row order: a canonical row of the dual, and
-    # the checks of the constructor are skipped.
+    # ints in increasing row order: a canonical row of the dual, and the
+    # checks of the constructor are skipped.
     out = object.__new__(LinearProgram)
     object.__setattr__(out, "objective", tuple(-bi for bi in lp.rhs))
     object.__setattr__(out, "rows", tuple(map(tuple, cols)))
     object.__setattr__(out, "rhs", tuple(-cj for cj in lp.objective))
+    object.__setattr__(out, "den", lp.den)
     return out
 
 
@@ -378,8 +397,9 @@ def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
 
 def _over_one_denominator(values) -> tuple[list[int], int]:
     """Integer numerators ``q`` and a denominator ``d > 0`` with
-    ``values[k] == q[k] / d``, ``d`` the lcm of the denominators."""
-    fracs = [v if type(v) is Fraction else Fraction(v) for v in values]
+    ``values[k] == q[k] / d``, ``d`` the lcm of the denominators.  Ints pass
+    through as their own numerators; other values go through ``Fraction``."""
+    fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
     d = lcm(*{f.denominator for f in fracs})
     return [f.numerator * (d // f.denominator) for f in fracs], d
 
@@ -392,11 +412,13 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     only the problem data and the claimed vectors are used, and no code is
     shared with the pivot loop.
 
-    The check runs on Python ints.  ``x`` is brought to one denominator
-    ``dx``, ``y`` to ``dy``, the constraint matrix to ``da``, ``b`` to
-    ``db`` and ``c`` to ``dc``; each inequality and equality is then the
-    rational one with both sides multiplied by the same positive integer,
-    e.g. ``A x >= b`` row by row as ``(da A)(dx x) db >= (db b) da dx``.
+    The check runs on Python ints.  The program is ``A``, ``B`` and ``C``
+    over ``lp.den``; ``x`` is brought to numerators ``X`` over one
+    denominator ``dx``, and ``y`` to ``Y`` over ``dy``.  Each inequality and
+    equality is then the rational one with both sides multiplied by the same
+    positive integer: ``A x >= b`` as ``A X >= B dx``, ``A^T y <= c`` as
+    ``A^T Y <= C dy``, ``c.x == b.y`` as ``C.X dy == B.Y dx`` and
+    ``c.x == value`` as ``C.X == value den dx``.
     """
     if sol.status != OPTIMAL or sol.value is None:
         return False
@@ -406,25 +428,18 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     y, dy = _over_one_denominator(sol.y)
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         return False
-    b, db = _over_one_denominator(lp.rhs)
-    c, dc = _over_one_denominator(lp.objective)
-    da = lcm(*{a.denominator for row in lp.rows for _, a in row})
-    rows = [[(j, a.numerator * (da // a.denominator)) for j, a in row] for row in lp.rows]
-    scale = da * dx
-    for row, bi in zip(rows, b):
-        if sum(a * x[j] for j, a in row) * db < bi * scale:
+    for row, bi in zip(lp.rows, lp.rhs):
+        if sum(a * x[j] for j, a in row) < bi * dx:
             return False
     col_sums = [0] * lp.num_vars
-    for row, yi in zip(rows, y):
+    for row, yi in zip(lp.rows, y):
         if yi:
             for j, a in row:
                 col_sums[j] += a * yi
-    scale = da * dy
-    if any(s * dc > cj * scale for s, cj in zip(col_sums, c)):
+    if any(s > cj * dy for s, cj in zip(col_sums, lp.objective)):
         return False
-    primal = sum(map(mul, c, x))  # c.x * dc * dx
-    dual = sum(map(mul, b, y))  # b.y * db * dy
-    if primal * db * dy != dual * dc * dx:
+    primal = sum(map(mul, lp.objective, x))  # c.x * den * dx
+    if primal * dy != sum(map(mul, lp.rhs, y)) * dx:  # b.y * den * dy
         return False
     value = Fraction(sol.value)
-    return primal * value.denominator == value.numerator * dc * dx
+    return primal * value.denominator == value.numerator * lp.den * dx

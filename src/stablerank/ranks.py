@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lp import OPTIMAL, LinearProgram, dual_program, solve
+from .lp import OPTIMAL, LinearProgram, _over_one_denominator, dual_program, solve
 from .tensors import (
     Index,
     SparseTensor,
@@ -40,9 +40,6 @@ class SubspaceLimitError(RuntimeError):
     """Raised when non-commutative rank enumeration would be too large."""
 
 
-_ONE = Fraction(1)
-
-
 def _cover_lp(shape: Sequence[int], weights, elements, banned=frozenset()):
     """The covering LP over the (mode, slice) slots of ``shape`` not in
     ``banned``: one column per slot in (mode, slice) order, costing the
@@ -53,11 +50,11 @@ def _cover_lp(shape: Sequence[int], weights, elements, banned=frozenset()):
     for k, (i, j) in enumerate(slots):
         col[i][j] = k
     rows = [
-        [(k, _ONE) for i, j in enumerate(e) if (k := col[i][j]) is not None]
+        [(k, 1) for i, j in enumerate(e) if (k := col[i][j]) is not None]
         for e in elements
     ]
     objective = [weights[i] for i, _ in slots]
-    return LinearProgram(objective, rows, [_ONE] * len(rows)), slots
+    return LinearProgram(objective, rows, [1] * len(rows)), slots
 
 
 def build_lp(support: Support, alpha) -> LinearProgram:
@@ -324,8 +321,7 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     w = as_weight(alpha, v.order)
     if v.is_zero():
         return Fraction(0)
-    scale = math.lcm(*(a.denominator for a in w))
-    caps = [a.numerator * (scale // a.denominator) for a in w]
+    caps, scale = _over_one_denominator(w)
     best = trank(support_of(v), w).value
     # Supports already seen: each has rank at least the current minimum.
     seen = {frozenset(v.entries)}

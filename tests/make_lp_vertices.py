@@ -93,10 +93,16 @@ def capset_lp(n: int) -> LinearProgram:
 
 
 def lp_to_json(lp: LinearProgram) -> dict:
+    """The caller's rationals of ``lp``, as strings: each stored integer
+    over ``lp.den``."""
+
+    def q(v: int) -> str:
+        return str(Fraction(v, lp.den))
+
     return {
-        "objective": [str(c) for c in lp.objective],
-        "rows": [[[j, str(a)] for j, a in row] for row in lp.rows],
-        "rhs": [str(b) for b in lp.rhs],
+        "objective": [q(c) for c in lp.objective],
+        "rows": [[[j, q(a)] for j, a in row] for row in lp.rows],
+        "rhs": [q(b) for b in lp.rhs],
     }
 
 

@@ -1,11 +1,12 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from make_lp_vertices import capset_lp
+from make_lp_vertices import capset_lp, lp_to_json
 
 from stablerank import (
     INFEASIBLE,
@@ -174,7 +175,7 @@ class TestCertificates:
         lp = build_lp(CAPSET_SUPPORT, (1, 1, 1))
         sol = solve(lp)
         half = [v / 2 for v in sol.y]
-        assert sum(b * v for b, v in zip(lp.rhs, half)) <= sol.value
+        assert sum(F(b, lp.den) * v for b, v in zip(lp.rhs, half)) <= sol.value
 
 
 class TestRandomOracle:
@@ -321,24 +322,67 @@ _BY_ROUTE = {
 }
 
 
+def _vertex_corpus_lps():
+    """The 762 LPs of ``lp_vertices.json`` with their cases, then the full
+    cap-set LPs for n = 1..20 with no case."""
+    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
+    pairs = [(LinearProgram(c["objective"], c["rows"], c["rhs"]), c) for c in cases]
+    return pairs + [(capset_lp(n), None) for n in range(1, 21)]
+
+
 def test_dual_program_matches_the_constructor():
     """``dual_program`` skips the constructor's checks; it must build the
-    program the constructor builds from the transposed data, and dualizing
-    twice must give the LP back."""
-    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
-    lps = [LinearProgram(c["objective"], c["rows"], c["rhs"]) for c in cases]
-    lps += [capset_lp(n) for n in range(1, 21)]
+    program the constructor builds from the transposed rational data, and
+    dualizing twice must give the LP back."""
+    lps = [lp for lp, _ in _vertex_corpus_lps()]
     for lp in lps:
         cols = [[] for _ in range(lp.num_vars)]
         for i, row in enumerate(lp.rows):
             for j, a in row:
-                cols[j].append((i, -a))
+                cols[j].append((i, -F(a, lp.den)))
         dual = lp_module.dual_program(lp)
-        assert dual == LinearProgram([-b for b in lp.rhs], cols, [-c for c in lp.objective])
-        assert all(type(v) is F for v in dual.objective + dual.rhs)
-        assert all(type(j) is int and type(a) is F for row in dual.rows for j, a in row)
+        expected = LinearProgram(
+            [-F(b, lp.den) for b in lp.rhs], cols, [-F(c, lp.den) for c in lp.objective]
+        )
+        assert dual == expected
+        assert all(type(v) is int for v in dual.objective + dual.rhs + (dual.den,))
+        assert all(type(j) is int and type(a) is int for row in dual.rows for j, a in row)
         assert lp_module.dual_program(dual) == lp
     assert len(lps) == 782
+
+
+def test_stored_integers_are_the_callers_rationals():
+    """``LinearProgram`` stores integers over one denominator; they must be
+    the caller's rationals, over the least such denominator, and survive two
+    dualizations."""
+    count = 0
+    for lp, case in _vertex_corpus_lps():
+        if case is not None:  # lp_to_json writes str(Fraction(v, lp.den))
+            assert lp_to_json(lp) == {k: case[k] for k in ("objective", "rows", "rhs")}
+            count += 1
+        nums = [*lp.objective, *lp.rhs, *(a for row in lp.rows for _, a in row)]
+        assert lp.den > 0 and math.gcd(lp.den, *nums) == 1
+        assert lp_module.dual_program(lp_module.dual_program(lp)) == lp
+    assert count == 762
+
+
+# Two LPs with den > 1 whose any_vertex pair moves if the surplus columns
+# enter the tableau as -1 instead of -den: that scales them against the
+# structural columns, and most-negative pricing reads the scale.  The pairs
+# are the rational tableau's.
+_SURPLUS_SCALE_PINS = [
+    ([0, F(2, 3)], [[(1, 2)], [(0, F(1, 3)), (1, F(4, 3))]], [0, 1],
+     {"status": "optimal", "value": "0", "x": ["3", "0"], "y": ["0", "0"]}),
+    ([F(4, 3), 0, F(1, 2)], [[(0, F(3, 2)), (1, F(-1, 2))], [(0, 1), (2, F(-1, 2))]], [0, 1],
+     {"status": "optimal", "value": "4/3", "x": ["1", "0", "0"], "y": ["0", "4/3"]}),
+]
+
+
+@pytest.mark.parametrize("c,rows,rhs,pinned", _SURPLUS_SCALE_PINS)
+def test_any_vertex_pair_over_a_denominator(c, rows, rhs, pinned):
+    lp = LinearProgram(c, rows, rhs)
+    assert lp.den > 1
+    assert solve(lp, any_vertex=True).to_json() == pinned
 
 
 class TestSolveCertifies:
@@ -438,19 +482,22 @@ def _fraction_reference_verify(lp, sol):
     y = [F(v) for v in sol.y]
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         return False
-    for row, b in zip(lp.rows, lp.rhs):
+    rows = [[(j, F(a, lp.den)) for j, a in row] for row in lp.rows]
+    rhs = [F(b, lp.den) for b in lp.rhs]
+    objective = [F(c, lp.den) for c in lp.objective]
+    for row, b in zip(rows, rhs):
         if sum((a * x[j] for j, a in row), F(0)) < b:
             return False
     col_sums = [F(0)] * lp.num_vars
-    for i, row in enumerate(lp.rows):
+    for i, row in enumerate(rows):
         yi = y[i]
         if yi:
             for j, a in row:
                 col_sums[j] += a * yi
-    if any(s > c for s, c in zip(col_sums, lp.objective)):
+    if any(s > c for s, c in zip(col_sums, objective)):
         return False
-    primal_value = sum((c * v for c, v in zip(lp.objective, x)), F(0))
-    dual_value = sum((b * v for b, v in zip(lp.rhs, y)), F(0))
+    primal_value = sum((c * v for c, v in zip(objective, x)), F(0))
+    dual_value = sum((b * v for b, v in zip(rhs, y)), F(0))
     return primal_value == dual_value == F(sol.value)
 
 
@@ -524,6 +571,8 @@ def test_any_vertex_keeps_the_pinned_optima():
                      id="column-out-of-range"),
         pytest.param([1], [[(-1, 1)]], [0], "column -1 out of range for 1 variables",
                      id="negative-column"),
+        pytest.param([1, 1], [[(1.5, 1)]], [1], "column must be an integer, got 1.5",
+                     id="non-integral-column"),
         pytest.param([1], [[(0, 1)]], [0, 1], "row count does not match rhs length",
                      id="rhs-too-long"),
         pytest.param([1], [[(0, 1)], []], [0], "row count does not match rhs length",
