@@ -23,9 +23,9 @@ from .tensors import (
     Index,
     SparseTensor,
     Support,
+    _transform_ints,
     as_weight,
     mod_domain,
-    mode_transform,
     modulus_of,
     ones_weight,
     support_of,
@@ -200,11 +200,23 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
 
 
 def _det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination: each entry it computes is a minor of ``mat`` (Sylvester's
-    identity), so every division is exact and every value an integer."""
+    """Determinant of a square integer matrix, exactly.
+
+    Up to 3 x 3 it is the cofactor expansion.  Larger matrices go through
+    Bareiss's fraction-free elimination: each entry it computes is a minor
+    of ``mat`` (Sylvester's identity), so every division is exact and every
+    value an integer.
+    """
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        (a, b), (c, d) = mat
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in mat]
-    n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -248,13 +260,14 @@ def _random_invertible(rng: random.Random, n: int, p: int | None):
     uniform entries mod p; rejection sampled to be invertible: a drawn
     matrix is kept when its integer determinant is nonzero, over F_p when
     it is nonzero mod p."""
+    choice, randrange = rng.choice, rng.randrange
     for _ in range(64):
         if p is None:
-            mat = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+            mat = [[choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
             if _det_int(mat):
                 return mat
         else:
-            mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            mat = [[randrange(p) for _ in range(n)] for _ in range(n)]
             if _det_int(mat) % p:
                 return mat
     return _permutation(rng, n)  # vanishing-probability fallback
@@ -311,8 +324,11 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     over F_p), which draws exactly the invertible matrices.  A sample whose
     exact packing bound (a feasible dual) already reaches the minimum
     cannot lower it and skips its LP; every value that enters the minimum
-    is a certificate-checked LP optimum.  Every sampled value is a valid
-    upper bound; the reported number carries no tightness claim.
+    is a certificate-checked LP optimum.  Only supports are read, and
+    supp(g . v) = supp(g . (d v)) for d > 0, so the samples transform the
+    entries of ``v`` over one denominator, as ints, and build no tensor.
+    Every sampled value is a valid upper bound; the reported number carries
+    no tightness claim.
     Deterministic for a fixed seed.  A support LP that fails its
     certificate check raises ``RuntimeError``; a negative ``budget`` raises
     ``ValueError``.
@@ -323,6 +339,8 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
         return Fraction(0)
     caps, scale = _over_one_denominator(w)
     best = trank(support_of(v), w).value
+    nums, _ = _over_one_denominator(v.entries.values())
+    ints = dict(zip(v.entries, nums))
     # Supports already seen: each has rank at least the current minimum.
     seen = {frozenset(v.entries)}
     rng = random.Random(seed)
@@ -336,13 +354,13 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
                 rng.sample(range(n), n)
             continue
         draw = _transvection if kind == 1 else _random_invertible
-        t = mode_transform(v, [draw(rng, n, p) for n in v.shape])
-        key = frozenset(t.entries)  # support_of(t).elements, without the checks
+        # The drawn matrices are square, int and invertible: valid as they are.
+        key = frozenset(_transform_ints(ints, [draw(rng, n, p) for n in v.shape], p))
         if key in seen:
             continue
         seen.add(key)
         if _packing_bound(v.shape, key, caps) * best.denominator < best.numerator * scale:
-            best = min(best, trank(support_of(t), w).value)
+            best = min(best, trank(Support(v.shape, key), w).value)
     return best
 
 

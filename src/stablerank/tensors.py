@@ -292,51 +292,33 @@ def outer(v: SparseTensor, w: SparseTensor) -> SparseTensor:
     return SparseTensor(shape, entries, v.domain)
 
 
-def _integer_columns(mat, width: int, p: int | None, axis: int):
-    """The matrix for mode ``axis`` over one denominator: for each column,
-    the ``(row, numerator)`` pairs with a nonzero numerator, and the
-    denominator.  A matrix of ints is its own numerator matrix.  Over F_p
-    the denominator must be 1; the caller reduces its sums mod p."""
+def _integer_matrix(mat, width: int, p: int | None, axis: int):
+    """The checks on the matrix for mode ``axis``, and that matrix over one
+    denominator: its integer numerators and the denominator.  A matrix of
+    ints is its own numerator matrix.  Over F_p the denominator must be 1."""
     if len(mat) < 1:
         raise ValueError(f"matrix for mode {axis} has no rows")
     if any(len(row) != width for row in mat):
         raise ValueError(f"matrix for mode {axis} has wrong column count")
     if all(isinstance(x, int) for row in mat for x in row):
-        den, nums = 1, mat
-    else:
-        rows = [[Fraction(x) for x in row] for row in mat]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        if p is not None and den != 1:
-            raise ValueError(f"mod-{p} matrix entries must be integers")
-        nums = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    columns = [[(r, row[c]) for r, row in enumerate(nums) if row[c]] for c in range(width)]
-    return columns, den
+        return mat, 1
+    rows = [[Fraction(x) for x in row] for row in mat]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    if p is not None and den != 1:
+        raise ValueError(f"mod-{p} matrix entries must be integers")
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> SparseTensor:
-    """Apply one matrix per mode to a sparse tensor, exactly.
+def _transform_ints(entries: Mapping[Index, int], mats, p: int | None) -> dict[Index, int]:
+    """The kernel of :func:`mode_transform`, on ints and unchecked.
 
-    ``mats[i]`` has ``v.shape[i]`` columns and at least one row; the
-    result's mode-i dimension is the row count of ``mats[i]``.  Scalars must
-    lie in the tensor's domain: rationals (a float is taken at its exact
-    value), or integers on a mod-p tensor.  The work runs on integers: the
-    entries over one denominator and each matrix over its own; a matrix
-    whose entries are all ints is used as it is.  Over F_p each mode's sums
-    are reduced mod p.
+    ``entries`` maps indices to nonzero ints and ``mats[i]`` is a nonempty
+    rectangular int matrix with one column per slice of mode i.  Returns the
+    nonzero entries of the transformed tensor; over F_p (``p`` not None)
+    each mode's sums are reduced mod p.
     """
-    if len(mats) != v.order:
-        raise ValueError("need exactly one matrix per mode")
-    p = modulus_of(v.domain)
-    if p is None:
-        den = math.lcm(*(x.denominator for x in v.entries.values()))
-        entries = {k: x.numerator * (den // x.denominator) for k, x in v.entries.items()}
-    else:
-        den = 1
-        entries = v.entries  # only read; each axis builds a new dict
-    shape = list(v.shape)
     for axis, mat in enumerate(mats):
-        columns, mat_den = _integer_columns(mat, shape[axis], p, axis)
-        den *= mat_den
+        columns = [[(r, row[c]) for r, row in enumerate(mat) if row[c]] for c in range(len(mat[0]))]
         acc: dict[Index, int] = {}
         for idx, val in entries.items():
             head, tail = idx[:axis], idx[axis + 1 :]
@@ -347,13 +329,43 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
             entries = {k: x for k, x in acc.items() if x}
         else:
             entries = {k: r for k, x in acc.items() if (r := x % p)}
-        shape[axis] = len(mat)
+    return entries
+
+
+def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> SparseTensor:
+    """Apply one matrix per mode to a sparse tensor, exactly.
+
+    ``mats[i]`` has ``v.shape[i]`` columns and at least one row; the
+    result's mode-i dimension is the row count of ``mats[i]``.  Scalars must
+    lie in the tensor's domain: rationals (a float is taken at its exact
+    value), or integers on a mod-p tensor.  The inputs are checked and put
+    on integers, the entries over one denominator and each matrix over its
+    own (a matrix whose entries are all ints is used as it is); one integer
+    kernel then applies the matrices, reducing each mode's sums mod p over
+    F_p, and the rational result is divided by the product of the
+    denominators.
+    """
+    if len(mats) != v.order:
+        raise ValueError("need exactly one matrix per mode")
+    p = modulus_of(v.domain)
+    if p is None:
+        den = math.lcm(*(x.denominator for x in v.entries.values()))
+        entries = {k: x.numerator * (den // x.denominator) for k, x in v.entries.items()}
+    else:
+        den = 1
+        entries = v.entries  # only read; the kernel builds new dicts
+    nums = []
+    for axis, mat in enumerate(mats):
+        num, mat_den = _integer_matrix(mat, v.shape[axis], p, axis)
+        nums.append(num)
+        den *= mat_den
+    entries = _transform_ints(entries, nums, p)
     if p is None:
         entries = {k: Fraction(x, den) for k, x in entries.items()}
     # Every index and value was made here, in range and in the domain, so
     # the checks of the constructor are skipped.
     out = object.__new__(SparseTensor)
-    object.__setattr__(out, "shape", tuple(shape))
+    object.__setattr__(out, "shape", tuple(len(mat) for mat in mats))
     object.__setattr__(out, "domain", v.domain)
     object.__setattr__(out, "entries", entries)
     return out

@@ -2,8 +2,9 @@
 
 import itertools
 import random
+from fractions import Fraction
 
-from stablerank import SparseTensor, Support
+from stablerank import SparseTensor, Support, modulus_of
 
 
 def random_support(rng: random.Random, order=None, max_dim=4, max_elems=15) -> Support:
@@ -34,3 +35,34 @@ def exhaustive_min_cover(support: Support) -> int:
         ):
             best = len(chosen)
     return best
+
+
+def fraction_mode_transform(v, mats):
+    """Reference ``mode_transform``: the Fraction implementation it replaced.
+    It shares no transform code with the package."""
+    if len(mats) != v.order:
+        raise ValueError("need exactly one matrix per mode")
+    p = modulus_of(v.domain)
+    entries = dict(v.entries)
+    shape = list(v.shape)
+    for axis, mat in enumerate(mats):
+        rows = len(mat)
+        if any(len(r) != shape[axis] for r in mat):
+            raise ValueError(f"matrix for mode {axis} has wrong column count")
+        acc = {}
+        for idx, val in entries.items():
+            col = idx[axis]
+            for r in range(rows):
+                coeff = mat[r][col]
+                if not coeff:
+                    continue
+                new_idx = idx[:axis] + (r,) + idx[axis + 1 :]
+                term = coeff * val
+                cur = acc.get(new_idx)
+                acc[new_idx] = term if cur is None else cur + term
+        if p is None:
+            entries = {k: Fraction(x) for k, x in acc.items() if x}
+        else:
+            entries = {k: x % p for k, x in acc.items() if x % p}
+        shape[axis] = rows
+    return SparseTensor(tuple(shape), entries, v.domain)

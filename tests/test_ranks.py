@@ -33,7 +33,7 @@ from stablerank import lp as lp_module
 from stablerank.ranks import _packing_bound, _rank_mod_p
 from stablerank.tensors import as_weight, mode_transform, modulus_of
 
-from conftest import exhaustive_min_cover, indicator_tensor, random_support
+from conftest import exhaustive_min_cover, fraction_mode_transform, indicator_tensor, random_support
 
 W_SUPPORT = Support((2, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 CAPSET_SUPPORT = Support(
@@ -378,17 +378,24 @@ class TestGrankSearch:
         assert grank_upper_search(v, budget=30) == 2
 
     def test_search_proves_modulus_prime_once(self):
+        # Proven once, then looked up a fixed number of times per search,
+        # never once per sample.
         p = 2**61 - 1
         is_prime = tensors._is_prime
-        is_prime.cache_clear()
-        v = SparseTensor((3, 3), {(0, 0): 1, (1, 2): 5, (2, 1): p - 1}, mod_domain(p))
-        grank_upper_search(v, budget=200)
-        assert is_prime.cache_info().misses == 1 and is_prime.cache_info().hits > 100
+        hits = []
+        for budget in (20, 200):
+            is_prime.cache_clear()
+            v = SparseTensor((3, 3), {(0, 0): 1, (1, 2): 5, (2, 1): p - 1}, mod_domain(p))
+            grank_upper_search(v, budget=budget)
+            assert is_prime.cache_info().misses == 1
+            hits.append(is_prime.cache_info().hits)
+        assert hits[0] == hits[1]
 
 
 def _reference_search(v, alpha=None, budget=64, seed=0):
-    """``grank_upper_search`` as it was before pruning, verbatim: every
-    sample is transformed and its support LP solved once."""
+    """``grank_upper_search`` as it was before pruning: every sample is
+    transformed, by the Fraction reference transform, and its support LP
+    solved once."""
     w = as_weight(alpha, v.order)
     if v.is_zero():
         return F(0)
@@ -406,7 +413,7 @@ def _reference_search(v, alpha=None, budget=64, seed=0):
     for count in range(1, max(1, budget)):
         kind = count % 3
         mats = [_reference_basis_change(rng, n, p, kind) for n in v.shape]
-        best = min(best, rank_of(mode_transform(v, mats)))
+        best = min(best, rank_of(fraction_mode_transform(v, mats)))
     return best
 
 
@@ -582,6 +589,22 @@ class TestSearchMatchesReference:
             want = _reference_search(v, alpha, budget=budget, seed=seed)
             assert type(got) is type(want) and got == want, (v, alpha, budget, seed)
 
+    def test_fractional_rationals(self):
+        # Entries +-(1..2)/(1..3) and no common denominator: g . v and
+        # g . (numerators of v) can have different supports, so a search
+        # that drops the denominators can report a bound below the search's
+        # true value.
+        rng = random.Random("search-fractions")
+        for _ in range(300):
+            shape = tuple(rng.randint(2, 3) for _ in range(3))
+            cells = list(itertools.product(*[range(n) for n in shape]))
+            picked = rng.sample(cells, rng.randint(2, len(cells)))
+            v = SparseTensor(shape, {idx: F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for idx in picked})
+            alpha = _random_weight(rng, v.order) if rng.random() < 0.5 else None
+            budget, seed = rng.choice((4, 8, 16, 32)), rng.randrange(1000)
+            got = grank_upper_search(v, alpha, budget=budget, seed=seed)
+            assert got == _reference_search(v, alpha, budget=budget, seed=seed), (v, alpha, budget, seed)
+
     def test_ncrk_search_tuples(self):
         for k, tup in enumerate(_acceptance_ncrk_tuples()):
             t = matrix_tuple_tensor(tup)
@@ -640,7 +663,7 @@ class TestSampler:
 
 
 def test_search_skips_unneeded_work(monkeypatch):
-    calls = {"trank": 0, "mode_transform": 0}
+    calls = {"trank": 0, "_transform_ints": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -649,12 +672,12 @@ def test_search_skips_unneeded_work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ranks, "trank", counted("trank", ranks.trank))
-    monkeypatch.setattr(ranks, "mode_transform", counted("mode_transform", ranks.mode_transform))
+    monkeypatch.setattr(ranks, "_transform_ints", counted("_transform_ints", ranks._transform_ints))
     for k, tup in enumerate(_acceptance_ncrk_tuples()):
         assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
     # Per tuple: 199 samples, of which 66 are permutations and go unsolved.
     # Before pruning, the search made 994 trank calls and 2,388 transforms.
-    assert calls["mode_transform"] == 12 * 133
+    assert calls["_transform_ints"] == 12 * 133
     assert calls["trank"] <= 24
 
 

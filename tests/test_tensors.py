@@ -22,6 +22,8 @@ from stablerank import (
 )
 from stablerank.complexrank import flatten, to_dense_complex
 
+from conftest import fraction_mode_transform
+
 W_ENTRIES = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
 
 
@@ -303,7 +305,7 @@ class TestModeTransform:
     def test_matches_fraction_oracle(self, domain):
         # 600 tensors per domain, orders 1-4, square and rectangular
         # matrices with int and Fraction entries: the same entries, of the
-        # same types, as the Fraction implementation below
+        # same types, as the Fraction implementation in conftest
         rng = random.Random(f"mode_transform-{domain}")
         p = None if domain == "rational" else int(domain[4:])
         for _ in range(600):
@@ -321,7 +323,7 @@ class TestModeTransform:
                 return F(x, rng.randint(1, 4)) if p is None else F(x)
 
             mats = [[[entry() for _ in range(n)] for _ in range(rng.randint(1, 3))] for n in shape]
-            got, expect = mode_transform(v, mats), _fraction_mode_transform(v, mats)
+            got, expect = mode_transform(v, mats), fraction_mode_transform(v, mats)
             assert (got.shape, got.domain, got.entries) == (expect.shape, expect.domain, expect.entries)
             assert {k: type(x) for k, x in got.entries.items()} == {
                 k: type(x) for k, x in expect.entries.items()}
@@ -341,36 +343,6 @@ class TestModeTransform:
         assert mode_transform(v, [[[F(4, 2), 0]]]).entries == {(0,): 2}
         with pytest.raises(ValueError, match="integers"):
             mode_transform(v, [[[F(1, 2), 0]]])
-
-
-def _fraction_mode_transform(v, mats):
-    """Reference ``mode_transform``: the Fraction implementation it replaced."""
-    if len(mats) != v.order:
-        raise ValueError("need exactly one matrix per mode")
-    p = modulus_of(v.domain)
-    entries = dict(v.entries)
-    shape = list(v.shape)
-    for axis, mat in enumerate(mats):
-        rows = len(mat)
-        if any(len(r) != shape[axis] for r in mat):
-            raise ValueError(f"matrix for mode {axis} has wrong column count")
-        acc = {}
-        for idx, val in entries.items():
-            col = idx[axis]
-            for r in range(rows):
-                coeff = mat[r][col]
-                if not coeff:
-                    continue
-                new_idx = idx[:axis] + (r,) + idx[axis + 1 :]
-                term = coeff * val
-                cur = acc.get(new_idx)
-                acc[new_idx] = term if cur is None else cur + term
-        if p is None:
-            entries = {k: F(x) for k, x in acc.items() if x}
-        else:
-            entries = {k: x % p for k, x in acc.items() if x % p}
-        shape[axis] = rows
-    return SparseTensor(tuple(shape), entries, v.domain)
 
 
 class TestJson:
