@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .lp import OPTIMAL, LinearProgram, _over_one_denominator, dual_program, solve
 from .tensors import (
@@ -312,6 +312,45 @@ def _packing_bound(shape: Sequence[int], elements, caps: Sequence[int]) -> int:
     return total
 
 
+def _running_minima(v: SparseTensor, w, budget: int, seed: int) -> Iterator[Fraction]:
+    """The basis-change search of :func:`grank_upper_search`, one running
+    minimum at a time.
+
+    Yields the current minimum after the identity and after every later
+    sample, permutations and already-seen supports included, so a caller
+    that stops early has drawn a prefix of the same random stream.  ``w``
+    is a validated weight; an empty support yields 0 once.
+    """
+    if v.is_zero():
+        yield Fraction(0)
+        return
+    caps, scale = _over_one_denominator(w)
+    best = trank(support_of(v), w).value
+    yield best
+    nums, _ = _over_one_denominator(v.entries.values())
+    ints = dict(zip(v.entries, nums))
+    # Supports already seen: each has rank at least the current minimum.
+    seen = {frozenset(v.entries)}
+    rng = random.Random(seed)
+    p = modulus_of(v.domain)
+    for count in range(1, budget):
+        kind = count % 3
+        if kind == 0:
+            # A permutation relabels slices and keeps the identity's value:
+            # it is drawn, as _permutation draws it, but never built.
+            for n in v.shape:
+                rng.sample(range(n), n)
+        else:
+            draw = _transvection if kind == 1 else _random_invertible
+            # The drawn matrices are square, int and invertible: valid as they are.
+            key = frozenset(_transform_ints(ints, [draw(rng, n, p) for n in v.shape], p))
+            if key not in seen:
+                seen.add(key)
+                if _packing_bound(v.shape, key, caps) * best.denominator < best.numerator * scale:
+                    best = min(best, trank(Support(v.shape, key), w).value)
+        yield best
+
+
 def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int = 0) -> Fraction:
     """Upper bound for the basis-free stable rank by sampling basis changes.
 
@@ -328,39 +367,16 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     supp(g . v) = supp(g . (d v)) for d > 0, so the samples transform the
     entries of ``v`` over one denominator, as ints, and build no tensor.
     Every sampled value is a valid upper bound; the reported number carries
-    no tightness claim.
+    no tightness claim.  The whole budget is always spent: there is no
+    lower bound to stop at here (:func:`ncrk_via_grank` has one and stops
+    early on the same stream).
     Deterministic for a fixed seed.  A support LP that fails its
     certificate check raises ``RuntimeError``; a negative ``budget`` raises
     ``ValueError``.
     """
     check_count("budget", budget)
-    w = as_weight(alpha, v.order)
-    if v.is_zero():
-        return Fraction(0)
-    caps, scale = _over_one_denominator(w)
-    best = trank(support_of(v), w).value
-    nums, _ = _over_one_denominator(v.entries.values())
-    ints = dict(zip(v.entries, nums))
-    # Supports already seen: each has rank at least the current minimum.
-    seen = {frozenset(v.entries)}
-    rng = random.Random(seed)
-    p = modulus_of(v.domain)
-    for count in range(1, budget):
-        kind = count % 3
-        if kind == 0:
-            # A permutation relabels slices and keeps the identity's value:
-            # it is drawn, as _permutation draws it, but never built.
-            for n in v.shape:
-                rng.sample(range(n), n)
-            continue
-        draw = _transvection if kind == 1 else _random_invertible
-        # The drawn matrices are square, int and invertible: valid as they are.
-        key = frozenset(_transform_ints(ints, [draw(rng, n, p) for n in v.shape], p))
-        if key in seen:
-            continue
-        seen.add(key)
-        if _packing_bound(v.shape, key, caps) * best.denominator < best.numerator * scale:
-            best = min(best, trank(Support(v.shape, key), w).value)
+    for best in _running_minima(v, as_weight(alpha, v.order), budget, seed):
+        pass
     return best
 
 
@@ -464,16 +480,44 @@ def matrix_tuple_tensor(mats: MatrixTuple) -> SparseTensor:
     return SparseTensor(shape, entries, mod_domain(mats.modulus))
 
 
+def _ncrk_lower_bound(mats: MatrixTuple) -> int:
+    """The largest rank of one matrix of the tuple, a certified lower bound
+    on its non-commutative rank.
+
+    For every subspace W of the column space and every i,
+    dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i), so
+    ``cols + dim(sum_j A_j W) - dim W >= rank A_i``.  This is the d = 1
+    case of the blow-up bound of Derksen and Makam.
+    """
+    return max(_rank_mod_p(m, mats.modulus) for m in mats.matrices)
+
+
 def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     """Non-commutative rank from above via the basis-change search.
 
     Runs the stable-rank upper-bound search on the tuple's order-3 tensor
-    with weights (1, 1, min(rows, cols)) and floors the result.  Always at
-    least the true rank; equal to it once the search finds an adapted basis.
-    A negative ``budget`` raises ``ValueError``.
+    with weights (1, 1, min(rows, cols)) and floors its running minimum.
+    Every floor is at least the true rank, which is at least
+    L = ``_ncrk_lower_bound``.  So the search stops at the first running
+    minimum whose floor equals L: no later sample could lower the result,
+    and it equals the floor of the full ``budget`` search with the same
+    seed.  Where the true rank exceeds L (the 3 x 3 alternating triple
+    E12 - E21, E13 - E31, E23 - E32 has L = 2 and rank 3), the stop never
+    fires and the whole budget is spent.  A running minimum whose floor
+    falls below L contradicts that chain and raises ``RuntimeError``
+    instead of being returned.  A negative ``budget`` raises
+    ``ValueError``.
     """
     check_count("budget", budget)
     t = matrix_tuple_tensor(mats)
     ell = min(mats.rows, mats.cols)
-    bound = grank_upper_search(t, (1, 1, Fraction(ell)), budget=budget, seed=seed)
-    return math.floor(bound)
+    lower = _ncrk_lower_bound(mats)
+    for bound in _running_minima(t, as_weight((1, 1, ell), 3), budget, seed):
+        value = math.floor(bound)
+        if value < lower:
+            raise RuntimeError(
+                f"ncrk search reached {value}, below the certified lower bound {lower}"
+            )
+        if value == lower:
+            break
+    return value

@@ -357,6 +357,15 @@ class TestNcrkCommand:
         code, _ = run(capsys, "ncrk", identity_file, "--limit", "1")
         assert code == 4
 
+    @pytest.mark.parametrize("mode", ["search", "both"])
+    def test_search_below_the_lower_bound_exits_3(self, capsys, monkeypatch, identity_file, mode):
+        ranks = stablerank.ranks
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: ranks.ncrk_bruteforce(mats) + 1)
+        code = main(["ncrk", identity_file, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "argv",

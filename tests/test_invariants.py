@@ -17,6 +17,7 @@ from stablerank import (
     ncrk_bruteforce,
     ncrk_via_grank,
     psg_slope,
+    ranks,
     support_of,
     trank,
     tslice,
@@ -58,8 +59,9 @@ def _matrix_tuple(rng):
 def test_exact_invariants_hold():
     """``trank == dual_trank``, ``ceil(trank) <= tslice`` (unit weights),
     ``psg_slope >= trank``, ``grank_upper_search <= trank`` and
-    ``ncrk_via_grank >= ncrk_bruteforce``.  (``grank``'s lower bound is
-    not yet always below its upper bound, so it is left out.)"""
+    ``_ncrk_lower_bound <= ncrk_bruteforce <= ncrk_via_grank``.
+    (``grank``'s lower bound is not yet always below its upper bound, so
+    it is left out.)"""
     rng = random.Random(200208435)
     for _ in range(400):
         support = random_support(rng, order=rng.choice((2, 3, 4)), max_dim=3, max_elems=8)
@@ -77,4 +79,4 @@ def test_exact_invariants_hold():
     for _ in range(120):
         mats = _matrix_tuple(rng)
         upper = ncrk_via_grank(mats, budget=rng.randint(1, 24), seed=rng.randrange(100))
-        assert upper >= ncrk_bruteforce(mats), mats
+        assert ranks._ncrk_lower_bound(mats) <= ncrk_bruteforce(mats) <= upper, mats

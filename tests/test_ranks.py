@@ -662,8 +662,9 @@ class TestSampler:
             assert (ranks._det_int(m) % p != 0) == (_rank_mod_p(m, p) == n), (m, p)
 
 
-def test_search_skips_unneeded_work(monkeypatch):
-    calls = {"trank": 0, "_transform_ints": 0}
+def _count_calls(monkeypatch, *names):
+    """Count the calls ``ranks`` makes to each named function of its own."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -671,14 +672,73 @@ def test_search_skips_unneeded_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ranks, "trank", counted("trank", ranks.trank))
-    monkeypatch.setattr(ranks, "_transform_ints", counted("_transform_ints", ranks._transform_ints))
+    for name in names:
+        monkeypatch.setattr(ranks, name, counted(name, getattr(ranks, name)))
+    return calls
+
+
+def test_search_skips_unneeded_work(monkeypatch):
+    calls = _count_calls(monkeypatch, "trank", "_transform_ints")
     for k, tup in enumerate(_acceptance_ncrk_tuples()):
-        assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
+        alpha = (1, 1, F(min(tup.rows, tup.cols)))
+        bound = grank_upper_search(matrix_tuple_tensor(tup), alpha, budget=200, seed=k)
+        assert math.floor(bound) == ncrk_bruteforce(tup)
     # Per tuple: 199 samples, of which 66 are permutations and go unsolved.
     # Before pruning, the search made 994 trank calls and 2,388 transforms.
     assert calls["_transform_ints"] == 12 * 133
     assert calls["trank"] <= 24
+
+
+def test_ncrk_search_stops_at_the_lower_bound(monkeypatch):
+    # On these tuples the largest single-matrix rank is the ncrk, and the
+    # running minimum meets it at the identity in 11 of 12 searches and at
+    # the first sample in the other.
+    calls = _count_calls(monkeypatch, "trank", "_transform_ints")
+    for k, tup in enumerate(_acceptance_ncrk_tuples()):
+        assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
+    assert calls == {"trank": 13, "_transform_ints": 1}
+
+
+def _alternating_triple(p):
+    """E12 - E21, E13 - E31, E23 - E32: every matrix has rank 2, the ncrk is 3."""
+    mats = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        m = [[0] * 3 for _ in range(3)]
+        m[i][j], m[j][i] = 1, -1
+        mats.append(m)
+    return MatrixTuple(mats, p)
+
+
+def _random_matrix_tuple(rng):
+    p = rng.choice((2, 3, 5))
+    rows, cols, count = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+    return MatrixTuple(
+        [[[rng.randrange(p) for _ in range(cols)] for _ in range(rows)] for _ in range(count)], p
+    )
+
+
+class TestNcrkEarlyStop:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_alternating_triple_has_a_gap(self, p):
+        tup = _alternating_triple(p)
+        assert ranks._ncrk_lower_bound(tup) == 2
+        assert ncrk_bruteforce(tup) == ncrk_via_grank(tup, budget=200, seed=p) == 3
+
+    def test_matches_the_full_search(self):
+        # The stop may only skip samples that cannot change the floor.
+        rng = random.Random(23)
+        cases = [(_alternating_triple(p), 200, p) for p in (2, 3, 5)]
+        cases += [(_random_matrix_tuple(rng), rng.randint(0, 200), rng.randrange(1000)) for _ in range(300)]
+        for tup, budget, seed in cases:
+            alpha = (1, 1, F(min(tup.rows, tup.cols)))
+            full = grank_upper_search(matrix_tuple_tensor(tup), alpha, budget=budget, seed=seed)
+            assert ncrk_via_grank(tup, budget=budget, seed=seed) == math.floor(full), (tup, budget, seed)
+
+    @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
+    def test_minimum_below_the_lower_bound_raises(self, monkeypatch, tup):
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: ncrk_bruteforce(mats) + 1)
+        with pytest.raises(RuntimeError, match="below the certified lower bound"):
+            ncrk_via_grank(tup, budget=200)
 
 
 class TestNcrk:
