@@ -74,6 +74,23 @@ def _binding_triples(n: int) -> list[tuple[int, int, int]]:
     return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
 
 
+def _binding_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The rows ``t_i + t_j + t_k >= 1`` of :func:`_binding_triples`, in
+    that order, as canonical sparse rows: a repeated index is one column,
+    with coefficient 2 or 3."""
+    rows = []
+    for i, j, k in _binding_triples(n):
+        if i == k:
+            rows.append(((i, 3),))
+        elif i == j:
+            rows.append(((i, 2), (k, 1)))
+        elif j == k:
+            rows.append(((i, 1), (j, 2)))
+        else:
+            rows.append(((i, 1), (j, 1), (k, 1)))
+    return rows
+
+
 def _covers(t, n: int) -> bool:
     """Whether ``t_i + t_j + t_k >= 1`` on every row ``i <= j <= k``, ``i + j + k <= 2n``.
 
@@ -127,7 +144,7 @@ def reduced_lp(n: int) -> CapsetLPResult:
     raises ``ValueError``.
     """
     objective = [3 * v for v in _coefficients(n)]
-    rows = [[(idx, 1) for idx in tr] for tr in _binding_triples(n)]
+    rows = _binding_rows(n)
     sol = solve(LinearProgram(objective, rows, [1] * len(rows)), any_vertex=True)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")

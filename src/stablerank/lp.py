@@ -68,20 +68,66 @@ class LPSizeError(RuntimeError):
 SparseRow = tuple[tuple[int, int], ...]
 
 
-def _canonical_row(row, num_vars: int) -> list:
-    """The nonzero ``(column, coefficient)`` pairs of ``row`` in column order,
-    repeated columns summed, each coefficient an int or a ``Fraction``."""
-    acc: dict = {}
-    for col, coeff in row:
-        j = int(col)
-        if j != col:
-            raise ValueError(f"column must be an integer, got {col!r}")
-        if not 0 <= j < num_vars:
-            raise ValueError(f"column {j} out of range for {num_vars} variables")
-        c = coeff if type(coeff) is int else Fraction(coeff)
-        if c:
+def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
+    """The nonzero ``(column, coefficient)`` pairs of ``row`` in column
+    order, repeated columns summed, and whether every coefficient is an int.
+
+    Each pair is read once.  A row of ``(int, int)`` tuples whose columns
+    strictly increase within range and whose coefficients are nonzero is
+    returned as given, as a tuple.  From the first pair that is not so on,
+    each pair is checked: its column must be integral (``2.0`` is stored
+    as 2) and in range, and a coefficient that is not an int becomes a
+    ``Fraction``.  Zero coefficients are dropped, and only a row with a
+    column out of order or repeated is sorted and merged.  A malformed pair
+    raises at that pair, so errors come in the order of the pairs.
+    """
+    row = tuple(row)
+    pairs = iter(row)
+    last = -1
+    for pair in pairs:
+        if type(pair) is not tuple:
+            break
+        col, coeff = pair
+        if type(col) is not int or type(coeff) is not int or not last < col < num_vars or not coeff:
+            break
+        last = col
+    else:
+        return row, True
+    rest = [pair, *pairs]
+    out = list(row[: len(row) - len(rest)])  # canonical so far, up to column ``last``
+    ordered = integral = True
+    for col, coeff in rest:
+        if type(col) is not int:
+            j = int(col)
+            if j != col:
+                raise ValueError(f"column must be an integer, got {col!r}")
+            col = j
+        if not 0 <= col < num_vars:
+            raise ValueError(f"column {col} out of range for {num_vars} variables")
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
+            integral = False
+        if coeff:
+            ordered = ordered and last < col
+            last = col
+            out.append((col, coeff))
+    if not ordered:
+        acc: dict = {}
+        for j, c in out:
             acc[j] = acc[j] + c if j in acc else c
-    return sorted((j, c) for j, c in acc.items() if c)
+        out = sorted((j, c) for j, c in acc.items() if c)
+    return tuple(out), integral
+
+
+def _integers(values: tuple) -> tuple[int, ...] | None:
+    """``values`` as ints if each is an int or a ``Fraction`` with
+    denominator 1, else None."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    if kinds <= {int, Fraction} and all(v.denominator == 1 for v in values):
+        return tuple(v.numerator for v in values)
+    return None
 
 
 @dataclass(frozen=True)
@@ -95,6 +141,16 @@ class LinearProgram:
     the denominators, so it is 1 for integer data.  Constraint rows are
     sparse ``(column, coefficient)`` tuples in column order, with no zero
     coefficient.
+
+    A row given as ``(int, int)`` tuples with strictly increasing columns
+    and nonzero coefficients is stored as given, after one read of each
+    pair; the package's builders all emit such rows.  Any other spelling (a
+    column out of order or repeated, a zero, a column such as ``2.0``, a
+    coefficient that is not an int) is canonicalised, and only a row out of
+    order or with a repeated column is sorted and merged.  The lcm of the
+    denominators and the rebuild of the rows over it run only when some
+    value is not an integer; an objective or rhs entry that is a
+    ``Fraction`` with denominator 1 counts as an integer.
     """
 
     objective: tuple[int, ...]
@@ -108,14 +164,19 @@ class LinearProgram:
         rows = [_canonical_row(r, n) for r in rows]
         if len(rows) != m:
             raise ValueError("row count does not match rhs length")
-        nums, den = _over_one_denominator(
-            [*objective, *rhs, *(a for row in rows for _, a in row)]
-        )
-        coeffs = iter(nums[n + m :])
-        rows = tuple(tuple((j, next(coeffs)) for j, _ in row) for row in rows)
-        object.__setattr__(self, "objective", tuple(nums[:n]))
+        rows, integral = zip(*rows) if rows else ((), ())
+        c, b = _integers(objective), _integers(rhs)
+        den = 1
+        if c is None or b is None or not all(integral):
+            nums, den = _over_one_denominator(
+                [*objective, *rhs, *(a for row in rows for _, a in row)]
+            )
+            coeffs = iter(nums[n + m :])
+            rows = tuple(tuple((j, next(coeffs)) for j, _ in row) for row in rows)
+            c, b = tuple(nums[:n]), tuple(nums[n : n + m])
+        object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", tuple(nums[n : n + m]))
+        object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "den", den)
 
     @property

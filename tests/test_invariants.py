@@ -12,6 +12,7 @@ from conftest import random_support
 from stablerank import (
     MatrixTuple,
     SparseTensor,
+    boxtimes,
     dual_trank,
     grank_upper_search,
     ncrk_bruteforce,
@@ -22,6 +23,7 @@ from stablerank import (
     trank,
     tslice,
 )
+from stablerank.capset import base_tensor
 
 
 def _weight(rng, order):
@@ -57,12 +59,14 @@ def _matrix_tuple(rng):
 
 
 def test_exact_invariants_hold():
-    """``trank == dual_trank``, ``ceil(trank) <= tslice`` (unit weights),
-    ``psg_slope >= trank``, ``grank_upper_search <= trank`` and
-    ``_ncrk_lower_bound <= ncrk_bruteforce <= ncrk_via_grank``.
+    """``trank == dual_trank``, ``ceil(trank) <= tslice`` (unit weights;
+    strict at least once, on the n = 2 cap-set support), ``psg_slope >=
+    trank``, ``grank_upper_search <= trank`` and ``_ncrk_lower_bound <=
+    ncrk_bruteforce <= ncrk_via_grank``.
     (``grank``'s lower bound is not yet always below its upper bound, so
     it is left out.)"""
     rng = random.Random(200208435)
+    strict = 0  # supports with ceil(trank) < tslice
     for _ in range(400):
         support = random_support(rng, order=rng.choice((2, 3, 4)), max_dim=3, max_elems=8)
         alpha = _weight(rng, support.order)
@@ -70,7 +74,17 @@ def test_exact_invariants_hold():
         assert dual_trank(support, alpha).value == t, support
         assert psg_slope(_exponents(rng, support), support, alpha) >= t, support
         if alpha is None:
-            assert math.ceil(t) <= tslice(support).value, support
+            s = tslice(support).value
+            assert math.ceil(t) <= s, support
+            strict += math.ceil(t) < s
+    # The cap-set supports for n = 1 and 2; at n = 2, trank is 6 and tslice 7.
+    for support in (support_of(base_tensor()), support_of(boxtimes(base_tensor(), base_tensor()))):
+        t = trank(support).value
+        assert dual_trank(support).value == t, support
+        s = tslice(support).value
+        assert math.ceil(t) <= s, support
+        strict += math.ceil(t) < s
+    assert strict  # a check that never holds strictly sees only a broken equality
     for _ in range(200):
         v = _rational_tensor(rng)
         alpha = _weight(rng, v.order)

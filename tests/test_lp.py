@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import random_support
 from make_lp_vertices import capset_lp, lp_to_json
 
 from stablerank import (
@@ -18,6 +19,7 @@ from stablerank import (
     solve,
     verify_certificate,
 )
+from stablerank import capset, ranks
 from stablerank import lp as lp_module
 from stablerank.ranks import build_lp
 from stablerank.tensors import Support
@@ -364,6 +366,108 @@ def test_stored_integers_are_the_callers_rationals():
         assert lp.den > 0 and math.gcd(lp.den, *nums) == 1
         assert lp_module.dual_program(lp_module.dual_program(lp)) == lp
     assert count == 762
+
+
+def _respellings(lp, rng):
+    """The rational data of ``lp`` as ``(objective, rows, rhs)``, plainly
+    (int rows where ``den`` is 1) and spelled six other ways: row pairs
+    shuffled, a coefficient split over a repeated column, explicit zero
+    coefficients, every value a ``Fraction`` (``Fraction(k, 1)`` for an
+    integer), every column a float, and every pair a list, as JSON reads
+    it."""
+    objective = [F(c, lp.den) if lp.den > 1 else c for c in lp.objective]
+    rhs = [F(b, lp.den) if lp.den > 1 else b for b in lp.rhs]
+    rows = [[(j, F(a, lp.den)) if lp.den > 1 else (j, a) for j, a in row] for row in lp.rows]
+    shuffled, split, zeros = [], [], []
+    for row in rows:
+        pairs = list(row)
+        rng.shuffle(pairs)
+        shuffled.append(pairs)
+        pairs = []
+        for j, a in row:
+            part = rng.randint(-3, 3)
+            pairs += [(j, a - part), (j, part)]
+        split.append(pairs)
+        pairs = list(row)
+        for _ in range(rng.randint(1, 2) if lp.num_vars else 0):
+            pairs.insert(rng.randint(0, len(pairs)), (rng.randrange(lp.num_vars), 0))
+        zeros.append(pairs)
+    fractions = (
+        [F(c) for c in objective],
+        [[(j, F(a)) for j, a in row] for row in rows],
+        [F(b) for b in rhs],
+    )
+    floats = [[(float(j), a) for j, a in row] for row in rows]
+    lists = [[[j, a] for j, a in row] for row in rows]
+    return {
+        "plain": (objective, rows, rhs),
+        "shuffled": (objective, shuffled, rhs),
+        "split": (objective, split, rhs),
+        "zeros": (objective, zeros, rhs),
+        "fractions": fractions,
+        "floats": (objective, floats, rhs),
+        "lists": (objective, lists, rhs),
+    }
+
+
+def test_every_spelling_of_a_row_stores_the_same_lp():
+    """A canonical row is stored as given, any other spelling is sorted and
+    merged; every spelling of an LP must store the same LP, all ints."""
+    rng = random.Random(2002_08435)
+    for lp, _ in _vertex_corpus_lps():
+        for how, data in _respellings(lp, rng).items():
+            got = LinearProgram(*data)
+            assert got == lp, how
+            # == takes Fraction(1) for 1, so the stored types are checked too.
+            assert all(type(v) is int for v in got.objective + got.rhs), how
+            assert all(type(j) is type(a) is int for row in got.rows for j, a in row), how
+
+
+def _canonical_int_rows(rows, num_vars):
+    """Whether each row is ``(column, coefficient)`` tuples of ints, with
+    columns strictly increasing in range and no zero coefficient."""
+    for row in rows:
+        last = -1
+        for pair in row:
+            if type(pair) is not tuple or len(pair) != 2:
+                return False
+            j, a = pair
+            if type(j) is not int or type(a) is not int or not last < j < num_vars or not a:
+                return False
+            last = j
+    return True
+
+
+def test_builders_emit_canonical_int_rows(monkeypatch):
+    """The package builds its LPs from canonical int rows, which the
+    constructor stores as given: ``ranks._cover_lp``, the binding rows of
+    the cap-set LP and ``dual_program``."""
+    built = []
+    real = ranks.LinearProgram
+    monkeypatch.setattr(
+        ranks, "LinearProgram",
+        lambda c, rows, b: built.append((rows, len(c))) or real(c, rows, b),
+    )
+    rng = random.Random(60)
+    for _ in range(200):
+        support = random_support(rng)
+        slots = [(i, j) for i, n in enumerate(support.shape) for j in range(n)]
+        banned = frozenset(rng.sample(slots, rng.randint(0, len(slots) - 1)))
+        weight = tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in support.shape)
+        for no in (frozenset(), banned):
+            ranks._cover_lp(support.shape, weight, support.sorted_elements, no)
+    assert len(built) == 400
+    for rows, num_vars in built:
+        assert _canonical_int_rows(rows, num_vars)
+    for n in range(1, capset.TABLE_MAX_N + 1):
+        rows = capset._binding_rows(n)
+        assert _canonical_int_rows(rows, 2 * n + 1)
+        triples = capset._binding_triples(n)
+        c, b = [1] * (2 * n + 1), [1] * len(triples)
+        assert real(c, rows, b) == real(c, [[(i, 1) for i in tr] for tr in triples], b)
+    for lp, _ in _vertex_corpus_lps():
+        dual = lp_module.dual_program(lp)
+        assert _canonical_int_rows(dual.rows, dual.num_vars)
 
 
 # Two LPs with den > 1 whose any_vertex pair moves if the surplus columns
