@@ -13,20 +13,21 @@ and cross-validate against the uncollapsed LP for tiny n.
 The collapsed LP has about (2n)^3/36 rows, but few of them bind.  Prefix
 minima keep a t vector feasible and cost no more, so some optimal t is
 nonincreasing, and for such a t the *binding* rows, whose triples sum to
-exactly 2n, imply all the others.  :func:`reduced_lp` therefore solves the
-LP once, on the binding rows only.  :func:`stablerank.lp.solve` certifies
-the pair on those rows, and :func:`_covers` proves, exactly for any t and in
-O(n^2), that t covers every other row too, where the dual, taken as zero,
-stays feasible.  The answer is then an optimum of the full LP, certified
-without building it.
+exactly 2n, imply all the others.  :func:`_tight_triples` proves, exactly
+for any t and in O(n^2), that t covers every row of the full LP, and lists
+the binding rows on which t is tight.
 
-From n = 4 on the binding rows outnumber the 2n+1 columns, so
-:func:`reduced_lp` has ``solve`` pivot the packing dual instead (its
-``any_vertex`` route).  That tableau has 2n+1 rows and starts feasible at
-y = 0, while the covering LP starts every row on an artificial variable
-that phase I must drive out.  The same route enters the most negative
-reduced cost rather than the lowest negative column: 379 pivots for
-n = 1..20 instead of Bland's 1,021, and 113 instead of 932 at n = 60.
+From n = 2 on, :func:`reduced_lp` first certifies :func:`conjectured_t`.
+If that t covers every row, the packing LP on its tight binding rows (40
+of 154 at n = 20, 402 of 1,261 at n = 60) has 2n+1 rows and starts
+feasible at y = 0, with no phase I.  Its certified optimum is a dual
+solution of the full LP, zero on every other row, so when it equals the
+cost of t, t is optimal: 165 pivots for n = 2..20 and 1,357 for n = 2..60.
+Only where that proof fails, and always at n = 1, is the LP solved on its
+binding rows, as the packing dual (the ``any_vertex`` route of
+:func:`stablerank.lp.solve`) from n = 4 on, and its t checked for the full
+LP in the same O(n^2) pass.  Either way the answer is an optimum of the
+full LP, certified without building it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .lp import OPTIMAL, LinearProgram, _over_one_denominator, solve
+from .lp import (
+    _ROW_CAP_ENV,
+    OPTIMAL,
+    LinearProgram,
+    LPSizeError,
+    _over_one_denominator,
+    _row_cap,
+    solve,
+)
 from .ranks import trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
@@ -74,42 +83,63 @@ def _binding_triples(n: int) -> list[tuple[int, int, int]]:
     return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
 
 
+def _triple_row(i: int, j: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The row ``t_i + t_j + t_k >= 1`` of a triple ``i <= j <= k`` as a
+    canonical sparse row: a repeated index is one column, with coefficient
+    2 or 3."""
+    if i == k:
+        return ((i, 3),)
+    if i == j:
+        return ((i, 2), (k, 1))
+    if j == k:
+        return ((i, 1), (j, 2))
+    return ((i, 1), (j, 1), (k, 1))
+
+
 def _binding_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """The rows ``t_i + t_j + t_k >= 1`` of :func:`_binding_triples`, in
-    that order, as canonical sparse rows: a repeated index is one column,
-    with coefficient 2 or 3."""
-    rows = []
-    for i, j, k in _binding_triples(n):
-        if i == k:
-            rows.append(((i, 3),))
-        elif i == j:
-            rows.append(((i, 2), (k, 1)))
-        elif j == k:
-            rows.append(((i, 1), (j, 2)))
-        else:
-            rows.append(((i, 1), (j, 1), (k, 1)))
-    return rows
+    """The rows of :func:`_binding_triples`, in that order, by :func:`_triple_row`."""
+    return [_triple_row(*triple) for triple in _binding_triples(n)]
 
 
-def _covers(t, n: int) -> bool:
-    """Whether ``t_i + t_j + t_k >= 1`` on every row ``i <= j <= k``, ``i + j + k <= 2n``.
+def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] | None:
+    """The binding triples on which ``t = q / d`` is tight, if t covers
+    every row ``t_i + t_j + t_k >= 1``, ``i <= j <= k``, ``i + j + k <= 2n``;
+    otherwise None.
 
     Exact for any t, monotone or not.  The prefix minima ``m`` of t are
     nonincreasing and at most t, so a row's sum is at least
     ``m_i + m_j + m_{2n-i-j}``, the m-sum of a binding triple; and each such
     m-sum is the sum of some row, as ``m_a = t_a'`` with ``a' <= a``.  So t
     covers every row iff m covers every binding triple.  The triples are
-    enumerated here, not read from the rows solved, and compared on integer
-    numerators over one denominator.
+    enumerated here, not read from any LP, and compared on the integer
+    numerators ``q`` over the one denominator ``d > 0``.  A binding triple
+    is tight when its t-sum is exactly 1, which needs its m-sum to be 1.
     """
-    q, d = _over_one_denominator(t)
     m = list(accumulate(q, min))
     top = 2 * n
-    return all(
-        m[i] + m[j] + m[top - i - j] >= d
-        for i in range(top // 3 + 1)
-        for j in range(i, (top - i) // 2 + 1)
-    )
+    tight = []
+    for i in range(top // 3 + 1):
+        for j in range(i, (top - i) // 2 + 1):
+            k = top - i - j
+            s = m[i] + m[j] + m[k]
+            if s < d:
+                return None
+            if s == d and q[i] + q[j] + q[k] == d:
+                tight.append((i, j, k))
+    return tight
+
+
+def _covers(t, n: int) -> bool:
+    """Whether ``t_i + t_j + t_k >= 1`` on every row ``i <= j <= k``,
+    ``i + j + k <= 2n``; see :func:`_tight_triples`."""
+    q, d = _over_one_denominator(t)
+    return _tight_triples(q, d, n) is not None
+
+
+def _cost(q: list[int], d: int, n: int) -> Fraction:
+    """The objective ``3 * sum_i f_i t_i`` of ``t = q / d``, summed on integers."""
+    f = _coefficients(n)
+    return Fraction(3 * sum(f[i] * v for i, v in enumerate(q)), d)
 
 
 @dataclass(frozen=True)
@@ -127,21 +157,82 @@ def reduced_lp(n: int) -> CapsetLPResult:
     """Minimize ``3 * sum_i f_i t_i`` over nonnegative t with
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
 
-    The LP is solved once, on the binding rows (``i + j + k == 2n``), and
-    certified as an optimum of the full LP, which is never built: ``solve``
-    certifies the pair on the binding rows, and :func:`_covers` shows that
-    t covers every other row.  A failed check raises ``RuntimeError``.
+    The full LP is never built.  From n = 2 on, :func:`_certified_guess`
+    tries to prove :func:`conjectured_t` optimal; where it cannot, and at
+    n = 1, :func:`_binding_row_optimum` solves the LP on its binding rows
+    (``i + j + k == 2n``).  Each route checks what it returns, and a failed
+    check of the binding-row route raises ``RuntimeError``.  t is the
+    conjectured vector for n = 2..60, which is also the vertex the
+    binding-row route returns there (the tests compare the two routes for
+    n = 1..60); the duals are not reported.
+
+    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, whichever LP is
+    pivoted, and is checked before either route.  An n below 1 raises
+    ``ValueError``.
+    """
+    _coefficients(n)  # an n below 1 raises here
+    rows = len(_binding_triples(n))
+    cap = _row_cap()
+    if cap is not None and rows > cap:
+        raise LPSizeError(f"LP has {rows} rows, exceeding {_ROW_CAP_ENV}={cap}")
+    found = _certified_guess(n) if n >= 2 else None
+    t, value = found or _binding_row_optimum(n)
+    return CapsetLPResult(n, t, value, math.floor(value))
+
+
+def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
+    """``(t, c.t)`` for ``t = conjectured_t(n)`` if it is proved optimal,
+    else None.
+
+    The proof: t >= 0 covers every row of the full LP, by one exact pass of
+    :func:`_tight_triples`, which also lists the binding triples T tight
+    at t.  The packing LP ``max sum_T y_T`` subject to
+    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j and y >= 0 is solved
+    once by :func:`stablerank.lp.solve`, whose certificate check confirms
+    y >= 0, ``A_T^T y <= c`` and ``sum(y) == value``.  That y, zero on every
+    other row, is a dual solution of the full LP, so by weak duality
+    ``sum(y) <= OPT <= c.t``; where ``c.t == sum(y)``, an identity of
+    integers over t's denominator, t is optimal.  The guess is never
+    trusted: an uncovered row, a packing status that is not optimal (or a
+    packing LP above the row cap, at n = 2) or ``c.t != sum(y)`` returns
+    None.
+    """
+    t = conjectured_t(n)
+    q, d = _over_one_denominator(t)
+    tight = _tight_triples(q, d, n) if min(q) >= 0 else None
+    if tight is None:
+        return None
+    # One row per column j: -sum_T mult_j(T) y_T >= -3 f_j, in column order.
+    cols: list[list[tuple[int, int]]] = [[] for _ in q]
+    for c, triple in enumerate(tight):
+        for j, a in _triple_row(*triple):
+            cols[j].append((c, -a))
+    f = _coefficients(n)
+    packing = LinearProgram([-1] * len(tight), cols, [-3 * v for v in f])
+    try:
+        sol = solve(packing)
+    except LPSizeError:  # the cap counts the binding rows, not these 2n+1
+        return None
+    cost = _cost(q, d, n)
+    if sol.status != OPTIMAL or cost != -sol.value:
+        return None
+    return t, cost
+
+
+def _binding_row_optimum(n: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """``(t, value)`` of the LP solved on its binding rows, certified for
+    the full LP.
+
+    ``solve`` certifies the pair on the binding rows, and
+    :func:`_tight_triples` shows that t covers every other row too, where
+    the dual, taken as zero, stays feasible.  A failed check raises
+    ``RuntimeError``.
 
     The LP is pivoted on its shorter side: the covering LP itself for
     n <= 3, where the binding rows are no more than the 2n+1 columns, and
     its packing dual, with no phase I, from n = 4 on.  Columns enter by the
     most negative reduced cost, with Bland's rule as the fallback after a
-    run of degenerate pivots (never reached for n = 1..60).  The value is
-    the optimum either way; t is the vector the default route returns (the
-    tests compare the two routes for n = 1..20), and the duals, which may
-    differ, are not reported.  ``STABLERANK_MAX_LP_ROWS`` applies to the
-    binding rows, not to the rows of the tableau pivoted.  An n below 1
-    raises ``ValueError``.
+    run of degenerate pivots (never reached for n = 1..60).
     """
     objective = [3 * v for v in _coefficients(n)]
     rows = _binding_rows(n)
@@ -150,7 +241,7 @@ def reduced_lp(n: int) -> CapsetLPResult:
         raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
     if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered
         raise RuntimeError("collapsed LP certificate failed")
-    return CapsetLPResult(n, sol.x, sol.value, math.floor(sol.value))
+    return sol.x, sol.value
 
 
 def capset_bound(n: int) -> int:
@@ -204,15 +295,14 @@ def conjectured_t(n: int) -> tuple[Fraction, ...]:
 
 def t_vector_feasible(t, n: int) -> bool:
     """Exact feasibility of a t vector for the collapsed LP constraints."""
-    vec = [Fraction(v) for v in t]
-    return len(vec) == 2 * n + 1 and min(vec) >= 0 and _covers(vec, n)
+    q, d = _over_one_denominator(t)
+    return len(q) == 2 * n + 1 and min(q) >= 0 and _tight_triples(q, d, n) is not None
 
 
 def t_vector_value(t, n: int) -> Fraction:
     """The objective ``3 * sum_i f_i t_i``, summed on integer numerators."""
-    f = _coefficients(n)
     q, d = _over_one_denominator(t)
-    return Fraction(3 * sum(f[i] * v for i, v in enumerate(q)), d)
+    return _cost(q, d, n)
 
 
 @dataclass(frozen=True)
@@ -239,9 +329,9 @@ def verify_conjecture(n: int) -> ConjectureReport:
     Reports feasibility and whether the conjectured objective attains the
     LP optimum; the match is reported, never assumed.
     """
-    t = conjectured_t(n)
-    feasible = t_vector_feasible(t, n)
-    cval = t_vector_value(t, n)
+    q, d = _over_one_denominator(conjectured_t(n))
+    feasible = min(q) >= 0 and _tight_triples(q, d, n) is not None
+    cval = _cost(q, d, n)
     lp_value = reduced_lp(n).value
     return ConjectureReport(n, feasible, cval, lp_value, feasible and cval == lp_value)
 

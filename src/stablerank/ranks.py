@@ -442,18 +442,35 @@ def _rref_bases(q: int, k: int, p: int):
             yield basis
 
 
+def _subspace_count(q: int, p: int, limit: int) -> int:
+    """The number of subspaces of F_p^q, the sum over k of the Gaussian
+    binomials [q, k]_p, or the first partial sum above ``limit``."""
+    total = term = 1  # k = 0
+    for k in range(1, q + 1):
+        # [q, k] = [q, k - 1] (p^(q-k+1) - 1) / (p^k - 1), exactly
+        term = term * (p ** (q - k + 1) - 1) // (p**k - 1)
+        total += term
+        if total > limit:
+            break
+    return total
+
+
 def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
     """Non-commutative rank by exhaustive subspace enumeration.
 
     Minimizes ``cols + dim(sum_i A_i W) - dim W`` over all subspaces W of
     the column space, enumerated through canonical RREF generator matrices.
+    A column space with more than ``limit`` subspaces, W = 0 and the whole
+    space included, raises ``SubspaceLimitError`` before any enumeration.
     A negative ``limit`` raises ``ValueError``.
     """
     check_count("limit", limit)
     p, q = mats.modulus, mats.cols
-    if p**q > limit:
+    count = _subspace_count(q, p, limit)
+    if count > limit:
         raise SubspaceLimitError(
-            f"{p}^{q} exceeds the enumeration limit {limit}; use the search mode"
+            f"F_{p}^{q} has at least {count} subspaces, above the enumeration limit "
+            f"{limit}; use the search mode"
         )
     best = q  # W = 0
     for k in range(1, q + 1):

@@ -138,22 +138,51 @@ def fresh_cache():
 
 
 def _counting_solve(monkeypatch):
-    """Make the solver that ``reduced_lp`` calls record the row count of
-    each LP it is given; returns that list."""
-    rows = []
+    """Make the solver that ``reduced_lp`` calls record the shape
+    ``(rows, columns)`` of each LP it is given; returns that list."""
+    shapes = []
     real = capset.solve
 
     def counting(lp, *args, **kwargs):
-        rows.append(lp.num_rows)
+        shapes.append((lp.num_rows, lp.num_vars))
         return real(lp, *args, **kwargs)
 
     monkeypatch.setattr(capset, "solve", counting)
-    return rows
+    return shapes
+
+
+def _tight_count(n):
+    """The binding triples tight at the conjectured t, counted on Fractions."""
+    t = conjectured_t(n)
+    return sum(1 for triple in capset._binding_triples(n) if sum(t[i] for i in triple) == 1)
+
+
+def _lower_guess(monkeypatch):
+    """Halve the last positive entry of the t that ``reduced_lp`` guesses,
+    which leaves a binding row uncovered."""
+    real = capset.conjectured_t
+
+    def lowered(n):
+        t = list(real(n))
+        k = max(i for i, v in enumerate(t) if v > 0)
+        t[k] /= 2
+        return tuple(t)
+
+    monkeypatch.setattr(capset, "conjectured_t", lowered)
+
+
+def _raise_guess(monkeypatch):
+    """Raise the last entry, 0, of the guessed t by 1/7: every row stays
+    covered, but t costs 3/7 more than the optimum."""
+    real = capset.conjectured_t
+    monkeypatch.setattr(capset, "conjectured_t", lambda n: (*real(n)[:-1], F(1, 7)))
 
 
 def _lower_one_t(monkeypatch):
-    """Halve the last positive t of each solution ``reduced_lp`` gets, so
-    that it breaks one of its own rows; returns the expected error."""
+    """Make the guess fail, then halve the last positive t of each solution
+    ``reduced_lp`` gets, so that it breaks one of its own rows; returns the
+    expected error."""
+    _lower_guess(monkeypatch)
     real = capset.solve
 
     def tampered(lp, **kwargs):
@@ -208,26 +237,48 @@ class TestRowGeneration:
             assert seen[False, False, monotone]
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
-        rows = _counting_solve(monkeypatch)
-        for n in (1, 3, 4, 11, 12, 20, 30):
-            rows.clear()
+        # one solve per n: the binding rows at n = 1, and from n = 2 on the
+        # packing LP, one row per t column and one column per tight triple
+        shapes = _counting_solve(monkeypatch)
+        tight = {2: 3, 3: 3, 4: 4, 11: 13, 12: 18, 20: 40, 30: 102}
+        assert tight == {n: _tight_count(n) for n in tight}
+        reduced_lp(1)
+        assert shapes == [(len(capset._binding_triples(1)), 3)] == [(2, 3)]
+        for n, cols in tight.items():
+            shapes.clear()
             reduced_lp(n)
-            assert rows == [len(capset._binding_triples(n))], n
+            assert shapes == [(2 * n + 1, cols)], n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
     def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
         # t solved on every other binding row leaves a row of the full LP
-        # uncovered: the one solve is refused, not followed by another
+        # uncovered: the one solve is refused, not followed by another.
+        # From n = 2 on the guessed t fails first, so that this solve runs.
+        if n >= 2:
+            _lower_guess(monkeypatch)
         binding = capset._binding_triples
         monkeypatch.setattr(capset, "_binding_triples", lambda m: binding(m)[::2])
-        rows = _counting_solve(monkeypatch)
+        shapes = _counting_solve(monkeypatch)
         with pytest.raises(RuntimeError, match="collapsed LP certificate failed"):
             reduced_lp(n)
-        assert rows == [len(binding(n)[::2])]
+        assert shapes == [(len(binding(n)[::2]), 2 * n + 1)]
         assert main(["capset", "--n", str(n)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: collapsed LP certificate failed\n"
+
+    @pytest.mark.parametrize("tamper,packing", [(_lower_guess, False), (_raise_guess, True)])
+    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, packing):
+        # an uncovered guess never reaches the packing LP; a covering one
+        # that costs too much does, and its optimum falls short of c.t
+        expected = capset._binding_row_optimum(5)
+        tamper(monkeypatch)
+        shapes = _counting_solve(monkeypatch)
+        res = reduced_lp(5)
+        assert (res.t, res.value) == expected
+        assert list(res.t) == SMALL_TABLE[5][1]
+        assert len(shapes) == 1 + packing
+        assert shapes[-1] == (len(capset._binding_triples(5)), 11)
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
@@ -295,13 +346,46 @@ class TestRowGeneration:
         calls = []
         real = lp_module.dual_program
         monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
+        shapes = _counting_solve(monkeypatch)
         for n in range(1, 21):
             calls.clear()
+            shapes.clear()
             res = reduced_lp(n)
             assert (res.t, res.value) == expected[n], n
-            assert len(calls) == (1 if n >= 4 else 0), n
-            if calls:  # the covering LP, whose dual has 2n + 1 rows
-                assert calls[0].num_rows > calls[0].num_vars == 2 * n + 1
+            # one LP, pivoted as given: the 2 binding rows at n = 1, then the
+            # packing LP on the tight triples, never above 2 * cols + 8 rows
+            assert shapes == [(2, 3) if n == 1 else (2 * n + 1, _tight_count(n))], n
+            assert calls == [], n
+
+    def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
+        # a silent fallback would print the same table at twice the cost
+        def fallback(n):
+            raise AssertionError(f"binding-row solve at n = {n}")
+
+        monkeypatch.setattr(capset, "_binding_row_optimum", fallback)
+        for n in range(2, capset.TABLE_MAX_N + 1):
+            assert reduced_lp(n).t == conjectured_t(n)
+        with pytest.raises(AssertionError, match="n = 1"):
+            reduced_lp(1)
+
+    def test_route_matches_the_binding_row_solve(self, fresh_cache):
+        # t now comes from the guess, so the LP on the binding rows is
+        # solved here, on its own, for every n the CLI prints
+        for n in range(1, capset.TABLE_MAX_N + 1):
+            res = reduced_lp(n)
+            assert (res.t, res.value) == capset._binding_row_optimum(n), n
+
+    def test_row_cap_at_n_2(self, fresh_cache, monkeypatch):
+        # 4 binding rows, but 5 packing rows: a cap of 4 still solves
+        shapes = _counting_solve(monkeypatch)
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
+        res = reduced_lp(2)
+        assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
+        assert shapes == [(5, 3), (4, 5)]
+        capset.reduced_lp.cache_clear()
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "3")
+        with pytest.raises(lp_module.LPSizeError, match="LP has 4 rows"):
+            reduced_lp(2)
 
     def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20))))

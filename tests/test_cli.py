@@ -357,6 +357,16 @@ class TestNcrkCommand:
         code, _ = run(capsys, "ncrk", identity_file, "--limit", "1")
         assert code == 4
 
+    def test_limit_counts_subspaces(self, capsys, identity_file):
+        # F_2^2 has 5 subspaces: 0, three lines and the plane
+        assert run(capsys, "ncrk", identity_file, "--limit", "5") == (0, "command: ncrk\nmode: brute\nbrute: 2\nncrk: 2\n")
+        assert main(["ncrk", identity_file, "--limit", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: F_2^2 has at least 5 subspaces, above the enumeration limit 4; use the search mode\n"
+        )
+
     @pytest.mark.parametrize("mode", ["search", "both"])
     def test_search_below_the_lower_bound_exits_3(self, capsys, monkeypatch, identity_file, mode):
         ranks = stablerank.ranks

@@ -772,6 +772,26 @@ class TestNcrk:
         with pytest.raises(SubspaceLimitError):
             ncrk_bruteforce(wide, limit=1 << 20)
 
+    def test_limit_counts_subspaces(self):
+        # F_2^3 has 1 + 7 + 7 + 1 = 16 subspaces, though 2^3 = 8
+        tup = MatrixTuple([[[1, 1, 0], [0, 1, 1]]], 2)
+        assert ncrk_bruteforce(tup, limit=16) == 2
+        with pytest.raises(SubspaceLimitError, match="at least 16 subspaces, above the enumeration limit 15"):
+            ncrk_bruteforce(tup, limit=15)
+
+    def test_default_limit_refuses_before_enumerating(self, monkeypatch):
+        # 2^9 = 512 is far below 2^20, but F_2^9 has 8,283,458 subspaces
+        def enumerate_(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(ranks, "_rref_bases", enumerate_)
+        with pytest.raises(SubspaceLimitError, match="^F_2\\^9 has at least"):
+            ncrk_bruteforce(MatrixTuple([[[1] * 9]], 2))
+
+    def test_default_limit_admits_few_subspaces_of_a_large_field(self):
+        # F_2003^2 has 2006 subspaces, though 2003^2 exceeds 2^20
+        assert ncrk_bruteforce(MatrixTuple([[[1, 0], [0, 1]]], 2003)) == 2
+
     @pytest.mark.parametrize("entry", [1.5, F(1, 2), "1.5", "1/0", "a", None])
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises((TypeError, ValueError)):
