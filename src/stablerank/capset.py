@@ -24,10 +24,11 @@ feasible at y = 0, with no phase I.  Its certified optimum is a dual
 solution of the full LP, zero on every other row, so when it equals the
 cost of t, t is optimal: 165 pivots for n = 2..20 and 1,357 for n = 2..60.
 Only where that proof fails, and always at n = 1, is the LP solved on its
-binding rows, as the packing dual (the ``any_vertex`` route of
-:func:`stablerank.lp.solve`) from n = 4 on, and its t checked for the full
-LP in the same O(n^2) pass.  Either way the answer is an optimum of the
-full LP, certified without building it.
+binding rows by :func:`stablerank.lp.solve`, and its t checked for the full
+LP in the same O(n^2) pass.  Both LPs come from one builder,
+:func:`_covering_lp` on a list of triples, the packing LP as its
+:func:`stablerank.lp.dual_program`.  Either way the answer is an optimum of
+the full LP, certified without building it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .lp import (
     LPSizeError,
     _over_one_denominator,
     _row_cap,
+    dual_program,
     solve,
 )
 from .ranks import trank
@@ -96,9 +98,12 @@ def _triple_row(i: int, j: int, k: int) -> tuple[tuple[int, int], ...]:
     return ((i, 1), (j, 1), (k, 1))
 
 
-def _binding_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """The rows of :func:`_binding_triples`, in that order, by :func:`_triple_row`."""
-    return [_triple_row(*triple) for triple in _binding_triples(n)]
+def _covering_lp(n: int, triples) -> LinearProgram:
+    """Minimize ``3 * sum_i f_i t_i`` over t >= 0 subject to one row
+    ``t_i + t_j + t_k >= 1`` per triple of ``triples``, in that order, by
+    :func:`_triple_row`."""
+    rows = [_triple_row(*triple) for triple in triples]
+    return LinearProgram([3 * v for v in _coefficients(n)], rows, [1] * len(rows))
 
 
 def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] | None:
@@ -187,7 +192,8 @@ def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
     The proof: t >= 0 covers every row of the full LP, by one exact pass of
     :func:`_tight_triples`, which also lists the binding triples T tight
     at t.  The packing LP ``max sum_T y_T`` subject to
-    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j and y >= 0 is solved
+    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j and y >= 0, the
+    :func:`stablerank.lp.dual_program` of the covering LP on T, is solved
     once by :func:`stablerank.lp.solve`, whose certificate check confirms
     y >= 0, ``A_T^T y <= c`` and ``sum(y) == value``.  That y, zero on every
     other row, is a dual solution of the full LP, so by weak duality
@@ -202,15 +208,8 @@ def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
     tight = _tight_triples(q, d, n) if min(q) >= 0 else None
     if tight is None:
         return None
-    # One row per column j: -sum_T mult_j(T) y_T >= -3 f_j, in column order.
-    cols: list[list[tuple[int, int]]] = [[] for _ in q]
-    for c, triple in enumerate(tight):
-        for j, a in _triple_row(*triple):
-            cols[j].append((c, -a))
-    f = _coefficients(n)
-    packing = LinearProgram([-1] * len(tight), cols, [-3 * v for v in f])
     try:
-        sol = solve(packing)
+        sol = solve(dual_program(_covering_lp(n, tight)))
     except LPSizeError:  # the cap counts the binding rows, not these 2n+1
         return None
     cost = _cost(q, d, n)
@@ -226,17 +225,11 @@ def _binding_row_optimum(n: int) -> tuple[tuple[Fraction, ...], Fraction]:
     ``solve`` certifies the pair on the binding rows, and
     :func:`_tight_triples` shows that t covers every other row too, where
     the dual, taken as zero, stays feasible.  A failed check raises
-    ``RuntimeError``.
-
-    The LP is pivoted on its shorter side: the covering LP itself for
-    n <= 3, where the binding rows are no more than the 2n+1 columns, and
-    its packing dual, with no phase I, from n = 4 on.  Columns enter by the
-    most negative reduced cost, with Bland's rule as the fallback after a
-    run of degenerate pivots (never reached for n = 1..60).
+    ``RuntimeError``.  ``solve`` pivots the covering LP as given for
+    n <= 11, where the binding rows are at most ``4n + 10``, and its packing
+    dual, with no phase I, from n = 12 on; Bland's rule prices either side.
     """
-    objective = [3 * v for v in _coefficients(n)]
-    rows = _binding_rows(n)
-    sol = solve(LinearProgram(objective, rows, [1] * len(rows)), any_vertex=True)
+    sol = solve(_covering_lp(n, _binding_triples(n)))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
     if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered

@@ -2,15 +2,12 @@
 
 Problems are minimizations of ``c . x`` subject to ``A x >= b`` and
 ``x >= 0`` with rational data.  The solver is a two-phase primal simplex on
-the standard-form tableau.  By default it enters columns by Bland's
-anti-cycling rule (Bland, Math. Oper. Res. 1977), which pins the vertex it
-returns; on the ``any_vertex`` route of :func:`solve` it enters the most
-negative reduced cost, and falls back to Bland's rule after a run of
-degenerate pivots.  Every run terminates, and an optimal run yields an
-exactly optimal basis.  The tableau is ``[A | -I | b]``; ``[A | -I]`` has
-full row rank, so no row is ever dropped.  The dual vector is the reduced
-costs of the surplus columns, giving a certificate with ``c . x == b . y``
-as an identity of rationals.
+the standard-form tableau, which enters columns by Bland's anti-cycling
+rule (Bland, Math. Oper. Res. 1977): every run terminates, an optimal run
+yields an exactly optimal basis, and the vertex it returns is pinned.  The
+tableau is ``[A | -I | b]``; ``[A | -I]`` has full row rank, so no row is
+ever dropped.  The dual vector is the reduced costs of the surplus columns,
+giving a certificate with ``c . x == b . y`` as an identity of rationals.
 
 A :class:`LinearProgram` takes rational data and stores it once as
 integers over one positive denominator ``den``, the lcm of its
@@ -24,20 +21,21 @@ row.  A pivot on ``(r, k)`` first makes row r primitive (divides it by the
 gcd of its entries) with ``q = a_rk > 0``; every other row with
 ``f = a_ik != 0`` becomes ``row_i - (f / q) * row_r`` in place when q
 divides f, and otherwise ``row_i * q - f * row_r`` made primitive.  A
-row's multiple is positive, so the signs the entering rules read are its
-entries' signs, a cost row orders the reduced costs within itself, and the
-ratio test compares ``b_i * a_jk`` with ``b_j * a_ik``: every comparison
-is the rational one, so the pivots, and the returned vertex, are those of
-a rational tableau.  A basic row's multiple is its entry in its basic
-column.  A cost row keeps its multiple in one trailing slot, which every
-tableau row holds as 0; the duals and the optimal value are read from the
-final cost row over that slot, the value from the slot before it rather
-than summed again.  Fractions appear only in the solution.
+row's multiple is positive, so the signs the entering rule reads are its
+entries' signs, and the ratio test compares ``b_i * a_jk`` with
+``b_j * a_ik``: every comparison is the rational one, so the pivots, and
+the returned vertex, are those of a rational tableau.  A basic row's
+multiple is its entry in its basic column.  A cost row keeps its multiple
+in one trailing slot, which every tableau row holds as 0; the duals and the
+optimal value are read from the final cost row over that slot, the value
+from the slot before it rather than summed again.  Fractions appear only in
+the solution.
 
-:func:`solve` is the one entry point, and it certifies what it returns:
-every optimal pair is re-checked, before it leaves the solver, by
-:func:`verify_certificate`, which also runs on integers but shares no
-code with the pivot loop.
+:func:`solve` is the one entry point.  It pivots an LP with more than
+``2 * cols + 8`` rows as its dual, built by :func:`dual_program`, and any
+other LP as given.  It certifies what it returns: every optimal pair is
+re-checked, before it leaves the solver, by :func:`verify_certificate`,
+which also runs on integers but shares no code with the pivot loop.
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ROW_CAP_ENV = "STABLERANK_MAX_LP_ROWS"
-# Degenerate pivots in a row after which most-negative pricing gives way to
-# Bland's rule for the rest of the phase.
-_DEGENERATE_RUN = 50
 
 
 class LPSizeError(RuntimeError):
@@ -226,18 +221,12 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g == 1 else [v // g for v in row]
 
 
-def _run_simplex(lp: LinearProgram, dantzig: bool = False):
+def _run_simplex(lp: LinearProgram):
     """Two-phase primal simplex on integer rows.
 
-    The entering column is the lowest one with a negative reduced cost
-    (Bland's rule), or with ``dantzig`` set the one with the most negative
-    reduced cost, lowest first on a tie.  Either way the leaving row is the
-    lowest basis label among the ratio test's minima.  Most-negative pricing
-    can cycle, so after ``_DEGENERATE_RUN`` degenerate pivots in a row
-    (ratio-test minimum ``b_r == 0``) the phase continues on Bland's rule.
-    That terminates: each degenerate run before the switch is bounded, each
-    non-degenerate pivot strictly lowers the phase's objective, so no basis
-    recurs across one, and Bland's rule terminates from any basis.
+    Each phase prices by Bland's rule: the entering column is the lowest one
+    with a negative reduced cost, and the leaving row is the lowest basis
+    label among the ratio test's minima, so no basis recurs.
 
     Returns ``(status, x, y, value)`` with ``Fraction`` entries.  The
     tableau is ``[A | -I | b]``, each row with ``b_i < 0`` negated so that
@@ -312,23 +301,13 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
         basis[r] = k
 
     def price(at: int) -> str:
-        use_dantzig = dantzig  # until this phase's degenerate run is too long
-        degenerate = 0
         while True:
             c = tab[at]
             k = -1
-            if use_dantzig:
-                # A positive multiple of the cost row orders the reduced
-                # costs; index() takes the lowest tied column.  An LP with
-                # no columns has no reduced cost: it is optimal.
-                low = min(c[:width], default=0)
-                if low < 0:
-                    k = c.index(low)
-            else:
-                for j in range(width):
-                    if c[j] < 0:
-                        k = j
-                        break
+            for j in range(width):
+                if c[j] < 0:
+                    k = j
+                    break
             if k < 0:
                 return OPTIMAL
             # Ratio test: b_i / a_ik, unchanged by each row's multiple.
@@ -345,9 +324,6 @@ def _run_simplex(lp: LinearProgram, dantzig: bool = False):
                         r, best_b, best_a = i, row[width], a
             if r < 0:
                 return UNBOUNDED
-            if use_dantzig:
-                degenerate = 0 if best_b else degenerate + 1
-                use_dantzig = degenerate < _DEGENERATE_RUN
             pivot(r, k)
 
     if art_rows:
@@ -400,37 +376,22 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     return out
 
 
-def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
+def solve(lp: LinearProgram) -> LPSolution:
     """Solve an LP exactly, producing a primal-dual optimal pair.
 
-    The pivoting may run on the dual formulation, whose pair is mapped back;
-    the returned solution is identical in meaning.  The one keyword chooses
-    which side is pivoted and how the entering column is priced:
-
-    - By default the dual is pivoted only when the LP has more than
-      ``2 * cols + 8`` rows, and columns enter by Bland's rule.  This pins
-      the vertex a caller gets, so ``trank``, ``dual_trank`` and
-      ``tslice``, which print or branch on ``x`` and ``y``, and the
-      ``solve`` vertices of ``tests/data/lp_vertices.json`` depend on it.
-    - With ``any_vertex=True`` the dual is pivoted whenever the LP has more
-      rows than columns, i.e. the side with fewer rows is pivoted.  The
-      value is the same optimum, but ``x`` and ``y`` may be another optimal
-      pair.  Columns enter by the most negative reduced cost, with Bland's
-      rule after a run of degenerate pivots, which takes far fewer pivots
-      on long LPs such as the cap-set LP.  For an LP with ``c > 0`` the
-      dual route also has no phase I: every row of the dual starts on its
-      own surplus column at ``y = 0``.
-      ``capset.reduced_lp``, which reports only an optimal ``t`` and the
-      value, solves this way.
-
-    When the dual is not optimal, the LP is pivoted directly, as a
-    non-optimal dual status does not pin the primal one.
+    An LP with more than ``2 * cols + 8`` rows is pivoted as its dual, whose
+    pair is mapped back; when the dual is not optimal, the LP is pivoted
+    directly, as a non-optimal dual status does not pin the primal one.  For
+    an LP with ``c > 0`` the dual route has no phase I: every row of the
+    dual starts on its own surplus column at ``y = 0``.  Either side prices
+    by Bland's rule, which pins the vertex a caller gets, so ``trank``,
+    ``dual_trank`` and ``tslice``, which print or branch on ``x`` and ``y``,
+    and the vertices of ``tests/data/lp_vertices.json`` depend on it.
     ``STABLERANK_MAX_LP_ROWS`` counts the rows of ``lp``, whichever side is
-    pivoted.  Deterministic: identical input and keyword yield an identical
-    solution.
+    pivoted.  Deterministic: identical input yields an identical solution.
 
     An optimal pair is re-checked against ``lp`` by
-    :func:`verify_certificate` before it is returned, on either route; a
+    :func:`verify_certificate` before it is returned, on either side; a
     pair that fails raises ``RuntimeError``.  Every optimum that leaves
     this function is therefore certified, and callers need not check it.
     """
@@ -440,14 +401,12 @@ def solve(lp: LinearProgram, any_vertex: bool = False) -> LPSolution:
             f"LP has {lp.num_rows} rows, exceeding {_ROW_CAP_ENV}={cap}"
         )
     status = None
-    dual_above = lp.num_vars if any_vertex else 2 * lp.num_vars + 8
-    if lp.num_rows > dual_above:
-        status, y, x, value = _run_simplex(dual_program(lp), any_vertex)
+    if lp.num_rows > 2 * lp.num_vars + 8:
+        status, y, x, value = _run_simplex(dual_program(lp))
         if status == OPTIMAL:
             value = -value  # the dual program minimizes -b.y
     if status != OPTIMAL:
-        # A non-optimal dual status does not pin the primal status.
-        status, x, y, value = _run_simplex(lp, any_vertex)
+        status, x, y, value = _run_simplex(lp)
     if status != OPTIMAL:
         return LPSolution(status, None, (), ())
     sol = LPSolution(OPTIMAL, value, tuple(x), tuple(y))

@@ -4,11 +4,9 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/make_lp_vertices.py
 
-Each case stores the LP data and the ``to_json()`` of its solution, so
-``test_lp_vertices.py`` pins the exact vertex (``x`` and ``y``), not just the
-optimal value.  A case whose ``solve(lp, any_vertex=True)`` returns another
-pair also stores that pair, under ``any_vertex``; ``test_lp.py`` pins it.
-The corpus has three families:
+Each case stores the LP data and the ``to_json()`` of its one ``solve``,
+so ``test_lp_vertices.py`` pins the exact vertex (``x`` and ``y``), not just
+the optimal value.  The corpus has three families:
 
 - ``small``: 600 small LPs with fractional and negative data, some
   infeasible or unbounded, which are pivoted directly;
@@ -107,11 +105,7 @@ def lp_to_json(lp: LinearProgram) -> dict:
 
 
 def case(name: str, lp: LinearProgram) -> dict:
-    out = {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
-    shorter = solve(lp, any_vertex=True).to_json()
-    if shorter != out["solve"]:
-        out["any_vertex"] = shorter
-    return out
+    return {"name": name, **lp_to_json(lp), "solve": solve(lp).to_json()}
 
 
 def main() -> None:

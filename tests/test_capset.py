@@ -143,9 +143,9 @@ def _counting_solve(monkeypatch):
     shapes = []
     real = capset.solve
 
-    def counting(lp, *args, **kwargs):
+    def counting(lp):
         shapes.append((lp.num_rows, lp.num_vars))
-        return real(lp, *args, **kwargs)
+        return real(lp)
 
     monkeypatch.setattr(capset, "solve", counting)
     return shapes
@@ -185,8 +185,8 @@ def _lower_one_t(monkeypatch):
     _lower_guess(monkeypatch)
     real = capset.solve
 
-    def tampered(lp, **kwargs):
-        sol = real(lp, **kwargs)
+    def tampered(lp):
+        sol = real(lp)
         k = max(i for i, v in enumerate(sol.x) if v > 0)
         x = list(sol.x)
         x[k] /= 2
@@ -201,8 +201,8 @@ def _raise_one_y(monkeypatch):
     returns the expected error."""
     real = lp_module._run_simplex
 
-    def tampered(lp, *args):
-        status, x, y, value = real(lp, *args)
+    def tampered(lp):
+        status, x, y, value = real(lp)
         return status, x, [y[0] + F(1, 7), *y[1:]], value
 
     monkeypatch.setattr(lp_module, "_run_simplex", tampered)
@@ -238,16 +238,39 @@ class TestRowGeneration:
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
         # one solve per n: the binding rows at n = 1, and from n = 2 on the
-        # packing LP, one row per t column and one column per tight triple
-        shapes = _counting_solve(monkeypatch)
+        # packing LP, one row per t column and one column per tight triple;
+        # each is pivoted as given, never above 2 * cols + 8 rows
         tight = {2: 3, 3: 3, 4: 4, 11: 13, 12: 18, 20: 40, 30: 102}
         assert tight == {n: _tight_count(n) for n in tight}
+        duals = []
+        real = lp_module.dual_program
+        monkeypatch.setattr(lp_module, "dual_program", lambda lp: duals.append(lp) or real(lp))
+        shapes = _counting_solve(monkeypatch)
         reduced_lp(1)
         assert shapes == [(len(capset._binding_triples(1)), 3)] == [(2, 3)]
-        for n, cols in tight.items():
+        for n in sorted({*range(2, 21), *tight}):
             shapes.clear()
             reduced_lp(n)
-            assert shapes == [(2 * n + 1, cols)], n
+            assert shapes == [(2 * n + 1, _tight_count(n))], n
+        assert duals == []
+
+    def test_guess_solves_the_packing_lp(self, fresh_cache, monkeypatch):
+        # the LP handed to solve is the packing LP on the tight triples,
+        # built here one row per t column: -sum_T mult_j(T) y_T >= -3 f_j
+        handed = []
+        real = capset.solve
+        monkeypatch.setattr(capset, "solve", lambda lp: handed.append(lp) or real(lp))
+        for n in range(2, capset.TABLE_MAX_N + 1):
+            t = conjectured_t(n)
+            tight = [tr for tr in capset._binding_triples(n) if sum(t[i] for i in tr) == 1]
+            cols = [[] for _ in t]
+            for c, triple in enumerate(tight):
+                for j, mult in sorted(Counter(triple).items()):
+                    cols[j].append((c, -mult))
+            packing = LinearProgram([-1] * len(tight), cols, [-3 * v for v in trinomial(n)])
+            handed.clear()
+            capset._certified_guess(n)
+            assert handed == [packing], n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
     def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
@@ -330,32 +353,6 @@ class TestRowGeneration:
         assert len(pinned) == 12
         for n in range(1, 13):
             assert reduced_lp(n).value == F(pinned[f"capset-{n}"])
-
-    def test_shorter_side_keeps_t_and_value(self, fresh_cache, monkeypatch):
-        # the default route pivots the covering LP for n <= 11 and its dual after
-        expected = {}
-        for n in range(1, 21):
-            active = capset._binding_triples(n)
-            lp = LinearProgram(
-                [3 * v for v in trinomial(n)],
-                [[(idx, 1) for idx in tr] for tr in active],
-                [1] * len(active),
-            )
-            sol = lp_module.solve(lp)
-            expected[n] = (sol.x, sol.value)
-        calls = []
-        real = lp_module.dual_program
-        monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
-        shapes = _counting_solve(monkeypatch)
-        for n in range(1, 21):
-            calls.clear()
-            shapes.clear()
-            res = reduced_lp(n)
-            assert (res.t, res.value) == expected[n], n
-            # one LP, pivoted as given: the 2 binding rows at n = 1, then the
-            # packing LP on the tight triples, never above 2 * cols + 8 rows
-            assert shapes == [(2, 3) if n == 1 else (2 * n + 1, _tight_count(n))], n
-            assert calls == [], n
 
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
         # a silent fallback would print the same table at twice the cost

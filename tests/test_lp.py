@@ -106,7 +106,6 @@ class TestExamples:
         sol = solve(lp)
         assert sol.status == OPTIMAL and sol.value == 0 and sol.x == (0, 0)
 
-    @pytest.mark.parametrize("any_vertex", [False, True])
     @pytest.mark.parametrize(
         "lp",
         [
@@ -116,8 +115,8 @@ class TestExamples:
         ],
         ids=["0x0", "0x2", "2x0"],
     )
-    def test_lp_without_rows_or_columns(self, lp, any_vertex):
-        sol = solve(lp, any_vertex=any_vertex)
+    def test_lp_without_rows_or_columns(self, lp):
+        sol = solve(lp)
         assert sol.status == OPTIMAL and sol.value == 0
         assert verify_certificate(lp, sol)
 
@@ -236,14 +235,6 @@ class TestDualizedPath:
                 assert verify_certificate(lp, auto)
 
 
-# The keywords of each rule: the default and the shorter side; the default
-# keeps its id from a bool parameter.
-_ROUTES = [
-    pytest.param({}, id="False"),
-    pytest.param({"any_vertex": True}, id="any_vertex"),
-]
-
-
 def _spy_dual_program(monkeypatch):
     """Record each LP that ``solve`` dualizes; returns that list."""
     calls = []
@@ -279,14 +270,13 @@ class TestDegenerateRows:
             ([-1, 0], [[1, -1], [1, -1], [0, 0]], [-1, -1, 0], UNBOUNDED, None),
             ([1, 2], _TALL_ROWS, _TALL_RHS, OPTIMAL, 1),
             ([1, 2], _TALL_ROWS + [[0, 0]], _TALL_RHS + [1], INFEASIBLE, None),
-            # Beale's example: most-negative pricing alone cycles on it
+            # Beale's example: most-negative pricing cycles on it, Bland's rule does not
             ([F(-3, 4), 20, F(-1, 2), 6], _BEALE_ROWS, [0, 0, -1], OPTIMAL, F(-5, 4)),
         ],
     )
-    @pytest.mark.parametrize("route", _ROUTES)
-    def test_status_value_and_certificate(self, c, rows, rhs, status, value, route):
+    def test_status_value_and_certificate(self, c, rows, rhs, status, value):
         lp = dense_lp(c, rows, rhs)
-        sol = solve(lp, **route)
+        sol = solve(lp)
         assert sol.status == status
         direct_status, _, _, direct_value = lp_module._run_simplex(lp)
         assert direct_status == status and direct_value == value
@@ -297,26 +287,24 @@ class TestDegenerateRows:
             assert len(sol.y) == lp.num_rows
             assert verify_certificate(lp, sol)
 
-    @pytest.mark.parametrize("route", _ROUTES)
-    def test_tall_case_routes(self, monkeypatch, route):
+    def test_tall_case_routes(self, monkeypatch):
         calls = _spy_dual_program(monkeypatch)
-        solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS), **route)
+        solve(dense_lp([1, 2], _TALL_ROWS, _TALL_RHS))
         assert len(calls) == 1
 
-    # (rows, cols) around both thresholds: rows > cols and rows > 2 * cols + 8
+    # (rows, cols) around the threshold rows > 2 * cols + 8; (4, 3) has more
+    # rows than columns and is still pivoted as given
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (2, 5), (4, 3), (14, 3), (15, 3)])
-    @pytest.mark.parametrize("route", _ROUTES)
-    def test_routes_by_shape(self, monkeypatch, m, n, route):
+    def test_routes_by_shape(self, monkeypatch, m, n):
         calls = _spy_dual_program(monkeypatch)
         rows = [[1 + (i + j) % 3 for j in range(n)] for i in range(m)]
-        sol = solve(dense_lp([1] * n, rows, [1] * m), **route)
+        sol = solve(dense_lp([1] * n, rows, [1] * m))
         assert sol.status == OPTIMAL
-        dual = m > n if route else m > 2 * n + 8
-        assert len(calls) == dual
+        assert len(calls) == (m > 2 * n + 8)
 
 
-# An optimal LP for each route of the default rule, keyed by whether it
-# pivots the dual: 3 rows on 2 columns are pivoted directly, the 14 tall rows
+# An optimal LP for each route of ``solve``, keyed by whether it pivots the
+# dual: 3 rows on 2 columns are pivoted directly, the 14 tall rows
 # through the dual.
 _BY_ROUTE = {
     False: ([1, 1], [[1, 1], [1, -1], [1, 1]], [1, -2, 1]),
@@ -440,8 +428,8 @@ def _canonical_int_rows(rows, num_vars):
 
 def test_builders_emit_canonical_int_rows(monkeypatch):
     """The package builds its LPs from canonical int rows, which the
-    constructor stores as given: ``ranks._cover_lp``, the binding rows of
-    the cap-set LP and ``dual_program``."""
+    constructor stores as given: ``ranks._cover_lp``, the cap-set LP of
+    ``capset._covering_lp`` and ``dual_program``."""
     built = []
     real = ranks.LinearProgram
     monkeypatch.setattr(
@@ -459,34 +447,18 @@ def test_builders_emit_canonical_int_rows(monkeypatch):
     assert len(built) == 400
     for rows, num_vars in built:
         assert _canonical_int_rows(rows, num_vars)
+    covering = []
+    monkeypatch.setattr(
+        capset, "LinearProgram", lambda c, rows, b: covering.append(rows) or real(c, rows, b)
+    )
     for n in range(1, capset.TABLE_MAX_N + 1):
-        rows = capset._binding_rows(n)
-        assert _canonical_int_rows(rows, 2 * n + 1)
         triples = capset._binding_triples(n)
-        c, b = [1] * (2 * n + 1), [1] * len(triples)
-        assert real(c, rows, b) == real(c, [[(i, 1) for i in tr] for tr in triples], b)
+        lp = capset._covering_lp(n, triples)
+        assert _canonical_int_rows(covering.pop(), 2 * n + 1)
+        assert lp == real(lp.objective, [[(i, 1) for i in tr] for tr in triples], lp.rhs)
     for lp, _ in _vertex_corpus_lps():
         dual = lp_module.dual_program(lp)
         assert _canonical_int_rows(dual.rows, dual.num_vars)
-
-
-# Two LPs with den > 1 whose any_vertex pair moves if the surplus columns
-# enter the tableau as -1 instead of -den: that scales them against the
-# structural columns, and most-negative pricing reads the scale.  The pairs
-# are the rational tableau's.
-_SURPLUS_SCALE_PINS = [
-    ([0, F(2, 3)], [[(1, 2)], [(0, F(1, 3)), (1, F(4, 3))]], [0, 1],
-     {"status": "optimal", "value": "0", "x": ["3", "0"], "y": ["0", "0"]}),
-    ([F(4, 3), 0, F(1, 2)], [[(0, F(3, 2)), (1, F(-1, 2))], [(0, 1), (2, F(-1, 2))]], [0, 1],
-     {"status": "optimal", "value": "4/3", "x": ["1", "0", "0"], "y": ["0", "4/3"]}),
-]
-
-
-@pytest.mark.parametrize("c,rows,rhs,pinned", _SURPLUS_SCALE_PINS)
-def test_any_vertex_pair_over_a_denominator(c, rows, rhs, pinned):
-    lp = LinearProgram(c, rows, rhs)
-    assert lp.den > 1
-    assert solve(lp, any_vertex=True).to_json() == pinned
 
 
 class TestSolveCertifies:
@@ -513,9 +485,9 @@ class TestSolveCertifies:
         c, rows, rhs = _BY_ROUTE[dual]
         real = lp_module._run_simplex
 
-        def tampered(lp, *args):
+        def tampered(lp):
             # y of the program pivoted on: the primal's x on the dual route
-            status, x, y, value = real(lp, *args)
+            status, x, y, value = real(lp)
             return status, x, [y[0] + F(1, 7), *y[1:]], value
 
         monkeypatch.setattr(lp_module, "_run_simplex", tampered)
@@ -647,25 +619,6 @@ def test_verify_matches_fraction_reference():
             seen[expected] += 1
     assert optimal == 442
     assert seen[True] >= 2 * optimal and seen[False] >= 6 * optimal
-
-
-def test_any_vertex_keeps_the_pinned_optima():
-    """The shorter-side route reaches each pinned optimum, at its own pinned
-    vertex: the ``any_vertex`` pin where it has one, else the ``solve`` pin."""
-    cases = json.loads((Path(__file__).parent / "data" / "lp_vertices.json").read_text())
-    optima = moved = 0
-    for case in cases:
-        lp = LinearProgram(case["objective"], case["rows"], case["rhs"])
-        sol = solve(lp, any_vertex=True)
-        pinned = case["solve"]
-        assert sol.to_json() == case.get("any_vertex", pinned), case["name"]
-        assert sol.status == pinned["status"], case["name"]
-        if sol.status == OPTIMAL:
-            assert str(sol.value) == pinned["value"], case["name"]
-            assert verify_certificate(lp, sol), case["name"]
-            optima += 1
-            moved += "any_vertex" in case
-    assert (optima, moved) == (442, 41)
 
 
 @pytest.mark.parametrize(
