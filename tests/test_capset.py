@@ -354,6 +354,33 @@ class TestRowGeneration:
         for n in range(1, 13):
             assert reduced_lp(n).value == F(pinned[f"capset-{n}"])
 
+    def test_shorter_side_keeps_t_and_value(self, fresh_cache, monkeypatch):
+        # the covering LP on the binding rows, built here row by row and
+        # solved on its own, has the t and value that reduced_lp returns
+        expected = {}
+        for n in range(1, 21):
+            active = capset._binding_triples(n)
+            lp = LinearProgram(
+                [3 * v for v in trinomial(n)],
+                [[(idx, 1) for idx in tr] for tr in active],
+                [1] * len(active),
+            )
+            sol = lp_module.solve(lp)
+            expected[n] = (sol.x, sol.value)
+        calls = []
+        real = lp_module.dual_program
+        monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
+        shapes = _counting_solve(monkeypatch)
+        for n in range(1, 21):
+            calls.clear()
+            shapes.clear()
+            res = reduced_lp(n)
+            assert (res.t, res.value) == expected[n], n
+            # one LP, pivoted as given: the 2 binding rows at n = 1, then the
+            # packing LP on the tight triples, never above 2 * cols + 8 rows
+            assert shapes == [(2, 3) if n == 1 else (2 * n + 1, _tight_count(n))], n
+            assert calls == [], n
+
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
         # a silent fallback would print the same table at twice the cost
         def fallback(n):
