@@ -18,16 +18,18 @@ for any t and in O(n^2), that t covers every row of the full LP, and lists
 the binding rows on which t is tight.
 
 From n = 2 on, :func:`reduced_lp` first certifies :func:`conjectured_t`.
-If that t covers every row, the packing LP on its tight binding rows (40
-of 154 at n = 20, 402 of 1,261 at n = 60) has 2n+1 rows and starts
-feasible at y = 0, with no phase I.  Its certified optimum is a dual
-solution of the full LP, zero on every other row, so when it equals the
-cost of t, t is optimal: 165 pivots for n = 2..20 and 1,357 for n = 2..60.
-Only where that proof fails, and always at n = 1, is the LP solved on its
-binding rows by :func:`stablerank.lp.solve`, and its t checked for the full
-LP in the same O(n^2) pass.  Both LPs come from one builder,
-:func:`_covering_lp` on a list of triples, the packing LP as its
-:func:`stablerank.lp.dual_program`.  Either way the answer is an optimum of
+If that t covers every row, a dual solution of the full LP that is zero
+off the binding rows tight at t (40 of 154 at n = 20, 402 of 1,261 at
+n = 60) and sums to the cost of t proves t optimal, by weak duality.
+:func:`_closed_form_dual` writes that dual down by a fixed rule, a run of
+``3 f_i`` and a tail from a 2x2 to 4x4 integer system, and checks it
+exactly, with no simplex: for every n = 3..60 but 57 and 60.  Where it
+declines, at n = 2, 57 and 60, the packing LP on the tight rows, with 2n+1
+rows and no phase I, is solved for it (3, 66 and 73 pivots).  Only where
+both fail, and always at n = 1, is the LP solved on its binding rows by
+:func:`stablerank.lp.solve`, and its t checked for the full LP in the same
+O(n^2) pass.  Both LPs come from one builder, :func:`_covering_lp` on a
+list of triples, the packing LP as its :func:`stablerank.lp.dual_program`.  Either way the answer is an optimum of
 the full LP, certified without building it.
 """
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .lp import (
     _ROW_CAP_ENV,
@@ -49,7 +52,7 @@ from .lp import (
     dual_program,
     solve,
 )
-from .ranks import trank
+from .ranks import _det_int, trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
 # Growth base of the bound: (3/8) * (207 + 33*sqrt(33))^(1/3), just under 2.756.
@@ -163,13 +166,14 @@ def reduced_lp(n: int) -> CapsetLPResult:
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
 
     The full LP is never built.  From n = 2 on, :func:`_certified_guess`
-    tries to prove :func:`conjectured_t` optimal; where it cannot, and at
-    n = 1, :func:`_binding_row_optimum` solves the LP on its binding rows
-    (``i + j + k == 2n``).  Each route checks what it returns, and a failed
-    check of the binding-row route raises ``RuntimeError``.  t is the
-    conjectured vector for n = 2..60, which is also the vertex the
-    binding-row route returns there (the tests compare the two routes for
-    n = 1..60); the duals are not reported.
+    tries to prove :func:`conjectured_t` optimal, by the closed-form dual
+    (n = 3..60 but 57 and 60) or else the packing LP (n = 2, 57 and 60);
+    where it cannot, and at n = 1, :func:`_binding_row_optimum` solves the
+    LP on its binding rows (``i + j + k == 2n``).  Each route checks what it
+    returns, and a failed check of the binding-row route raises
+    ``RuntimeError``.  t is the conjectured vector for n = 2..60, which is
+    also the vertex the binding-row route returns there (the tests compare
+    the two routes for n = 1..60); the duals are not reported.
 
     ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, whichever LP is
     pivoted, and is checked before either route.  An n below 1 raises
@@ -189,33 +193,126 @@ def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """``(t, c.t)`` for ``t = conjectured_t(n)`` if it is proved optimal,
     else None.
 
-    The proof: t >= 0 covers every row of the full LP, by one exact pass of
-    :func:`_tight_triples`, which also lists the binding triples T tight
-    at t.  The packing LP ``max sum_T y_T`` subject to
-    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j and y >= 0, the
-    :func:`stablerank.lp.dual_program` of the covering LP on T, is solved
-    once by :func:`stablerank.lp.solve`, whose certificate check confirms
-    y >= 0, ``A_T^T y <= c`` and ``sum(y) == value``.  That y, zero on every
-    other row, is a dual solution of the full LP, so by weak duality
-    ``sum(y) <= OPT <= c.t``; where ``c.t == sum(y)``, an identity of
-    integers over t's denominator, t is optimal.  The guess is never
-    trusted: an uncovered row, a packing status that is not optimal (or a
-    packing LP above the row cap, at n = 2) or ``c.t != sum(y)`` returns
-    None.
+    The proof: t >= 0 covers every row of the full LP, by the one exact
+    pass of :func:`_tight_triples` that :func:`_guess_coverage` shares with
+    :func:`verify_conjecture`, which also lists the binding triples T tight
+    at t.  A y >= 0 on T with ``sum_T mult_j(T) y_T <= 3 f_j`` for each
+    column j, zero on every other row, is a dual solution of the full LP,
+    so by weak duality ``sum(y) <= OPT <= c.t``; where ``c.t == sum(y)``,
+    an identity of integers over the common denominator, t is optimal.
+
+    Such a y comes from the first of two routes that yields one.
+    :func:`_closed_form_dual` builds it by a fixed rule and checks it
+    exactly, with no simplex; it does so for every n = 3..60 but 57 and 60.
+    Where it declines, the packing LP ``max sum_T y_T`` subject to those
+    column loads, the :func:`stablerank.lp.dual_program` of the covering LP
+    on T, is solved once by :func:`stablerank.lp.solve`, whose certificate
+    check confirms y >= 0, ``A_T^T y <= c`` and ``sum(y) == value``: at
+    n = 2, 57 and 60.  The guess is never trusted: an uncovered row, a
+    declined closed form followed by a packing status that is not optimal
+    (or a packing LP above the row cap, at n = 2) or ``c.t != sum(y)``
+    returns None.
     """
-    t = conjectured_t(n)
-    q, d = _over_one_denominator(t)
-    tight = _tight_triples(q, d, n) if min(q) >= 0 else None
+    t, q, d, tight = _guess_coverage(n)
     if tight is None:
         return None
+    cost = _cost(q, d, n)
+    if _closed_form_dual(n, q, d, tight) is not None:
+        return t, cost
     try:
         sol = solve(dual_program(_covering_lp(n, tight)))
     except LPSizeError:  # the cap counts the binding rows, not these 2n+1
         return None
-    cost = _cost(q, d, n)
     if sol.status != OPTIMAL or cost != -sol.value:
         return None
     return t, cost
+
+
+@lru_cache(maxsize=1)  # reduced_lp and verify_conjecture check the same guess
+def _guess_coverage(n: int) -> tuple[tuple[Fraction, ...], list[int], int, list | None]:
+    """``(t, q, d, tight)`` for ``t = conjectured_t(n) = q / d``: ``tight``
+    is :func:`_tight_triples` of t, or None if an entry of t is negative or
+    t leaves a row uncovered."""
+    t = conjectured_t(n)
+    q, d = _over_one_denominator(t)
+    return t, q, d, _tight_triples(q, d, n) if min(q) >= 0 else None
+
+
+def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
+    """The dual y that the rule predicts for a t with ``p`` positive
+    entries, as ``(triples, numerators, den)`` with ``den > 0``, or None if
+    it has no run (``p > n``) or its tail system is not square or is
+    singular.  Nothing here is checked.
+
+    With ``m = 2n - 2p``, y is ``3 f_i`` on the run ``(i, p, 2n-p-i)``,
+    i = 0..m, and on a tail of 2 to 4 triples chosen by n mod 3 it solves
+    the square system that loads each column m+1..p-1 with exactly
+    ``3 f_j``; no run triple meets those columns.  The system is solved on
+    integers by Cramer's rule, over ``den = |det|``, the sign taken from
+    the determinant itself.
+    """
+    f = _coefficients(n)
+    m = 2 * n - 2 * p
+    if m < 0:
+        return None
+    residue = n % 3
+    if residue == 0:
+        tail = [(m + 1, p - 1, p), (p - 1, p - 1, p - 1)]
+    elif residue == 1:
+        tail = [(m + 1, p - 1, p), (m + 2, m + 2, p), (m + 2, p - 1, p - 1)]
+    else:
+        tail = [(m + 1, p - 1, p), (m + 2, p - 2, p), (m + 2, p - 1, p - 1), (m + 3, m + 3, p - 1)]
+    cols = range(m + 1, p)
+    if len(cols) != len(tail):
+        return None
+    a = [[triple.count(j) for triple in tail] for j in cols]
+    b = [3 * f[j] for j in cols]
+    det = _det_int(a)
+    if not det:
+        return None
+    sign = 1 if det > 0 else -1
+    nums = [
+        sign * _det_int([[*row[:k], bj, *row[k + 1 :]] for row, bj in zip(a, b)])
+        for k in range(len(tail))
+    ]
+    den = sign * det
+    run = [(i, p, 2 * n - p - i) for i in range(m + 1)]
+    return run + tail, [3 * f[i] * den for i in range(m + 1)] + nums, den
+
+
+def _closed_form_dual(
+    n: int, q: list[int], d: int, tight: list[tuple[int, int, int]]
+) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
+    """A dual solution of the full LP that proves ``t = q / d`` optimal, as
+    ``(triples, numerators, den)`` from :func:`_rule_dual`, if it passes an
+    exact check; otherwise None.
+
+    ``tight`` is :func:`_tight_triples` of t, so t covers every row.  The
+    check: every triple of y is in ``tight``, every ``y >= 0``, the load
+    ``sum_T mult_j(T) y_T`` is at most ``3 f_j`` on each of the 2n+1
+    columns, and ``sum(y) == c.t``, each on integers over the common
+    denominator.  By weak duality t is then optimal.  The rule fails at
+    n = 2, where t has 3 positive entries and so no run, and at n = 0
+    (mod 3) from 57 on, where column p is overloaded.
+    """
+    f = _coefficients(n)
+    p = sum(1 for v in q if v > 0)
+    rule = _rule_dual(n, p)
+    if rule is None:
+        return None
+    triples, y, den = rule
+    on = set(tight)
+    if not all(triple in on for triple in triples) or min(y) < 0:
+        return None
+    load = [0] * (2 * n + 1)
+    for triple, v in zip(triples, y):
+        for j in triple:
+            load[j] += v
+    if any(s > 3 * fj * den for s, fj in zip(load, f)):
+        return None
+    if sum(y) * d != 3 * sum(map(mul, f, q)) * den:
+        return None
+    return rule
 
 
 def _binding_row_optimum(n: int) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -322,8 +419,8 @@ def verify_conjecture(n: int) -> ConjectureReport:
     Reports feasibility and whether the conjectured objective attains the
     LP optimum; the match is reported, never assumed.
     """
-    q, d = _over_one_denominator(conjectured_t(n))
-    feasible = min(q) >= 0 and _tight_triples(q, d, n) is not None
+    _, q, d, tight = _guess_coverage(n)
+    feasible = tight is not None
     cval = _cost(q, d, n)
     lp_value = reduced_lp(n).value
     return ConjectureReport(n, feasible, cval, lp_value, feasible and cval == lp_value)

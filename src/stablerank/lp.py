@@ -449,7 +449,10 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         return False
     for row, bi in zip(lp.rows, lp.rhs):
-        if sum(a * x[j] for j, a in row) < bi * dx:
+        s = 0
+        for j, a in row:  # no generator per row: this check runs after every solve
+            s += a * x[j]
+        if s < bi * dx:
             return False
     col_sums = [0] * lp.num_vars
     for row, yi in zip(lp.rows, y):

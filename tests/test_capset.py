@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -133,8 +134,10 @@ def _sampled_t(n, rows, rng):
 def fresh_cache():
     """Solve every collapsed LP anew, and leave no result of a patched run behind."""
     capset.reduced_lp.cache_clear()
+    capset._guess_coverage.cache_clear()
     yield
     capset.reduced_lp.cache_clear()
+    capset._guess_coverage.cache_clear()
 
 
 def _counting_solve(monkeypatch):
@@ -155,6 +158,43 @@ def _tight_count(n):
     """The binding triples tight at the conjectured t, counted on Fractions."""
     t = conjectured_t(n)
     return sum(1 for triple in capset._binding_triples(n) if sum(t[i] for i in triple) == 1)
+
+
+def _decline_closed_form(monkeypatch):
+    """Make :func:`capset._closed_form_dual` decline, so that every guess
+    goes to the packing LP."""
+    monkeypatch.setattr(capset, "_closed_form_dual", lambda n, q, d, tight: None)
+
+
+def _route_spy(monkeypatch):
+    """Record each route that ``reduced_lp`` tries, in order: "closed form"
+    or "declined" per :func:`capset._closed_form_dual`, "binding" per
+    :func:`capset._binding_row_optimum`, and "solve" per LP handed to
+    ``solve``; returns that list."""
+    taken = []
+    closed_form, binding, real_solve = (
+        capset._closed_form_dual, capset._binding_row_optimum, capset.solve
+    )
+
+    def closed(n, q, d, tight):
+        y = closed_form(n, q, d, tight)
+        taken.append("declined" if y is None else "closed form")
+        return y
+
+    monkeypatch.setattr(capset, "_closed_form_dual", closed)
+    monkeypatch.setattr(capset, "_binding_row_optimum", lambda n: taken.append("binding") or binding(n))
+    monkeypatch.setattr(capset, "solve", lambda lp: taken.append("solve") or real_solve(lp))
+    return taken
+
+
+# The route of every n the CLI prints: the binding-row solve at n = 1, the
+# packing LP where the closed form declines, and the closed form elsewhere.
+FALLBACK_ROUTES = {
+    1: ["binding", "solve"],
+    2: ["declined", "solve"],
+    57: ["declined", "solve"],
+    60: ["declined", "solve"],
+}
 
 
 def _lower_guess(monkeypatch):
@@ -237,11 +277,13 @@ class TestRowGeneration:
             assert seen[False, False, monotone]
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
-        # one solve per n: the binding rows at n = 1, and from n = 2 on the
-        # packing LP, one row per t column and one column per tight triple;
-        # each is pivoted as given, never above 2 * cols + 8 rows
+        # one solve per n: the binding rows at n = 1, and from n = 2 on, with
+        # the closed form declining, the packing LP, one row per t column and
+        # one column per tight triple; each is pivoted as given, never above
+        # 2 * cols + 8 rows
         tight = {2: 3, 3: 3, 4: 4, 11: 13, 12: 18, 20: 40, 30: 102}
         assert tight == {n: _tight_count(n) for n in tight}
+        _decline_closed_form(monkeypatch)
         duals = []
         real = lp_module.dual_program
         monkeypatch.setattr(lp_module, "dual_program", lambda lp: duals.append(lp) or real(lp))
@@ -255,8 +297,10 @@ class TestRowGeneration:
         assert duals == []
 
     def test_guess_solves_the_packing_lp(self, fresh_cache, monkeypatch):
-        # the LP handed to solve is the packing LP on the tight triples,
-        # built here one row per t column: -sum_T mult_j(T) y_T >= -3 f_j
+        # with the closed form made to decline at every n, the LP handed to
+        # solve is the packing LP on the tight triples, built here one row
+        # per t column: -sum_T mult_j(T) y_T >= -3 f_j
+        _decline_closed_form(monkeypatch)
         handed = []
         real = capset.solve
         monkeypatch.setattr(capset, "solve", lambda lp: handed.append(lp) or real(lp))
@@ -303,16 +347,18 @@ class TestRowGeneration:
         assert len(shapes) == 1 + packing
         assert shapes[-1] == (len(capset._binding_triples(5)), 11)
 
+    # n = 2 still pivots the packing LP, where the closed form certifies
+    # n = 5 with no simplex, so a tampered pivot loop would go unseen there
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
         error = tamper(monkeypatch)
         with pytest.raises(RuntimeError, match=error):
-            reduced_lp(5)
+            reduced_lp(2)
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_exits_3(self, fresh_cache, monkeypatch, capsys, tamper):
         error = tamper(monkeypatch)
-        assert main(["capset", "--n", "5"]) == 3
+        assert main(["capset", "--n", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
@@ -376,9 +422,10 @@ class TestRowGeneration:
             shapes.clear()
             res = reduced_lp(n)
             assert (res.t, res.value) == expected[n], n
-            # one LP, pivoted as given: the 2 binding rows at n = 1, then the
-            # packing LP on the tight triples, never above 2 * cols + 8 rows
-            assert shapes == [(2, 3) if n == 1 else (2 * n + 1, _tight_count(n))], n
+            # at most one LP, pivoted as given: the 2 binding rows at n = 1,
+            # the packing LP on the 3 tight triples at n = 2, never above
+            # 2 * cols + 8 rows, and from n = 3 on none, by the closed form
+            assert shapes == {1: [(2, 3)], 2: [(5, _tight_count(2))]}.get(n, []), n
             assert calls == [], n
 
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
@@ -417,6 +464,163 @@ class TestRowGeneration:
         capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20)) - 1))
         assert main(["capset", "--n", "20"]) == 4
+
+
+def _shift_tail_numerator(monkeypatch, by):
+    """Add ``by`` to the last tail numerator of the rule's y."""
+    real = capset._rule_dual
+
+    def shifted(n, p):
+        triples, y, den = real(n, p)
+        assert y[-1] + by >= 0
+        return triples, [*y[:-1], y[-1] + by], den
+
+    monkeypatch.setattr(capset, "_rule_dual", shifted)
+
+
+def _raise_tail_numerator(monkeypatch):
+    """Raised by 1, the last tail numerator overloads a column."""
+    _shift_tail_numerator(monkeypatch, 1)
+
+
+def _lower_tail_numerator(monkeypatch):
+    """Lowered by 1, the last tail numerator leaves every load within its
+    cap and y >= 0, but sum(y) < c.t."""
+    _shift_tail_numerator(monkeypatch, -1)
+
+
+def _cancelling_pair(monkeypatch):
+    """Append the last tail triple twice more, with y = 1 and y = -1: every
+    load and sum(y) stay as they were, but one y is negative."""
+    real = capset._rule_dual
+
+    def paired(n, p):
+        triples, y, den = real(n, p)
+        return [*triples, triples[-1], triples[-1]], [*y, 1, -1], den
+
+    monkeypatch.setattr(capset, "_rule_dual", paired)
+
+
+def _drop_run_triple(monkeypatch):
+    """Drop the first run triple ``(0, p, 2n-p)`` from the tight triples
+    that the coverage pass lists."""
+    real = capset._guess_coverage
+
+    def dropped(n):
+        t, q, d, tight = real(n)
+        p = sum(1 for v in q if v > 0)
+        return t, q, d, [tr for tr in tight if tr != (0, p, 2 * n - p)]
+
+    monkeypatch.setattr(capset, "_guess_coverage", dropped)
+
+
+def _overload_column_0(monkeypatch):
+    """Move one unit of the rule's y from the last tail triple to the run
+    triple on column 0: y stays >= 0 and sum(y) stays c.t, but column 0
+    carries 3 f_0 plus one unit."""
+    real = capset._rule_dual
+
+    def moved(n, p):
+        triples, y, den = real(n, p)
+        assert triples[0][0] == 0 and 0 not in triples[-1] and y[-1] >= 1
+        return triples, [y[0] + 1, *y[1:-1], y[-1] - 1], den
+
+    monkeypatch.setattr(capset, "_rule_dual", moved)
+
+
+class TestClosedFormDual:
+    def test_route_of_every_table_n(self, fresh_cache, monkeypatch):
+        taken = _route_spy(monkeypatch)
+        routes = {}
+        for n in range(1, capset.TABLE_MAX_N + 1):
+            taken.clear()
+            reduced_lp(n)
+            routes[n] = list(taken)
+        assert routes == {
+            n: FALLBACK_ROUTES.get(n, ["closed form"]) for n in range(1, capset.TABLE_MAX_N + 1)
+        }
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 29, 30, 31])
+    def test_certificate_is_exact(self, n):
+        # the checked y, rebuilt here on Fractions: tight triples, y >= 0,
+        # every column load at most 3 f_j, and sum(y) == c.t == the optimum
+        t, q, d, tight = capset._guess_coverage(n)
+        triples, nums, den = capset._closed_form_dual(n, q, d, tight)
+        f = trinomial(n)
+        y = [F(v, den) for v in nums]
+        assert set(triples) <= set(tight) and min(y) >= 0
+        load = Counter()
+        for triple, v in zip(triples, y):
+            for j in triple:
+                load[j] += v
+        assert all(load[j] <= 3 * f[j] for j in range(2 * n + 1))
+        assert sum(y) == 3 * sum(fj * tj for fj, tj in zip(f, t)) == reduced_lp(n).value
+        # P triples: a run of 3 f_i on columns 0..m, then a tail of 2-4
+        p = sum(1 for v in t if v > 0)
+        m = 2 * n - 2 * p
+        assert len(triples) == p and len(triples) - (m + 1) == {0: 2, 1: 3, 2: 4}[n % 3]
+        assert y[: m + 1] == [3 * f[i] for i in range(m + 1)]
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 20])
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            _raise_tail_numerator,
+            _lower_tail_numerator,
+            _drop_run_triple,
+            _overload_column_0,
+            _cancelling_pair,
+        ],
+    )
+    def test_tampered_dual_declines(self, fresh_cache, monkeypatch, tamper, n):
+        # a tampered y fails its exact check, and the packing LP (or the
+        # binding-row solve after it) returns the same t and value
+        expected = reduced_lp(n)
+        capset.reduced_lp.cache_clear()
+        capset._guess_coverage.cache_clear()
+        tamper(monkeypatch)
+        _, q, d, tight = capset._guess_coverage(n)
+        assert capset._closed_form_dual(n, q, d, tight) is None
+        taken = _route_spy(monkeypatch)
+        assert reduced_lp(n) == expected
+        assert taken[:2] == ["declined", "solve"]
+
+    def test_any_covering_t_is_declined_or_optimal(self):
+        # on the seeded t vectors of the coverage test, the closed form
+        # never raises, and certifies no t that costs more than the optimum
+        rng = random.Random(20200219)
+        seen = Counter()
+        for n in range(2, 9):
+            for t in _sampled_t(n, _all_rows(n), rng):
+                q, d = lp_module._over_one_denominator(t)
+                tight = capset._tight_triples(q, d, n) if min(q) >= 0 else None
+                if tight is None:
+                    continue
+                certified = capset._closed_form_dual(n, q, d, tight) is not None
+                assert not certified or t_vector_value(t, n) == reduced_lp(n).value
+                seen[certified] += 1
+        assert seen[False] > 50
+
+    def test_reach_past_the_table(self, fresh_cache, monkeypatch):
+        # the closed form certifies n = 100, 200 and 299 with no LP solved
+        shapes = _counting_solve(monkeypatch)
+        start = time.perf_counter()
+        for n in (100, 200, 299):
+            assert reduced_lp(n).t == conjectured_t(n), n
+        assert time.perf_counter() - start < 0.2
+        assert shapes == []
+
+    def test_one_coverage_pass_per_n(self, fresh_cache, monkeypatch, capsys):
+        # --table 20 checks each guess once for reduced_lp and
+        # verify_conjecture together, and n = 1's binding-row t once
+        passes = []
+        real = capset._tight_triples
+        monkeypatch.setattr(
+            capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n)
+        )
+        assert main(["capset", "--table", "20"]) == 0
+        assert passes == list(range(1, 21))
+        capsys.readouterr()
 
 
 class TestBounds:
