@@ -88,6 +88,13 @@ def _binding_triples(n: int) -> list[tuple[int, int, int]]:
     return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
 
 
+def _binding_triple_count(n: int) -> int:
+    """``len(_binding_triples(n))`` without the list: the number of
+    partitions of 2n into at most three parts, the integer nearest to
+    (2n + 3)^2 / 12."""
+    return ((2 * n + 3) ** 2 + 6) // 12
+
+
 def _triple_row(i: int, j: int, k: int) -> tuple[tuple[int, int], ...]:
     """The row ``t_i + t_j + t_k >= 1`` of a triple ``i <= j <= k`` as a
     canonical sparse row: a repeated index is one column, with coefficient
@@ -180,7 +187,7 @@ def reduced_lp(n: int) -> CapsetLPResult:
     ``ValueError``.
     """
     _coefficients(n)  # an n below 1 raises here
-    rows = len(_binding_triples(n))
+    rows = _binding_triple_count(n)
     cap = _row_cap()
     if cap is not None and rows > cap:
         raise LPSizeError(f"LP has {rows} rows, exceeding {_ROW_CAP_ENV}={cap}")

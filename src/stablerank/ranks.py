@@ -235,24 +235,38 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
-    rows = [list(v) for v in vectors if any(x % p for x in v)]
-    rank = 0
+def _pivots_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
+    """The (row, column) of each pivot of a row echelon form of ``vectors``
+    mod p, rows numbered as given, in column order; their number is the rank.
+
+    Each echelon row is its given row plus multiples of the given rows of
+    earlier pivots, so the square minor of ``vectors`` on these rows and
+    columns is nonsingular mod p.
+    """
+    index = [i for i, v in enumerate(vectors) if any(x % p for x in v)]
+    rows = [list(vectors[i]) for i in index]
+    pivots: list[tuple[int, int]] = []
     width = len(rows[0]) if rows else 0
     for col in range(width):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), -1)
         if piv < 0:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        index[rank], index[piv] = index[piv], index[rank]
+        pivots.append((index[rank], col))
         pivot = rows[rank]
         inv = pow(pivot[col], p - 2, p)
         for r in range(rank + 1, len(rows)):  # echelon form: rows below only
             if f := rows[r][col] * inv % p:
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], pivot)]
-        rank += 1
-        if rank == len(rows):
+        if rank + 1 == len(rows):
             break
-    return rank
+    return pivots
+
+
+def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
+    return len(_pivots_mod_p(vectors, p))
 
 
 def _random_invertible(rng: random.Random, n: int, p: int | None):
@@ -456,13 +470,22 @@ def _subspace_count(q: int, p: int, limit: int) -> int:
 
 
 def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
-    """Non-commutative rank by exhaustive subspace enumeration.
+    """Non-commutative rank by subspace enumeration.
 
-    Minimizes ``cols + dim(sum_i A_i W) - dim W`` over all subspaces W of
-    the column space, enumerated through canonical RREF generator matrices.
-    A column space with more than ``limit`` subspaces, W = 0 and the whole
-    space included, raises ``SubspaceLimitError`` before any enumeration.
-    A negative ``limit`` raises ``ValueError``.
+    Minimizes ``cols + dim(sum_i A_i W) - dim W`` over the subspaces W of
+    the column space.  The common kernel of the A_i comes first (W = 0 if
+    it is 0), read off the rank of the matrices stacked; then, through
+    canonical RREF generator matrices, the whole space and dimensions 1 to
+    cols - 1.  No value is below L = ``_ncrk_lower_bound``, so the
+    enumeration stops as soon as the running minimum equals L; the order
+    cannot change a minimum, so the result is that of the full
+    enumeration.  When the kernel attains L, as it does whenever L equals
+    cols, no RREF matrix is enumerated.  A value below L contradicts the
+    bound and raises ``RuntimeError``, as does an L whose minor certificate
+    fails.  A column space with more than ``limit`` subspaces, W = 0 and
+    the whole space included, raises ``SubspaceLimitError`` before L is
+    computed or any subspace enumerated.  A negative ``limit`` raises
+    ``ValueError``.
     """
     check_count("limit", limit)
     p, q = mats.modulus, mats.cols
@@ -472,8 +495,14 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
             f"F_{p}^{q} has at least {count} subspaces, above the enumeration limit "
             f"{limit}; use the search mode"
         )
-    best = q  # W = 0
-    for k in range(1, q + 1):
+    lower = _ncrk_lower_bound(mats)
+    # W = the common kernel of the A_i (W = 0 when that is 0): its value is
+    # the rank of the matrices stacked, since they send it to 0.  The whole
+    # space comes next, with the rank of the matrices side by side.
+    best = _rank_mod_p([row for m in mats.matrices for row in m], p)
+    for k in (q, *range(1, q)):
+        if best <= lower:
+            break
         for basis in _rref_bases(q, k, p):
             images = [
                 [sum(m[r][c] * w[c] for c in range(q)) % p for r in range(mats.rows)]
@@ -481,6 +510,12 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
                 for w in basis
             ]
             best = min(best, q + _rank_mod_p(images, p) - k)
+            if best <= lower:
+                break
+    if best < lower:
+        raise RuntimeError(
+            f"ncrk brute force reached {best}, below the certified lower bound {lower}"
+        )
     return best
 
 
@@ -504,9 +539,21 @@ def _ncrk_lower_bound(mats: MatrixTuple) -> int:
     For every subspace W of the column space and every i,
     dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i), so
     ``cols + dim(sum_j A_j W) - dim W >= rank A_i``.  This is the d = 1
-    case of the blow-up bound of Derksen and Makam.
+    case of the blow-up bound of Derksen and Makam.  The rank is certified
+    by a minor: the determinant of the largest-rank matrix on the pivot
+    rows and columns of its elimination must be nonzero mod p, an exact
+    integer check that shares no code with the elimination.  A singular
+    minor raises ``RuntimeError``.
     """
-    return max(_rank_mod_p(m, mats.modulus) for m in mats.matrices)
+    p = mats.modulus
+    m, pivots = max(((m, _pivots_mod_p(m, p)) for m in mats.matrices), key=lambda mp: len(mp[1]))
+    minor = [[m[r][c] for _, c in pivots] for r, _ in pivots]
+    if minor and _det_int(minor) % p == 0:
+        raise RuntimeError(
+            f"the {len(minor)} x {len(minor)} minor certifying the ncrk lower bound "
+            f"is singular mod {p}"
+        )
+    return len(pivots)
 
 
 def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
@@ -522,8 +569,8 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     E12 - E21, E13 - E31, E23 - E32 has L = 2 and rank 3), the stop never
     fires and the whole budget is spent.  A running minimum whose floor
     falls below L contradicts that chain and raises ``RuntimeError``
-    instead of being returned.  A negative ``budget`` raises
-    ``ValueError``.
+    instead of being returned, as does an L whose minor certificate fails.
+    A negative ``budget`` raises ``ValueError``.
     """
     check_count("budget", budget)
     t = matrix_tuple_tensor(mats)

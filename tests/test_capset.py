@@ -259,6 +259,16 @@ class TestRowGeneration:
         assert len(_all_rows(20)) == 2282
         assert len(capset._binding_triples(60)) == 1261
 
+    def test_row_count_in_closed_form(self):
+        # The count is len(_binding_triples(n)); summing the length of each
+        # of the list's j ranges keeps the check linear in n.
+        for n in range(1, 601):
+            top = 2 * n
+            count = sum((top - i) // 2 - i + 1 for i in range(top // 3 + 1))
+            assert capset._binding_triple_count(n) == count, n
+        for n in range(1, 61):
+            assert capset._binding_triple_count(n) == len(capset._binding_triples(n)), n
+
     def test_coverage_check_matches_a_scan_of_every_row(self):
         rng = random.Random(20200219)
         seen = Counter()

@@ -367,14 +367,33 @@ class TestNcrkCommand:
             "error: F_2^2 has at least 5 subspaces, above the enumeration limit 4; use the search mode\n"
         )
 
-    @pytest.mark.parametrize("mode", ["search", "both"])
+    @pytest.mark.parametrize("mode", ["search", "both", "brute"])
     def test_search_below_the_lower_bound_exits_3(self, capsys, monkeypatch, identity_file, mode):
         ranks = stablerank.ranks
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: ranks.ncrk_bruteforce(mats) + 1)
+        lower = ranks.ncrk_bruteforce(stablerank.MatrixTuple([[[1, 0], [0, 1]]], 2)) + 1
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
         code = main(["ncrk", identity_file, "--mode", mode])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "below the certified lower bound 3" in captured.err
+
+    @pytest.mark.parametrize("mode", ["search", "both", "brute"])
+    def test_singular_lower_bound_minor_exits_3(self, capsys, monkeypatch, e11_file, mode):
+        ranks = stablerank.ranks
+        real = ranks._pivots_mod_p
+        monkeypatch.setattr(ranks, "_pivots_mod_p", lambda m, p: real(m, p) + [(1, 1)])
+        code = main(["ncrk", e11_file, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: the 2 x 2 minor certifying the ncrk lower bound is singular mod 2\n"
+
+    def test_random_f2_pair_of_full_rank(self, capsys):
+        # Two 8 x 8 matrices over F_2 drawn row by row with random.Random(1)
+        # and randrange(2); both are invertible, so the bound is 8 = cols and
+        # none of the 417,199 subspaces of F_2^8 is enumerated.
+        code, out = run(capsys, "ncrk", str(DATA_DIR / "ncrk_f2_8x8.json"))
+        assert code == 0 and out == (DATA_DIR / "ncrk_f2_8x8.txt").read_text()
 
 
 @pytest.mark.parametrize(

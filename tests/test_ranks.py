@@ -736,9 +736,103 @@ class TestNcrkEarlyStop:
 
     @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
     def test_minimum_below_the_lower_bound_raises(self, monkeypatch, tup):
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: ncrk_bruteforce(mats) + 1)
+        lower = ncrk_bruteforce(tup) + 1
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
         with pytest.raises(RuntimeError, match="below the certified lower bound"):
             ncrk_via_grank(tup, budget=200)
+
+    @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
+    def test_bruteforce_below_the_lower_bound_raises(self, monkeypatch, tup):
+        lower = ncrk_bruteforce(tup) + 1
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
+        with pytest.raises(RuntimeError, match="^ncrk brute force reached .*below the certified lower bound"):
+            ncrk_bruteforce(tup)
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    def test_singular_minor_raises(self, monkeypatch, run):
+        # E11, E12 has ncrk 1 and common kernel 0.  An elimination that
+        # claims one pivot too many lifts the bound to 2 = cols, where brute
+        # force would stop at once and return 2; the minor on the claimed
+        # pivots is singular, so the bound is refused instead.
+        tup = MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 2)
+        assert ncrk_bruteforce(tup) == 1
+        real = ranks._pivots_mod_p
+        monkeypatch.setattr(ranks, "_pivots_mod_p", lambda m, p: real(m, p) + [(1, 1)])
+        with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the ncrk lower bound is singular mod 2$"):
+            run(tup)
+
+    def test_pivot_minor_is_nonsingular(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 101))
+            width = rng.randint(1, 5)
+            m = [[rng.randrange(min(p, 3)) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+            pivots = ranks._pivots_mod_p(m, p)
+            rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
+            assert len(set(rows)) == len(rows) and cols == sorted(set(cols))
+            assert len(pivots) == _rank_mod_p(m, p)
+            if pivots:
+                assert ranks._det_int([[m[r][c] for c in cols] for r in rows]) % p, (m, p)
+
+
+def _ncrk_reference(tup):
+    """The non-commutative rank by enumerating every subspace W, with no
+    stop: the minimum of cols + dim(sum_i A_i W) - dim W."""
+    p, q = tup.modulus, tup.cols
+    best = q
+    for k in range(1, q + 1):
+        for basis in ranks._rref_bases(q, k, p):
+            images = [
+                [sum(m[r][c] * w[c] for c in range(q)) % p for r in range(tup.rows)]
+                for m in tup.matrices
+                for w in basis
+            ]
+            best = min(best, q + _rank_mod_p(images, p) - k)
+    return best
+
+
+class TestNcrkBruteforceStop:
+    def test_matches_the_full_enumeration(self):
+        rng = random.Random(31)
+        cases = [_alternating_triple(p) for p in (2, 3, 5)]
+        # Bound 2: lines reach 3 first, and only the third plane reaches 2,
+        # so a stop at a value above the bound, or one that leaves a
+        # dimension early, returns 3.
+        cases.append(MatrixTuple([[[0, 0, 1], [1, 0, 0], [1, 0, 1], [0, 0, 0]],
+                                  [[0, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 1]]], 2))
+        cases += [_random_matrix_tuple(rng) for _ in range(300)]
+        assert any(t.rows != t.cols for t in cases)
+        for tup in cases:
+            assert ncrk_bruteforce(tup) == _ncrk_reference(tup), tup
+
+    def _spy_rref_bases(self, monkeypatch):
+        calls = []
+        real = ranks._rref_bases
+
+        def spy(q, k, p):
+            calls.append((q, k, p))
+            return real(q, k, p)
+
+        monkeypatch.setattr(ranks, "_rref_bases", spy)
+        return calls
+
+    def test_no_enumeration_when_the_kernel_meets_the_bound(self, monkeypatch):
+        calls = self._spy_rref_bases(monkeypatch)
+        # The bound equals cols: an invertible matrix, a tall one of full
+        # column rank, and a pair whose second matrix is invertible.
+        assert ncrk_bruteforce(MatrixTuple([[[1, 0], [0, 1]]], 100003)) == 2
+        assert ncrk_bruteforce(MatrixTuple([[[1, 2], [3, 4], [0, 1]]], 5)) == 2
+        assert ncrk_bruteforce(MatrixTuple([[[1, 1], [1, 1]], [[0, 1], [1, 0]]], 2)) == 2
+        # Below cols: two rank-1 matrices with the kernel spanned by (2, -1).
+        assert ncrk_bruteforce(MatrixTuple([[[1, 2], [2, 4]], [[3, 6], [1, 2]]], 100003)) == 1
+        assert calls == []
+
+    def test_one_basis_when_the_whole_space_meets_the_bound(self, monkeypatch):
+        # E11 and E12 both map into e1: the bound is 1, the common kernel
+        # is 0 (value 2) and the whole space has value 2 + 1 - 2 = 1.
+        calls = self._spy_rref_bases(monkeypatch)
+        assert ncrk_bruteforce(MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 100003)) == 1
+        assert calls == [(2, 2, 100003)]
 
 
 class TestNcrk:
