@@ -66,6 +66,16 @@ def _load_tensor(path: str) -> SparseTensor:
     return SparseTensor.from_json(data)
 
 
+def _load_fields(path: str, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object of file ``path``; a file
+    that is not an object with every key is refused as not ``what``."""
+    data = _load_json(path)
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{path}: not {what}, no {key!r} key")
+    return [data[key] for key in keys]
+
+
 def _shift(idx, one_based: bool):
     return [i + 1 for i in idx] if one_based else list(idx)
 
@@ -201,8 +211,7 @@ def _cmd_capset(args, out) -> int:
 def _cmd_ncrk(args, out) -> int:
     check_count("--budget", args.budget)
     check_count("--limit", args.limit)
-    data = _load_json(args.file)
-    mats = MatrixTuple(data["matrices"], data["modulus"])
+    mats = MatrixTuple(*_load_fields(args.file, "a matrix tuple file", "matrices", "modulus"))
     payload: dict = {"command": "ncrk", "mode": args.mode}
     code = EXIT_OK
     if args.mode in ("brute", "both"):
@@ -222,7 +231,7 @@ def _cmd_ncrk(args, out) -> int:
 
 def _cmd_slope(args, out) -> int:
     support = _load_support(args.file)
-    exponents = _load_json(args.exponents)["x"]
+    (exponents,) = _load_fields(args.exponents, "an exponent file", "x")
     value = psg_slope(exponents, support, _parse_alpha(args.alpha))
     _emit({"command": "slope", "slope": str(value)}, args.format, out)
     return EXIT_OK

@@ -403,6 +403,15 @@ def _matrix_entry(v) -> int:
     return n
 
 
+def _listed(seq, what: str):
+    """``seq`` itself if it is a list or tuple; anything else, a string
+    above all, which would be read one character at a time, raises
+    ``ValueError``."""
+    if not isinstance(seq, (list, tuple)):
+        raise ValueError(f"each {what}, got {type(seq).__name__} {seq!r}")
+    return seq
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """A tuple of equally sized matrices over a prime field."""
@@ -414,7 +423,10 @@ class MatrixTuple:
         p = modulus_of(mod_domain(modulus))
         mats = []
         for m in matrices:
-            mats.append(tuple(tuple(_matrix_entry(v) % p for v in row) for row in m))
+            mats.append(tuple(
+                tuple(_matrix_entry(v) % p for v in _listed(row, "matrix row must be a list of entries"))
+                for row in _listed(m, "matrix must be a list of rows")
+            ))
         if not mats:
             raise ValueError("matrix tuple must contain at least one matrix")
         rows = len(mats[0])
@@ -560,22 +572,40 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     """Non-commutative rank from above via the basis-change search.
 
     Runs the stable-rank upper-bound search on the tuple's order-3 tensor
-    with weights (1, 1, min(rows, cols)) and floors its running minimum.
-    Every floor is at least the true rank, which is at least
+    with weights (1, 1, ell), ell = min(rows, cols), and floors its running
+    minimum.  Every floor is at least the true rank, which is at least
     L = ``_ncrk_lower_bound``.  So the search stops at the first running
     minimum whose floor equals L: no later sample could lower the result,
     and it equals the floor of the full ``budget`` search with the same
+    seed.  Before any of this, C = min(nonzero rows, nonzero columns,
+    ell * nonzero matrices), the cheapest cover of the identity support
+    by slices of one mode, is read off the matrices.  Since
+    L <= ncrk <= floor(trank(identity)) <= C, a C equal to L is the
+    search's first floor and is returned with no tensor built, no LP
+    solved and nothing drawn: the result is the same for every budget and
     seed.  Where the true rank exceeds L (the 3 x 3 alternating triple
-    E12 - E21, E13 - E31, E23 - E32 has L = 2 and rank 3), the stop never
-    fires and the whole budget is spent.  A running minimum whose floor
-    falls below L contradicts that chain and raises ``RuntimeError``
-    instead of being returned, as does an L whose minor certificate fails.
-    A negative ``budget`` raises ``ValueError``.
+    E12 - E21, E13 - E31, E23 - E32 has L = 2, C = 3 and rank 3), the stop
+    never fires and the whole budget is spent.  A C or a running minimum
+    whose floor falls below L contradicts that chain and raises
+    ``RuntimeError`` instead of being returned, as does an L whose minor
+    certificate fails.  A negative ``budget`` raises ``ValueError``.
     """
     check_count("budget", budget)
-    t = matrix_tuple_tensor(mats)
-    ell = min(mats.rows, mats.cols)
     lower = _ncrk_lower_bound(mats)
+    ell = min(mats.rows, mats.cols)
+    # The cheapest cover of the identity support by slices of one mode:
+    # its nonzero rows, its nonzero columns, or ell times its nonzero
+    # matrices.  It bounds the identity's value, the search's first.
+    rows = {r for m in mats.matrices for r, row in enumerate(m) if any(row)}
+    cols = {c for m in mats.matrices for row in m for c, val in enumerate(row) if val}
+    cover = min(len(rows), len(cols), ell * sum(1 for m in mats.matrices if any(map(any, m))))
+    if cover < lower:
+        raise RuntimeError(
+            f"ncrk slice cover reached {cover}, below the certified lower bound {lower}"
+        )
+    if cover == lower:
+        return lower
+    t = matrix_tuple_tensor(mats)
     for bound in _running_minima(t, as_weight((1, 1, ell), 3), budget, seed):
         value = math.floor(bound)
         if value < lower:

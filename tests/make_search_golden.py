@@ -4,9 +4,13 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/make_search_golden.py
 
-The file pins what the seeded search returns, so a change that makes it
-cheaper can show it draws and solves the same samples, and what brute
-force returns.  It has three parts:
+The file pins the outputs of the seeded search and of brute force, so a
+change that makes either cheaper can show its printed values are the
+same.  It pins outputs, not draws: where a slice cover meets the lower
+bound, ``ncrk_via_grank`` returns before it draws anything.  The check
+that a stopped search agrees with the full one, sample stream and all, is
+``tests/test_ranks.py::TestNcrkEarlyStop::test_matches_the_full_search``.
+It has three parts:
 
 - ``ncrk``: the CSV stdout of ``stablerank ncrk --mode search`` on the first
   12 acceptance tuples (F_2, generator seed 4242) at ``--seed`` 0, 1 and 2;

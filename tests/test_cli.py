@@ -353,6 +353,19 @@ class TestNcrkCommand:
         assert data["agree"] is False
         assert data["brute"] == 1 and data["search"] == 2
 
+    @pytest.mark.parametrize("matrices,message", [
+        ([["12", "34"]], "each matrix row must be a list of entries, got str '12'"),
+        (["1"], "each matrix must be a list of rows, got str '1'"),
+    ])
+    def test_string_matrix_or_row_exits_2(self, capsys, tmp_path, matrices, message):
+        # Read one character at a time, these would run as [[1, 2], [3, 4]]
+        # and [[1]] and exit 0.
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"modulus": 7, "matrices": matrices}))
+        assert main(["ncrk", str(path), "--mode", "both"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_limit_exits_4(self, capsys, identity_file):
         code, _ = run(capsys, "ncrk", identity_file, "--limit", "1")
         assert code == 4
@@ -395,6 +408,15 @@ class TestNcrkCommand:
         code, out = run(capsys, "ncrk", str(DATA_DIR / "ncrk_f2_8x8.json"))
         assert code == 0 and out == (DATA_DIR / "ncrk_f2_8x8.txt").read_text()
 
+    @pytest.mark.parametrize("name", ["ncrk_f2_8x8", "ncrk_alternating_f3"])
+    def test_both_modes_on_checked_in_tuples(self, capsys, name):
+        # The search stops at the slice cover on the 8 x 8 pair (cover 8 =
+        # bound) and runs its budget on the alternating triple (cover 3 >
+        # bound 2); the expected text was written by a search without the
+        # cover check.
+        code, out = run(capsys, "ncrk", str(DATA_DIR / f"{name}.json"), "--mode", "both")
+        assert code == 0 and out == (DATA_DIR / f"{name}_both.txt").read_text()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -406,8 +428,10 @@ class TestNcrkCommand:
     ],
 )
 def test_failed_support_certificate_exits_3(capsys, monkeypatch, tmp_path, argv):
+    # The all-ones matrix has rank 1 but no zero row or column, so the
+    # ncrk search cannot stop at its slice cover and solves an LP.
     matrices = tmp_path / "tuple.json"
-    matrices.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 0], [0, 0]]]}))
+    matrices.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 1], [1, 1]]]}))
     tensor = tmp_path / "w.json"
     tensor.write_text(json.dumps(W_TENSOR))
     monkeypatch.setattr("stablerank.lp.verify_certificate", lambda lp, sol: False)
@@ -533,6 +557,27 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# JSON files whose top level is not an object with the expected keys.
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("ncrk", '{"matrices": [[[1]]]}', "not a matrix tuple file, no 'modulus' key"),
+        ("ncrk", "[1, 2]", "not a matrix tuple file, no 'matrices' key"),
+        ("ncrk", '"matrices"', "not a matrix tuple file, no 'matrices' key"),
+        ("slope", "[1, 2]", "not an exponent file, no 'x' key"),
+        ("slope", '{"y": [[1, 0], [1, 0], [1, 0]]}', "not an exponent file, no 'x' key"),
+    ],
+)
+def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["ncrk", str(path)] if command == "ncrk" else ["slope", w_support_file, "--exponents", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def test_zero_counts_are_valid(capsys, tmp_path, w_tensor_file):

@@ -690,13 +690,14 @@ def test_search_skips_unneeded_work(monkeypatch):
 
 
 def test_ncrk_search_stops_at_the_lower_bound(monkeypatch):
-    # On these tuples the largest single-matrix rank is the ncrk, and the
-    # running minimum meets it at the identity in 11 of 12 searches and at
-    # the first sample in the other.
+    # On these tuples the largest single-matrix rank is the ncrk.  In 11 of
+    # 12 a one-mode slice cover already meets it, so no LP is solved; the
+    # first tuple, a rank-2 3 x 3 matrix with no zero row or column, has
+    # cover 3 and meets its rank at the first sample after the identity.
     calls = _count_calls(monkeypatch, "trank", "_transform_ints")
     for k, tup in enumerate(_acceptance_ncrk_tuples()):
         assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
-    assert calls == {"trank": 13, "_transform_ints": 1}
+    assert calls == {"trank": 2, "_transform_ints": 1}
 
 
 def _alternating_triple(p):
@@ -773,6 +774,52 @@ class TestNcrkEarlyStop:
             assert len(pivots) == _rank_mod_p(m, p)
             if pivots:
                 assert ranks._det_int([[m[r][c] for c in cols] for r in rows]) % p, (m, p)
+
+
+class TestNcrkSliceCover:
+    """The cover C = min(nonzero rows, nonzero columns, ell * nonzero
+    matrices) that ``ncrk_via_grank`` checks against L before searching."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = _count_calls(monkeypatch, "trank", "matrix_tuple_tensor")
+
+        def no_rng(*args):
+            raise AssertionError("random.Random constructed")
+
+        monkeypatch.setattr(ranks.random, "Random", no_rng)
+        return calls
+
+    @pytest.mark.parametrize("budget", [0, 200])
+    @pytest.mark.parametrize("tup", [
+        MatrixTuple([[[1, 0], [0, 1]]], 2),  # C = L = 2
+        MatrixTuple([[[1, 2, 0], [0, 0, 0]]], 5),  # one nonzero row: C = L = 1
+    ])
+    def test_cover_meeting_the_bound_skips_the_search(self, monkeypatch, tup, budget):
+        want = ncrk_bruteforce(tup)
+        calls = self._spy(monkeypatch)
+        assert ncrk_via_grank(tup, budget=budget, seed=3) == want
+        assert calls == {"trank": 0, "matrix_tuple_tensor": 0}
+
+    @pytest.mark.parametrize("tup,cover", [(MatrixTuple([[[1, 0], [0, 1]]], 2), 2), (_alternating_triple(3), 3)])
+    def test_cover_below_the_lower_bound_raises(self, monkeypatch, tup, cover):
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: cover + 1)
+        calls = self._spy(monkeypatch)
+        with pytest.raises(RuntimeError, match=f"^ncrk slice cover reached {cover}, below the certified lower bound {cover + 1}$"):
+            ncrk_via_grank(tup, budget=200)
+        assert calls == {"trank": 0, "matrix_tuple_tensor": 0}
+
+    def test_zero_tuple(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        assert ncrk_via_grank(MatrixTuple([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], 3)) == 0
+        assert calls == {"trank": 0, "matrix_tuple_tensor": 0}
+
+    def test_cover_above_the_bound_searches(self, monkeypatch):
+        # Every row and column of the alternating triple is nonzero, so
+        # C = 3 > L = 2 and the search runs and finds 3.
+        calls = _count_calls(monkeypatch, "trank", "matrix_tuple_tensor")
+        assert ncrk_via_grank(_alternating_triple(3), budget=200, seed=0) == 3
+        assert calls["matrix_tuple_tensor"] == 1 and calls["trank"] >= 1
 
 
 def _ncrk_reference(tup):
@@ -890,6 +937,20 @@ class TestNcrk:
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises((TypeError, ValueError)):
             MatrixTuple([[[1, 0], [0, entry]]], 2)
+
+    @pytest.mark.parametrize("matrices", [
+        [["12", "34"]],  # read by character, it would be [[1, 2], [3, 4]]
+        ["1"],  # read by character, it would be [[1]]
+        [[[1, 0], "01"]],
+        [[{"0": 1}]],
+        [5],
+    ])
+    def test_matrix_or_row_that_is_not_a_list_rejected(self, matrices):
+        with pytest.raises(ValueError, match="^each matrix (row )?must be a list of (rows|entries), got "):
+            MatrixTuple(matrices, 7)
+
+    def test_tuple_rows_accepted(self):
+        assert MatrixTuple(([(1, 2), [3, 11]],), 7).matrices == (((1, 2), (3, 4)),)
 
     def test_integral_entries_accepted(self):
         tup = MatrixTuple([[[1.0, "0"], [F(4), 3]]], 2)
