@@ -24,13 +24,16 @@ n = 60) and sums to the cost of t proves t optimal, by weak duality.
 :func:`_closed_form_dual` writes that dual down by a fixed rule, a run of
 ``3 f_i`` and a tail from a 2x2 to 4x4 integer system, and checks it
 exactly, with no simplex: for every n = 3..60 but 57 and 60.  Where it
-declines, at n = 2, 57 and 60, the packing LP on the tight rows, with 2n+1
-rows and no phase I, is solved for it (3, 66 and 73 pivots).  Only where
-both fail, and always at n = 1, is the LP solved on its binding rows by
-:func:`stablerank.lp.solve`, and its t checked for the full LP in the same
-O(n^2) pass.  Both LPs come from one builder, :func:`_covering_lp` on a
-list of triples, the packing LP as its :func:`stablerank.lp.dual_program`.  Either way the answer is an optimum of
-the full LP, certified without building it.
+declines, at n = 2, 57 and 60, the covering LP on the tight rows is handed
+to :func:`stablerank.lp.solve`, whose certified dual is such a solution
+when the optimum equals the cost of t (3, 66 and 73 pivots).  Only where
+both fail, and always at n = 1, is the covering LP on every binding row
+handed to ``solve``, and its t checked for the full LP in the same O(n^2)
+pass.  Both LPs come from one builder, :func:`_covering_lp` on a list of
+triples, and ``solve`` alone decides how each is pivoted.  The row cap
+counts the binding rows, which bound every LP this module hands to
+``solve``.  Either way the answer is an optimum of the full LP, certified
+without building it.
 """
 
 from __future__ import annotations
@@ -42,16 +45,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .lp import (
-    _ROW_CAP_ENV,
-    OPTIMAL,
-    LinearProgram,
-    LPSizeError,
-    _over_one_denominator,
-    _row_cap,
-    dual_program,
-    solve,
-)
+from .lp import OPTIMAL, LinearProgram, _check_rows, _over_one_denominator, solve
 from .ranks import _det_int, trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
@@ -144,13 +138,6 @@ def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] |
     return tight
 
 
-def _covers(t, n: int) -> bool:
-    """Whether ``t_i + t_j + t_k >= 1`` on every row ``i <= j <= k``,
-    ``i + j + k <= 2n``; see :func:`_tight_triples`."""
-    q, d = _over_one_denominator(t)
-    return _tight_triples(q, d, n) is not None
-
-
 def _cost(q: list[int], d: int, n: int) -> Fraction:
     """The objective ``3 * sum_i f_i t_i`` of ``t = q / d``, summed on integers."""
     f = _coefficients(n)
@@ -174,23 +161,22 @@ def reduced_lp(n: int) -> CapsetLPResult:
 
     The full LP is never built.  From n = 2 on, :func:`_certified_guess`
     tries to prove :func:`conjectured_t` optimal, by the closed-form dual
-    (n = 3..60 but 57 and 60) or else the packing LP (n = 2, 57 and 60);
-    where it cannot, and at n = 1, :func:`_binding_row_optimum` solves the
-    LP on its binding rows (``i + j + k == 2n``).  Each route checks what it
-    returns, and a failed check of the binding-row route raises
-    ``RuntimeError``.  t is the conjectured vector for n = 2..60, which is
-    also the vertex the binding-row route returns there (the tests compare
-    the two routes for n = 1..60); the duals are not reported.
+    (n = 3..60 but 57 and 60) or else the covering LP on its tight rows
+    (n = 2, 57 and 60); where it cannot, and at n = 1,
+    :func:`_binding_row_optimum` solves the LP on its binding rows
+    (``i + j + k == 2n``).  Each route checks what it returns, and a failed
+    check of the binding-row route raises ``RuntimeError``.  t is the
+    conjectured vector for n = 2..60, which is also the vertex the
+    binding-row route returns there (the tests compare the two routes for
+    n = 1..60); the duals are not reported.
 
-    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, whichever LP is
-    pivoted, and is checked before either route.  An n below 1 raises
-    ``ValueError``.
+    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, and is checked
+    before either route.  Every LP either route hands to ``solve`` has at
+    most that many rows: the tight rows are binding rows.  An n below 1
+    raises ``ValueError``.
     """
     _coefficients(n)  # an n below 1 raises here
-    rows = _binding_triple_count(n)
-    cap = _row_cap()
-    if cap is not None and rows > cap:
-        raise LPSizeError(f"LP has {rows} rows, exceeding {_ROW_CAP_ENV}={cap}")
+    _check_rows(_binding_triple_count(n))
     found = _certified_guess(n) if n >= 2 else None
     t, value = found or _binding_row_optimum(n)
     return CapsetLPResult(n, t, value, math.floor(value))
@@ -211,26 +197,19 @@ def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
     Such a y comes from the first of two routes that yields one.
     :func:`_closed_form_dual` builds it by a fixed rule and checks it
     exactly, with no simplex; it does so for every n = 3..60 but 57 and 60.
-    Where it declines, the packing LP ``max sum_T y_T`` subject to those
-    column loads, the :func:`stablerank.lp.dual_program` of the covering LP
-    on T, is solved once by :func:`stablerank.lp.solve`, whose certificate
-    check confirms y >= 0, ``A_T^T y <= c`` and ``sum(y) == value``: at
-    n = 2, 57 and 60.  The guess is never trusted: an uncovered row, a
-    declined closed form followed by a packing status that is not optimal
-    (or a packing LP above the row cap, at n = 2) or ``c.t != sum(y)``
-    returns None.
+    Where it declines, the covering LP on T is handed to
+    :func:`stablerank.lp.solve`: at n = 2, 57 and 60.  The dual of its
+    optimum is such a y, and ``solve`` certifies it before it returns, so
+    an optimum equal to ``c.t`` proves t optimal.  The guess is never
+    trusted: an uncovered row, or a declined closed form followed by a
+    ``solve`` value other than ``c.t`` (a status that is not optimal has
+    no value), returns None.
     """
     t, q, d, tight = _guess_coverage(n)
     if tight is None:
         return None
     cost = _cost(q, d, n)
-    if _closed_form_dual(n, q, d, tight) is not None:
-        return t, cost
-    try:
-        sol = solve(dual_program(_covering_lp(n, tight)))
-    except LPSizeError:  # the cap counts the binding rows, not these 2n+1
-        return None
-    if sol.status != OPTIMAL or cost != -sol.value:
+    if _closed_form_dual(n, q, d, tight) is None and solve(_covering_lp(n, tight)).value != cost:
         return None
     return t, cost
 
@@ -327,16 +306,14 @@ def _binding_row_optimum(n: int) -> tuple[tuple[Fraction, ...], Fraction]:
     the full LP.
 
     ``solve`` certifies the pair on the binding rows, and
-    :func:`_tight_triples` shows that t covers every other row too, where
-    the dual, taken as zero, stays feasible.  A failed check raises
-    ``RuntimeError``.  ``solve`` pivots the covering LP as given for
-    n <= 11, where the binding rows are at most ``4n + 10``, and its packing
-    dual, with no phase I, from n = 12 on; Bland's rule prices either side.
+    :func:`t_vector_feasible` shows that t covers every other row too,
+    where the dual, taken as zero, stays feasible.  A failed check raises
+    ``RuntimeError``.
     """
     sol = solve(_covering_lp(n, _binding_triples(n)))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
-    if not _covers(sol.x, n):  # t leaves a row of the full LP uncovered
+    if not t_vector_feasible(sol.x, n):  # t leaves a row of the full LP uncovered
         raise RuntimeError("collapsed LP certificate failed")
     return sol.x, sol.value
 

@@ -50,18 +50,23 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _has(data, key: str) -> bool:
+    """Whether ``data``, read from a JSON file, is an object with ``key``."""
+    return isinstance(data, dict) and key in data
+
+
 def _load_support(path: str) -> Support:
     data = _load_json(path)
-    if "elements" in data:
+    if _has(data, "elements"):
         return Support.from_json(data)
-    if "entries" in data:
+    if _has(data, "entries"):
         return support_of(SparseTensor.from_json(data))
     raise ValueError(f"{path}: neither a tensor nor a support file")
 
 
 def _load_tensor(path: str) -> SparseTensor:
     data = _load_json(path)
-    if "entries" not in data:
+    if not _has(data, "entries"):
         raise ValueError(f"{path}: not a tensor file")
     return SparseTensor.from_json(data)
 
@@ -71,7 +76,7 @@ def _load_fields(path: str, what: str, *keys: str) -> list:
     that is not an object with every key is refused as not ``what``."""
     data = _load_json(path)
     for key in keys:
-        if not isinstance(data, dict) or key not in data:
+        if not _has(data, key):
             raise ValueError(f"{path}: not {what}, no {key!r} key")
     return [data[key] for key in keys]
 

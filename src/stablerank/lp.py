@@ -67,19 +67,18 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
     """The nonzero ``(column, coefficient)`` pairs of ``row`` in column
     order, repeated columns summed, and whether every coefficient is an int.
 
-    Each pair is read once.  A row of ``(int, int)`` tuples whose columns
-    strictly increase within range and whose coefficients are nonzero is
-    returned as given, as a tuple.  From the first pair that is not so on,
-    each pair is checked: its column must be integral (``2.0`` is stored
-    as 2) and in range, and a coefficient that is not an int becomes a
-    ``Fraction``.  Zero coefficients are dropped, and only a row with a
-    column out of order or repeated is sorted and merged.  A malformed pair
-    raises at that pair, so errors come in the order of the pairs.
+    A row of ``(int, int)`` tuples whose columns strictly increase within
+    range and whose coefficients are nonzero is returned as given, as a
+    tuple, after one read of each pair.  Any other row is read again, pair
+    by pair: a column must be integral (``2.0`` is stored as 2) and in
+    range, and a coefficient that is not an int becomes a ``Fraction``.
+    The coefficients are summed per column, and the nonzero sums come back
+    in column order.  A malformed pair raises at that pair, so errors come
+    in the order of the pairs.
     """
     row = tuple(row)
-    pairs = iter(row)
     last = -1
-    for pair in pairs:
+    for pair in row:
         if type(pair) is not tuple:
             break
         col, coeff = pair
@@ -88,10 +87,9 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
         last = col
     else:
         return row, True
-    rest = [pair, *pairs]
-    out = list(row[: len(row) - len(rest)])  # canonical so far, up to column ``last``
-    ordered = integral = True
-    for col, coeff in rest:
+    acc: dict = {}
+    integral = True
+    for col, coeff in row:
         if type(col) is not int:
             j = int(col)
             if j != col:
@@ -102,16 +100,8 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
         if type(coeff) is not int:
             coeff = Fraction(coeff)
             integral = False
-        if coeff:
-            ordered = ordered and last < col
-            last = col
-            out.append((col, coeff))
-    if not ordered:
-        acc: dict = {}
-        for j, c in out:
-            acc[j] = acc[j] + c if j in acc else c
-        out = sorted((j, c) for j, c in acc.items() if c)
-    return tuple(out), integral
+        acc[col] = acc.get(col, 0) + coeff
+    return tuple(sorted((j, c) for j, c in acc.items() if c)), integral
 
 
 def _integers(values: tuple) -> tuple[int, ...] | None:
@@ -141,11 +131,11 @@ class LinearProgram:
     and nonzero coefficients is stored as given, after one read of each
     pair; the package's builders all emit such rows.  Any other spelling (a
     column out of order or repeated, a zero, a column such as ``2.0``, a
-    coefficient that is not an int) is canonicalised, and only a row out of
-    order or with a repeated column is sorted and merged.  The lcm of the
-    denominators and the rebuild of the rows over it run only when some
-    value is not an integer; an objective or rhs entry that is a
-    ``Fraction`` with denominator 1 counts as an integer.
+    coefficient that is not an int) is canonicalised in one more pass,
+    which sums the coefficients per column and sorts the nonzero sums.
+    The lcm of the denominators and the rebuild of the rows over it run
+    only when some value is not an integer; an objective or rhs entry that
+    is a ``Fraction`` with denominator 1 counts as an integer.
     """
 
     objective: tuple[int, ...]
@@ -213,6 +203,13 @@ def _row_cap() -> int | None:
     if raw[:1] == "-" and raw[1:].isascii() and raw[1:].isdigit():
         raise ValueError(f"{_ROW_CAP_ENV} must be a nonnegative integer, got {raw!r}")
     raise ValueError(f"{_ROW_CAP_ENV} must be an integer, got {raw!r}")
+
+
+def _check_rows(rows: int) -> None:
+    """Raise ``LPSizeError`` if ``rows`` exceeds ``STABLERANK_MAX_LP_ROWS``."""
+    cap = _row_cap()
+    if cap is not None and rows > cap:
+        raise LPSizeError(f"LP has {rows} rows, exceeding {_ROW_CAP_ENV}={cap}")
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -395,11 +392,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     pair that fails raises ``RuntimeError``.  Every optimum that leaves
     this function is therefore certified, and callers need not check it.
     """
-    cap = _row_cap()
-    if cap is not None and lp.num_rows > cap:
-        raise LPSizeError(
-            f"LP has {lp.num_rows} rows, exceeding {_ROW_CAP_ENV}={cap}"
-        )
+    _check_rows(lp.num_rows)
     status = None
     if lp.num_rows > 2 * lp.num_vars + 8:
         status, y, x, value = _run_simplex(dual_program(lp))

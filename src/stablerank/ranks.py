@@ -23,6 +23,7 @@ from .tensors import (
     Index,
     SparseTensor,
     Support,
+    _listed,
     _transform_ints,
     as_weight,
     mod_domain,
@@ -403,15 +404,6 @@ def _matrix_entry(v) -> int:
     return n
 
 
-def _listed(seq, what: str):
-    """``seq`` itself if it is a list or tuple; anything else, a string
-    above all, which would be read one character at a time, raises
-    ``ValueError``."""
-    if not isinstance(seq, (list, tuple)):
-        raise ValueError(f"each {what}, got {type(seq).__name__} {seq!r}")
-    return seq
-
-
 @dataclass(frozen=True)
 class MatrixTuple:
     """A tuple of equally sized matrices over a prime field."""
@@ -424,8 +416,11 @@ class MatrixTuple:
         mats = []
         for m in matrices:
             mats.append(tuple(
-                tuple(_matrix_entry(v) % p for v in _listed(row, "matrix row must be a list of entries"))
-                for row in _listed(m, "matrix must be a list of rows")
+                tuple(
+                    _matrix_entry(v) % p
+                    for v in _listed(row, "each matrix row must be a list of entries")
+                )
+                for row in _listed(m, "each matrix must be a list of rows")
             ))
         if not mats:
             raise ValueError("matrix tuple must contain at least one matrix")

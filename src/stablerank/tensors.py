@@ -116,6 +116,15 @@ def parse_rational(raw) -> Fraction:
         raise ValueError(f"zero denominator in {raw!r}") from None
 
 
+def _listed(seq, what: str):
+    """``seq`` itself if it is a list or tuple; anything else, a string
+    above all, which would be read one character at a time, raises
+    ``ValueError`` with ``what`` and the value read."""
+    if not isinstance(seq, (list, tuple)):
+        raise ValueError(f"{what}, got {type(seq).__name__} {seq!r}")
+    return seq
+
+
 def _coerce_scalar(value, p: int | None):
     """Normalize a scalar into its domain; returns None for an exact zero."""
     v = Fraction(value)
@@ -168,7 +177,10 @@ class Support:
 
     @staticmethod
     def from_json(data: Mapping) -> "Support":
-        return Support(data["shape"], data["elements"])
+        elements = _listed(data["elements"], "'elements' must be a list")
+        for item in elements:
+            _listed(item, "each item of 'elements' must be an index list")
+        return Support(_listed(data["shape"], "'shape' must be a list"), elements)
 
 
 @dataclass(frozen=True)
@@ -224,14 +236,18 @@ class SparseTensor:
         domain = data.get("domain", RATIONAL)
         p = modulus_of(domain)
         entries = {}
-        for item in data["entries"]:
+        for item in _listed(data["entries"], "'entries' must be a list"):
+            if not (isinstance(item, dict) and "idx" in item and "val" in item):
+                raise ValueError(
+                    f"each item of 'entries' must be an object with 'idx' and 'val', got {item!r}"
+                )
             val = parse_rational(item["val"])
             _coerce_scalar(val, p)  # names a bad value even where its index repeats
-            idx = tuple(item["idx"])
+            idx = tuple(_listed(item["idx"], "each 'idx' must be a list of coordinates"))
             if idx in entries:
                 raise ValueError(f"index {list(idx)} is listed twice")
             entries[idx] = val
-        return SparseTensor(data["shape"], entries, domain)
+        return SparseTensor(_listed(data["shape"], "'shape' must be a list"), entries, domain)
 
 
 def support_of(v: SparseTensor) -> Support:

@@ -162,7 +162,7 @@ def _tight_count(n):
 
 def _decline_closed_form(monkeypatch):
     """Make :func:`capset._closed_form_dual` decline, so that every guess
-    goes to the packing LP."""
+    goes to the covering LP on its tight rows."""
     monkeypatch.setattr(capset, "_closed_form_dual", lambda n, q, d, tight: None)
 
 
@@ -188,7 +188,8 @@ def _route_spy(monkeypatch):
 
 
 # The route of every n the CLI prints: the binding-row solve at n = 1, the
-# packing LP where the closed form declines, and the closed form elsewhere.
+# covering LP on the tight rows where the closed form declines, and the
+# closed form elsewhere.
 FALLBACK_ROUTES = {
     1: ["binding", "solve"],
     2: ["declined", "solve"],
@@ -276,7 +277,8 @@ class TestRowGeneration:
             rows = _all_rows(n)
             for t in _sampled_t(n, rows, rng):
                 low = min(t[i] + t[j] + t[k] for i, j, k in rows)
-                assert capset._covers(t, n) is (low >= 1), (n, t)
+                tight = capset._tight_triples(*lp_module._over_one_denominator(t), n)
+                assert (tight is not None) is (low >= 1), (n, t)
                 assert t_vector_feasible(t, n) is (low >= 1 and min(t) >= 0), (n, t)
                 monotone = all(a >= b for a, b in zip(t, t[1:]))
                 seen[low >= 1, low == 1, monotone] += 1
@@ -288,9 +290,9 @@ class TestRowGeneration:
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
         # one solve per n: the binding rows at n = 1, and from n = 2 on, with
-        # the closed form declining, the packing LP, one row per t column and
-        # one column per tight triple; each is pivoted as given, never above
-        # 2 * cols + 8 rows
+        # the closed form declining, the covering LP on the tight triples, one
+        # row per tight triple and one column per t entry; through n = 30 each
+        # is pivoted as given, never above 2 * cols + 8 rows
         tight = {2: 3, 3: 3, 4: 4, 11: 13, 12: 18, 20: 40, 30: 102}
         assert tight == {n: _tight_count(n) for n in tight}
         _decline_closed_form(monkeypatch)
@@ -303,13 +305,14 @@ class TestRowGeneration:
         for n in sorted({*range(2, 21), *tight}):
             shapes.clear()
             reduced_lp(n)
-            assert shapes == [(2 * n + 1, _tight_count(n))], n
+            assert shapes == [(_tight_count(n), 2 * n + 1)], n
         assert duals == []
 
-    def test_guess_solves_the_packing_lp(self, fresh_cache, monkeypatch):
+    def test_guess_solves_the_covering_lp_on_the_tight_rows(self, fresh_cache, monkeypatch):
         # with the closed form made to decline at every n, the LP handed to
-        # solve is the packing LP on the tight triples, built here one row
-        # per t column: -sum_T mult_j(T) y_T >= -3 f_j
+        # solve is the covering LP on the tight triples, built here one row
+        # per triple, and its dual program is the packing LP, built here one
+        # row per t column: -sum_T mult_j(T) y_T >= -3 f_j
         _decline_closed_form(monkeypatch)
         handed = []
         real = capset.solve
@@ -322,9 +325,15 @@ class TestRowGeneration:
                 for j, mult in sorted(Counter(triple).items()):
                     cols[j].append((c, -mult))
             packing = LinearProgram([-1] * len(tight), cols, [-3 * v for v in trinomial(n)])
+            covering = LinearProgram(
+                [3 * v for v in trinomial(n)],
+                [[(idx, 1) for idx in tr] for tr in tight],
+                [1] * len(tight),
+            )
             handed.clear()
             capset._certified_guess(n)
-            assert handed == [packing], n
+            assert handed == [covering], n
+            assert lp_module.dual_program(covering) == packing, n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
     def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
@@ -344,20 +353,21 @@ class TestRowGeneration:
         assert captured.out == ""
         assert captured.err == "error: collapsed LP certificate failed\n"
 
-    @pytest.mark.parametrize("tamper,packing", [(_lower_guess, False), (_raise_guess, True)])
-    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, packing):
-        # an uncovered guess never reaches the packing LP; a covering one
-        # that costs too much does, and its optimum falls short of c.t
+    @pytest.mark.parametrize("tamper,tight_solved", [(_lower_guess, False), (_raise_guess, True)])
+    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, tight_solved):
+        # an uncovered guess never reaches the LP on its tight rows; a
+        # covering one that costs too much does, and its optimum falls short
+        # of c.t
         expected = capset._binding_row_optimum(5)
         tamper(monkeypatch)
         shapes = _counting_solve(monkeypatch)
         res = reduced_lp(5)
         assert (res.t, res.value) == expected
         assert list(res.t) == SMALL_TABLE[5][1]
-        assert len(shapes) == 1 + packing
+        assert len(shapes) == 1 + tight_solved
         assert shapes[-1] == (len(capset._binding_triples(5)), 11)
 
-    # n = 2 still pivots the packing LP, where the closed form certifies
+    # n = 2 still pivots the LP on its tight rows, where the closed form certifies
     # n = 5 with no simplex, so a tampered pivot loop would go unseen there
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
@@ -433,9 +443,9 @@ class TestRowGeneration:
             res = reduced_lp(n)
             assert (res.t, res.value) == expected[n], n
             # at most one LP, pivoted as given: the 2 binding rows at n = 1,
-            # the packing LP on the 3 tight triples at n = 2, never above
+            # the covering LP on the 3 tight triples at n = 2, never above
             # 2 * cols + 8 rows, and from n = 3 on none, by the closed form
-            assert shapes == {1: [(2, 3)], 2: [(5, _tight_count(2))]}.get(n, []), n
+            assert shapes == {1: [(2, 3)], 2: [(_tight_count(2), 5)]}.get(n, []), n
             assert calls == [], n
 
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
@@ -456,13 +466,35 @@ class TestRowGeneration:
             res = reduced_lp(n)
             assert (res.t, res.value) == capset._binding_row_optimum(n), n
 
+    @pytest.mark.parametrize("n,shape", [(57, (115, 363)), (60, (121, 402))])
+    def test_tall_fallback_is_pivoted_as_its_packing_dual(self, fresh_cache, monkeypatch, n, shape):
+        # capset hands solve the covering LP on the tight rows, and solve
+        # alone pivots it as its dual, one row per t column
+        pivoted = []
+        real = lp_module._run_simplex
+        monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: pivoted.append(lp) or real(lp))
+        _, _, _, tight = capset._guess_coverage(n)
+        assert reduced_lp(n).t == conjectured_t(n)
+        assert pivoted == [lp_module.dual_program(capset._covering_lp(n, tight))]
+        assert (pivoted[0].num_rows, pivoted[0].num_vars) == shape
+
+    def test_row_cap_at_n_2_prints_the_uncapped_row(self, fresh_cache, monkeypatch, capsys):
+        # a cap of 4 admits the 4 binding rows, and with them the 3 tight rows
+        assert main(["capset", "--n", "2"]) == 0
+        uncapped = capsys.readouterr()
+        capset.reduced_lp.cache_clear()
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
+        assert main(["capset", "--n", "2"]) == 0
+        assert capsys.readouterr() == uncapped
+        assert uncapped.out.startswith("n: 2\nvalue: 6\n")
+
     def test_row_cap_at_n_2(self, fresh_cache, monkeypatch):
-        # 4 binding rows, but 5 packing rows: a cap of 4 still solves
+        # 4 binding rows: a cap of 4 solves the covering LP on the 3 tight rows
         shapes = _counting_solve(monkeypatch)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         res = reduced_lp(2)
         assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
-        assert shapes == [(5, 3), (4, 5)]
+        assert shapes == [(3, 5)]
         capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "3")
         with pytest.raises(lp_module.LPSizeError, match="LP has 4 rows"):
@@ -583,8 +615,8 @@ class TestClosedFormDual:
         ],
     )
     def test_tampered_dual_declines(self, fresh_cache, monkeypatch, tamper, n):
-        # a tampered y fails its exact check, and the packing LP (or the
-        # binding-row solve after it) returns the same t and value
+        # a tampered y fails its exact check, and the LP on the tight rows
+        # (or the binding-row solve after it) returns the same t and value
         expected = reduced_lp(n)
         capset.reduced_lp.cache_clear()
         capset._guess_coverage.cache_clear()

@@ -568,16 +568,41 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
         ("ncrk", '"matrices"', "not a matrix tuple file, no 'matrices' key"),
         ("slope", "[1, 2]", "not an exponent file, no 'x' key"),
         ("slope", '{"y": [[1, 0], [1, 0], [1, 0]]}', "not an exponent file, no 'x' key"),
+        ("trank", "5", "neither a tensor nor a support file"),
+        ("tslice", '"elements"', "neither a tensor nor a support file"),
+        ("grank", "5", "not a tensor file"),
+        ("grank", '{"shape": [2, 2], "entries": "ab"}', "'entries' must be a list, got str 'ab'"),
+        (
+            "trank",
+            '{"shape": [2, 2], "entries": [5]}',
+            "each item of 'entries' must be an object with 'idx' and 'val', got 5",
+        ),
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 0]}]}',
+            "each item of 'entries' must be an object with 'idx' and 'val', got {'idx': [0, 0]}",
+        ),
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": 0, "val": 1}]}',
+            "each 'idx' must be a list of coordinates, got int 0",
+        ),
+        ("tslice", '{"shape": [2, 2], "elements": 5}', "'elements' must be a list, got int 5"),
+        ("trank", '{"shape": [2, 2], "elements": [3]}', "each item of 'elements' must be an index list, got int 3"),
+        ("tslice", '{"shape": 5, "elements": []}', "'shape' must be a list, got int 5"),
+        ("grank", '{"shape": "ab", "entries": []}', "'shape' must be a list, got str 'ab'"),
     ],
 )
 def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)
-    argv = ["ncrk", str(path)] if command == "ncrk" else ["slope", w_support_file, "--exponents", str(path)]
+    argv = ["slope", w_support_file, "--exponents", str(path)] if command == "slope" else [command, str(path)]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: {path}: {message}\n"
+    # a file of the wrong kind is named; a malformed field names itself
+    where = f"{path}: " if message.startswith(("not ", "neither ")) else ""
+    assert captured.err == f"error: {where}{message}\n"
 
 
 def test_zero_counts_are_valid(capsys, tmp_path, w_tensor_file):
