@@ -17,23 +17,20 @@ exactly 2n, imply all the others.  :func:`_tight_triples` proves, exactly
 for any t and in O(n^2), that t covers every row of the full LP, and lists
 the binding rows on which t is tight.
 
-From n = 2 on, :func:`reduced_lp` first certifies :func:`conjectured_t`.
-If that t covers every row, a dual solution of the full LP that is zero
-off the binding rows tight at t (40 of 154 at n = 20, 402 of 1,261 at
-n = 60) and sums to the cost of t proves t optimal, by weak duality.
-:func:`_closed_form_dual` writes that dual down by a fixed rule, a run of
-``3 f_i`` and a tail from a 2x2 to 4x4 integer system, and checks it
-exactly, with no simplex: for every n = 3..60 but 57 and 60.  Where it
-declines, at n = 2, 57 and 60, the covering LP on the tight rows is handed
-to :func:`stablerank.lp.solve`, whose certified dual is such a solution
-when the optimum equals the cost of t (3, 66 and 73 pivots).  Only where
-both fail, and always at n = 1, is the covering LP on every binding row
-handed to ``solve``, and its t checked for the full LP in the same O(n^2)
-pass.  Both LPs come from one builder, :func:`_covering_lp` on a list of
-triples, and ``solve`` alone decides how each is pivoted.  The row cap
-counts the binding rows, which bound every LP this module hands to
-``solve``.  Either way the answer is an optimum of the full LP, certified
-without building it.
+The answer takes one of two routes.  From n = 2 on, :func:`reduced_lp`
+first certifies :func:`conjectured_t`.  If that t covers every row, a dual
+solution of the full LP that is zero off the binding rows tight at t (40
+of 154 at n = 20, 402 of 1,261 at n = 60) and sums to the cost of t proves
+t optimal, by weak duality.  :func:`_closed_form_dual` writes that dual
+down by a fixed rule, a run of ``3 f_i`` that fills one column and spills
+onto the next, and a tail from a 2x2 to 4x4 integer system, and checks it
+exactly, with no simplex: at every n = 3..300, as the tests check.  Where
+it declines, as at n = 2, and at n = 1, which has no guess, the covering
+LP on every binding row, built by :func:`_covering_lp`, is handed to
+:func:`stablerank.lp.solve`, and its t is checked for the full LP in the
+same O(n^2) pass.  The row cap counts the binding rows, the rows of that
+LP, and is checked before either route.  Either way the answer is an
+optimum of the full LP, certified without building it.
 """
 
 from __future__ import annotations
@@ -160,9 +157,8 @@ def reduced_lp(n: int) -> CapsetLPResult:
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
 
     The full LP is never built.  From n = 2 on, :func:`_certified_guess`
-    tries to prove :func:`conjectured_t` optimal, by the closed-form dual
-    (n = 3..60 but 57 and 60) or else the covering LP on its tight rows
-    (n = 2, 57 and 60); where it cannot, and at n = 1,
+    tries to prove :func:`conjectured_t` optimal by the closed-form dual,
+    which it does at every n = 3..300; where it cannot (n = 2), and at n = 1,
     :func:`_binding_row_optimum` solves the LP on its binding rows
     (``i + j + k == 2n``).  Each route checks what it returns, and a failed
     check of the binding-row route raises ``RuntimeError``.  t is the
@@ -170,10 +166,9 @@ def reduced_lp(n: int) -> CapsetLPResult:
     binding-row route returns there (the tests compare the two routes for
     n = 1..60); the duals are not reported.
 
-    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, and is checked
-    before either route.  Every LP either route hands to ``solve`` has at
-    most that many rows: the tight rows are binding rows.  An n below 1
-    raises ``ValueError``.
+    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, the rows of the one
+    LP handed to ``solve``, and is checked before either route.  An n below
+    1 raises ``ValueError``.
     """
     _coefficients(n)  # an n below 1 raises here
     _check_rows(_binding_triple_count(n))
@@ -194,24 +189,15 @@ def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
     so by weak duality ``sum(y) <= OPT <= c.t``; where ``c.t == sum(y)``,
     an identity of integers over the common denominator, t is optimal.
 
-    Such a y comes from the first of two routes that yields one.
-    :func:`_closed_form_dual` builds it by a fixed rule and checks it
-    exactly, with no simplex; it does so for every n = 3..60 but 57 and 60.
-    Where it declines, the covering LP on T is handed to
-    :func:`stablerank.lp.solve`: at n = 2, 57 and 60.  The dual of its
-    optimum is such a y, and ``solve`` certifies it before it returns, so
-    an optimum equal to ``c.t`` proves t optimal.  The guess is never
-    trusted: an uncovered row, or a declined closed form followed by a
-    ``solve`` value other than ``c.t`` (a status that is not optimal has
-    no value), returns None.
+    :func:`_closed_form_dual` builds such a y by a fixed rule and checks it
+    exactly, with no simplex and no LP built; it does so at every
+    n = 3..300.  The guess is never trusted: an uncovered row, or a
+    declined closed form (as at n = 2), returns None.
     """
     t, q, d, tight = _guess_coverage(n)
-    if tight is None:
+    if tight is None or _closed_form_dual(n, q, d, tight) is None:
         return None
-    cost = _cost(q, d, n)
-    if _closed_form_dual(n, q, d, tight) is None and solve(_covering_lp(n, tight)).value != cost:
-        return None
-    return t, cost
+    return t, _cost(q, d, n)
 
 
 @lru_cache(maxsize=1)  # reduced_lp and verify_conjecture check the same guess
@@ -230,12 +216,20 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     it has no run (``p > n``) or its tail system is not square or is
     singular.  Nothing here is checked.
 
-    With ``m = 2n - 2p``, y is ``3 f_i`` on the run ``(i, p, 2n-p-i)``,
-    i = 0..m, and on a tail of 2 to 4 triples chosen by n mod 3 it solves
-    the square system that loads each column m+1..p-1 with exactly
-    ``3 f_j``; no run triple meets those columns.  The system is solved on
-    integers by Cramer's rule, over ``den = |det|``, the sign taken from
-    the determinant itself.
+    With ``m = 2n - 2p``, y carries ``3 f_i`` for each i = 0..m, and on a
+    tail of 2 to 4 triples chosen by n mod 3 it solves the square system
+    that loads each column m+1..p-1 with exactly ``3 f_j``; no run triple
+    meets those columns.  The system is solved on integers by Cramer's
+    rule, over ``den = |det|``, the sign taken from the determinant itself.
+
+    The ``3 f_i`` fill column p, then spill onto column p+1.  Walking i
+    from m down to 0, the run triple ``(i, p, 2n-p-i)`` takes as much as
+    column p still has room for: its cap ``3 f_p`` less the tail's load on
+    it, with ``(m, p, p)`` counted twice.  The rest goes on
+    ``(i, p+1, 2n-p-1-i)``.  Of n = 3..300, only n = 0 (mod 3) from 57 on
+    spills: there the i below some s spill whole and i = s is shared.  The
+    triples are listed by ascending i, the run triple first where i is
+    shared.
     """
     f = _coefficients(n)
     m = 2 * n - 2 * p
@@ -262,8 +256,18 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
         for k in range(len(tail))
     ]
     den = sign * det
-    run = [(i, p, 2 * n - p - i) for i in range(m + 1)]
-    return run + tail, [3 * f[i] * den for i in range(m + 1)] + nums, den
+    room = 3 * f[p] * den - sum(triple.count(p) * v for triple, v in zip(tail, nums))
+    run = []
+    for i in range(m, -1, -1):
+        triple, full = (i, p, 2 * n - p - i), 3 * f[i] * den
+        kept = min(full, room // triple.count(p))
+        room -= triple.count(p) * kept
+        if kept < full:
+            run.append(((i, p + 1, 2 * n - p - 1 - i), full - kept))
+        if kept:
+            run.append((triple, kept))
+    run.reverse()
+    return [triple for triple, _ in run] + tail, [v for _, v in run] + nums, den
 
 
 def _closed_form_dual(
@@ -277,9 +281,9 @@ def _closed_form_dual(
     check: every triple of y is in ``tight``, every ``y >= 0``, the load
     ``sum_T mult_j(T) y_T`` is at most ``3 f_j`` on each of the 2n+1
     columns, and ``sum(y) == c.t``, each on integers over the common
-    denominator.  By weak duality t is then optimal.  The rule fails at
-    n = 2, where t has 3 positive entries and so no run, and at n = 0
-    (mod 3) from 57 on, where column p is overloaded.
+    denominator.  By weak duality t is then optimal.  The rule passes at
+    every n = 3..300, and fails at n = 2, where t has 3 positive entries and
+    so no run.
     """
     f = _coefficients(n)
     p = sum(1 for v in q if v > 0)

@@ -47,7 +47,10 @@ def _parse_alpha(raw: str | None):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # a RuntimeError, which would exit 3
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _has(data, key: str) -> bool:
@@ -192,13 +195,13 @@ def _capset_row(n: int, full: bool) -> dict:
 
 
 def _cmd_capset(args, out) -> int:
-    for flag, n in (
-        ("--n", args.n),
-        ("--table", args.table),
-        ("--verify-conjecture", args.verify_conjecture),
+    for flag, n, low in (
+        ("--n", args.n, 1),
+        ("--table", args.table, 1),
+        ("--verify-conjecture", args.verify_conjecture, 2),  # the conjecture starts at n = 2
     ):
-        if n is not None and not 1 <= n <= capset.TABLE_MAX_N:
-            raise ValueError(f"{flag} must be between 1 and {capset.TABLE_MAX_N}, got {n}")
+        if n is not None and not low <= n <= capset.TABLE_MAX_N:
+            raise ValueError(f"{flag} must be between {low} and {capset.TABLE_MAX_N}, got {n}")
     if args.verify_conjecture is not None:
         report = capset.verify_conjecture(args.verify_conjecture)
         _emit(report.to_json(), args.format, out)
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = capset.TABLE_MAX_N
     p.add_argument("--n", type=int, help=f"single table row, 1..{top}")
     p.add_argument("--table", type=int, metavar="N", help=f"rows 1..N, N at most {top}")
-    p.add_argument("--verify-conjecture", type=int, metavar="N", help=f"N at most {top}")
+    p.add_argument("--verify-conjecture", type=int, metavar="N", help=f"N, 2..{top}")
     p.add_argument("--full", action="store_true", help="also solve the uncollapsed LP")
     common(p)
     p.set_defaults(handler=_cmd_capset)

@@ -154,18 +154,6 @@ def _counting_solve(monkeypatch):
     return shapes
 
 
-def _tight_count(n):
-    """The binding triples tight at the conjectured t, counted on Fractions."""
-    t = conjectured_t(n)
-    return sum(1 for triple in capset._binding_triples(n) if sum(t[i] for i in triple) == 1)
-
-
-def _decline_closed_form(monkeypatch):
-    """Make :func:`capset._closed_form_dual` decline, so that every guess
-    goes to the covering LP on its tight rows."""
-    monkeypatch.setattr(capset, "_closed_form_dual", lambda n, q, d, tight: None)
-
-
 def _route_spy(monkeypatch):
     """Record each route that ``reduced_lp`` tries, in order: "closed form"
     or "declined" per :func:`capset._closed_form_dual`, "binding" per
@@ -187,14 +175,12 @@ def _route_spy(monkeypatch):
     return taken
 
 
-# The route of every n the CLI prints: the binding-row solve at n = 1, the
-# covering LP on the tight rows where the closed form declines, and the
-# closed form elsewhere.
+# The route of every n the CLI prints: the binding-row solve at n = 1, which
+# has no guess, and at n = 2, where the closed form declines; the closed
+# form elsewhere.
 FALLBACK_ROUTES = {
     1: ["binding", "solve"],
-    2: ["declined", "solve"],
-    57: ["declined", "solve"],
-    60: ["declined", "solve"],
+    2: ["declined", "binding", "solve"],
 }
 
 
@@ -289,51 +275,19 @@ class TestRowGeneration:
             assert seen[False, False, monotone]
 
     def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
-        # one solve per n: the binding rows at n = 1, and from n = 2 on, with
-        # the closed form declining, the covering LP on the tight triples, one
-        # row per tight triple and one column per t entry; through n = 30 each
-        # is pivoted as given, never above 2 * cols + 8 rows
-        tight = {2: 3, 3: 3, 4: 4, 11: 13, 12: 18, 20: 40, 30: 102}
-        assert tight == {n: _tight_count(n) for n in tight}
-        _decline_closed_form(monkeypatch)
-        duals = []
-        real = lp_module.dual_program
-        monkeypatch.setattr(lp_module, "dual_program", lambda lp: duals.append(lp) or real(lp))
+        # one solve per n, on the binding rows alone, one row per binding
+        # triple and one column per t entry: the route at n = 1 and 2, and
+        # from n = 3 on once the guess is made to fail; its t and value are
+        # those the closed form certifies
+        expected = {n: reduced_lp(n) for n in range(1, 21)}
+        capset.reduced_lp.cache_clear()
+        capset._guess_coverage.cache_clear()
+        _lower_guess(monkeypatch)
         shapes = _counting_solve(monkeypatch)
-        reduced_lp(1)
-        assert shapes == [(len(capset._binding_triples(1)), 3)] == [(2, 3)]
-        for n in sorted({*range(2, 21), *tight}):
+        for n in range(1, 21):
             shapes.clear()
-            reduced_lp(n)
-            assert shapes == [(_tight_count(n), 2 * n + 1)], n
-        assert duals == []
-
-    def test_guess_solves_the_covering_lp_on_the_tight_rows(self, fresh_cache, monkeypatch):
-        # with the closed form made to decline at every n, the LP handed to
-        # solve is the covering LP on the tight triples, built here one row
-        # per triple, and its dual program is the packing LP, built here one
-        # row per t column: -sum_T mult_j(T) y_T >= -3 f_j
-        _decline_closed_form(monkeypatch)
-        handed = []
-        real = capset.solve
-        monkeypatch.setattr(capset, "solve", lambda lp: handed.append(lp) or real(lp))
-        for n in range(2, capset.TABLE_MAX_N + 1):
-            t = conjectured_t(n)
-            tight = [tr for tr in capset._binding_triples(n) if sum(t[i] for i in tr) == 1]
-            cols = [[] for _ in t]
-            for c, triple in enumerate(tight):
-                for j, mult in sorted(Counter(triple).items()):
-                    cols[j].append((c, -mult))
-            packing = LinearProgram([-1] * len(tight), cols, [-3 * v for v in trinomial(n)])
-            covering = LinearProgram(
-                [3 * v for v in trinomial(n)],
-                [[(idx, 1) for idx in tr] for tr in tight],
-                [1] * len(tight),
-            )
-            handed.clear()
-            capset._certified_guess(n)
-            assert handed == [covering], n
-            assert lp_module.dual_program(covering) == packing, n
+            assert reduced_lp(n) == expected[n], n
+            assert shapes == [(len(capset._binding_triples(n)), 2 * n + 1)], n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
     def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
@@ -353,21 +307,22 @@ class TestRowGeneration:
         assert captured.out == ""
         assert captured.err == "error: collapsed LP certificate failed\n"
 
-    @pytest.mark.parametrize("tamper,tight_solved", [(_lower_guess, False), (_raise_guess, True)])
-    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, tight_solved):
-        # an uncovered guess never reaches the LP on its tight rows; a
-        # covering one that costs too much does, and its optimum falls short
-        # of c.t
+    @pytest.mark.parametrize("tamper,declined", [(_lower_guess, False), (_raise_guess, True)])
+    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, declined):
+        # an uncovered guess never reaches the closed form; a covering one
+        # that costs too much is declined by it; either way the one LP solved
+        # is the one on the binding rows
         expected = capset._binding_row_optimum(5)
         tamper(monkeypatch)
         shapes = _counting_solve(monkeypatch)
+        taken = _route_spy(monkeypatch)
         res = reduced_lp(5)
         assert (res.t, res.value) == expected
         assert list(res.t) == SMALL_TABLE[5][1]
-        assert len(shapes) == 1 + tight_solved
-        assert shapes[-1] == (len(capset._binding_triples(5)), 11)
+        assert taken == ["declined"] * declined + ["binding", "solve"]
+        assert shapes == [(len(capset._binding_triples(5)), 11)]
 
-    # n = 2 still pivots the LP on its tight rows, where the closed form certifies
+    # n = 2 pivots the LP on its binding rows, where the closed form certifies
     # n = 5 with no simplex, so a tampered pivot loop would go unseen there
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
@@ -443,9 +398,9 @@ class TestRowGeneration:
             res = reduced_lp(n)
             assert (res.t, res.value) == expected[n], n
             # at most one LP, pivoted as given: the 2 binding rows at n = 1,
-            # the covering LP on the 3 tight triples at n = 2, never above
-            # 2 * cols + 8 rows, and from n = 3 on none, by the closed form
-            assert shapes == {1: [(2, 3)], 2: [(_tight_count(2), 5)]}.get(n, []), n
+            # the 4 at n = 2, never above 2 * cols + 8 rows, and from n = 3 on
+            # none, by the closed form
+            assert shapes == {1: [(2, 3)], 2: [(4, 5)]}.get(n, []), n
             assert calls == [], n
 
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
@@ -454,10 +409,11 @@ class TestRowGeneration:
             raise AssertionError(f"binding-row solve at n = {n}")
 
         monkeypatch.setattr(capset, "_binding_row_optimum", fallback)
-        for n in range(2, capset.TABLE_MAX_N + 1):
+        for n in range(3, capset.TABLE_MAX_N + 1):
             assert reduced_lp(n).t == conjectured_t(n)
-        with pytest.raises(AssertionError, match="n = 1"):
-            reduced_lp(1)
+        for n in (1, 2):
+            with pytest.raises(AssertionError, match=f"n = {n}"):
+                reduced_lp(n)
 
     def test_route_matches_the_binding_row_solve(self, fresh_cache):
         # t now comes from the guess, so the LP on the binding rows is
@@ -466,20 +422,8 @@ class TestRowGeneration:
             res = reduced_lp(n)
             assert (res.t, res.value) == capset._binding_row_optimum(n), n
 
-    @pytest.mark.parametrize("n,shape", [(57, (115, 363)), (60, (121, 402))])
-    def test_tall_fallback_is_pivoted_as_its_packing_dual(self, fresh_cache, monkeypatch, n, shape):
-        # capset hands solve the covering LP on the tight rows, and solve
-        # alone pivots it as its dual, one row per t column
-        pivoted = []
-        real = lp_module._run_simplex
-        monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: pivoted.append(lp) or real(lp))
-        _, _, _, tight = capset._guess_coverage(n)
-        assert reduced_lp(n).t == conjectured_t(n)
-        assert pivoted == [lp_module.dual_program(capset._covering_lp(n, tight))]
-        assert (pivoted[0].num_rows, pivoted[0].num_vars) == shape
-
     def test_row_cap_at_n_2_prints_the_uncapped_row(self, fresh_cache, monkeypatch, capsys):
-        # a cap of 4 admits the 4 binding rows, and with them the 3 tight rows
+        # a cap of 4 admits the 4 binding rows that n = 2 solves
         assert main(["capset", "--n", "2"]) == 0
         uncapped = capsys.readouterr()
         capset.reduced_lp.cache_clear()
@@ -489,12 +433,12 @@ class TestRowGeneration:
         assert uncapped.out.startswith("n: 2\nvalue: 6\n")
 
     def test_row_cap_at_n_2(self, fresh_cache, monkeypatch):
-        # 4 binding rows: a cap of 4 solves the covering LP on the 3 tight rows
+        # 4 binding rows: a cap of 4 solves the covering LP on all of them
         shapes = _counting_solve(monkeypatch)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         res = reduced_lp(2)
         assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
-        assert shapes == [(3, 5)]
+        assert shapes == [(4, 5)]
         capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "3")
         with pytest.raises(lp_module.LPSizeError, match="LP has 4 rows"):
@@ -570,6 +514,40 @@ def _overload_column_0(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", moved)
 
 
+def _unspill_one_unit(monkeypatch):
+    """Move one unit of the rule's y from the spilled triple at the shared
+    i = s back to its run partner ``(s, p, 2n-p-s)``: y stays >= 0 and
+    sum(y) stays c.t, but column p, filled to its cap, carries one unit
+    more."""
+    real = capset._rule_dual
+
+    def moved(n, p):
+        triples, y, den = real(n, p)
+        s = max(i for i, j, _ in triples if j == p + 1)
+        spill = triples.index((s, p + 1, 2 * n - p - 1 - s))
+        run = triples.index((s, p, 2 * n - p - s))
+        y = list(y)
+        y[spill] -= 1
+        y[run] += 1
+        return triples, y, den
+
+    monkeypatch.setattr(capset, "_rule_dual", moved)
+
+
+def _assert_declined_then_solved(monkeypatch, tamper, n):
+    """A tampered y fails its exact check, and the binding-row solve after
+    it returns the same t and value."""
+    expected = reduced_lp(n)
+    capset.reduced_lp.cache_clear()
+    capset._guess_coverage.cache_clear()
+    tamper(monkeypatch)
+    _, q, d, tight = capset._guess_coverage(n)
+    assert capset._closed_form_dual(n, q, d, tight) is None
+    taken = _route_spy(monkeypatch)
+    assert reduced_lp(n) == expected
+    assert taken == ["declined", "binding", "solve"]
+
+
 class TestClosedFormDual:
     def test_route_of_every_table_n(self, fresh_cache, monkeypatch):
         taken = _route_spy(monkeypatch)
@@ -582,7 +560,7 @@ class TestClosedFormDual:
             n: FALLBACK_ROUTES.get(n, ["closed form"]) for n in range(1, capset.TABLE_MAX_N + 1)
         }
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 29, 30, 31])
+    @pytest.mark.parametrize("n", [5, 6, 7, 29, 30, 31, 57, 60, 99])
     def test_certificate_is_exact(self, n):
         # the checked y, rebuilt here on Fractions: tight triples, y >= 0,
         # every column load at most 3 f_j, and sum(y) == c.t == the optimum
@@ -597,11 +575,25 @@ class TestClosedFormDual:
                 load[j] += v
         assert all(load[j] <= 3 * f[j] for j in range(2 * n + 1))
         assert sum(y) == 3 * sum(fj * tj for fj, tj in zip(f, t)) == reduced_lp(n).value
-        # P triples: a run of 3 f_i on columns 0..m, then a tail of 2-4
+        # 3 f_i for each i = 0..m, on the run (i, p, 2n-p-i) or spilled onto
+        # (i, p+1, 2n-p-1-i), listed by ascending i; then a tail of 2-4
         p = sum(1 for v in t if v > 0)
         m = 2 * n - 2 * p
-        assert len(triples) == p and len(triples) - (m + 1) == {0: 2, 1: 3, 2: 4}[n % 3]
-        assert y[: m + 1] == [3 * f[i] for i in range(m + 1)]
+        tail = {0: 2, 1: 3, 2: 4}[n % 3]
+        head = triples[:-tail]
+        assert [i for i, _, _ in head] == sorted(i for i, _, _ in head)
+        run = {i: v for (i, j, k), v in zip(head, y) if (j, k) == (p, 2 * n - p - i)}
+        spill = {i: v for (i, j, k), v in zip(head, y) if (j, k) == (p + 1, 2 * n - p - 1 - i)}
+        assert len(run) + len(spill) == len(head)
+        assert [run.get(i, 0) + spill.get(i, 0) for i in range(m + 1)] == [3 * f[i] for i in range(m + 1)]
+        # s is the i shared by the run and the spill; the i below it spill whole
+        s = {57: 26, 60: 31, 99: 60}.get(n)
+        if s is None:
+            assert sorted(run) == list(range(m + 1)) and spill == {}
+        else:
+            assert sorted(spill) == list(range(s + 1)) and sorted(run) == list(range(s, m + 1))
+            # column p is filled to its cap exactly, and column p + 1 is not
+            assert load[p] == 3 * f[p] and load[p + 1] < 3 * f[p + 1]
 
     @pytest.mark.parametrize("n", [5, 6, 7, 20])
     @pytest.mark.parametrize(
@@ -615,17 +607,11 @@ class TestClosedFormDual:
         ],
     )
     def test_tampered_dual_declines(self, fresh_cache, monkeypatch, tamper, n):
-        # a tampered y fails its exact check, and the LP on the tight rows
-        # (or the binding-row solve after it) returns the same t and value
-        expected = reduced_lp(n)
-        capset.reduced_lp.cache_clear()
-        capset._guess_coverage.cache_clear()
-        tamper(monkeypatch)
-        _, q, d, tight = capset._guess_coverage(n)
-        assert capset._closed_form_dual(n, q, d, tight) is None
-        taken = _route_spy(monkeypatch)
-        assert reduced_lp(n) == expected
-        assert taken[:2] == ["declined", "solve"]
+        _assert_declined_then_solved(monkeypatch, tamper, n)
+
+    @pytest.mark.parametrize("n", [57, 60])
+    def test_unspilled_unit_declines(self, fresh_cache, monkeypatch, n):
+        _assert_declined_then_solved(monkeypatch, _unspill_one_unit, n)
 
     def test_any_covering_t_is_declined_or_optimal(self):
         # on the seeded t vectors of the coverage test, the closed form
@@ -644,24 +630,28 @@ class TestClosedFormDual:
         assert seen[False] > 50
 
     def test_reach_past_the_table(self, fresh_cache, monkeypatch):
-        # the closed form certifies n = 100, 200 and 299 with no LP solved
+        # the closed form certifies n = 100, 200 and 299 with no LP solved,
+        # and the spilling n = 57, 60, 63, 150, 201 and 300 too
         shapes = _counting_solve(monkeypatch)
         start = time.perf_counter()
         for n in (100, 200, 299):
             assert reduced_lp(n).t == conjectured_t(n), n
         assert time.perf_counter() - start < 0.2
+        for n in (57, 60, 63, 150, 201, 300):
+            assert reduced_lp(n).t == conjectured_t(n), n
         assert shapes == []
 
     def test_one_coverage_pass_per_n(self, fresh_cache, monkeypatch, capsys):
         # --table 20 checks each guess once for reduced_lp and
-        # verify_conjecture together, and n = 1's binding-row t once
+        # verify_conjecture together, and the binding-row t of n = 1 and 2
+        # once each
         passes = []
         real = capset._tight_triples
         monkeypatch.setattr(
             capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n)
         )
         assert main(["capset", "--table", "20"]) == 0
-        assert passes == list(range(1, 21))
+        assert passes == [1, 2, *range(2, 21)]
         capsys.readouterr()
 
 

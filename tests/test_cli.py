@@ -235,6 +235,22 @@ class TestCapsetCommand:
         assert code == 0
         assert out.encode() == (DATA_DIR / "capset_table_60.csv").read_bytes()
 
+    @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
+    def test_table_60_golden_file_in_other_formats(self, capsys, fmt, suffix):
+        # Written before the tight-row LP route was deleted.
+        code, out = run(capsys, "capset", "--table", "60", "--format", fmt)
+        assert code == 0
+        assert out.encode() == (DATA_DIR / f"capset_table_60.{suffix}").read_bytes()
+
+    def test_verify_conjecture_golden_file(self, capsys):
+        # the text reports of N = 2..60, one after another
+        out = []
+        for n in range(2, 61):
+            code, text = run(capsys, "capset", "--verify-conjecture", str(n))
+            assert code == 0, n
+            out.append(text)
+        assert "".join(out).encode() == (DATA_DIR / "capset_verify_conjecture_2_60.txt").read_bytes()
+
     def test_missing_selector_exits_2(self, capsys):
         code, _ = run(capsys, "capset")
         assert code == 2
@@ -249,14 +265,16 @@ class TestCapsetCommand:
             ("--n", "61"),
             ("--n", "70", "--format", "json"),
             ("--verify-conjecture", "61"),
+            ("--verify-conjecture", "1"),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, argv):
         code = main(["capset", *argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "between 1 and 60" in captured.err
+        # the conjectured pattern starts at n = 2
+        low = 2 if argv[0] == "--verify-conjecture" else 1
+        assert captured.err == f"error: {argv[0]} must be between {low} and 60, got {argv[1]}\n"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -603,6 +621,24 @@ def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command
     # a file of the wrong kind is named; a malformed field names itself
     where = f"{path}: " if message.startswith(("not ", "neither ")) else ""
     assert captured.err == f"error: {where}{message}\n"
+
+
+# RecursionError is a RuntimeError, the solver-anomaly class, so a file
+# nested past the decoder's recursion limit must be refused by name instead.
+@pytest.mark.parametrize("command", ["trank", "tslice", "grank", "ncrk", "slope", "slope --exponents"])
+def test_too_deeply_nested_json_exits_2(capsys, tmp_path, w_support_file, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    if command == "slope":
+        argv = ["slope", str(path), "--exponents", w_support_file]
+    elif command == "slope --exponents":
+        argv = ["slope", w_support_file, "--exponents", str(path)]
+    else:
+        argv = [command, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply to read\n"
 
 
 def test_zero_counts_are_valid(capsys, tmp_path, w_tensor_file):
