@@ -6,7 +6,7 @@ collapses the huge covering LP of the n-fold Kronecker power of the cap-set
 tensor into 2n+1 variables with one constraint per nonincreasing exponent
 triple summing to at most 2n.  Its exact optimum, floored, bounds the size
 of any progression-free subset of F_3^n.  Routines here compute the
-coefficients, solve the collapsed LP with certificates, compare against the
+coefficients, certify the collapsed LP's optimum, compare against the
 coarser slice-rank style counts, test the conjectured closed-form optimum,
 and cross-validate against the uncollapsed LP for tiny n.
 
@@ -17,20 +17,16 @@ exactly 2n, imply all the others.  :func:`_tight_triples` proves, exactly
 for any t and in O(n^2), that t covers every row of the full LP, and lists
 the binding rows on which t is tight.
 
-The answer takes one of two routes.  From n = 2 on, :func:`reduced_lp`
-first certifies :func:`conjectured_t`.  If that t covers every row, a dual
-solution of the full LP that is zero off the binding rows tight at t (40
-of 154 at n = 20, 402 of 1,261 at n = 60) and sums to the cost of t proves
-t optimal, by weak duality.  :func:`_closed_form_dual` writes that dual
-down by a fixed rule, a run of ``3 f_i`` that fills one column and spills
-onto the next, and a tail from a 2x2 to 4x4 integer system, and checks it
-exactly, with no simplex: at every n = 3..300, as the tests check.  Where
-it declines, as at n = 2, and at n = 1, which has no guess, the covering
-LP on every binding row, built by :func:`_covering_lp`, is handed to
-:func:`stablerank.lp.solve`, and its t is checked for the full LP in the
-same O(n^2) pass.  The row cap counts the binding rows, the rows of that
-LP, and is checked before either route.  Either way the answer is an
-optimum of the full LP, certified without building it.
+The answer has one route, with no simplex and no LP built.
+:func:`reduced_lp` certifies :func:`conjectured_t`: if that t covers every
+row, a dual solution of the full LP that is zero off the binding rows tight
+at t (40 of 154 at n = 20, 402 of 1,261 at n = 60) and sums to the cost of
+t proves t optimal, by weak duality.  :func:`_closed_form_dual` writes that
+dual down by a fixed rule, a run of ``3 f_i`` that fills one column and
+spills onto the next, and a tail from a 2x2 to 4x4 integer system, and
+checks it exactly: at every n = 1..300, as the tests check.  A failed check
+raises; nothing is reported unproved.  The row cap counts the binding rows,
+the rows the coverage pass walks, and is checked first.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .lp import OPTIMAL, LinearProgram, _check_rows, _over_one_denominator, solve
+from .lp import _check_rows, _over_one_denominator
 from .ranks import _det_int, trank
 from .tensors import SparseTensor, boxtimes, mod_domain, support_of
 
@@ -73,38 +69,11 @@ def _coefficients(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _binding_triples(n: int) -> list[tuple[int, int, int]]:
-    """Every triple ``i <= j <= k`` with ``i + j + k == 2n``, in lexicographic order."""
-    top = 2 * n
-    return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
-
-
 def _binding_triple_count(n: int) -> int:
-    """``len(_binding_triples(n))`` without the list: the number of
-    partitions of 2n into at most three parts, the integer nearest to
-    (2n + 3)^2 / 12."""
+    """The number of binding triples ``i <= j <= k`` with ``i + j + k == 2n``:
+    the number of partitions of 2n into at most three parts, the integer
+    nearest to (2n + 3)^2 / 12."""
     return ((2 * n + 3) ** 2 + 6) // 12
-
-
-def _triple_row(i: int, j: int, k: int) -> tuple[tuple[int, int], ...]:
-    """The row ``t_i + t_j + t_k >= 1`` of a triple ``i <= j <= k`` as a
-    canonical sparse row: a repeated index is one column, with coefficient
-    2 or 3."""
-    if i == k:
-        return ((i, 3),)
-    if i == j:
-        return ((i, 2), (k, 1))
-    if j == k:
-        return ((i, 1), (j, 2))
-    return ((i, 1), (j, 1), (k, 1))
-
-
-def _covering_lp(n: int, triples) -> LinearProgram:
-    """Minimize ``3 * sum_i f_i t_i`` over t >= 0 subject to one row
-    ``t_i + t_j + t_k >= 1`` per triple of ``triples``, in that order, by
-    :func:`_triple_row`."""
-    rows = [_triple_row(*triple) for triple in triples]
-    return LinearProgram([3 * v for v in _coefficients(n)], rows, [1] * len(rows))
 
 
 def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] | None:
@@ -156,48 +125,30 @@ def reduced_lp(n: int) -> CapsetLPResult:
     """Minimize ``3 * sum_i f_i t_i`` over nonnegative t with
     ``t_i + t_j + t_k >= 1`` whenever ``i + j + k <= 2n``.
 
-    The full LP is never built.  From n = 2 on, :func:`_certified_guess`
-    tries to prove :func:`conjectured_t` optimal by the closed-form dual,
-    which it does at every n = 3..300; where it cannot (n = 2), and at n = 1,
-    :func:`_binding_row_optimum` solves the LP on its binding rows
-    (``i + j + k == 2n``).  Each route checks what it returns, and a failed
-    check of the binding-row route raises ``RuntimeError``.  t is the
-    conjectured vector for n = 2..60, which is also the vertex the
-    binding-row route returns there (the tests compare the two routes for
-    n = 1..60); the duals are not reported.
-
-    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, the rows of the one
-    LP handed to ``solve``, and is checked before either route.  An n below
-    1 raises ``ValueError``.
-    """
-    _coefficients(n)  # an n below 1 raises here
-    _check_rows(_binding_triple_count(n))
-    found = _certified_guess(n) if n >= 2 else None
-    t, value = found or _binding_row_optimum(n)
-    return CapsetLPResult(n, t, value, math.floor(value))
-
-
-def _certified_guess(n: int) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """``(t, c.t)`` for ``t = conjectured_t(n)`` if it is proved optimal,
-    else None.
-
-    The proof: t >= 0 covers every row of the full LP, by the one exact
-    pass of :func:`_tight_triples` that :func:`_guess_coverage` shares with
+    The full LP is never built, and no LP is solved.  t is
+    :func:`conjectured_t`, and its proof of optimality is exact: t >= 0
+    covers every row of the full LP, by the one pass of
+    :func:`_tight_triples` that :func:`_guess_coverage` shares with
     :func:`verify_conjecture`, which also lists the binding triples T tight
     at t.  A y >= 0 on T with ``sum_T mult_j(T) y_T <= 3 f_j`` for each
     column j, zero on every other row, is a dual solution of the full LP,
-    so by weak duality ``sum(y) <= OPT <= c.t``; where ``c.t == sum(y)``,
-    an identity of integers over the common denominator, t is optimal.
+    so by weak duality ``sum(y) <= OPT <= c.t``; :func:`_closed_form_dual`
+    writes such a y down by a rule and checks ``c.t == sum(y)``, an identity
+    of integers over the common denominator.  It does so at every
+    n = 1..300.  The guess is never trusted: an uncovered row or a failed
+    check raises ``RuntimeError``.  The duals are not reported.
 
-    :func:`_closed_form_dual` builds such a y by a fixed rule and checks it
-    exactly, with no simplex and no LP built; it does so at every
-    n = 3..300.  The guess is never trusted: an uncovered row, or a
-    declined closed form (as at n = 2), returns None.
+    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, the rows the
+    coverage pass walks, and is checked first.  An n below 1 raises
+    ``ValueError``.
     """
+    _coefficients(n)  # an n below 1 raises here
+    _check_rows(_binding_triple_count(n))
     t, q, d, tight = _guess_coverage(n)
     if tight is None or _closed_form_dual(n, q, d, tight) is None:
-        return None
-    return t, _cost(q, d, n)
+        raise RuntimeError("collapsed LP certificate failed")
+    value = _cost(q, d, n)
+    return CapsetLPResult(n, t, value, math.floor(value))
 
 
 @lru_cache(maxsize=1)  # reduced_lp and verify_conjecture check the same guess
@@ -212,29 +163,31 @@ def _guess_coverage(n: int) -> tuple[tuple[Fraction, ...], list[int], int, list 
 
 def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
     """The dual y that the rule predicts for a t with ``p`` positive
-    entries, as ``(triples, numerators, den)`` with ``den > 0``, or None if
-    it has no run (``p > n``) or its tail system is not square or is
-    singular.  Nothing here is checked.
+    entries, ``p >= 1``, as ``(triples, numerators, den)`` with ``den > 0``,
+    or None if its tail system is not square or is singular.  Nothing here
+    is checked.
 
     With ``m = 2n - 2p``, y carries ``3 f_i`` for each i = 0..m, and on a
     tail of 2 to 4 triples chosen by n mod 3 it solves the square system
-    that loads each column m+1..p-1 with exactly ``3 f_j``; no run triple
-    meets those columns.  The system is solved on integers by Cramer's
-    rule, over ``den = |det|``, the sign taken from the determinant itself.
+    that loads each column ``max(m+1, 0)..p-1`` with exactly ``3 f_j``; no
+    run triple meets those columns.  The system is solved on integers by
+    Cramer's rule, over ``den = |det|``, the sign taken from the
+    determinant itself.  Where m < 0 (n = 1 and 2) there is no run, and the
+    tail is truncated from the left, as :func:`conjectured_t` truncates
+    its t: the triples with a negative index are dropped.  At p = 2n + 1,
+    which has no column p, the 2n + 1 columns outnumber the tail.
 
     The ``3 f_i`` fill column p, then spill onto column p+1.  Walking i
     from m down to 0, the run triple ``(i, p, 2n-p-i)`` takes as much as
     column p still has room for: its cap ``3 f_p`` less the tail's load on
     it, with ``(m, p, p)`` counted twice.  The rest goes on
-    ``(i, p+1, 2n-p-1-i)``.  Of n = 3..300, only n = 0 (mod 3) from 57 on
+    ``(i, p+1, 2n-p-1-i)``.  Of n = 1..300, only n = 0 (mod 3) from 57 on
     spills: there the i below some s spill whole and i = s is shared.  The
     triples are listed by ascending i, the run triple first where i is
     shared.
     """
     f = _coefficients(n)
     m = 2 * n - 2 * p
-    if m < 0:
-        return None
     residue = n % 3
     if residue == 0:
         tail = [(m + 1, p - 1, p), (p - 1, p - 1, p - 1)]
@@ -242,7 +195,8 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
         tail = [(m + 1, p - 1, p), (m + 2, m + 2, p), (m + 2, p - 1, p - 1)]
     else:
         tail = [(m + 1, p - 1, p), (m + 2, p - 2, p), (m + 2, p - 1, p - 1), (m + 3, m + 3, p - 1)]
-    cols = range(m + 1, p)
+    tail = [triple for triple in tail if min(triple) >= 0]
+    cols = range(max(m + 1, 0), p)
     if len(cols) != len(tail):
         return None
     a = [[triple.count(j) for triple in tail] for j in cols]
@@ -282,8 +236,7 @@ def _closed_form_dual(
     ``sum_T mult_j(T) y_T`` is at most ``3 f_j`` on each of the 2n+1
     columns, and ``sum(y) == c.t``, each on integers over the common
     denominator.  By weak duality t is then optimal.  The rule passes at
-    every n = 3..300, and fails at n = 2, where t has 3 positive entries and
-    so no run.
+    every n = 1..300.
     """
     f = _coefficients(n)
     p = sum(1 for v in q if v > 0)
@@ -303,23 +256,6 @@ def _closed_form_dual(
     if sum(y) * d != 3 * sum(map(mul, f, q)) * den:
         return None
     return rule
-
-
-def _binding_row_optimum(n: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """``(t, value)`` of the LP solved on its binding rows, certified for
-    the full LP.
-
-    ``solve`` certifies the pair on the binding rows, and
-    :func:`t_vector_feasible` shows that t covers every other row too,
-    where the dual, taken as zero, stays feasible.  A failed check raises
-    ``RuntimeError``.
-    """
-    sol = solve(_covering_lp(n, _binding_triples(n)))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"collapsed LP unexpectedly {sol.status}")
-    if not t_vector_feasible(sol.x, n):  # t leaves a row of the full LP uncovered
-        raise RuntimeError("collapsed LP certificate failed")
-    return sol.x, sol.value
 
 
 def capset_bound(n: int) -> int:
@@ -355,11 +291,12 @@ def conjectured_t(n: int) -> tuple[Fraction, ...]:
     arithmetic tail depending on n mod 3, then zeros.
 
     The nominal run length is (2n-3)/3, (2n-5)/3 or (2n-7)/3 by residue
-    class; for n = 2 that is negative and the tail is truncated from the
-    left, which reproduces the known optimum (3/5, 2/5, 1/5, 0, 0).
+    class; for n = 1 and 2 that is negative and the tail is truncated from
+    the left, which reproduces the optima (1/2, 1/4, 0) and
+    (3/5, 2/5, 1/5, 0, 0).
     """
-    if n < 2:
-        raise ValueError("the conjectured pattern needs n >= 2")
+    if n < 1:
+        raise ValueError("the conjectured pattern needs n >= 1")
     residue = n % 3
     prefix = {0: 2 * n - 3, 1: 2 * n - 5, 2: 2 * n - 7}[residue] // 3
     tail = _TAILS[residue]
@@ -402,10 +339,12 @@ class ConjectureReport:
 
 
 def verify_conjecture(n: int) -> ConjectureReport:
-    """Check the conjectured t vector against the solved LP.
+    """Check the conjectured t vector against the certified LP optimum.
 
     Reports feasibility and whether the conjectured objective attains the
-    LP optimum; the match is reported, never assumed.
+    optimum :func:`reduced_lp` proves; the match is reported, never assumed.
+    Since that proof certifies the conjectured t itself, a report exists
+    only where the two agree: where the proof fails, ``reduced_lp`` raises.
     """
     _, q, d, tight = _guess_coverage(n)
     feasible = tight is not None

@@ -58,12 +58,22 @@ def _has(data, key: str) -> bool:
     return isinstance(data, dict) and key in data
 
 
+def _parsed(path: str, build, *fields):
+    """``build(*fields)`` on fields read from file ``path``.  A value of the
+    wrong type among them, such as a list where a number belongs, raises
+    ``TypeError`` naming its field; the refusal names the file too."""
+    try:
+        return build(*fields)
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_support(path: str) -> Support:
     data = _load_json(path)
     if _has(data, "elements"):
-        return Support.from_json(data)
+        return _parsed(path, Support.from_json, data)
     if _has(data, "entries"):
-        return support_of(SparseTensor.from_json(data))
+        return support_of(_parsed(path, SparseTensor.from_json, data))
     raise ValueError(f"{path}: neither a tensor nor a support file")
 
 
@@ -71,7 +81,7 @@ def _load_tensor(path: str) -> SparseTensor:
     data = _load_json(path)
     if not _has(data, "entries"):
         raise ValueError(f"{path}: not a tensor file")
-    return SparseTensor.from_json(data)
+    return _parsed(path, SparseTensor.from_json, data)
 
 
 def _load_fields(path: str, what: str, *keys: str) -> list:
@@ -198,7 +208,9 @@ def _cmd_capset(args, out) -> int:
     for flag, n, low in (
         ("--n", args.n, 1),
         ("--table", args.table, 1),
-        ("--verify-conjecture", args.verify_conjecture, 2),  # the conjecture starts at n = 2
+        # the closed form also certifies n = 1; this range stays 2..60, and
+        # conjecture_match stays empty at n = 1, so that no output moves
+        ("--verify-conjecture", args.verify_conjecture, 2),
     ):
         if n is not None and not low <= n <= capset.TABLE_MAX_N:
             raise ValueError(f"{flag} must be between {low} and {capset.TABLE_MAX_N}, got {n}")
@@ -219,7 +231,8 @@ def _cmd_capset(args, out) -> int:
 def _cmd_ncrk(args, out) -> int:
     check_count("--budget", args.budget)
     check_count("--limit", args.limit)
-    mats = MatrixTuple(*_load_fields(args.file, "a matrix tuple file", "matrices", "modulus"))
+    fields = _load_fields(args.file, "a matrix tuple file", "matrices", "modulus")
+    mats = _parsed(args.file, MatrixTuple, *fields)
     payload: dict = {"command": "ncrk", "mode": args.mode}
     code = EXIT_OK
     if args.mode in ("brute", "both"):
@@ -240,7 +253,7 @@ def _cmd_ncrk(args, out) -> int:
 def _cmd_slope(args, out) -> int:
     support = _load_support(args.file)
     (exponents,) = _load_fields(args.exponents, "an exponent file", "x")
-    value = psg_slope(exponents, support, _parse_alpha(args.alpha))
+    value = _parsed(args.exponents, psg_slope, exponents, support, _parse_alpha(args.alpha))
     _emit({"command": "slope", "slope": str(value)}, args.format, out)
     return EXIT_OK
 

@@ -24,11 +24,22 @@ Index = tuple[int, ...]
 Weight = tuple[Fraction, ...]
 
 
+def _integers(raw: tuple, what: str) -> tuple[int, ...]:
+    """``raw`` as ints.  A number with a fractional part, or integer text,
+    raises ``ValueError`` naming ``what``; a list or another value that is
+    no number raises ``TypeError`` naming it, which the command line
+    reports with the file it came from."""
+    try:
+        ints = tuple(int(v) for v in raw)
+    except TypeError:
+        raise TypeError(f"{what} must be integers, got {list(raw)}") from None
+    if ints != raw:
+        raise ValueError(f"{what} must be integers, got {list(raw)}")
+    return ints
+
+
 def _check_shape(dims: Sequence[int]) -> tuple[int, ...]:
-    raw = tuple(dims)
-    shape = tuple(int(n) for n in raw)
-    if shape != raw:
-        raise ValueError(f"dimensions must be integers, got {list(raw)}")
+    shape = _integers(tuple(dims), "dimensions")
     if len(shape) < 1:
         raise ValueError("tensor order must be at least 1")
     if any(n < 1 for n in shape):
@@ -37,10 +48,7 @@ def _check_shape(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_index(idx: Sequence[int], shape: tuple[int, ...]) -> Index:
-    raw = tuple(idx)
-    coords = tuple(int(c) for c in raw)
-    if coords != raw:
-        raise ValueError(f"index coordinates must be integers, got {list(raw)}")
+    coords = _integers(tuple(idx), "index coordinates")
     if len(coords) != len(shape):
         raise ValueError(f"index {coords} has wrong length for shape {shape}")
     for c, n in zip(coords, shape):
@@ -241,7 +249,11 @@ class SparseTensor:
                 raise ValueError(
                     f"each item of 'entries' must be an object with 'idx' and 'val', got {item!r}"
                 )
-            val = parse_rational(item["val"])
+            raw = item["val"]
+            try:
+                val = parse_rational(raw)
+            except TypeError:
+                raise TypeError(f"each 'val' must be a rational number, got {raw!r}") from None
             _coerce_scalar(val, p)  # names a bad value even where its index repeats
             idx = tuple(_listed(item["idx"], "each 'idx' must be a list of coordinates"))
             if idx in entries:
@@ -420,7 +432,11 @@ def psg_slope(x: Sequence[Sequence[int]], support: Support, alpha) -> Fraction:
     for i, row in enumerate(x):
         if len(row) != support.shape[i]:
             raise ValueError(f"exponent row {i} has wrong length")
-        if any(int(e) != e or e < 0 for e in row):
+        try:
+            bad = any(int(e) != e or e < 0 for e in row)
+        except TypeError:
+            raise TypeError(f"exponent row {i} must hold integers, got {list(row)}") from None
+        if bad:
             raise ValueError("exponents must be nonnegative integers")
     x = [[int(e) for e in row] for row in x]  # 1.0 counts as 1
     numerator = sum((w[i] * sum(x[i]) for i in range(d)), Fraction(0))

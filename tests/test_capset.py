@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -130,9 +129,34 @@ def _sampled_t(n, rows, rng):
                 yield [v - F(1, 1000) if idx == k else v for idx, v in enumerate(tight)]
 
 
+def _binding_triples(n):
+    """The binding rows of the collapsed LP: every triple ``i <= j <= k``
+    with ``i + j + k == 2n``, in lexicographic order."""
+    top = 2 * n
+    return [(i, j, top - i - j) for i in range(top // 3 + 1) for j in range(i, (top - i) // 2 + 1)]
+
+
+def _covering_lp(n, triples):
+    """The covering LP ``min 3 * sum_i f_i t_i`` subject to
+    ``t_i + t_j + t_k >= 1`` for each triple, built here row by row."""
+    return LinearProgram(
+        [3 * v for v in trinomial(n)],
+        [[(idx, 1) for idx in triple] for triple in triples],
+        [1] * len(triples),
+    )
+
+
+def _binding_row_optimum(n):
+    """``(t, value)`` of the covering LP on the binding rows alone, solved
+    by the package's exact simplex: the oracle of the closed form."""
+    sol = lp_module.solve(_covering_lp(n, _binding_triples(n)))
+    assert sol.status == lp_module.OPTIMAL
+    return sol.x, sol.value
+
+
 @pytest.fixture
 def fresh_cache():
-    """Solve every collapsed LP anew, and leave no result of a patched run behind."""
+    """Certify every collapsed LP anew, and leave no result of a patched run behind."""
     capset.reduced_lp.cache_clear()
     capset._guess_coverage.cache_clear()
     yield
@@ -140,29 +164,20 @@ def fresh_cache():
     capset._guess_coverage.cache_clear()
 
 
-def _counting_solve(monkeypatch):
-    """Make the solver that ``reduced_lp`` calls record the shape
-    ``(rows, columns)`` of each LP it is given; returns that list."""
-    shapes = []
-    real = capset.solve
+def _no_simplex(monkeypatch):
+    """Make the exact simplex raise, so that any pivot fails the test."""
 
-    def counting(lp):
-        shapes.append((lp.num_rows, lp.num_vars))
-        return real(lp)
+    def refuse(lp):
+        raise AssertionError(f"simplex reached on {lp.num_rows} rows")
 
-    monkeypatch.setattr(capset, "solve", counting)
-    return shapes
+    monkeypatch.setattr(lp_module, "_run_simplex", refuse)
 
 
 def _route_spy(monkeypatch):
-    """Record each route that ``reduced_lp`` tries, in order: "closed form"
-    or "declined" per :func:`capset._closed_form_dual`, "binding" per
-    :func:`capset._binding_row_optimum`, and "solve" per LP handed to
-    ``solve``; returns that list."""
+    """Record, in order, "closed form" or "declined" per call of
+    :func:`capset._closed_form_dual`; returns that list."""
     taken = []
-    closed_form, binding, real_solve = (
-        capset._closed_form_dual, capset._binding_row_optimum, capset.solve
-    )
+    closed_form = capset._closed_form_dual
 
     def closed(n, q, d, tight):
         y = closed_form(n, q, d, tight)
@@ -170,18 +185,21 @@ def _route_spy(monkeypatch):
         return y
 
     monkeypatch.setattr(capset, "_closed_form_dual", closed)
-    monkeypatch.setattr(capset, "_binding_row_optimum", lambda n: taken.append("binding") or binding(n))
-    monkeypatch.setattr(capset, "solve", lambda lp: taken.append("solve") or real_solve(lp))
     return taken
 
 
-# The route of every n the CLI prints: the binding-row solve at n = 1, which
-# has no guess, and at n = 2, where the closed form declines; the closed
-# form elsewhere.
-FALLBACK_ROUTES = {
-    1: ["binding", "solve"],
-    2: ["declined", "binding", "solve"],
-}
+FAILED = "collapsed LP certificate failed"
+
+
+def _assert_refused(capsys, n):
+    """``reduced_lp(n)`` raises ``RuntimeError``, and ``capset --n n``
+    exits 3 with nothing on stdout."""
+    with pytest.raises(RuntimeError, match=FAILED):
+        reduced_lp(n)
+    assert main(["capset", "--n", str(n)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {FAILED}\n"
 
 
 def _lower_guess(monkeypatch):
@@ -206,45 +224,32 @@ def _raise_guess(monkeypatch):
 
 
 def _lower_one_t(monkeypatch):
-    """Make the guess fail, then halve the last positive t of each solution
-    ``reduced_lp`` gets, so that it breaks one of its own rows; returns the
-    expected error."""
+    """Halve the last positive entry of the t that ``reduced_lp`` certifies,
+    so that it breaks one of its own binding rows."""
     _lower_guess(monkeypatch)
-    real = capset.solve
-
-    def tampered(lp):
-        sol = real(lp)
-        k = max(i for i, v in enumerate(sol.x) if v > 0)
-        x = list(sol.x)
-        x[k] /= 2
-        return dataclasses.replace(sol, x=tuple(x))
-
-    monkeypatch.setattr(capset, "solve", tampered)
-    return "collapsed LP certificate failed"
 
 
 def _raise_one_y(monkeypatch):
-    """Raise y_0 by 1/7 in each optimum the pivot loop hands to ``solve``;
-    returns the expected error."""
-    real = lp_module._run_simplex
+    """Raise the first entry of the rule's y by one unit: column 0 then
+    carries more than ``3 f_0``, and sum(y) exceeds c.t."""
+    real = capset._rule_dual
 
-    def tampered(lp):
-        status, x, y, value = real(lp)
-        return status, x, [y[0] + F(1, 7), *y[1:]], value
+    def raised(n, p):
+        triples, y, den = real(n, p)
+        return triples, [y[0] + 1, *y[1:]], den
 
-    monkeypatch.setattr(lp_module, "_run_simplex", tampered)
-    return "LP optimum failed its certificate check"
+    monkeypatch.setattr(capset, "_rule_dual", raised)
 
 
 class TestRowGeneration:
     def test_triples_in_lexicographic_order(self):
         for n in range(1, 16):
             top = 2 * n
-            assert capset._binding_triples(n) == [t for t in _all_rows(n) if sum(t) == top]
+            assert _binding_triples(n) == [t for t in _all_rows(n) if sum(t) == top]
 
     def test_row_counts(self):
         assert len(_all_rows(20)) == 2282
-        assert len(capset._binding_triples(60)) == 1261
+        assert len(_binding_triples(60)) == 1261
 
     def test_row_count_in_closed_form(self):
         # The count is len(_binding_triples(n)); summing the length of each
@@ -254,7 +259,7 @@ class TestRowGeneration:
             count = sum((top - i) // 2 - i + 1 for i in range(top // 3 + 1))
             assert capset._binding_triple_count(n) == count, n
         for n in range(1, 61):
-            assert capset._binding_triple_count(n) == len(capset._binding_triples(n)), n
+            assert capset._binding_triple_count(n) == len(_binding_triples(n)), n
 
     def test_coverage_check_matches_a_scan_of_every_row(self):
         rng = random.Random(20200219)
@@ -274,69 +279,59 @@ class TestRowGeneration:
             assert seen[True, False, monotone] and seen[True, True, monotone]
             assert seen[False, False, monotone]
 
-    def test_binding_rows_suffice(self, fresh_cache, monkeypatch):
-        # one solve per n, on the binding rows alone, one row per binding
-        # triple and one column per t entry: the route at n = 1 and 2, and
-        # from n = 3 on once the guess is made to fail; its t and value are
-        # those the closed form certifies
-        expected = {n: reduced_lp(n) for n in range(1, 21)}
-        capset.reduced_lp.cache_clear()
-        capset._guess_coverage.cache_clear()
-        _lower_guess(monkeypatch)
-        shapes = _counting_solve(monkeypatch)
-        for n in range(1, 21):
-            shapes.clear()
-            assert reduced_lp(n) == expected[n], n
-            assert shapes == [(len(capset._binding_triples(n)), 2 * n + 1)], n
+    def test_binding_rows_suffice(self):
+        # the covering LP on the binding rows alone and the full collapsed
+        # LP, every row of it listed by brute force, both built here and
+        # solved by the simplex, have the same optimum, which reduced_lp
+        # certifies; the binding-row t covers every row of the full LP
+        for n in range(1, 9):
+            full = lp_module.solve(_covering_lp(n, _all_rows(n)))
+            t, value = _binding_row_optimum(n)
+            assert full.status == lp_module.OPTIMAL
+            assert full.value == value == reduced_lp(n).value, n
+            assert min(t[i] + t[j] + t[k] for i, j, k in _all_rows(n)) >= 1, n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
     def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
         # t solved on every other binding row leaves a row of the full LP
-        # uncovered: the one solve is refused, not followed by another.
-        # From n = 2 on the guessed t fails first, so that this solve runs.
-        if n >= 2:
-            _lower_guess(monkeypatch)
-        binding = capset._binding_triples
-        monkeypatch.setattr(capset, "_binding_triples", lambda m: binding(m)[::2])
-        shapes = _counting_solve(monkeypatch)
-        with pytest.raises(RuntimeError, match="collapsed LP certificate failed"):
-            reduced_lp(n)
-        assert shapes == [(len(binding(n)[::2]), 2 * n + 1)]
-        assert main(["capset", "--n", str(n)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: collapsed LP certificate failed\n"
+        # uncovered; handed to reduced_lp as its guess, it is refused
+        sol = lp_module.solve(_covering_lp(n, _binding_triples(n)[::2]))
+        assert min(sol.x[i] + sol.x[j] + sol.x[k] for i, j, k in _all_rows(n)) < 1
+        assert not t_vector_feasible(sol.x, n)
+        monkeypatch.setattr(capset, "conjectured_t", lambda m: sol.x)
+        taken = _route_spy(monkeypatch)
+        _no_simplex(monkeypatch)
+        _assert_refused(capsys, n)
+        assert taken == []  # an uncovered t never reaches the closed form
 
     @pytest.mark.parametrize("tamper,declined", [(_lower_guess, False), (_raise_guess, True)])
-    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, tamper, declined):
+    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, capsys, tamper, declined):
         # an uncovered guess never reaches the closed form; a covering one
-        # that costs too much is declined by it; either way the one LP solved
-        # is the one on the binding rows
-        expected = capset._binding_row_optimum(5)
+        # that costs too much is declined by it; either way nothing is
+        # reported, and no LP is solved in its place
         tamper(monkeypatch)
-        shapes = _counting_solve(monkeypatch)
         taken = _route_spy(monkeypatch)
-        res = reduced_lp(5)
-        assert (res.t, res.value) == expected
-        assert list(res.t) == SMALL_TABLE[5][1]
-        assert taken == ["declined"] * declined + ["binding", "solve"]
-        assert shapes == [(len(capset._binding_triples(5)), 11)]
+        _no_simplex(monkeypatch)
+        _assert_refused(capsys, 5)
+        assert taken == (["declined"] * 2 if declined else [])  # reduced_lp, then the CLI
 
-    # n = 2 pivots the LP on its binding rows, where the closed form certifies
-    # n = 5 with no simplex, so a tampered pivot loop would go unseen there
+    # n = 2 is certified by the closed form's truncated tail, like every
+    # other n; a tampered t or y there is refused, not solved around
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
-        error = tamper(monkeypatch)
-        with pytest.raises(RuntimeError, match=error):
+        tamper(monkeypatch)
+        _no_simplex(monkeypatch)
+        with pytest.raises(RuntimeError, match=FAILED):
             reduced_lp(2)
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
     def test_tampered_solution_exits_3(self, fresh_cache, monkeypatch, capsys, tamper):
-        error = tamper(monkeypatch)
+        tamper(monkeypatch)
+        _no_simplex(monkeypatch)
         assert main(["capset", "--n", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {error}\n"
+        assert captured.err == f"error: {FAILED}\n"
 
     # n = 1, binding rows (0,0,2) and (0,1,1): t = (1/2, 1/4, 0) and the dual
     # y = (3/4, 3/2) load columns 0, 1, 2 with 3, 3, 3/4 against costs 3, 3, 3.
@@ -357,15 +352,14 @@ class TestRowGeneration:
         ],
     )
     def test_certificate_conditions(self, active, t, y, value, ok):
-        active = _all_rows(1) if active == "all" else capset._binding_triples(1)
-        objective = [3 * v for v in trinomial(1)]
-        lp = LinearProgram(objective, [[(idx, 1) for idx in tr] for tr in active], [1] * len(active))
+        active = _all_rows(1) if active == "all" else _binding_triples(1)
+        lp = _covering_lp(1, active)
         sol = LPSolution("optimal", value, tuple(F(v) for v in t), tuple(F(v) for v in y))
         assert verify_certificate(lp, sol) is ok
 
     def test_t_is_the_conjectured_vector(self):
         # every n the CLI prints, so each conjecture_match of --table is backed
-        for n in range(2, capset.TABLE_MAX_N + 1):
+        for n in range(1, capset.TABLE_MAX_N + 1):
             assert reduced_lp(n).t == conjectured_t(n)
 
     def test_values_match_the_pinned_full_lp(self):
@@ -377,53 +371,34 @@ class TestRowGeneration:
 
     def test_shorter_side_keeps_t_and_value(self, fresh_cache, monkeypatch):
         # the covering LP on the binding rows, built here row by row and
-        # solved on its own, has the t and value that reduced_lp returns
-        expected = {}
-        for n in range(1, 21):
-            active = capset._binding_triples(n)
-            lp = LinearProgram(
-                [3 * v for v in trinomial(n)],
-                [[(idx, 1) for idx in tr] for tr in active],
-                [1] * len(active),
-            )
-            sol = lp_module.solve(lp)
-            expected[n] = (sol.x, sol.value)
+        # solved on its own, has the t and value that reduced_lp returns;
+        # reduced_lp itself pivots no LP, primal or dual
+        expected = {n: _binding_row_optimum(n) for n in range(1, 21)}
         calls = []
         real = lp_module.dual_program
         monkeypatch.setattr(lp_module, "dual_program", lambda lp: calls.append(lp) or real(lp))
-        shapes = _counting_solve(monkeypatch)
+        _no_simplex(monkeypatch)
         for n in range(1, 21):
-            calls.clear()
-            shapes.clear()
             res = reduced_lp(n)
             assert (res.t, res.value) == expected[n], n
-            # at most one LP, pivoted as given: the 2 binding rows at n = 1,
-            # the 4 at n = 2, never above 2 * cols + 8 rows, and from n = 3 on
-            # none, by the closed form
-            assert shapes == {1: [(2, 3)], 2: [(4, 5)]}.get(n, []), n
-            assert calls == [], n
+        assert calls == []
 
     def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
-        # a silent fallback would print the same table at twice the cost
-        def fallback(n):
-            raise AssertionError(f"binding-row solve at n = {n}")
-
-        monkeypatch.setattr(capset, "_binding_row_optimum", fallback)
-        for n in range(3, capset.TABLE_MAX_N + 1):
+        # with the simplex made to raise, every n the CLI prints is still
+        # certified, n = 1 and 2 included
+        _no_simplex(monkeypatch)
+        for n in range(1, capset.TABLE_MAX_N + 1):
             assert reduced_lp(n).t == conjectured_t(n)
-        for n in (1, 2):
-            with pytest.raises(AssertionError, match=f"n = {n}"):
-                reduced_lp(n)
 
     def test_route_matches_the_binding_row_solve(self, fresh_cache):
-        # t now comes from the guess, so the LP on the binding rows is
-        # solved here, on its own, for every n the CLI prints
+        # the oracle: the covering LP on the binding rows, built here and
+        # solved by the simplex, for every n the CLI prints
         for n in range(1, capset.TABLE_MAX_N + 1):
             res = reduced_lp(n)
-            assert (res.t, res.value) == capset._binding_row_optimum(n), n
+            assert (res.t, res.value) == _binding_row_optimum(n), n
 
     def test_row_cap_at_n_2_prints_the_uncapped_row(self, fresh_cache, monkeypatch, capsys):
-        # a cap of 4 admits the 4 binding rows that n = 2 solves
+        # a cap of 4 admits the 4 binding rows of n = 2
         assert main(["capset", "--n", "2"]) == 0
         uncapped = capsys.readouterr()
         capset.reduced_lp.cache_clear()
@@ -433,22 +408,27 @@ class TestRowGeneration:
         assert uncapped.out.startswith("n: 2\nvalue: 6\n")
 
     def test_row_cap_at_n_2(self, fresh_cache, monkeypatch):
-        # 4 binding rows: a cap of 4 solves the covering LP on all of them
-        shapes = _counting_solve(monkeypatch)
+        # 4 binding rows: a cap of 4 certifies n = 2, with no LP solved, and
+        # a cap of 3 refuses it before the coverage pass walks them
+        _no_simplex(monkeypatch)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         res = reduced_lp(2)
         assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
-        assert shapes == [(4, 5)]
         capset.reduced_lp.cache_clear()
+        capset._guess_coverage.cache_clear()
+        passes = []
+        real = capset._tight_triples
+        monkeypatch.setattr(capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n))
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "3")
         with pytest.raises(lp_module.LPSizeError, match="LP has 4 rows"):
             reduced_lp(2)
+        assert passes == []
 
     def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
-        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20))))
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(_binding_triples(20))))
         assert reduced_lp(20).bound == BOUNDS_1_TO_20[19]
         capset.reduced_lp.cache_clear()
-        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(capset._binding_triples(20)) - 1))
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(_binding_triples(20)) - 1))
         assert main(["capset", "--n", "20"]) == 4
 
 
@@ -534,31 +514,29 @@ def _unspill_one_unit(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", moved)
 
 
-def _assert_declined_then_solved(monkeypatch, tamper, n):
-    """A tampered y fails its exact check, and the binding-row solve after
-    it returns the same t and value."""
-    expected = reduced_lp(n)
-    capset.reduced_lp.cache_clear()
-    capset._guess_coverage.cache_clear()
+def _assert_declined_and_refused(monkeypatch, capsys, tamper, n):
+    """A tampered y fails its exact check, and nothing is reported in its
+    place: ``reduced_lp`` raises and the CLI exits 3, with no LP solved."""
     tamper(monkeypatch)
     _, q, d, tight = capset._guess_coverage(n)
     assert capset._closed_form_dual(n, q, d, tight) is None
     taken = _route_spy(monkeypatch)
-    assert reduced_lp(n) == expected
-    assert taken == ["declined", "binding", "solve"]
+    _no_simplex(monkeypatch)
+    _assert_refused(capsys, n)
+    assert taken == ["declined", "declined"]  # reduced_lp, then the CLI
 
 
 class TestClosedFormDual:
     def test_route_of_every_table_n(self, fresh_cache, monkeypatch):
+        # one route: the closed form, n = 1 and 2 included, and no simplex
         taken = _route_spy(monkeypatch)
+        _no_simplex(monkeypatch)
         routes = {}
         for n in range(1, capset.TABLE_MAX_N + 1):
             taken.clear()
             reduced_lp(n)
             routes[n] = list(taken)
-        assert routes == {
-            n: FALLBACK_ROUTES.get(n, ["closed form"]) for n in range(1, capset.TABLE_MAX_N + 1)
-        }
+        assert routes == {n: ["closed form"] for n in range(1, capset.TABLE_MAX_N + 1)}
 
     @pytest.mark.parametrize("n", [5, 6, 7, 29, 30, 31, 57, 60, 99])
     def test_certificate_is_exact(self, n):
@@ -595,6 +573,39 @@ class TestClosedFormDual:
             # column p is filled to its cap exactly, and column p + 1 is not
             assert load[p] == 3 * f[p] and load[p + 1] < 3 * f[p + 1]
 
+    # the tail truncated from the left, as conjectured_t truncates t: at
+    # n = 1 the two triples left of residue 1, at n = 2 the three of residue 2
+    @pytest.mark.parametrize(
+        "n,triples,y",
+        [
+            (1, [(0, 0, 2), (0, 1, 1)], [F(3, 4), F(3, 2)]),
+            (2, [(0, 1, 3), (0, 2, 2), (1, 1, 2)], [F(0), F(3), F(3)]),
+        ],
+    )
+    def test_truncated_tail_certifies_n_1_and_2(self, fresh_cache, n, triples, y):
+        _, q, d, tight = capset._guess_coverage(n)
+        got, nums, den = capset._closed_form_dual(n, q, d, tight)
+        assert got == triples and [F(v, den) for v in nums] == y
+        assert sum(y) == reduced_lp(n).value == SMALL_TABLE[n][2]
+
+    def test_rule_is_total(self):
+        # every count p of positive entries that a covering t can have,
+        # 1..2n+1, gives a y or None, never an error; p = 2n + 1 has no
+        # column p to fill
+        for n in range(1, 40):
+            for p in range(1, 2 * n + 1):
+                capset._rule_dual(n, p)
+            assert capset._rule_dual(n, 2 * n + 1) is None
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 100, 200, 300])
+    def test_lp_checker_accepts_the_closed_form(self, n):
+        # the second exact checker: lp.verify_certificate accepts t, y / den
+        # and c.t on the covering LP of the rule's triples, built here
+        t, q, d, tight = capset._guess_coverage(n)
+        triples, nums, den = capset._closed_form_dual(n, q, d, tight)
+        sol = LPSolution("optimal", capset._cost(q, d, n), t, tuple(F(v, den) for v in nums))
+        assert verify_certificate(_covering_lp(n, triples), sol)
+
     @pytest.mark.parametrize("n", [5, 6, 7, 20])
     @pytest.mark.parametrize(
         "tamper",
@@ -606,12 +617,12 @@ class TestClosedFormDual:
             _cancelling_pair,
         ],
     )
-    def test_tampered_dual_declines(self, fresh_cache, monkeypatch, tamper, n):
-        _assert_declined_then_solved(monkeypatch, tamper, n)
+    def test_tampered_dual_declines(self, fresh_cache, monkeypatch, capsys, tamper, n):
+        _assert_declined_and_refused(monkeypatch, capsys, tamper, n)
 
     @pytest.mark.parametrize("n", [57, 60])
-    def test_unspilled_unit_declines(self, fresh_cache, monkeypatch, n):
-        _assert_declined_then_solved(monkeypatch, _unspill_one_unit, n)
+    def test_unspilled_unit_declines(self, fresh_cache, monkeypatch, capsys, n):
+        _assert_declined_and_refused(monkeypatch, capsys, _unspill_one_unit, n)
 
     def test_any_covering_t_is_declined_or_optimal(self):
         # on the seeded t vectors of the coverage test, the closed form
@@ -632,26 +643,24 @@ class TestClosedFormDual:
     def test_reach_past_the_table(self, fresh_cache, monkeypatch):
         # the closed form certifies n = 100, 200 and 299 with no LP solved,
         # and the spilling n = 57, 60, 63, 150, 201 and 300 too
-        shapes = _counting_solve(monkeypatch)
+        _no_simplex(monkeypatch)
         start = time.perf_counter()
         for n in (100, 200, 299):
             assert reduced_lp(n).t == conjectured_t(n), n
         assert time.perf_counter() - start < 0.2
         for n in (57, 60, 63, 150, 201, 300):
             assert reduced_lp(n).t == conjectured_t(n), n
-        assert shapes == []
 
     def test_one_coverage_pass_per_n(self, fresh_cache, monkeypatch, capsys):
         # --table 20 checks each guess once for reduced_lp and
-        # verify_conjecture together, and the binding-row t of n = 1 and 2
-        # once each
+        # verify_conjecture together; n = 1 prints no conjecture match
         passes = []
         real = capset._tight_triples
         monkeypatch.setattr(
             capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n)
         )
         assert main(["capset", "--table", "20"]) == 0
-        assert passes == [1, 2, *range(2, 21)]
+        assert passes == list(range(1, 21))
         capsys.readouterr()
 
 
@@ -680,12 +689,15 @@ class TestConjecture:
     def test_n2_truncated_tail(self):
         assert conjectured_t(2) == (F(3, 5), F(2, 5), F(1, 5), 0, 0)
 
+    def test_n1_truncated_tail(self):
+        assert conjectured_t(1) == (F(1, 2), F(1, 4), 0)
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            conjectured_t(1)
+            conjectured_t(0)
 
     def test_feasible_through_40(self):
-        for n in range(2, 41):
+        for n in range(1, 41):
             assert t_vector_feasible(conjectured_t(n), n)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stablerank
+from stablerank import capset
 from stablerank.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -251,6 +252,26 @@ class TestCapsetCommand:
             out.append(text)
         assert "".join(out).encode() == (DATA_DIR / "capset_verify_conjecture_2_60.txt").read_bytes()
 
+    def test_pins_without_the_simplex(self, capsys, monkeypatch):
+        # capset pivots no LP: with the simplex made to raise, the n = 1..60
+        # table in every format and the conjecture reports match their pins
+        def refuse(lp):
+            raise AssertionError("simplex reached")
+
+        monkeypatch.setattr(stablerank.lp, "_run_simplex", refuse)
+        capset.reduced_lp.cache_clear()
+        capset._guess_coverage.cache_clear()
+        for fmt, suffix in (("csv", "csv"), ("json", "json"), ("text", "txt")):
+            code, out = run(capsys, "capset", "--table", "60", "--format", fmt)
+            assert code == 0
+            assert out.encode() == (DATA_DIR / f"capset_table_60.{suffix}").read_bytes()
+        reports = []
+        for n in range(2, 61):
+            code, text = run(capsys, "capset", "--verify-conjecture", str(n))
+            assert code == 0, n
+            reports.append(text)
+        assert "".join(reports).encode() == (DATA_DIR / "capset_verify_conjecture_2_60.txt").read_bytes()
+
     def test_missing_selector_exits_2(self, capsys):
         code, _ = run(capsys, "capset")
         assert code == 2
@@ -272,7 +293,8 @@ class TestCapsetCommand:
         code = main(["capset", *argv])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        # the conjectured pattern starts at n = 2
+        # --verify-conjecture keeps its range 2..60, though the closed form
+        # also certifies the pattern at n = 1
         low = 2 if argv[0] == "--verify-conjecture" else 1
         assert captured.err == f"error: {argv[0]} must be between {low} and 60, got {argv[1]}\n"
 
@@ -609,6 +631,17 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
         ("trank", '{"shape": [2, 2], "elements": [3]}', "each item of 'elements' must be an index list, got int 3"),
         ("tslice", '{"shape": 5, "elements": []}', "'shape' must be a list, got int 5"),
         ("grank", '{"shape": "ab", "entries": []}', "'shape' must be a list, got str 'ab'"),
+        # a nested list where a number belongs: a value of the wrong type,
+        # named with the file it is in
+        ("trank", '{"shape": [2, 2], "elements": [[[0], 1]]}', "{path}: index coordinates must be integers, got [[0], 1]"),
+        ("trank", '{"shape": [[2], 2], "elements": [[0, 1]]}', "{path}: dimensions must be integers, got [[2], 2]"),
+        (
+            "trank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": [1]}]}',
+            "{path}: each 'val' must be a rational number, got [1]",
+        ),
+        ("ncrk", '{"modulus": 3, "matrices": [[[[1]]]]}', "{path}: matrix entries must be integers, got [1]"),
+        ("slope", '{"x": [[[1], 0], [0, 1], [0, 1]]}', "{path}: exponent row 0 must hold integers, got [[1], 0]"),
     ],
 )
 def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command, text, message):
@@ -620,7 +653,7 @@ def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command
     assert code == 2 and captured.out == ""
     # a file of the wrong kind is named; a malformed field names itself
     where = f"{path}: " if message.startswith(("not ", "neither ")) else ""
-    assert captured.err == f"error: {where}{message}\n"
+    assert captured.err == f"error: {where}{message.replace('{path}', str(path))}\n"
 
 
 # RecursionError is a RuntimeError, the solver-anomaly class, so a file

@@ -19,7 +19,7 @@ from stablerank import (
     solve,
     verify_certificate,
 )
-from stablerank import capset, ranks
+from stablerank import ranks
 from stablerank import lp as lp_module
 from stablerank.ranks import build_lp
 from stablerank.tensors import Support
@@ -428,8 +428,7 @@ def _canonical_int_rows(rows, num_vars):
 
 def test_builders_emit_canonical_int_rows(monkeypatch):
     """The package builds its LPs from canonical int rows, which the
-    constructor stores as given: ``ranks._cover_lp``, the cap-set LP of
-    ``capset._covering_lp`` and ``dual_program``."""
+    constructor stores as given: ``ranks._cover_lp`` and ``dual_program``."""
     built = []
     real = ranks.LinearProgram
     monkeypatch.setattr(
@@ -447,15 +446,6 @@ def test_builders_emit_canonical_int_rows(monkeypatch):
     assert len(built) == 400
     for rows, num_vars in built:
         assert _canonical_int_rows(rows, num_vars)
-    covering = []
-    monkeypatch.setattr(
-        capset, "LinearProgram", lambda c, rows, b: covering.append(rows) or real(c, rows, b)
-    )
-    for n in range(1, capset.TABLE_MAX_N + 1):
-        triples = capset._binding_triples(n)
-        lp = capset._covering_lp(n, triples)
-        assert _canonical_int_rows(covering.pop(), 2 * n + 1)
-        assert lp == real(lp.objective, [[(i, 1) for i in tr] for tr in triples], lp.rhs)
     for lp, _ in _vertex_corpus_lps():
         dual = lp_module.dual_program(lp)
         assert _canonical_int_rows(dual.rows, dual.num_vars)
