@@ -50,7 +50,13 @@ TABLE_MAX_N = 60  # largest n of a bound table or asymptotic report
 
 
 def trinomial(n: int) -> list[int]:
-    """Coefficients of (1 + x + x^2)^n, exactly, by iterated convolution."""
+    """Coefficients of (1 + x + x^2)^n, exactly, in O(n) big-integer steps.
+
+    With ``P = (1 + x + x^2)^n``, the identity ``(1 + x + x^2) P' =
+    n (1 + 2x) P`` gives ``k f_k = (n-k+1) f_{k-1} + (2n-k+2) f_{k-2}``,
+    whose division by k is exact; the recurrence runs for k = 1..n and the
+    symmetry ``f_{2n-k} = f_k`` gives the rest.
+    """
     return list(_coefficients(n))
 
 
@@ -58,15 +64,10 @@ def trinomial(n: int) -> list[int]:
 def _coefficients(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
-    row = [1]
-    for _ in range(n):
-        out = [0] * (len(row) + 2)
-        for i, c in enumerate(row):
-            out[i] += c
-            out[i + 1] += c
-            out[i + 2] += c
-        row = out
-    return tuple(row)
+    f = [1, n]  # f_0, and f_1 from k = 1 with f_{-1} = 0
+    for k in range(2, n + 1):
+        f.append(((n - k + 1) * f[k - 1] + (2 * n - k + 2) * f[k - 2]) // k)
+    return tuple(f + f[-2::-1])
 
 
 def _binding_triple_count(n: int) -> int:

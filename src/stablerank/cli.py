@@ -5,6 +5,10 @@ always printed as strings like "3/2"; floating-point bounds carry 12
 significant digits.  Exit codes: 0 success, 2 parse/usage failure, 3 solver
 anomaly or failed consistency gate, 4 resource limit exceeded.  Output is
 byte-identical for identical invocations (including --seed).
+
+A run whose first argument names a subcommand builds that one subparser
+alone; help, and any argument list that names none first, build all six,
+so help and usage errors print the same text either way.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ def _round12(x: float) -> float:
 def _parse_alpha(raw: str | None):
     if raw is None:
         return None
-    return [parse_rational(tok.strip()) for tok in raw.split(",")]
+    try:
+        return [parse_rational(tok.strip()) for tok in raw.split(",")]
+    except TypeError:
+        raise ValueError(f"--alpha must be comma-separated rationals, got {raw!r}") from None
 
 
 def _load_json(path: str):
@@ -258,7 +265,53 @@ def _cmd_slope(args, out) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {"help": "tensor or support JSON file"})
+_SEED = (("--seed",), {"type": int, "default": 0})
+_TOP = capset.TABLE_MAX_N
+
+# The six commands in the order --help lists them: name, help, handler,
+# whether --alpha is taken, and the arguments before the common ones.
+_COMMANDS = (
+    ("trank", "support rank from the covering LP", _cmd_trank, True, (_FILE,)),
+    ("tslice", "minimum slice cover of a support", _cmd_tslice, False, (
+        _FILE,
+        (("--limit",), {"type": int, "default": 40, "help": "maximum total slice count"}),
+    )),
+    ("grank", "two-sided stable rank bounds", _cmd_grank, True, (
+        (("file",), {"help": "tensor JSON file with rational entries"}),
+        (("--budget",), {"type": int, "default": 64, "help": "basis changes to sample"}),
+        _SEED,
+        (("--iters",), {"type": int, "default": 400, "help": "ascent iterations"}),
+        (("--tol",), {"type": float, "default": 1e-10, "help": "ascent stopping tolerance"}),
+    )),
+    ("capset", "cap-set upper bound table", _cmd_capset, False, (
+        (("--n",), {"type": int, "help": f"single table row, 1..{_TOP}"}),
+        (("--table",), {"type": int, "metavar": "N", "help": f"rows 1..N, N at most {_TOP}"}),
+        (("--verify-conjecture",), {"type": int, "metavar": "N", "help": f"N, 2..{_TOP}"}),
+        (("--full",), {"action": "store_true", "help": "also solve the uncollapsed LP"}),
+    )),
+    ("ncrk", "non-commutative rank of a matrix tuple", _cmd_ncrk, False, (
+        (("file",), {"help": "JSON file with modulus and matrices"}),
+        (("--mode",), {"choices": ("brute", "search", "both"), "default": "brute"}),
+        (("--budget",), {"type": int, "default": 200}),
+        _SEED,
+        (("--limit",), {"type": int, "default": 1 << 20, "help": "subspace enumeration cap"}),
+    )),
+    ("slope", "slope of a diagonal subgroup on a support", _cmd_slope, True, (
+        _FILE,
+        (("--exponents",), {
+            "required": True,
+            "help": 'JSON file {"x": [[...], ...]} with one exponent row per mode',
+        }),
+    )),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: with every subcommand, or with ``command``'s
+    alone.  A run that names its command builds only that one; help and
+    errors that list the commands see the same text either way."""
     parser = argparse.ArgumentParser(
         prog="stablerank",
         description="Exact stable-rank computations for tensors.",
@@ -268,9 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
             "STABLERANK_MAX_LP_ROWS caps the number of LP constraints."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, alpha=False):
+    # With one command built, the metavar keeps all six in the usage line of
+    # a top-level error; the full build takes none, which would rename
+    # "argument command" in its errors.
+    listed = {} if command is None else {"metavar": "{" + ",".join(_NAMES) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for name, help_text, handler, alpha, arguments in _COMMANDS:
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument(
             "--one-based",
@@ -279,61 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if alpha:
             p.add_argument("--alpha", help="comma-separated positive rationals, e.g. 1,1/2,2")
-
-    p = sub.add_parser("trank", help="support rank from the covering LP")
-    p.add_argument("file", help="tensor or support JSON file")
-    common(p, alpha=True)
-    p.set_defaults(handler=_cmd_trank)
-
-    p = sub.add_parser("tslice", help="minimum slice cover of a support")
-    p.add_argument("file", help="tensor or support JSON file")
-    p.add_argument("--limit", type=int, default=40, help="maximum total slice count")
-    common(p)
-    p.set_defaults(handler=_cmd_tslice)
-
-    p = sub.add_parser("grank", help="two-sided stable rank bounds")
-    p.add_argument("file", help="tensor JSON file with rational entries")
-    p.add_argument("--budget", type=int, default=64, help="basis changes to sample")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=400, help="ascent iterations")
-    p.add_argument("--tol", type=float, default=1e-10, help="ascent stopping tolerance")
-    common(p, alpha=True)
-    p.set_defaults(handler=_cmd_grank)
-
-    p = sub.add_parser("capset", help="cap-set upper bound table")
-    top = capset.TABLE_MAX_N
-    p.add_argument("--n", type=int, help=f"single table row, 1..{top}")
-    p.add_argument("--table", type=int, metavar="N", help=f"rows 1..N, N at most {top}")
-    p.add_argument("--verify-conjecture", type=int, metavar="N", help=f"N, 2..{top}")
-    p.add_argument("--full", action="store_true", help="also solve the uncollapsed LP")
-    common(p)
-    p.set_defaults(handler=_cmd_capset)
-
-    p = sub.add_parser("ncrk", help="non-commutative rank of a matrix tuple")
-    p.add_argument("file", help="JSON file with modulus and matrices")
-    p.add_argument("--mode", choices=("brute", "search", "both"), default="brute")
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=1 << 20, help="subspace enumeration cap")
-    common(p)
-    p.set_defaults(handler=_cmd_ncrk)
-
-    p = sub.add_parser("slope", help="slope of a diagonal subgroup on a support")
-    p.add_argument("file", help="tensor or support JSON file")
-    p.add_argument(
-        "--exponents",
-        required=True,
-        help='JSON file {"x": [[...], ...]} with one exponent row per mode',
-    )
-    common(p, alpha=True)
-    p.set_defaults(handler=_cmd_slope)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _NAMES else None).parse_args(argv)
     out = sys.stdout
     try:
         return args.handler(args, out)

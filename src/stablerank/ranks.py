@@ -397,11 +397,12 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
 
 def _matrix_entry(v) -> int:
     """An integer matrix entry: integer text, or a number with no fractional
-    part; ``1.5`` is refused rather than truncated, and a list or another
-    value that is no number raises ``TypeError`` naming it."""
+    part; ``1.5`` is refused rather than truncated, and a list, text that
+    spells no integer, NaN, infinity, or another value that is no number
+    raises ``TypeError`` naming it."""
     try:
         n = int(v)
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):
         raise TypeError(f"matrix entries must be integers, got {v!r}") from None
     if n != v and not isinstance(v, str):
         raise ValueError(f"matrix entries must be integers, got {v!r}")

@@ -26,12 +26,13 @@ Weight = tuple[Fraction, ...]
 
 def _integers(raw: tuple, what: str) -> tuple[int, ...]:
     """``raw`` as ints.  A number with a fractional part, or integer text,
-    raises ``ValueError`` naming ``what``; a list or another value that is
-    no number raises ``TypeError`` naming it, which the command line
-    reports with the file it came from."""
+    raises ``ValueError`` naming ``what``; a list, text that spells no
+    integer, NaN, infinity, or another value that is no number raises
+    ``TypeError`` naming it, which the command line reports with the file
+    it came from."""
     try:
         ints = tuple(int(v) for v in raw)
-    except TypeError:
+    except (TypeError, ValueError, OverflowError):
         raise TypeError(f"{what} must be integers, got {list(raw)}") from None
     if ints != raw:
         raise ValueError(f"{what} must be integers, got {list(raw)}")
@@ -116,12 +117,16 @@ def mod_domain(p: int) -> str:
 
 
 def parse_rational(raw) -> Fraction:
-    """``Fraction(raw)`` for input text or JSON numbers; a zero denominator
-    such as ``"1/0"`` raises ``ValueError`` like any other malformed value."""
+    """``Fraction(raw)`` for input text or JSON numbers.  A zero denominator
+    such as ``"1/0"`` raises ``ValueError``; text that spells no rational,
+    NaN, infinity, or a value that is no number, such as a list, raises
+    ``TypeError``, for the caller to name the field or flag it came from."""
     try:
         return Fraction(raw)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {raw!r}") from None
+    except (ValueError, OverflowError):
+        raise TypeError(f"not a rational number: {raw!r}") from None
 
 
 def _listed(seq, what: str):
@@ -427,14 +432,22 @@ def psg_slope(x: Sequence[Sequence[int]], support: Support, alpha) -> Fraction:
         raise ValueError("zero tensor has no slope")
     d = support.order
     w = as_weight(alpha, d)
-    if len(x) != d:
+    try:
+        rows = len(x)
+    except TypeError:
+        raise TypeError(f"exponent table must be a list of rows, got {x!r}") from None
+    if rows != d:
         raise ValueError("exponent table must have one row per mode")
     for i, row in enumerate(x):
-        if len(row) != support.shape[i]:
+        try:
+            length = len(row)
+        except TypeError:
+            raise TypeError(f"exponent row {i} must be a list of integers, got {row!r}") from None
+        if length != support.shape[i]:
             raise ValueError(f"exponent row {i} has wrong length")
         try:
             bad = any(int(e) != e or e < 0 for e in row)
-        except TypeError:
+        except (TypeError, ValueError, OverflowError):
             raise TypeError(f"exponent row {i} must hold integers, got {list(row)}") from None
         if bad:
             raise ValueError("exponents must be nonnegative integers")

@@ -79,6 +79,17 @@ class TestTrinomial:
         with pytest.raises(ValueError):
             trinomial(0)
 
+    def test_recurrence_matches_convolution(self):
+        # the oracle multiplies by 1 + x + x^2 once per step
+        row = [1]
+        for n in range(1, 401):
+            row = [sum(row[max(k - 2, 0) : k + 1]) for k in range(len(row) + 2)]
+            assert trinomial(n) == row, n
+
+    def test_symmetry_and_total_at_n_1000(self):
+        row = trinomial(1000)
+        assert len(row) == 2001 and row == row[::-1] and sum(row) == 3**1000
+
 
 class TestReducedLp:
     @pytest.mark.parametrize("n", list(SMALL_TABLE))

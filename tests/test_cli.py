@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stablerank
-from stablerank import capset
+from stablerank import capset, cli
 from stablerank.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -88,7 +88,9 @@ class TestTrankCommand:
         "alpha,message",
         [("1,1", "error: weight has length 2, tensor order is 3\n"),
          ("0,1,1", "error: all weight entries must be positive\n"),
-         ("-1,1,1", "error: all weight entries must be positive\n")],
+         ("-1,1,1", "error: all weight entries must be positive\n"),
+         ("1,x,1", "error: --alpha must be comma-separated rationals, got '1,x,1'\n"),
+         ("1,,1", "error: --alpha must be comma-separated rationals, got '1,,1'\n")],
     )
     def test_bad_alpha_on_empty_support_exits_2(self, capsys, tmp_path, alpha, message):
         path = tmp_path / "empty.json"
@@ -642,6 +644,33 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
         ),
         ("ncrk", '{"modulus": 3, "matrices": [[[[1]]]]}', "{path}: matrix entries must be integers, got [1]"),
         ("slope", '{"x": [[[1], 0], [0, 1], [0, 1]]}', "{path}: exponent row 0 must hold integers, got [[1], 0]"),
+        # text, or NaN, where a number belongs
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 0], [0, "a"]]]}', "{path}: matrix entries must be integers, got 'a'"),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, "1/0"]]]}', "{path}: matrix entries must be integers, got '1/0'"),
+        ("trank", '{"shape": [2, 2], "elements": [[0, "a"]]}', "{path}: index coordinates must be integers, got [0, 'a']"),
+        ("trank", '{"shape": [2, 2], "elements": [[0, NaN]]}', "{path}: index coordinates must be integers, got [0, nan]"),
+        ("tslice", '{"shape": [2, "a"], "elements": []}', "{path}: dimensions must be integers, got [2, 'a']"),
+        (
+            "trank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": "x"}]}',
+            "{path}: each 'val' must be a rational number, got 'x'",
+        ),
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": NaN}]}',
+            "{path}: each 'val' must be a rational number, got nan",
+        ),
+        ("slope", '{"x": [[1, "a"], [0, 1], [0, 1]]}', "{path}: exponent row 0 must hold integers, got [1, 'a']"),
+        ("slope", '{"x": [[1e400, 0], [0, 1], [0, 1]]}', "{path}: exponent row 0 must hold integers, got [inf, 0]"),
+        ("trank", '{"shape": [2, 2], "elements": [[0, 1e400]]}', "{path}: index coordinates must be integers, got [0, inf]"),
+        ("ncrk", '{"modulus": 2, "matrices": [[[1, 1e400]]]}', "{path}: matrix entries must be integers, got inf"),
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": 1e400}]}',
+            "{path}: each 'val' must be a rational number, got inf",
+        ),
+        ("slope", '{"x": [[1, 0], 2, [0, 1]]}', "{path}: exponent row 1 must be a list of integers, got 2"),
+        ("slope", '{"x": 5}', "{path}: exponent table must be a list of rows, got 5"),
     ],
 )
 def test_wrong_top_level_shape_exits_2(capsys, tmp_path, w_support_file, command, text, message):
@@ -712,3 +741,87 @@ def test_large_moduli_finish(tmp_path, modulus, expected):
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
     else:
         assert "ncrk: 2" in proc.stdout
+
+
+COMMANDS = ("trank", "tslice", "grank", "capset", "ncrk", "slope")
+
+# Each command with each of its flags, in every format; {tensor}, {support},
+# {tuple} and {x} name input files.
+_FLAG_RUNS = [
+    ["trank", "{tensor}"],
+    ["trank", "{support}", "--alpha", "1,1/2,2"],
+    ["trank", "{support}", "--one-based"],
+    ["tslice", "{tensor}"],
+    ["tslice", "{support}", "--limit", "2"],
+    ["tslice", "{support}", "--one-based"],
+    ["grank", "{tensor}", "--budget", "3"],
+    ["grank", "{tensor}", "--budget", "3", "--seed", "1"],
+    ["grank", "{tensor}", "--budget", "3", "--iters", "20"],
+    ["grank", "{tensor}", "--budget", "3", "--tol", "1e-6"],
+    ["grank", "{tensor}", "--budget", "3", "--alpha", "1,1/2,2"],
+    ["grank", "{tensor}", "--budget", "3", "--one-based"],
+    ["capset", "--n", "3"],
+    ["capset", "--table", "4"],
+    ["capset", "--verify-conjecture", "5"],
+    ["capset", "--n", "2", "--full"],
+    ["capset", "--n", "3", "--one-based"],
+    ["ncrk", "{tuple}"],
+    ["ncrk", "{tuple}", "--mode", "both"],
+    ["ncrk", "{tuple}", "--mode", "search", "--budget", "5"],
+    ["ncrk", "{tuple}", "--mode", "search", "--seed", "1"],
+    ["ncrk", "{tuple}", "--limit", "3"],
+    ["ncrk", "{tuple}", "--one-based"],
+    ["slope", "{support}", "--exponents", "{x}"],
+    ["slope", "{support}", "--exponents", "{x}", "--alpha", "1,1/2,2"],
+    ["slope", "{support}", "--exponents", "{x}", "--one-based"],
+]
+_PARSER_CORPUS = (
+    [[*argv, "--format", fmt] for argv in _FLAG_RUNS for fmt in ("text", "json", "csv")]
+    + [["--help"]]
+    + [[name, "--help"] for name in COMMANDS]
+    + [[], ["bogus"], ["cap"], ["--"], ["--format", "json", "capset"], ["capset", "--n", "3", "extra"]]
+)
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, help and usage
+    errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=" ".join)
+def test_one_subparser_build_prints_what_the_full_build_does(
+    capsys, monkeypatch, tmp_path, argv
+):
+    """A run that names its command builds only that subparser; every byte
+    it prints matches a run through the parser with all six."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    files = {"tensor": W_TENSOR, "support": W_SUPPORT, "x": {"x": [[1, 0], [1, 0], [1, 0]]},
+             "tuple": json.loads(_TUPLE_TEXT)}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [a.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for a in argv]
+    full = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+    lean = _outcome(capsys, argv)
+    assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert lean == _outcome(capsys, argv)
+    assert lean[1] or lean[2]
+
+
+def test_help_texts_match_the_pin(capsys, monkeypatch):
+    """``--help``, then ``<command> --help`` for each command, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for argv in (["--help"], *([name, "--help"] for name in COMMANDS)):
+        code, out, err = _outcome(capsys, argv)
+        assert (code, err) == (0, "")
+        text += out
+    assert text == (DATA_DIR / "cli_help.txt").read_text()
