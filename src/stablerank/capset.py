@@ -178,10 +178,11 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     its t: the triples with a negative index are dropped.  At p = 2n + 1,
     which has no column p, the 2n + 1 columns outnumber the tail.
 
-    The ``3 f_i`` fill column p, then spill onto column p+1.  Walking i
-    from m down to 0, the run triple ``(i, p, 2n-p-i)`` takes as much as
-    column p still has room for: its cap ``3 f_p`` less the tail's load on
-    it, with ``(m, p, p)`` counted twice.  The rest goes on
+    The ``3 f_i`` fill column p, then spill onto column p+1.  Where column
+    p has room for the whole run, its cap ``3 f_p`` less the tail's load on
+    it, with ``(m, p, p)`` counted twice, the run triples ``(i, p, 2n-p-i)``
+    take it all.  Otherwise, walking i from m down to 0, each run triple
+    takes as much as column p still has room for, and the rest goes on
     ``(i, p+1, 2n-p-1-i)``.  Of n = 1..300, only n = 0 (mod 3) from 57 on
     spills: there the i below some s spill whole and i = s is shared.  The
     triples are listed by ascending i, the run triple first where i is
@@ -212,17 +213,23 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     ]
     den = sign * det
     room = 3 * f[p] * den - sum(triple.count(p) * v for triple, v in zip(tail, nums))
-    run = []
-    for i in range(m, -1, -1):
-        triple, full = (i, p, 2 * n - p - i), 3 * f[i] * den
-        kept = min(full, room // triple.count(p))
-        room -= triple.count(p) * kept
-        if kept < full:
-            run.append(((i, p + 1, 2 * n - p - 1 - i), full - kept))
-        if kept:
-            run.append((triple, kept))
-    run.reverse()
-    return [triple for triple, _ in run] + tail, [v for _, v in run] + nums, den
+    triples = [(i, p, 2 * n - p - i) for i in range(m + 1)]
+    y = [3 * f[i] * den for i in range(m + 1)]
+    # Column p's load from the run: (m, p, p) meets it twice, as does
+    # (p, p, m) where p <= m; at p = m they are one triple, met three times.
+    if m >= 0 and sum(y) + y[m] + (y[p] if p <= m else 0) > room:
+        run = []
+        for i in range(m, -1, -1):
+            triple, full = triples[i], y[i]
+            kept = min(full, room // triple.count(p))
+            room -= triple.count(p) * kept
+            if kept < full:
+                run.append(((i, p + 1, 2 * n - p - 1 - i), full - kept))
+            if kept:
+                run.append((triple, kept))
+        run.reverse()
+        triples, y = [triple for triple, _ in run], [v for _, v in run]
+    return triples + tail, y + nums, den
 
 
 def _closed_form_dual(

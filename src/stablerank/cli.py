@@ -24,6 +24,7 @@ from .ranks import (
     MatrixTuple,
     SliceLimitError,
     SubspaceLimitError,
+    _ncrk_bounds,
     check_count,
     check_tolerance,
     ncrk_bruteforce,
@@ -252,7 +253,12 @@ def _cmd_ncrk(args, out) -> int:
         payload["agree"] = payload["brute"] == payload["search"]
         if not payload["agree"]:
             code = EXIT_SOLVER
-    payload["ncrk"] = payload.get("brute", payload.get("search"))
+    # The search value is an attained upper bound; alone, it is the ncrk
+    # only where it meets the certified lower bound.
+    if "brute" in payload:
+        payload["ncrk"] = payload["brute"]
+    elif payload["search"] == _ncrk_bounds(mats)[0]:
+        payload["ncrk"] = payload["search"]
     _emit(payload, args.format, out)
     return code
 

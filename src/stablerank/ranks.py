@@ -270,6 +270,48 @@ def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
     return len(_pivots_mod_p(vectors, p))
 
 
+def _reduced_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+    """The nonzero rows of the reduced row echelon form of ``vectors`` mod
+    p, each with its pivot column, in column order: a row is 1 at its own
+    pivot and 0 at every other row's pivot."""
+    rows = [r for r in ([x % p for x in v] for v in vectors) if any(r)]
+    reduced: list[tuple[int, list[int]]] = []
+    for col in range(len(vectors[0])):
+        if not rows:
+            break
+        k = next((k for k, r in enumerate(rows) if r[col]), -1)
+        if k < 0:
+            continue
+        pivot = rows.pop(k)
+        inv = pow(pivot[col], p - 2, p)
+        pivot[:] = [x * inv % p for x in pivot]
+        for r in rows + [r for _, r in reduced]:  # rows above and below
+            if f := r[col]:
+                r[:] = [(a - f * b) % p for a, b in zip(r, pivot)]
+        rows = [r for r in rows if any(r)]
+        reduced.append((col, pivot))
+    return reduced
+
+
+def _kernel_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
+    """A basis of the x with u . x = 0 mod p for every u in ``vectors``,
+    read off their reduced row echelon form: one x per non-pivot column f,
+    returned as (f, x), with 1 at f, 0 at every other non-pivot column and
+    minus each reduced row's entry at f on that row's pivot.  Nothing here
+    is checked."""
+    reduced = _reduced_mod_p(vectors, p)
+    pivots = {c for c, _ in reduced}
+    basis = []
+    for f in range(len(vectors[0])):
+        if f not in pivots:
+            x = [0] * len(vectors[0])
+            x[f] = 1
+            for c, row in reduced:
+                x[c] = -row[f] % p
+            basis.append((f, x))
+    return basis
+
+
 def _random_invertible(rng: random.Random, n: int, p: int | None):
     """Random basis-change matrix: small integer entries over the rationals,
     uniform entries mod p; rejection sampled to be invertible: a drawn
@@ -485,19 +527,20 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
     """Non-commutative rank by subspace enumeration.
 
     Minimizes ``cols + dim(sum_i A_i W) - dim W`` over the subspaces W of
-    the column space.  The common kernel of the A_i comes first (W = 0 if
-    it is 0), read off the rank of the matrices stacked; then, through
-    canonical RREF generator matrices, the whole space and dimensions 1 to
-    cols - 1.  No value is below L = ``_ncrk_lower_bound``, so the
-    enumeration stops as soon as the running minimum equals L; the order
-    cannot change a minimum, so the result is that of the full
-    enumeration.  When the kernel attains L, as it does whenever L equals
-    cols, no RREF matrix is enumerated.  A value below L contradicts the
-    bound and raises ``RuntimeError``, as does an L whose minor certificate
-    fails.  A column space with more than ``limit`` subspaces, W = 0 and
-    the whole space included, raises ``SubspaceLimitError`` before L is
-    computed or any subspace enumerated.  A negative ``limit`` raises
-    ``ValueError``.
+    the column space.  It starts from the certified bounds L' <= ncrk <= U0
+    of ``_ncrk_bounds``.  U0 is the value of W = the common kernel or the
+    whole space, or the slice cover C, which bounds the minimum through
+    the search's trank; either way the minimum is at most U0, so starting
+    there changes no result.  Through canonical RREF generator
+    matrices it then tries dimensions 1 to cols - 1, and stops as soon as
+    the running minimum equals L'; the order cannot change a minimum, so
+    the result is that of the full enumeration.  Where the bounds meet, as
+    they do whenever L equals cols, no RREF matrix is enumerated.  A value
+    below L' contradicts the bound and raises ``RuntimeError``, as does a
+    bound whose certificate fails.  A column space with more than
+    ``limit`` subspaces, W = 0 and the whole space included, raises
+    ``SubspaceLimitError`` before any bound is computed or any subspace
+    enumerated.  A negative ``limit`` raises ``ValueError``.
     """
     check_count("limit", limit)
     p, q = mats.modulus, mats.cols
@@ -507,12 +550,8 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
             f"F_{p}^{q} has at least {count} subspaces, above the enumeration limit "
             f"{limit}; use the search mode"
         )
-    lower = _ncrk_lower_bound(mats)
-    # W = the common kernel of the A_i (W = 0 when that is 0): its value is
-    # the rank of the matrices stacked, since they send it to 0.  The whole
-    # space comes next, with the rank of the matrices side by side.
-    best = _rank_mod_p([row for m in mats.matrices for row in m], p)
-    for k in (q, *range(1, q)):
+    lower, best = _ncrk_bounds(mats)
+    for k in range(1, q):
         if best <= lower:
             break
         for basis in _rref_bases(q, k, p):
@@ -544,21 +583,11 @@ def matrix_tuple_tensor(mats: MatrixTuple) -> SparseTensor:
     return SparseTensor(shape, entries, mod_domain(mats.modulus))
 
 
-def _ncrk_lower_bound(mats: MatrixTuple) -> int:
-    """The largest rank of one matrix of the tuple, a certified lower bound
-    on its non-commutative rank.
-
-    For every subspace W of the column space and every i,
-    dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i), so
-    ``cols + dim(sum_j A_j W) - dim W >= rank A_i``.  This is the d = 1
-    case of the blow-up bound of Derksen and Makam.  The rank is certified
-    by a minor: the determinant of the largest-rank matrix on the pivot
-    rows and columns of its elimination must be nonzero mod p, an exact
+def _minor_checked(m: Sequence[Sequence[int]], pivots: list[tuple[int, int]], p: int) -> int:
+    """The rank ``len(pivots)`` of ``m`` mod p, once the determinant of
+    ``m`` on the pivot rows and columns is found nonzero mod p: an exact
     integer check that shares no code with the elimination.  A singular
-    minor raises ``RuntimeError``.
-    """
-    p = mats.modulus
-    m, pivots = max(((m, _pivots_mod_p(m, p)) for m in mats.matrices), key=lambda mp: len(mp[1]))
+    minor raises ``RuntimeError``."""
     minor = [[m[r][c] for _, c in pivots] for r, _ in pivots]
     if minor and _det_int(minor) % p == 0:
         raise RuntimeError(
@@ -568,45 +597,151 @@ def _ncrk_lower_bound(mats: MatrixTuple) -> int:
     return len(pivots)
 
 
+def _ncrk_lower_bound(mats: MatrixTuple) -> int:
+    """The largest rank of one matrix of the tuple, a certified lower bound
+    on its non-commutative rank.
+
+    For every subspace W of the column space and every i,
+    dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i), so
+    ``cols + dim(sum_j A_j W) - dim W >= rank A_i``.  This is the d = 1
+    case of the blow-up bound of Derksen and Makam.  The rank is certified
+    by a minor (``_minor_checked``) of the largest-rank matrix.
+    """
+    p = mats.modulus
+    m, pivots = max(((m, _pivots_mod_p(m, p)) for m in mats.matrices), key=lambda mp: len(mp[1]))
+    return _minor_checked(m, pivots, p)
+
+
+def _kernel_witness(vectors: Sequence[Sequence[int]], p: int, name: str) -> int:
+    """The width of ``vectors`` less the length of a checked basis of
+    their kernel, ``name``d in errors: at least the rank of ``vectors``,
+    and equal to it when the elimination is right.
+
+    Every basis vector must be orthogonal to every vector mod p, and the
+    basis's minor on the columns where ``_kernel_mod_p`` put its unit
+    entries must be nonsingular mod p, so the basis spans a subspace of
+    the kernel of its length.  Either check failing raises
+    ``RuntimeError``.
+    """
+    basis = _kernel_mod_p(vectors, p)
+    if any(sum(a * b for a, b in zip(u, x)) % p for _, x in basis for u in vectors):
+        raise RuntimeError(f"the {name} basis certifying an ncrk upper bound fails its check mod {p}")
+    minor = [[x[f] for f, _ in basis] for _, x in basis]
+    if minor and _det_int(minor) % p == 0:
+        raise RuntimeError(
+            f"the {len(minor)} x {len(minor)} minor of the {name} basis is singular mod {p}"
+        )
+    return len(vectors[0]) - len(basis)
+
+
+# The most combinations sum_i c_i A_i that the ncrk lower bound tries.
+_COMBINATIONS = 16
+
+
+def _combinations(k: int, p: int):
+    """The coefficient vectors c of the combinations sum_i c_i A_i of k
+    matrices that ``_ncrk_bounds`` tries, at most ``_COMBINATIONS``: first
+    the moment curve c_i = t^i mod p, t = 1 to min(p - 1, 8), generic over
+    a large field; then, for k > 2, the pairs A_i + A_j, i < j, which over
+    a small field reach ranks that its few points miss."""
+    curve = ([pow(t, i, p) for i in range(k)] for t in range(1, min(p, 9)))
+    # At k = 2 the one pair is the curve's t = 1.
+    pairs = ([int(i in pair) for i in range(k)] for pair in itertools.combinations(range(k), 2) if k > 2)
+    return itertools.islice(itertools.chain(curve, pairs), _COMBINATIONS)
+
+
+def _ncrk_bounds(mats: MatrixTuple) -> tuple[int, int]:
+    """Certified bounds ``(L', U0)`` with L' <= ncrk <= U0, worked out in
+    cost order and returned as soon as they meet.
+
+    L is ``_ncrk_lower_bound``.  The upper bounds come next:
+    - C = min(nonzero rows, nonzero columns, ell * nonzero matrices), ell =
+      min(rows, cols), the cheapest cover of the tuple tensor's support by
+      slices of one mode.  L <= ncrk <= floor(trank) <= C, with the trank
+      of ``ncrk_via_grank``'s weights (1, 1, ell).
+    - The rank of the matrices stacked, the value of W = their common
+      kernel, which they send to 0.
+    - The rank of the matrices side by side, the value of W = the whole
+      space.
+    U0 is the least of them.  Each rank is certified by
+    ``_kernel_witness``: the common kernel, or the left kernel of
+    [A_1 | ... | A_k], is checked and its dimension subtracted from the
+    width, so the value is attained by a subspace whatever the
+    elimination did.  Only where U0 > L does L' go past L: it is the
+    largest rank of the combinations of ``_combinations``, taken while
+    below U0; a combination has rank at most the commutative rank, which
+    is at most ncrk, and its rank is certified by a minor.  No random
+    number is drawn.  An upper bound below L, or a combination rank above
+    U0, contradicts that chain and raises ``RuntimeError``, as does a
+    failed certificate.
+    """
+    p, rows, cols = mats.modulus, mats.rows, mats.cols
+    lower = _ncrk_lower_bound(mats)
+    nonzero_rows = {r for m in mats.matrices for r, row in enumerate(m) if any(row)}
+    nonzero_cols = {c for m in mats.matrices for row in m for c, val in enumerate(row) if val}
+    nonzero = sum(1 for m in mats.matrices if any(map(any, m)))
+    witnesses = (
+        ("slice cover", lambda: min(len(nonzero_rows), len(nonzero_cols), min(rows, cols) * nonzero)),
+        ("stacked rank", lambda: _kernel_witness(
+            [row for m in mats.matrices for row in m], p, "common kernel")),
+        ("side rank", lambda: _kernel_witness(
+            [col for m in mats.matrices for col in zip(*m)], p, "left kernel")),
+    )
+    upper = cols  # the value of W = 0
+    for name, witness in witnesses:
+        value = witness()
+        if value < lower:
+            raise RuntimeError(
+                f"ncrk {name} reached {value}, below the certified lower bound {lower}"
+            )
+        upper = min(upper, value)
+        if upper == lower:
+            return lower, upper
+    if len(mats.matrices) > 1:
+        for coeffs in _combinations(len(mats.matrices), p):
+            combo = [
+                [sum(a * m[r][c] for a, m in zip(coeffs, mats.matrices)) % p for c in range(cols)]
+                for r in range(rows)
+            ]
+            pivots = _pivots_mod_p(combo, p)
+            if len(pivots) > lower:
+                lower = _minor_checked(combo, pivots, p)
+                if lower > upper:
+                    raise RuntimeError(
+                        f"ncrk combination rank {lower} exceeds the certified upper bound {upper}"
+                    )
+                if lower == upper:
+                    break
+    return lower, upper
+
+
 def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     """Non-commutative rank from above via the basis-change search.
 
     Runs the stable-rank upper-bound search on the tuple's order-3 tensor
-    with weights (1, 1, ell), ell = min(rows, cols), and floors its running
-    minimum.  Every floor is at least the true rank, which is at least
-    L = ``_ncrk_lower_bound``.  So the search stops at the first running
-    minimum whose floor equals L: no later sample could lower the result,
+    with weights (1, 1, ell), ell = min(rows, cols), floors its running
+    minimum, and returns the least of that floor and U0.  Before any of
+    this, ``_ncrk_bounds`` gives certified bounds L' <= ncrk <= U0 from
+    the matrices alone.  Where they meet, L' is returned with no tensor
+    built, no LP solved and nothing drawn: the result is the same for
+    every budget and seed.  Otherwise every floor is at least the true
+    rank, which is at least L', so the search stops at the first running
+    minimum whose floor equals L': no later sample could lower the result,
     and it equals the floor of the full ``budget`` search with the same
-    seed.  Before any of this, C = min(nonzero rows, nonzero columns,
-    ell * nonzero matrices), the cheapest cover of the identity support
-    by slices of one mode, is read off the matrices.  Since
-    L <= ncrk <= floor(trank(identity)) <= C, a C equal to L is the
-    search's first floor and is returned with no tensor built, no LP
-    solved and nothing drawn: the result is the same for every budget and
-    seed.  Where the true rank exceeds L (the 3 x 3 alternating triple
-    E12 - E21, E13 - E31, E23 - E32 has L = 2, C = 3 and rank 3), the stop
-    never fires and the whole budget is spent.  A C or a running minimum
-    whose floor falls below L contradicts that chain and raises
-    ``RuntimeError`` instead of being returned, as does an L whose minor
-    certificate fails.  A negative ``budget`` raises ``ValueError``.
+    seed (the bounds draw nothing from its stream), capped at U0.  Where
+    the true rank exceeds L' (the 3 x 3 alternating triple E12 - E21,
+    E13 - E31, E23 - E32 has L' = 2 and rank 3 = U0), the stop never fires
+    and the whole budget is spent.  A running minimum whose floor falls
+    below L' contradicts that chain and raises ``RuntimeError`` instead of
+    being returned, as do the contradictions and failed certificates of
+    ``_ncrk_bounds``.  A negative ``budget`` raises ``ValueError``.
     """
     check_count("budget", budget)
-    lower = _ncrk_lower_bound(mats)
-    ell = min(mats.rows, mats.cols)
-    # The cheapest cover of the identity support by slices of one mode:
-    # its nonzero rows, its nonzero columns, or ell times its nonzero
-    # matrices.  It bounds the identity's value, the search's first.
-    rows = {r for m in mats.matrices for r, row in enumerate(m) if any(row)}
-    cols = {c for m in mats.matrices for row in m for c, val in enumerate(row) if val}
-    cover = min(len(rows), len(cols), ell * sum(1 for m in mats.matrices if any(map(any, m))))
-    if cover < lower:
-        raise RuntimeError(
-            f"ncrk slice cover reached {cover}, below the certified lower bound {lower}"
-        )
-    if cover == lower:
+    lower, upper = _ncrk_bounds(mats)
+    if lower == upper:
         return lower
     t = matrix_tuple_tensor(mats)
-    for bound in _running_minima(t, as_weight((1, 1, ell), 3), budget, seed):
+    for bound in _running_minima(t, as_weight((1, 1, min(mats.rows, mats.cols)), 3), budget, seed):
         value = math.floor(bound)
         if value < lower:
             raise RuntimeError(
@@ -614,4 +749,4 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
             )
         if value == lower:
             break
-    return value
+    return min(value, upper)

@@ -6,8 +6,8 @@ Run from the repository root::
 
 The file pins the outputs of the seeded search and of brute force, so a
 change that makes either cheaper can show its printed values are the
-same.  It pins outputs, not draws: where a slice cover meets the lower
-bound, ``ncrk_via_grank`` returns before it draws anything.  The check
+same.  It pins outputs, not draws: where its certified bounds meet,
+``ncrk_via_grank`` returns before it draws anything.  The check
 that a stopped search agrees with the full one, sample stream and all, is
 ``tests/test_ranks.py::TestNcrkEarlyStop::test_matches_the_full_search``.
 It has three parts:

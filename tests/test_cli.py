@@ -382,10 +382,11 @@ class TestNcrkCommand:
         assert code == 0 and data["agree"] is True
 
     def test_disagreement_gate_exits_3(self, capsys, tmp_path):
-        # all-ones matrix: the identity basis alone overestimates the rank,
-        # so a budget-1 search disagrees with brute force
-        path = tmp_path / "ones.json"
-        path.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 1], [1, 1]]]}))
+        # The bounds are 2 and 3 and the ncrk is 2; the identity basis alone
+        # gives 3, so a budget-1 search disagrees with brute force.
+        path = tmp_path / "pair.json"
+        matrices = [[[0, 1, 1], [1, 1, 0], [0, 0, 0]], [[0, 1, 0], [1, 1, 0], [1, 1, 0]]]
+        path.write_text(json.dumps({"modulus": 2, "matrices": matrices}))
         code, out = run(
             capsys, "ncrk", str(path), "--mode", "both", "--budget", "1",
             "--format", "json",
@@ -393,7 +394,7 @@ class TestNcrkCommand:
         data = json.loads(out)
         assert code == 3
         assert data["agree"] is False
-        assert data["brute"] == 1 and data["search"] == 2
+        assert data["brute"] == 2 and data["search"] == 3
 
     @pytest.mark.parametrize("matrices,message", [
         ([["12", "34"]], "each matrix row must be a list of entries, got str '12'"),
@@ -443,6 +444,45 @@ class TestNcrkCommand:
         assert code == 3 and captured.out == ""
         assert captured.err == "error: the 2 x 2 minor certifying the ncrk lower bound is singular mod 2\n"
 
+    def test_search_prints_ncrk_only_when_proved(self, capsys, tmp_path):
+        # The rank-1 matrix over F_101: the search value meets the bound.
+        code, out = run(capsys, "ncrk", str(DATA_DIR / "ncrk_f101_rank1.json"), "--mode", "search")
+        assert (code, out) == (0, "command: ncrk\nmode: search\nalpha: 1,1,3\nsearch: 1\nncrk: 1\n")
+        # Bounds 2 and 3, ncrk 2: the identity basis alone gives 3, which
+        # is not proved, so only the search value prints.
+        path = tmp_path / "pair.json"
+        matrices = [[[0, 1, 1], [1, 1, 0], [0, 0, 0]], [[0, 1, 0], [1, 1, 0], [1, 1, 0]]]
+        path.write_text(json.dumps({"modulus": 2, "matrices": matrices}))
+        code, out = run(capsys, "ncrk", str(path), "--mode", "search", "--budget", "1", "--format", "csv")
+        assert (code, out) == (0, 'command,mode,alpha,search\nncrk,search,"1,1,3",3\n')
+        code, out = run(capsys, "ncrk", str(path), "--mode", "search", "--format", "json")
+        assert code == 0 and json.loads(out) == {
+            "command": "ncrk", "mode": "search", "alpha": "1,1,3", "search": 2, "ncrk": 2,
+        }
+
+    @pytest.mark.parametrize("mode", ["search", "both", "brute"])
+    @pytest.mark.parametrize("tamper,message", [
+        ("pivot", "the common kernel basis certifying an ncrk upper bound fails its check mod 101"),
+        ("minor", "the 2 x 2 minor certifying the ncrk lower bound is singular mod 101"),
+    ])
+    def test_failed_bound_certificate_exits_3(self, capsys, monkeypatch, tmp_path, mode, tamper, message):
+        # The pair over F_101 has L = 1, kernel values 2 and 2, and A1 + A2
+        # of rank 2.  An elimination that drops a pivot row gives a wrong
+        # kernel basis; a singular 2 x 2 minor refuses the combination's rank.
+        ranks = stablerank.ranks
+        if tamper == "pivot":
+            real = ranks._reduced_mod_p
+            monkeypatch.setattr(ranks, "_reduced_mod_p", lambda m, p: real(m, p)[:-1])
+        else:
+            real = ranks._det_int
+            monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
+        path = tmp_path / "pair.json"
+        matrices = [[[49, 75, 5], [62, 31, 29], [18, 9, 41]], [[40, 33, 61], [33, 55, 68], [26, 77, 75]]]
+        path.write_text(json.dumps({"modulus": 101, "matrices": matrices}))
+        code = main(["ncrk", str(path), "--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+
     def test_random_f2_pair_of_full_rank(self, capsys):
         # Two 8 x 8 matrices over F_2 drawn row by row with random.Random(1)
         # and randrange(2); both are invertible, so the bound is 8 = cols and
@@ -450,12 +490,14 @@ class TestNcrkCommand:
         code, out = run(capsys, "ncrk", str(DATA_DIR / "ncrk_f2_8x8.json"))
         assert code == 0 and out == (DATA_DIR / "ncrk_f2_8x8.txt").read_text()
 
-    @pytest.mark.parametrize("name", ["ncrk_f2_8x8", "ncrk_alternating_f3"])
+    @pytest.mark.parametrize("name", ["ncrk_f2_8x8", "ncrk_alternating_f3", "ncrk_f101_rank1"])
     def test_both_modes_on_checked_in_tuples(self, capsys, name):
         # The search stops at the slice cover on the 8 x 8 pair (cover 8 =
         # bound) and runs its budget on the alternating triple (cover 3 >
-        # bound 2); the expected text was written by a search without the
-        # cover check.
+        # bound 2); the expected text of both was written by a search
+        # without the cover check.  On the rank-1 3 x 3 matrix over F_101
+        # the stacked rank meets the bound 1, where a search that finds 2
+        # used to fail the gate.
         code, out = run(capsys, "ncrk", str(DATA_DIR / f"{name}.json"), "--mode", "both")
         assert code == 0 and out == (DATA_DIR / f"{name}_both.txt").read_text()
 
@@ -470,10 +512,12 @@ class TestNcrkCommand:
     ],
 )
 def test_failed_support_certificate_exits_3(capsys, monkeypatch, tmp_path, argv):
-    # The all-ones matrix has rank 1 but no zero row or column, so the
-    # ncrk search cannot stop at its slice cover and solves an LP.
+    # The alternating triple over F_2 has bounds 2 and 3, so the ncrk
+    # search cannot stop before its tensor and solves an LP.
     matrices = tmp_path / "tuple.json"
-    matrices.write_text(json.dumps({"modulus": 2, "matrices": [[[1, 1], [1, 1]]]}))
+    alternating = [[[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+                   [[0, 0, 0], [0, 0, 1], [0, 1, 0]]]
+    matrices.write_text(json.dumps({"modulus": 2, "matrices": alternating}))
     tensor = tmp_path / "w.json"
     tensor.write_text(json.dumps(W_TENSOR))
     monkeypatch.setattr("stablerank.lp.verify_certificate", lambda lp, sol: False)

@@ -2,7 +2,10 @@
 quantities together, checked on seeded random supports, rational tensors
 and matrix tuples."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -24,6 +27,7 @@ from stablerank import (
     tslice,
 )
 from stablerank.capset import base_tensor
+from stablerank.cli import main
 
 
 def _weight(rng, order):
@@ -94,3 +98,80 @@ def test_exact_invariants_hold():
         mats = _matrix_tuple(rng)
         upper = ncrk_via_grank(mats, budget=rng.randint(1, 24), seed=rng.randrange(100))
         assert ranks._ncrk_lower_bound(mats) <= ncrk_bruteforce(mats) <= upper, mats
+
+
+def _low_rank(rng, p):
+    """One to three matrices over F_p of 1-3 rows and columns, each a
+    product U V through a random inner dimension."""
+    rows, cols, inner = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+    return [
+        _product([[rng.randrange(p) for _ in range(inner)] for _ in range(rows)],
+                 [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)], p)
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _compressed(rng, p):
+    """Two 3 x 3 matrices that map the plane of e1 and e2 into the line of
+    e1, so the ncrk is at most 2 = 3 + 1 - 2, while the bounds from the
+    kernel, the whole space and the slice cover are usually 3."""
+    return [[[rng.randrange(p), rng.randrange(p), rng.randrange(p)],
+             [0, 0, rng.randrange(p)], [0, 0, rng.randrange(p)]] for _ in range(2)]
+
+
+def _alternating(rng, p):
+    """E12 - E21, E13 - E31, E23 - E32: every combination is skew, of rank
+    at most 2, and the ncrk is 3."""
+    mats = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        m = [[0] * 3 for _ in range(3)]
+        m[i][j], m[j][i] = 1, p - 1
+        mats.append(m)
+    return mats
+
+
+def _product(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _hidden(rng, p, mats):
+    """P A_i Q for random invertible P and Q: the same ncrk, no structure
+    left in sight."""
+    left = ranks._random_invertible(rng, len(mats[0]), p)
+    right = ranks._random_invertible(rng, len(mats[0][0]), p)
+    return MatrixTuple([_product(_product(left, m, p), right, p) for m in mats], p)
+
+
+def test_ncrk_bounds_bracket_brute_force(tmp_path):
+    """On seeded tuples over F_2, F_3, F_5, F_7 and F_101: the certified
+    bounds of ``_ncrk_bounds`` satisfy ``L' <= ncrk_bruteforce <= U0``,
+    ``ncrk --mode search`` prints a search value of at least brute force
+    and at most U0, and prints ``ncrk`` only as the brute-force value.
+    Low-rank products mostly close their bounds; the hidden compressed
+    pairs and alternating triples leave a gap above or below the ncrk.
+    Over F_101 the alternating triple is left out: brute force would
+    enumerate all 20,608 subspaces of F_101^3."""
+    rng = random.Random(20170101)
+    path = tmp_path / "tuple.json"
+    seen = dict.fromkeys(("gap", "proved", "unproved"), 0)
+    for p in (2, 3, 5, 7, 101):
+        cases = [_hidden(rng, p, _low_rank(rng, p)) for _ in range(10)]
+        cases += [_hidden(rng, p, _compressed(rng, p)) for _ in range(2 if p == 101 else 5)]
+        cases += [_hidden(rng, p, _alternating(rng, p)) for _ in range(0 if p == 101 else 5)]
+        for mats in cases:
+            lower, upper = ranks._ncrk_bounds(mats)
+            brute = ncrk_bruteforce(mats)
+            assert lower <= brute <= upper, mats
+            seen["gap"] += lower < upper
+            path.write_text(json.dumps({"modulus": p, "matrices": mats.matrices}))
+            budget, seed = rng.randint(1, 24), rng.randrange(100)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["ncrk", str(path), "--mode", "search", "--format", "json",
+                             "--budget", str(budget), "--seed", str(seed)])
+            printed = json.loads(out.getvalue())
+            assert code == 0 and brute <= printed["search"] <= upper, mats
+            if "ncrk" in printed:
+                assert printed["ncrk"] == printed["search"] == brute, mats
+            seen["proved" if "ncrk" in printed else "unproved"] += 1
+    assert all(seen.values()), seen  # a check that never fires shows nothing

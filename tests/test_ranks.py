@@ -691,13 +691,13 @@ def test_search_skips_unneeded_work(monkeypatch):
 
 def test_ncrk_search_stops_at_the_lower_bound(monkeypatch):
     # On these tuples the largest single-matrix rank is the ncrk.  In 11 of
-    # 12 a one-mode slice cover already meets it, so no LP is solved; the
-    # first tuple, a rank-2 3 x 3 matrix with no zero row or column, has
-    # cover 3 and meets its rank at the first sample after the identity.
+    # 12 a one-mode slice cover already meets it; the first tuple, a rank-2
+    # 3 x 3 matrix with no zero row or column, has cover 3, and its stacked
+    # rank (the value of its kernel) meets it.  No LP is solved.
     calls = _count_calls(monkeypatch, "trank", "_transform_ints")
     for k, tup in enumerate(_acceptance_ncrk_tuples()):
         assert ncrk_via_grank(tup, budget=200, seed=k) == ncrk_bruteforce(tup)
-    assert calls == {"trank": 2, "_transform_ints": 1}
+    assert calls == {"trank": 0, "_transform_ints": 0}
 
 
 def _alternating_triple(p):
@@ -726,28 +726,43 @@ class TestNcrkEarlyStop:
         assert ncrk_bruteforce(tup) == ncrk_via_grank(tup, budget=200, seed=p) == 3
 
     def test_matches_the_full_search(self):
-        # The stop may only skip samples that cannot change the floor.
+        # The stop may only skip samples that cannot change the floor; the
+        # result is that floor capped at the certified upper bound U0.
         rng = random.Random(23)
         cases = [(_alternating_triple(p), 200, p) for p in (2, 3, 5)]
         cases += [(_random_matrix_tuple(rng), rng.randint(0, 200), rng.randrange(1000)) for _ in range(300)]
         for tup, budget, seed in cases:
             alpha = (1, 1, F(min(tup.rows, tup.cols)))
             full = grank_upper_search(matrix_tuple_tensor(tup), alpha, budget=budget, seed=seed)
-            assert ncrk_via_grank(tup, budget=budget, seed=seed) == math.floor(full), (tup, budget, seed)
+            want = min(math.floor(full), ranks._ncrk_bounds(tup)[1])
+            assert ncrk_via_grank(tup, budget=budget, seed=seed) == want, (tup, budget, seed)
 
     @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
     def test_minimum_below_the_lower_bound_raises(self, monkeypatch, tup):
+        # Bounds that do not meet, the lower one above the true rank.
         lower = ncrk_bruteforce(tup) + 1
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
-        with pytest.raises(RuntimeError, match="below the certified lower bound"):
+        monkeypatch.setattr(ranks, "_ncrk_bounds", lambda mats: (lower, lower + 1))
+        with pytest.raises(RuntimeError, match=f"^ncrk search reached {lower - 1}, below the certified lower bound {lower}$"):
             ncrk_via_grank(tup, budget=200)
 
-    @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
+    @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2),
+                                     MatrixTuple([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], 3)])
     def test_bruteforce_below_the_lower_bound_raises(self, monkeypatch, tup):
+        # Every line has value cols, below the bound, and comes first.
         lower = ncrk_bruteforce(tup) + 1
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
-        with pytest.raises(RuntimeError, match="^ncrk brute force reached .*below the certified lower bound"):
+        monkeypatch.setattr(ranks, "_ncrk_bounds", lambda mats: (lower, lower + 1))
+        with pytest.raises(RuntimeError, match=f"^ncrk brute force reached {lower - 1}, below the certified lower bound {lower}$"):
             ncrk_bruteforce(tup)
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    @pytest.mark.parametrize("tup", [MatrixTuple([[[1, 0], [0, 1]]], 2), _alternating_triple(3)])
+    def test_lower_bound_above_the_slice_cover_raises(self, monkeypatch, tup, run):
+        # Both take their bounds from _ncrk_bounds, which checks the first
+        # upper bound, C, against L.
+        cover = ncrk_bruteforce(tup)
+        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: cover + 1)
+        with pytest.raises(RuntimeError, match=f"^ncrk slice cover reached {cover}, below the certified lower bound {cover + 1}$"):
+            run(tup)
 
     @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
     def test_singular_minor_raises(self, monkeypatch, run):
@@ -774,6 +789,118 @@ class TestNcrkEarlyStop:
             assert len(pivots) == _rank_mod_p(m, p)
             if pivots:
                 assert ranks._det_int([[m[r][c] for c in cols] for r in rows]) % p, (m, p)
+
+
+# Three tuples over F_101 on which the basis-change search alone, at its
+# default budget, stays at 2, 3 and 3: dense uniform samples expose no low rank.
+_F101_RANK1 = MatrixTuple([[[23, 92, 36], [63, 50, 2], [36, 43, 30]]], 101)
+_F101_PAIR = MatrixTuple([[[49, 75, 5], [62, 31, 29], [18, 9, 41]],
+                          [[40, 33, 61], [33, 55, 68], [26, 77, 75]]], 101)
+_F101_RANK2 = MatrixTuple([[[55, 63, 14], [49, 89, 16], [45, 52, 21]]], 101)
+
+
+class TestNcrkBounds:
+    """The certified bounds L' <= ncrk <= U0 of ``_ncrk_bounds``."""
+
+    @pytest.mark.parametrize("tup,lower,stacked,side,want", [
+        (_F101_RANK1, 1, 1, 1, 1),
+        (_F101_PAIR, 1, 2, 2, 2),
+        (_F101_RANK2, 2, 2, 2, 2),
+    ])
+    def test_witnesses_close_the_f101_tuples(self, monkeypatch, tup, lower, stacked, side, want):
+        stack = [row for m in tup.matrices for row in m]
+        columns = [col for m in tup.matrices for col in zip(*m)]
+        assert ranks._ncrk_lower_bound(tup) == lower
+        assert ranks._kernel_witness(stack, 101, "common kernel") == stacked
+        assert ranks._kernel_witness(columns, 101, "left kernel") == side
+        calls = _count_calls(monkeypatch, "trank", "matrix_tuple_tensor")
+        assert ranks._ncrk_bounds(tup) == (want, want)
+        assert ncrk_via_grank(tup) == ncrk_bruteforce(tup) == want
+        assert calls == {"trank": 0, "matrix_tuple_tensor": 0}
+
+    def test_pair_needs_a_combination(self, monkeypatch):
+        # L = 1 is below U0 = 2, and A1 + A2 has rank 2.  The combinations
+        # draw no random numbers.
+        def no_rng(*args):
+            raise AssertionError("random.Random constructed")
+
+        monkeypatch.setattr(ranks.random, "Random", no_rng)
+        calls = _count_calls(monkeypatch, "_pivots_mod_p")
+        assert ranks._ncrk_bounds(_F101_PAIR) == (2, 2)
+        assert calls == {"_pivots_mod_p": 3}  # two matrices, then A1 + A2
+
+    def test_pairs_reach_what_the_curve_misses(self):
+        # Over F_3 the curve has two points, A1 + A2 + A3 and A1 + 2 A2 + A3,
+        # both of rank 1; the pair A2 + A3 has rank 2 = U0.
+        tup = MatrixTuple([[[0, 2], [0, 2]], [[2, 1], [0, 0]], [[0, 0], [0, 1]]], 3)
+        assert list(ranks._combinations(3, 3)) == [
+            [1, 1, 1], [1, 2, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1],
+        ]
+        assert ranks._ncrk_lower_bound(tup) == 1
+        assert ranks._ncrk_bounds(tup) == (2, 2)
+        # At most 16 combinations; at k = 2 no pair repeats the curve's t = 1.
+        assert len(list(ranks._combinations(8, 101))) == 16
+        assert list(ranks._combinations(2, 2)) == [[1, 1]]
+
+    def test_kernel_witness_is_the_rank(self):
+        rng = random.Random(37)
+        for _ in range(500):
+            p = rng.choice((2, 3, 5, 7, 101, 2**61 - 1))
+            width = rng.randint(1, 5)
+            vectors = [[rng.randrange(min(p, 3)) for _ in range(width)] for _ in range(rng.randint(1, 5))]
+            basis = ranks._kernel_mod_p(vectors, p)
+            assert all(sum(a * b for a, b in zip(u, x)) % p == 0 for _, x in basis for u in vectors)
+            assert ranks._kernel_witness(vectors, p, "test") == _rank_mod_p(vectors, p), (vectors, p)
+
+    @pytest.mark.parametrize("tup", [_alternating_triple(2), _F101_PAIR, _random_matrix_tuple(random.Random(41))])
+    def test_bounds_bracket_brute_force(self, tup):
+        lower, upper = ranks._ncrk_bounds(tup)
+        assert lower <= ncrk_bruteforce(tup) <= upper
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    @pytest.mark.parametrize("call,name", [(1, "common kernel"), (2, "left kernel")])
+    def test_elimination_with_a_pivot_too_few_raises(self, monkeypatch, run, call, name):
+        # On the pair, L = 1 and both kernel values are 2.  Dropping a pivot
+        # row from the first or the second elimination adds a vector outside
+        # the kernel, and its value would meet L at 1, below the ncrk; the
+        # orthogonality check refuses it.
+        real, calls = ranks._reduced_mod_p, []
+
+        def one_too_few(vectors, p):
+            calls.append(None)
+            reduced = real(vectors, p)
+            return reduced[:-1] if len(calls) == call else reduced
+
+        monkeypatch.setattr(ranks, "_reduced_mod_p", one_too_few)
+        with pytest.raises(RuntimeError, match=f"^the {name} basis certifying an ncrk upper bound fails its check mod 101$"):
+            run(_F101_PAIR)
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    def test_dependent_kernel_basis_raises(self, monkeypatch, run):
+        # A basis vector listed twice passes the orthogonality check; the
+        # minor on the unit columns is singular.
+        real = ranks._kernel_mod_p
+        monkeypatch.setattr(ranks, "_kernel_mod_p", lambda vectors, p: real(vectors, p) * 2)
+        with pytest.raises(RuntimeError, match="^the 4 x 4 minor of the common kernel basis is singular mod 101$"):
+            run(_F101_RANK1)
+
+    def test_combination_above_the_upper_bound_raises(self, monkeypatch):
+        # E11, E22, E33: L = 1 and A1 + A2 + A3 has rank 3.  Kernel witnesses
+        # that claim 2 contradict it.
+        tup = MatrixTuple([[[int(r == c == i) for c in range(3)] for r in range(3)] for i in range(3)], 101)
+        assert ranks._ncrk_bounds(tup) == (3, 3)
+        monkeypatch.setattr(ranks, "_kernel_witness", lambda vectors, p, name: 2)
+        with pytest.raises(RuntimeError, match="^ncrk combination rank 3 exceeds the certified upper bound 2$"):
+            ranks._ncrk_bounds(tup)
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    def test_singular_combination_minor_raises(self, monkeypatch, run):
+        # On the pair, L and both kernel bases have 1 x 1 minors; A1 + A2 has
+        # rank 2, so its 2 x 2 minor is the only one of that size.
+        real = ranks._det_int
+        monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
+        with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the ncrk lower bound is singular mod 101$"):
+            run(_F101_PAIR)
 
 
 class TestNcrkSliceCover:
@@ -874,12 +1001,17 @@ class TestNcrkBruteforceStop:
         assert ncrk_bruteforce(MatrixTuple([[[1, 2], [2, 4]], [[3, 6], [1, 2]]], 100003)) == 1
         assert calls == []
 
-    def test_one_basis_when_the_whole_space_meets_the_bound(self, monkeypatch):
-        # E11 and E12 both map into e1: the bound is 1, the common kernel
-        # is 0 (value 2) and the whole space has value 2 + 1 - 2 = 1.
+    def test_no_enumeration_when_the_whole_space_meets_the_bound(self, monkeypatch):
+        # Both matrices map into the span of (1, 1): the bound is 1, the
+        # slice cover 2, the common kernel 0 (value 2) and the whole space
+        # has value 2 + 1 - 2 = 1, the rank of the matrices side by side.
         calls = self._spy_rref_bases(monkeypatch)
+        tup = MatrixTuple([[[1, 0], [1, 0]], [[0, 1], [0, 1]]], 100003)
+        assert ranks._ncrk_bounds(tup) == (1, 1)
+        assert ncrk_bruteforce(tup) == 1
+        # E11 and E12 have one nonzero row: the slice cover alone meets it.
         assert ncrk_bruteforce(MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 100003)) == 1
-        assert calls == [(2, 2, 100003)]
+        assert calls == []
 
 
 class TestNcrk:
