@@ -171,18 +171,22 @@ def _cmd_grank(args, out) -> int:
     check_count("--budget", args.budget)
     check_count("--iters", args.iters)
     check_tolerance("--tol", args.tol)
-    from .complexrank import sandwich  # numpy loads for this command only, after the checks
+    # numpy loads for this command only, after the checks
+    from .complexrank import _EntryOverflow, sandwich
 
     tensor = _load_tensor(args.file)
     alpha = _parse_alpha(args.alpha)
-    result = sandwich(
-        tensor,
-        alpha,
-        max_iters=args.iters,
-        tol=args.tol,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    try:
+        result = sandwich(
+            tensor,
+            alpha,
+            max_iters=args.iters,
+            tol=args.tol,
+            budget=args.budget,
+            seed=args.seed,
+        )
+    except _EntryOverflow as exc:  # an entry of the file has no double
+        raise ValueError(f"{args.file}: {exc}") from None
     payload = {
         "command": "grank",
         "lower_bound": _round12(result.lower),

@@ -47,13 +47,30 @@ def flatten(a: np.ndarray, mode: int) -> np.ndarray:
     return arr.transpose(axes).reshape(arr.shape[mode], -1)
 
 
+class _EntryOverflow(ValueError):
+    """An entry of a rational tensor, or the norm of its entries, does not
+    fit in double precision; the message names the entry."""
+
+
 def to_dense_complex(v: SparseTensor) -> np.ndarray:
-    """Embed a rational sparse tensor into a dense complex array."""
+    """Embed a rational sparse tensor into a dense complex array.
+
+    An entry too large for a double raises ``ValueError`` naming it, and so
+    does a tensor whose norm overflows one, naming its largest entry.
+    """
     if modulus_of(v.domain) is not None:
         raise ValueError("mod-p tensors have no canonical complex embedding")
     out = np.zeros(v.shape, dtype=complex)
     for idx, val in v.entries.items():
-        out[idx] = float(val)
+        try:
+            out[idx] = float(val)
+        except OverflowError:
+            raise _EntryOverflow(f"entry {list(idx)} overflows double precision") from None
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(out)
+    if not np.isfinite(norm):
+        idx = [int(i) for i in np.unravel_index(np.argmax(np.abs(out)), out.shape)]
+        raise _EntryOverflow(f"tensor norm overflows double precision at its largest entry {idx}")
     return out
 
 

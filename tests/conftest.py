@@ -4,7 +4,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from stablerank import SparseTensor, Support, modulus_of
+from stablerank import lp as lp_module
+
+
+@pytest.fixture(autouse=True)
+def _cold_lp_memo():
+    """Start every test with ``solve``'s one-entry memo empty, so a test
+    that patches the pivot loop or the certificate check reaches them even
+    when the test before it solved the same LP."""
+    lp_module._last = None
 
 
 def random_support(rng: random.Random, order=None, max_dim=4, max_elems=15) -> Support:

@@ -133,6 +133,16 @@ class TestTsliceCommand:
         code, out = run(capsys, "tslice", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["value"] == 0
 
+    @pytest.mark.parametrize("first", ["trank", "tslice"])
+    def test_branching_corpus_support_prints_the_pinned_bytes(self, capsys, first):
+        # Support 30 of the acceptance corpus: tslice branches past its root
+        # relaxation, the LP that trank solves. Run back to back in one
+        # process, in either order, both print the pinned JSON.
+        path = str(DATA_DIR / "corpus_30_support.json")
+        for command in (first, "tslice" if first == "trank" else "trank"):
+            code, out = run(capsys, command, path, "--format", "json")
+            assert code == 0 and out == (DATA_DIR / f"corpus_30_{command}.json").read_text()
+
     def test_limit_exits_4(self, capsys, w_support_file):
         code, _ = run(capsys, "tslice", w_support_file, "--limit", "3")
         assert code == 4
@@ -712,6 +722,18 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
             "grank",
             '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": 1e400}]}',
             "{path}: each 'val' must be a rational number, got inf",
+        ),
+        # a rational entry outside double precision, or entries whose norm
+        # is: grank names the file and the entry
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": "1e400"}, {"idx": [1, 0], "val": 1}]}',
+            "{path}: entry [0, 1] overflows double precision",
+        ),
+        (
+            "grank",
+            '{"shape": [2, 2], "entries": [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": "1e200"}]}',
+            "{path}: tensor norm overflows double precision at its largest entry [1, 0]",
         ),
         ("slope", '{"x": [[1, 0], 2, [0, 1]]}', "{path}: exponent row 1 must be a list of integers, got 2"),
         ("slope", '{"x": 5}', "{path}: exponent table must be a list of rows, got 5"),

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from conftest import random_support
 
 from stablerank import (
+    LinearProgram,
     MatrixTuple,
     SparseTensor,
     boxtimes,
@@ -22,10 +23,12 @@ from stablerank import (
     ncrk_via_grank,
     psg_slope,
     ranks,
+    solve,
     support_of,
     trank,
     tslice,
 )
+from stablerank import lp as lp_module
 from stablerank.capset import base_tensor
 from stablerank.cli import main
 
@@ -175,3 +178,42 @@ def test_ncrk_bounds_bracket_brute_force(tmp_path):
                 assert printed["ncrk"] == printed["search"] == brute, mats
             seen["proved" if "ncrk" in printed else "unproved"] += 1
     assert all(seen.values()), seen  # a check that never fires shows nothing
+
+
+def test_trank_and_tslice_do_not_depend_on_call_order(monkeypatch):
+    """``solve`` keeps its last certified pair, and ``tslice``'s root
+    relaxation is the LP that ``trank`` solves: on the acceptance corpus's
+    supports both give the same value, primal, dual and chosen slices
+    called cold (each after an unrelated solve), trank first and tslice
+    first.
+    Trank first pivots exactly once less than cold; tslice first saves the
+    pivot run only when its last solve was the root."""
+    runs = []
+    real = lp_module._run_simplex
+    monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: runs.append(lp) or real(lp))
+    unrelated = LinearProgram([1, 1], [[(0, 1)], [(1, 1)]], [1, 1])
+    rng = random.Random(20240814)
+    saved = 0  # supports where tslice first also spares trank's solve
+    for _ in range(200):
+        support = random_support(rng)
+        results, pivots = [], []
+        for order in ("cold", "trank first", "tslice first"):
+            solve(unrelated)  # each order starts from a memo of another LP
+            runs.clear()
+            if order == "cold":
+                t = trank(support)
+                solve(unrelated)
+                s = tslice(support)
+            elif order == "trank first":
+                t = trank(support)
+                s = tslice(support)
+            else:
+                s = tslice(support)
+                t = trank(support)
+            results.append((t.value, t.primal, t.dual, s.value, s.chosen))
+            pivots.append(sum(lp != unrelated for lp in runs))
+        assert results[0] == results[1] == results[2], support
+        assert pivots[1] == pivots[0] - 1, support
+        assert pivots[2] in (pivots[0] - 1, pivots[0]), support
+        saved += pivots[2] < pivots[0]
+    assert 0 < saved < 200  # both kinds of tslice-first run are seen
