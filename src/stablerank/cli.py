@@ -53,6 +53,19 @@ def _parse_alpha(raw: str | None):
         raise ValueError(f"--alpha must be comma-separated rationals, got {raw!r}") from None
 
 
+def _check_double_weights(raw: str, alpha) -> None:
+    """Refuse a positive ``--alpha`` weight that has no positive finite
+    double, such as 1e-400 (0.0) or 1e400 (none): grank's ascent weighs in
+    doubles.  A nonpositive weight is left to the weight check."""
+    for token, a in zip(raw.split(","), alpha):
+        try:
+            ok = a <= 0 or float(a) > 0
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"--alpha weight {token.strip()} is outside double precision")
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -176,6 +189,8 @@ def _cmd_grank(args, out) -> int:
 
     tensor = _load_tensor(args.file)
     alpha = _parse_alpha(args.alpha)
+    if alpha is not None and not tensor.is_zero():  # the zero tensor's bounds take no double
+        _check_double_weights(args.alpha, alpha)
     try:
         result = sandwich(
             tensor,

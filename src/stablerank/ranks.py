@@ -236,12 +236,15 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _pivots_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, int]]:
-    """The (row, column) of each pivot of a row echelon form of ``vectors``
-    mod p, rows numbered as given, in column order; their number is the rank.
+def _echelon_mod_p(vectors: Sequence[Sequence[int]], p: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """A row echelon form of ``vectors`` mod p: the (row, column) of each
+    pivot, rows numbered as given, in column order, and the echelon row of
+    each pivot, zero mod p left of its column.  The number of pivots is
+    the rank.
 
     Each echelon row is its given row plus multiples of the given rows of
-    earlier pivots, so the square minor of ``vectors`` on these rows and
+    earlier pivots, so the echelon rows span the same space as
+    ``vectors``, and the square minor of ``vectors`` on the pivot rows and
     columns is nonsingular mod p.
     """
     index = [i for i, v in enumerate(vectors) if any(x % p for x in v)]
@@ -263,52 +266,23 @@ def _pivots_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, i
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], pivot)]
         if rank + 1 == len(rows):
             break
-    return pivots
+    return pivots, rows[: len(pivots)]
 
 
-def _rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
-    return len(_pivots_mod_p(vectors, p))
-
-
-def _reduced_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
-    """The nonzero rows of the reduced row echelon form of ``vectors`` mod
-    p, each with its pivot column, in column order: a row is 1 at its own
-    pivot and 0 at every other row's pivot."""
-    rows = [r for r in ([x % p for x in v] for v in vectors) if any(r)]
-    reduced: list[tuple[int, list[int]]] = []
-    for col in range(len(vectors[0])):
-        if not rows:
-            break
-        k = next((k for k, r in enumerate(rows) if r[col]), -1)
-        if k < 0:
-            continue
-        pivot = rows.pop(k)
-        inv = pow(pivot[col], p - 2, p)
-        pivot[:] = [x * inv % p for x in pivot]
-        for r in rows + [r for _, r in reduced]:  # rows above and below
-            if f := r[col]:
-                r[:] = [(a - f * b) % p for a, b in zip(r, pivot)]
-        rows = [r for r in rows if any(r)]
-        reduced.append((col, pivot))
-    return reduced
-
-
-def _kernel_mod_p(vectors: Sequence[Sequence[int]], p: int) -> list[tuple[int, list[int]]]:
-    """A basis of the x with u . x = 0 mod p for every u in ``vectors``,
-    read off their reduced row echelon form: one x per non-pivot column f,
-    returned as (f, x), with 1 at f, 0 at every other non-pivot column and
-    minus each reduced row's entry at f on that row's pivot.  Nothing here
-    is checked."""
-    reduced = _reduced_mod_p(vectors, p)
-    pivots = {c for c, _ in reduced}
+def _annihilator_mod_p(vectors: Sequence[Sequence[int]], p: int, width: int) -> list[tuple[int, list[int]]]:
+    """A basis of the x in F_p^width with u . x = 0 mod p for every u in
+    ``vectors``, by back substitution in their echelon rows: one x per
+    non-pivot column f, returned as (f, x), with 1 at f and 0 at every
+    other non-pivot column.  Nothing here is checked."""
+    pivots, rows = _echelon_mod_p(vectors, p)
+    cols = [c for _, c in pivots]
     basis = []
-    for f in range(len(vectors[0])):
-        if f not in pivots:
-            x = [0] * len(vectors[0])
-            x[f] = 1
-            for c, row in reduced:
-                x[c] = -row[f] % p
-            basis.append((f, x))
+    for f in sorted(set(range(width)).difference(cols)):
+        x = [0] * width
+        x[f] = 1
+        for c, row in zip(reversed(cols), reversed(rows)):
+            x[c] = -sum(a * b for a, b in zip(row[c + 1 :], x[c + 1 :])) * pow(row[c], p - 2, p) % p
+        basis.append((f, x))
     return basis
 
 
@@ -526,21 +500,23 @@ def _subspace_count(q: int, p: int, limit: int) -> int:
 def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
     """Non-commutative rank by subspace enumeration.
 
-    Minimizes ``cols + dim(sum_i A_i W) - dim W`` over the subspaces W of
-    the column space.  It starts from the certified bounds L' <= ncrk <= U0
-    of ``_ncrk_bounds``.  U0 is the value of W = the common kernel or the
-    whole space, or the slice cover C, which bounds the minimum through
-    the search's trank; either way the minimum is at most U0, so starting
-    there changes no result.  Through canonical RREF generator
-    matrices it then tries dimensions 1 to cols - 1, and stops as soon as
-    the running minimum equals L'; the order cannot change a minimum, so
-    the result is that of the full enumeration.  Where the bounds meet, as
-    they do whenever L equals cols, no RREF matrix is enumerated.  A value
-    below L' contradicts the bound and raises ``RuntimeError``, as does a
-    bound whose certificate fails.  A column space with more than
-    ``limit`` subspaces, W = 0 and the whole space included, raises
-    ``SubspaceLimitError`` before any bound is computed or any subspace
-    enumerated.  A negative ``limit`` raises ``ValueError``.
+    Minimizes the value ``cols + dim(sum_i A_i W) - dim W`` over the
+    subspaces W of the column space.  It starts from the certified bounds
+    L' <= ncrk <= U0 of ``_ncrk_bounds``.  U0 is the checked value of a
+    subspace, or the slice cover C, which bounds the minimum through the
+    search's trank; either way the minimum is at most U0, so starting
+    there changes no result.  Through canonical RREF generator matrices it
+    then tries dimensions 1 to cols - 1, each value from one elimination,
+    and stops as soon as the running minimum equals L'; the order cannot
+    change a minimum, so the result is that of the full enumeration.
+    Where the bounds meet, as they do whenever L equals cols, no RREF
+    matrix is enumerated.  A minimum below U0 is checked before it is
+    returned: the ``_subspace_value`` of the subspace that reached it must
+    equal it.  A value that differs, or one below L', raises
+    ``RuntimeError``, as does a bound whose certificate fails.  A column
+    space with more than ``limit`` subspaces, W = 0 and the whole space
+    included, raises ``SubspaceLimitError`` before any bound is computed or
+    any subspace enumerated.  A negative ``limit`` raises ``ValueError``.
     """
     check_count("limit", limit)
     p, q = mats.modulus, mats.cols
@@ -551,22 +527,24 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
             f"{limit}; use the search mode"
         )
     lower, best = _ncrk_bounds(mats)
+    argmin = None  # the subspace of the least enumerated value below U0
     for k in range(1, q):
         if best <= lower:
             break
         for basis in _rref_bases(q, k, p):
-            images = [
-                [sum(m[r][c] * w[c] for c in range(q)) % p for r in range(mats.rows)]
-                for m in mats.matrices
-                for w in basis
-            ]
-            best = min(best, q + _rank_mod_p(images, p) - k)
-            if best <= lower:
-                break
+            images = [[sum(a * b for a, b in zip(row, w)) % p for row in m]
+                      for m in mats.matrices for w in basis]
+            value = q + len(_echelon_mod_p(images, p)[0]) - k
+            if value < best:
+                best, argmin = value, basis
+                if best <= lower:
+                    break
     if best < lower:
         raise RuntimeError(
             f"ncrk brute force reached {best}, below the certified lower bound {lower}"
         )
+    if argmin is not None and (checked := _subspace_value(mats, argmin, "best subspace")) != best:
+        raise RuntimeError(f"ncrk brute force reached {best} on a subspace whose checked value is {checked}")
     return best
 
 
@@ -583,55 +561,53 @@ def matrix_tuple_tensor(mats: MatrixTuple) -> SparseTensor:
     return SparseTensor(shape, entries, mod_domain(mats.modulus))
 
 
-def _minor_checked(m: Sequence[Sequence[int]], pivots: list[tuple[int, int]], p: int) -> int:
-    """The rank ``len(pivots)`` of ``m`` mod p, once the determinant of
-    ``m`` on the pivot rows and columns is found nonzero mod p: an exact
-    integer check that shares no code with the elimination.  A singular
-    minor raises ``RuntimeError``."""
+def _certified_rank(m: Sequence[Sequence[int]], pivots: list[tuple[int, int]], p: int, what: str) -> int:
+    """``len(pivots)``, a lower bound on the rank of ``m`` mod p, once the
+    determinant of ``m`` on the pivot rows and columns is found nonzero mod
+    p: an exact integer check that shares no code with the elimination.  A
+    singular minor raises ``RuntimeError`` naming ``what`` it certifies."""
     minor = [[m[r][c] for _, c in pivots] for r, _ in pivots]
     if minor and _det_int(minor) % p == 0:
-        raise RuntimeError(
-            f"the {len(minor)} x {len(minor)} minor certifying the ncrk lower bound "
-            f"is singular mod {p}"
-        )
+        raise RuntimeError(f"the {len(minor)} x {len(minor)} minor certifying {what} is singular mod {p}")
     return len(pivots)
 
 
-def _ncrk_lower_bound(mats: MatrixTuple) -> int:
-    """The largest rank of one matrix of the tuple, a certified lower bound
-    on its non-commutative rank.
+def _raise_lower(lower: int, upper: int, matrices, p: int) -> int:
+    """The largest of ``lower`` and the ranks mod p of ``matrices``, taken
+    in order while below ``upper``; each rank that raises it is certified
+    by a minor.  A rank above ``upper`` raises ``RuntimeError``."""
+    for m in matrices:
+        pivots = _echelon_mod_p(m, p)[0]
+        if len(pivots) > lower:
+            lower = _certified_rank(m, pivots, p, "the ncrk lower bound")
+            if lower > upper:
+                raise RuntimeError(f"ncrk combination rank {lower} exceeds the certified upper bound {upper}")
+            if lower == upper:
+                break
+    return lower
 
-    For every subspace W of the column space and every i,
-    dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i), so
-    ``cols + dim(sum_j A_j W) - dim W >= rank A_i``.  This is the d = 1
-    case of the blow-up bound of Derksen and Makam.  The rank is certified
-    by a minor (``_minor_checked``) of the largest-rank matrix.
+
+def _subspace_value(mats: MatrixTuple, basis: Sequence[Sequence[int]], name: str) -> int:
+    """``cols + dim(sum_j A_j U) - dim U`` for the subspace U spanned by
+    ``basis``, ``name``d in errors, or more: an upper bound on the ncrk
+    whatever the eliminations did, and the value of U when they are right.
+
+    dim U is at least the size of a nonsingular minor of ``basis`` on its
+    echelon pivots.  dim sum_j A_j U is at most rows less the length of a
+    checked basis of the annihilator of the images A_j u, u in ``basis``:
+    each of its vectors must be orthogonal to every image mod p, and its
+    minor on the columns of its unit entries nonsingular mod p.  A failed
+    check raises ``RuntimeError``.
     """
-    p = mats.modulus
-    m, pivots = max(((m, _pivots_mod_p(m, p)) for m in mats.matrices), key=lambda mp: len(mp[1]))
-    return _minor_checked(m, pivots, p)
-
-
-def _kernel_witness(vectors: Sequence[Sequence[int]], p: int, name: str) -> int:
-    """The width of ``vectors`` less the length of a checked basis of
-    their kernel, ``name``d in errors: at least the rank of ``vectors``,
-    and equal to it when the elimination is right.
-
-    Every basis vector must be orthogonal to every vector mod p, and the
-    basis's minor on the columns where ``_kernel_mod_p`` put its unit
-    entries must be nonsingular mod p, so the basis spans a subspace of
-    the kernel of its length.  Either check failing raises
-    ``RuntimeError``.
-    """
-    basis = _kernel_mod_p(vectors, p)
-    if any(sum(a * b for a, b in zip(u, x)) % p for _, x in basis for u in vectors):
-        raise RuntimeError(f"the {name} basis certifying an ncrk upper bound fails its check mod {p}")
-    minor = [[x[f] for f, _ in basis] for _, x in basis]
-    if minor and _det_int(minor) % p == 0:
-        raise RuntimeError(
-            f"the {len(minor)} x {len(minor)} minor of the {name} basis is singular mod {p}"
-        )
-    return len(vectors[0]) - len(basis)
+    p, rows = mats.modulus, mats.rows
+    dim = _certified_rank(basis, _echelon_mod_p(basis, p)[0], p, f"the dimension of the {name}")
+    images = [[sum(a * b for a, b in zip(row, u)) % p for row in m] for m in mats.matrices for u in basis]
+    annihilator = _annihilator_mod_p(images, p, rows)
+    if any(sum(a * b for a, b in zip(v, x)) % p for _, x in annihilator for v in images):
+        raise RuntimeError(f"the annihilator of the {name}'s images fails its check mod {p}")
+    units = [(i, f) for i, (f, _) in enumerate(annihilator)]
+    _certified_rank([x for _, x in annihilator], units, p, f"the annihilator of the {name}'s images")
+    return mats.cols + rows - len(annihilator) - dim
 
 
 # The most combinations sum_i c_i A_i that the ncrk lower bound tries.
@@ -654,38 +630,40 @@ def _ncrk_bounds(mats: MatrixTuple) -> tuple[int, int]:
     """Certified bounds ``(L', U0)`` with L' <= ncrk <= U0, worked out in
     cost order and returned as soon as they meet.
 
-    L is ``_ncrk_lower_bound``.  The upper bounds come next:
+    L is the largest rank of one matrix of the tuple: for every subspace W
+    and every i, dim sum_j A_j W >= dim A_i W >= dim W - (cols - rank A_i),
+    so the value of W is at least rank A_i.  This is the d = 1 case of the
+    blow-up bound of Derksen and Makam.  The upper bounds come next:
     - C = min(nonzero rows, nonzero columns, ell * nonzero matrices), ell =
       min(rows, cols), the cheapest cover of the tuple tensor's support by
       slices of one mode.  L <= ncrk <= floor(trank) <= C, with the trank
       of ``ncrk_via_grank``'s weights (1, 1, ell).
-    - The rank of the matrices stacked, the value of W = their common
-      kernel, which they send to 0.
-    - The rank of the matrices side by side, the value of W = the whole
-      space.
-    U0 is the least of them.  Each rank is certified by
-    ``_kernel_witness``: the common kernel, or the left kernel of
-    [A_1 | ... | A_k], is checked and its dimension subtracted from the
-    width, so the value is attained by a subspace whatever the
-    elimination did.  Only where U0 > L does L' go past L: it is the
-    largest rank of the combinations of ``_combinations``, taken while
-    below U0; a combination has rank at most the commutative rank, which
-    is at most ncrk, and its rank is certified by a minor.  No random
-    number is drawn.  An upper bound below L, or a combination rank above
-    U0, contradicts that chain and raises ``RuntimeError``, as does a
+    - The ``_subspace_value`` of the common kernel of the matrices, which
+      they send to 0: cols less its dimension.
+    - The ``_subspace_value`` of the whole space: the rank of the matrices
+      side by side.
+    U0 is the least of them.  A subspace value is checked whatever the
+    elimination that found the subspace did, so a wrong kernel can only
+    weaken U0.  Only where U0 > L does L' go past L: it is the largest rank
+    of the combinations of ``_combinations``, taken while below U0; a
+    combination has rank at most the commutative rank, which is at most
+    ncrk.  Every rank is certified by a minor (``_raise_lower``).  No
+    random number is drawn.  An upper bound below L, or a combination rank
+    above U0, contradicts that chain and raises ``RuntimeError``, as does a
     failed certificate.
     """
     p, rows, cols = mats.modulus, mats.rows, mats.cols
-    lower = _ncrk_lower_bound(mats)
+    lower = _raise_lower(0, cols, mats.matrices, p)
     nonzero_rows = {r for m in mats.matrices for r, row in enumerate(m) if any(row)}
     nonzero_cols = {c for m in mats.matrices for row in m for c, val in enumerate(row) if val}
     nonzero = sum(1 for m in mats.matrices if any(map(any, m)))
     witnesses = (
         ("slice cover", lambda: min(len(nonzero_rows), len(nonzero_cols), min(rows, cols) * nonzero)),
-        ("stacked rank", lambda: _kernel_witness(
-            [row for m in mats.matrices for row in m], p, "common kernel")),
-        ("side rank", lambda: _kernel_witness(
-            [col for m in mats.matrices for col in zip(*m)], p, "left kernel")),
+        ("common kernel", lambda: _subspace_value(mats, [
+            x for _, x in _annihilator_mod_p([row for m in mats.matrices for row in m], p, cols)
+        ], "common kernel")),
+        ("whole space", lambda: _subspace_value(
+            mats, [[int(r == c) for c in range(cols)] for r in range(cols)], "whole space")),
     )
     upper = cols  # the value of W = 0
     for name, witness in witnesses:
@@ -698,20 +676,12 @@ def _ncrk_bounds(mats: MatrixTuple) -> tuple[int, int]:
         if upper == lower:
             return lower, upper
     if len(mats.matrices) > 1:
-        for coeffs in _combinations(len(mats.matrices), p):
-            combo = [
-                [sum(a * m[r][c] for a, m in zip(coeffs, mats.matrices)) % p for c in range(cols)]
-                for r in range(rows)
-            ]
-            pivots = _pivots_mod_p(combo, p)
-            if len(pivots) > lower:
-                lower = _minor_checked(combo, pivots, p)
-                if lower > upper:
-                    raise RuntimeError(
-                        f"ncrk combination rank {lower} exceeds the certified upper bound {upper}"
-                    )
-                if lower == upper:
-                    break
+        combos = (
+            [[sum(a * m[r][c] for a, m in zip(coeffs, mats.matrices)) % p for c in range(cols)]
+             for r in range(rows)]
+            for coeffs in _combinations(len(mats.matrices), p)
+        )
+        lower = _raise_lower(lower, upper, combos, p)
     return lower, upper
 
 

@@ -205,6 +205,22 @@ class TestGrankCommand:
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("alpha,weight", [("1e-400,1", "1e-400"), ("1,1e400", "1e400"), (" 1e400 ,1", "1e400")])
+    def test_weight_outside_double_precision_exits_2(self, capsys, tmp_path, alpha, weight):
+        # A weight that rounds to 0.0 reached the ascent and divided by zero
+        # (exit 1); one too large for a double failed there unnamed.  Both
+        # are refused before the search.  The zero tensor's bounds are 0
+        # with no search and no double: its output does not move.
+        path = tmp_path / "swap.json"
+        path.write_text(json.dumps({"shape": [2, 2], "entries": [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": 1}]}))
+        code = main(["grank", str(path), "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --alpha weight {weight} is outside double precision\n"
+        path.write_text(json.dumps({"shape": [2, 2], "entries": []}))
+        code, out = run(capsys, "grank", str(path), "--alpha", alpha)
+        assert code == 0 and "upper_bound: 0\n" in out
+
     def test_dense_array_too_large_exits_4(self, capsys, tmp_path):
         # numpy refuses the 10^15-entry complex array before allocating it.
         path = tmp_path / "huge.json"
@@ -437,7 +453,7 @@ class TestNcrkCommand:
     def test_search_below_the_lower_bound_exits_3(self, capsys, monkeypatch, identity_file, mode):
         ranks = stablerank.ranks
         lower = ranks.ncrk_bruteforce(stablerank.MatrixTuple([[[1, 0], [0, 1]]], 2)) + 1
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: lower)
+        monkeypatch.setattr(ranks, "_raise_lower", lambda lower_, upper, matrices, p: lower)
         code = main(["ncrk", identity_file, "--mode", mode])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -447,8 +463,13 @@ class TestNcrkCommand:
     @pytest.mark.parametrize("mode", ["search", "both", "brute"])
     def test_singular_lower_bound_minor_exits_3(self, capsys, monkeypatch, e11_file, mode):
         ranks = stablerank.ranks
-        real = ranks._pivots_mod_p
-        monkeypatch.setattr(ranks, "_pivots_mod_p", lambda m, p: real(m, p) + [(1, 1)])
+        real = ranks._echelon_mod_p
+
+        def one_pivot_too_many(m, p):
+            pivots, rows = real(m, p)
+            return pivots + [(1, 1)], rows + [[0, 1]]
+
+        monkeypatch.setattr(ranks, "_echelon_mod_p", one_pivot_too_many)
         code = main(["ncrk", e11_file, "--mode", mode])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -472,22 +493,29 @@ class TestNcrkCommand:
 
     @pytest.mark.parametrize("mode", ["search", "both", "brute"])
     @pytest.mark.parametrize("tamper,message", [
-        ("pivot", "the common kernel basis certifying an ncrk upper bound fails its check mod 101"),
+        ("pivot", "the annihilator of the whole space's images fails its check mod 101"),
         ("minor", "the 2 x 2 minor certifying the ncrk lower bound is singular mod 101"),
     ])
     def test_failed_bound_certificate_exits_3(self, capsys, monkeypatch, tmp_path, mode, tamper, message):
-        # The pair over F_101 has L = 1, kernel values 2 and 2, and A1 + A2
-        # of rank 2.  An elimination that drops a pivot row gives a wrong
-        # kernel basis; a singular 2 x 2 minor refuses the combination's rank.
+        # The pair over F_101 has L = 1, subspace values 2 and 2, and A1 + A2
+        # of rank 2.  An elimination of the matrices' columns, the whole
+        # space's images, that drops a pivot row gives a wrong annihilator;
+        # a singular 2 x 2 minor refuses the combination's rank.
         ranks = stablerank.ranks
+        matrices = [[[49, 75, 5], [62, 31, 29], [18, 9, 41]], [[40, 33, 61], [33, 55, 68], [26, 77, 75]]]
         if tamper == "pivot":
-            real = ranks._reduced_mod_p
-            monkeypatch.setattr(ranks, "_reduced_mod_p", lambda m, p: real(m, p)[:-1])
+            real = ranks._echelon_mod_p
+            columns = [list(col) for m in matrices for col in zip(*m)]
+
+            def one_pivot_too_few(vectors, p):
+                pivots, rows = real(vectors, p)
+                return (pivots[:-1], rows[:-1]) if [list(v) for v in vectors] == columns else (pivots, rows)
+
+            monkeypatch.setattr(ranks, "_echelon_mod_p", one_pivot_too_few)
         else:
             real = ranks._det_int
             monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
         path = tmp_path / "pair.json"
-        matrices = [[[49, 75, 5], [62, 31, 29], [18, 9, 41]], [[40, 33, 61], [33, 55, 68], [26, 77, 75]]]
         path.write_text(json.dumps({"modulus": 101, "matrices": matrices}))
         code = main(["ncrk", str(path), "--mode", mode])
         captured = capsys.readouterr()
@@ -639,6 +667,9 @@ _TUPLE_TEXT = json.dumps({"modulus": 3, "matrices": [[[1, 0], [0, 1]], [[0, 1], 
         ("grank --tol nan", json.dumps(W_TENSOR), None),
         ("grank --tol inf", json.dumps(W_TENSOR), None),
         ("grank --tol nan", _tensor_text("1"), None),
+        # positive rational weights with no positive finite double
+        ("grank --alpha 1e-400,1", _tensor_text("1"), None),
+        ("grank --alpha 1e400,1", _tensor_text("1"), None),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents):

@@ -68,8 +68,8 @@ def _matrix_tuple(rng):
 def test_exact_invariants_hold():
     """``trank == dual_trank``, ``ceil(trank) <= tslice`` (unit weights;
     strict at least once, on the n = 2 cap-set support), ``psg_slope >=
-    trank``, ``grank_upper_search <= trank`` and ``_ncrk_lower_bound <=
-    ncrk_bruteforce <= ncrk_via_grank``.
+    trank``, ``grank_upper_search <= trank`` and ``L' <= ncrk_bruteforce
+    <= ncrk_via_grank``, L' the lower bound of ``_ncrk_bounds``.
     (``grank``'s lower bound is not yet always below its upper bound, so
     it is left out.)"""
     rng = random.Random(200208435)
@@ -100,7 +100,7 @@ def test_exact_invariants_hold():
     for _ in range(120):
         mats = _matrix_tuple(rng)
         upper = ncrk_via_grank(mats, budget=rng.randint(1, 24), seed=rng.randrange(100))
-        assert ranks._ncrk_lower_bound(mats) <= ncrk_bruteforce(mats) <= upper, mats
+        assert ranks._ncrk_bounds(mats)[0] <= ncrk_bruteforce(mats) <= upper, mats
 
 
 def _low_rank(rng, p):

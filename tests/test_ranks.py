@@ -30,7 +30,7 @@ from stablerank import (
 )
 from stablerank import INFEASIBLE, LPSolution, ranks, tensors
 from stablerank import lp as lp_module
-from stablerank.ranks import _packing_bound, _rank_mod_p
+from stablerank.ranks import _annihilator_mod_p, _echelon_mod_p, _packing_bound, _subspace_value
 from stablerank.tensors import as_weight, mode_transform, modulus_of
 
 from conftest import exhaustive_min_cover, fraction_mode_transform, indicator_tensor, random_support
@@ -417,6 +417,11 @@ def _reference_search(v, alpha=None, budget=64, seed=0):
     return best
 
 
+def _rank_mod_p(vectors, p):
+    """The rank mod p that ``_echelon_mod_p`` finds: its number of pivots."""
+    return len(_echelon_mod_p(vectors, p)[0])
+
+
 def _reference_rank_mod_p(vectors, p):
     """``_rank_mod_p`` as it was, verbatim: reduces to row-reduced echelon form."""
     rows = [list(v) for v in vectors if any(x % p for x in v)]
@@ -722,7 +727,8 @@ class TestNcrkEarlyStop:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_alternating_triple_has_a_gap(self, p):
         tup = _alternating_triple(p)
-        assert ranks._ncrk_lower_bound(tup) == 2
+        assert ranks._raise_lower(0, 3, tup.matrices, p) == 2
+        assert ranks._ncrk_bounds(tup) == (2, 3)
         assert ncrk_bruteforce(tup) == ncrk_via_grank(tup, budget=200, seed=p) == 3
 
     def test_matches_the_full_search(self):
@@ -760,7 +766,7 @@ class TestNcrkEarlyStop:
         # Both take their bounds from _ncrk_bounds, which checks the first
         # upper bound, C, against L.
         cover = ncrk_bruteforce(tup)
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: cover + 1)
+        monkeypatch.setattr(ranks, "_raise_lower", lambda lower, upper, matrices, p: cover + 1)
         with pytest.raises(RuntimeError, match=f"^ncrk slice cover reached {cover}, below the certified lower bound {cover + 1}$"):
             run(tup)
 
@@ -772,8 +778,13 @@ class TestNcrkEarlyStop:
         # pivots is singular, so the bound is refused instead.
         tup = MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 2)
         assert ncrk_bruteforce(tup) == 1
-        real = ranks._pivots_mod_p
-        monkeypatch.setattr(ranks, "_pivots_mod_p", lambda m, p: real(m, p) + [(1, 1)])
+        real = ranks._echelon_mod_p
+
+        def one_pivot_too_many(m, p):
+            pivots, rows = real(m, p)
+            return pivots + [(1, 1)], rows + [[0, 1]]
+
+        monkeypatch.setattr(ranks, "_echelon_mod_p", one_pivot_too_many)
         with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the ncrk lower bound is singular mod 2$"):
             run(tup)
 
@@ -783,12 +794,17 @@ class TestNcrkEarlyStop:
             p = rng.choice((2, 3, 5, 101))
             width = rng.randint(1, 5)
             m = [[rng.randrange(min(p, 3)) for _ in range(width)] for _ in range(rng.randint(1, 5))]
-            pivots = ranks._pivots_mod_p(m, p)
+            pivots, echelon = _echelon_mod_p(m, p)
             rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
             assert len(set(rows)) == len(rows) and cols == sorted(set(cols))
-            assert len(pivots) == _rank_mod_p(m, p)
+            assert len(pivots) == len(echelon) == _reference_rank_mod_p(m, p)
             if pivots:
                 assert ranks._det_int([[m[r][c] for c in cols] for r in rows]) % p, (m, p)
+            # Each echelon row is zero mod p left of its pivot, and the rows
+            # span the space of m.
+            for c, row in zip(cols, echelon):
+                assert row[c] % p and not any(x % p for x in row[:c]), (m, p)
+            assert _reference_rank_mod_p(m + echelon, p) == len(pivots), (m, p)
 
 
 # Three tuples over F_101 on which the basis-change search alone, at its
@@ -797,6 +813,26 @@ _F101_RANK1 = MatrixTuple([[[23, 92, 36], [63, 50, 2], [36, 43, 30]]], 101)
 _F101_PAIR = MatrixTuple([[[49, 75, 5], [62, 31, 29], [18, 9, 41]],
                           [[40, 33, 61], [33, 55, 68], [26, 77, 75]]], 101)
 _F101_RANK2 = MatrixTuple([[[55, 63, 14], [49, 89, 16], [45, 52, 21]]], 101)
+
+
+def _images(tup, basis):
+    """The images A_j u mod p of the vectors u of ``basis``, j-major."""
+    p = tup.modulus
+    return [[sum(a * b for a, b in zip(row, u)) % p for row in m] for m in tup.matrices for u in basis]
+
+
+def _drop_last_pivot_on(monkeypatch, target):
+    """Make ``_echelon_mod_p`` lose its last pivot, and that pivot's echelon
+    row, whenever it eliminates exactly the vectors ``target``."""
+    real = ranks._echelon_mod_p
+
+    def tampered(vectors, p):
+        pivots, rows = real(vectors, p)
+        if [list(v) for v in vectors] == target:
+            return pivots[:-1], rows[:-1]
+        return pivots, rows
+
+    monkeypatch.setattr(ranks, "_echelon_mod_p", tampered)
 
 
 class TestNcrkBounds:
@@ -808,26 +844,29 @@ class TestNcrkBounds:
         (_F101_RANK2, 2, 2, 2, 2),
     ])
     def test_witnesses_close_the_f101_tuples(self, monkeypatch, tup, lower, stacked, side, want):
+        # The value of the common kernel is the rank of the matrices
+        # stacked; that of the whole space, their rank side by side.
         stack = [row for m in tup.matrices for row in m]
-        columns = [col for m in tup.matrices for col in zip(*m)]
-        assert ranks._ncrk_lower_bound(tup) == lower
-        assert ranks._kernel_witness(stack, 101, "common kernel") == stacked
-        assert ranks._kernel_witness(columns, 101, "left kernel") == side
+        kernel = [x for _, x in _annihilator_mod_p(stack, 101, 3)]
+        assert ranks._raise_lower(0, 3, tup.matrices, 101) == lower
+        assert _subspace_value(tup, kernel, "common kernel") == stacked
+        assert _subspace_value(tup, [[int(r == c) for c in range(3)] for r in range(3)], "whole space") == side
         calls = _count_calls(monkeypatch, "trank", "matrix_tuple_tensor")
         assert ranks._ncrk_bounds(tup) == (want, want)
         assert ncrk_via_grank(tup) == ncrk_bruteforce(tup) == want
         assert calls == {"trank": 0, "matrix_tuple_tensor": 0}
 
     def test_pair_needs_a_combination(self, monkeypatch):
-        # L = 1 is below U0 = 2, and A1 + A2 has rank 2.  The combinations
-        # draw no random numbers.
+        # L = 1 is below U0 = 2, and A1 + A2, the first combination, has
+        # rank 2.  The combinations draw no random numbers.
         def no_rng(*args):
             raise AssertionError("random.Random constructed")
 
         monkeypatch.setattr(ranks.random, "Random", no_rng)
-        calls = _count_calls(monkeypatch, "_pivots_mod_p")
+        real, drawn = ranks._combinations, []
+        monkeypatch.setattr(ranks, "_combinations", lambda k, p: (drawn.append(c) or c for c in real(k, p)))
         assert ranks._ncrk_bounds(_F101_PAIR) == (2, 2)
-        assert calls == {"_pivots_mod_p": 3}  # two matrices, then A1 + A2
+        assert drawn == [[1, 1]]
 
     def test_pairs_reach_what_the_curve_misses(self):
         # Over F_3 the curve has two points, A1 + A2 + A3 and A1 + 2 A2 + A3,
@@ -836,21 +875,21 @@ class TestNcrkBounds:
         assert list(ranks._combinations(3, 3)) == [
             [1, 1, 1], [1, 2, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1],
         ]
-        assert ranks._ncrk_lower_bound(tup) == 1
+        assert ranks._raise_lower(0, 2, tup.matrices, 3) == 1
         assert ranks._ncrk_bounds(tup) == (2, 2)
         # At most 16 combinations; at k = 2 no pair repeats the curve's t = 1.
         assert len(list(ranks._combinations(8, 101))) == 16
         assert list(ranks._combinations(2, 2)) == [[1, 1]]
 
-    def test_kernel_witness_is_the_rank(self):
+    def test_annihilator_has_the_kernel_dimension(self):
         rng = random.Random(37)
         for _ in range(500):
             p = rng.choice((2, 3, 5, 7, 101, 2**61 - 1))
             width = rng.randint(1, 5)
             vectors = [[rng.randrange(min(p, 3)) for _ in range(width)] for _ in range(rng.randint(1, 5))]
-            basis = ranks._kernel_mod_p(vectors, p)
+            basis = _annihilator_mod_p(vectors, p, width)
             assert all(sum(a * b for a, b in zip(u, x)) % p == 0 for _, x in basis for u in vectors)
-            assert ranks._kernel_witness(vectors, p, "test") == _rank_mod_p(vectors, p), (vectors, p)
+            assert len(basis) == width - _reference_rank_mod_p(vectors, p), (vectors, p)
 
     @pytest.mark.parametrize("tup", [_alternating_triple(2), _F101_PAIR, _random_matrix_tuple(random.Random(41))])
     def test_bounds_bracket_brute_force(self, tup):
@@ -858,49 +897,210 @@ class TestNcrkBounds:
         assert lower <= ncrk_bruteforce(tup) <= upper
 
     @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
-    @pytest.mark.parametrize("call,name", [(1, "common kernel"), (2, "left kernel")])
-    def test_elimination_with_a_pivot_too_few_raises(self, monkeypatch, run, call, name):
-        # On the pair, L = 1 and both kernel values are 2.  Dropping a pivot
-        # row from the first or the second elimination adds a vector outside
-        # the kernel, and its value would meet L at 1, below the ncrk; the
+    def test_images_elimination_with_a_pivot_too_few_raises(self, monkeypatch, run):
+        # On the pair, L = 1 and both subspace values are 2.  Dropping a
+        # pivot row from the elimination of the whole space's images, the
+        # columns of the matrices, adds a vector outside their annihilator,
+        # and the value would meet L at 1, below the ncrk; the
         # orthogonality check refuses it.
-        real, calls = ranks._reduced_mod_p, []
-
-        def one_too_few(vectors, p):
-            calls.append(None)
-            reduced = real(vectors, p)
-            return reduced[:-1] if len(calls) == call else reduced
-
-        monkeypatch.setattr(ranks, "_reduced_mod_p", one_too_few)
-        with pytest.raises(RuntimeError, match=f"^the {name} basis certifying an ncrk upper bound fails its check mod 101$"):
+        columns = [list(col) for m in _F101_PAIR.matrices for col in zip(*m)]
+        _drop_last_pivot_on(monkeypatch, columns)
+        with pytest.raises(RuntimeError, match="^the annihilator of the whole space's images fails its check mod 101$"):
             run(_F101_PAIR)
 
+    # Tuples of two or more matrices: stacked, they are no matrix that
+    # another elimination sees.
+    @pytest.mark.parametrize("tup", [
+        _F101_PAIR, _alternating_triple(3), MatrixTuple([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 2),
+    ])
+    def test_wrong_common_kernel_only_weakens_its_value(self, monkeypatch, tup):
+        # A pivot dropped from the elimination of the stacked matrices adds
+        # a vector outside their common kernel.  Its value is checked on
+        # the subspace itself, so it can only rise: the bounds still
+        # bracket brute force and no result moves.
+        p, cols = tup.modulus, tup.cols
+        stack = [list(row) for m in tup.matrices for row in m]
+        want = (ranks._ncrk_bounds(tup), ncrk_bruteforce(tup), ncrk_via_grank(tup, budget=30))
+        true_value = _subspace_value(tup, [x for _, x in _annihilator_mod_p(stack, p, cols)], "common kernel")
+        _drop_last_pivot_on(monkeypatch, stack)
+        wrong = [x for _, x in _annihilator_mod_p(stack, p, cols)]
+        assert any(map(any, _images(tup, wrong)))  # a vector outside the kernel
+        assert _subspace_value(tup, wrong, "common kernel") >= true_value
+        lower, upper = ranks._ncrk_bounds(tup)
+        assert lower <= ncrk_bruteforce(tup) <= upper
+        assert ((lower, upper), ncrk_bruteforce(tup), ncrk_via_grank(tup, budget=30)) == want
+
     @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
-    def test_dependent_kernel_basis_raises(self, monkeypatch, run):
+    def test_dependent_annihilator_basis_raises(self, monkeypatch, run):
         # A basis vector listed twice passes the orthogonality check; the
-        # minor on the unit columns is singular.
-        real = ranks._kernel_mod_p
-        monkeypatch.setattr(ranks, "_kernel_mod_p", lambda vectors, p: real(vectors, p) * 2)
-        with pytest.raises(RuntimeError, match="^the 4 x 4 minor of the common kernel basis is singular mod 101$"):
+        # minor on the unit columns is singular.  The rank-1 matrix's
+        # common kernel is a plane whose images are 0, so their
+        # annihilator, the whole of F_101^3, is listed as six vectors.
+        real = ranks._annihilator_mod_p
+        monkeypatch.setattr(ranks, "_annihilator_mod_p", lambda vectors, p, width: real(vectors, p, width) * 2)
+        with pytest.raises(RuntimeError, match="^the 6 x 6 minor certifying the annihilator of the common kernel's images is singular mod 101$"):
+            run(_F101_RANK1)
+
+    @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
+    def test_singular_dimension_minor_raises(self, monkeypatch, run):
+        # The rank-1 matrix's common kernel is a plane: the only 2 x 2
+        # minor is the one certifying its dimension.
+        real = ranks._det_int
+        monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
+        with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the dimension of the common kernel is singular mod 101$"):
             run(_F101_RANK1)
 
     def test_combination_above_the_upper_bound_raises(self, monkeypatch):
-        # E11, E22, E33: L = 1 and A1 + A2 + A3 has rank 3.  Kernel witnesses
+        # E11, E22, E33: L = 1 and A1 + A2 + A3 has rank 3.  Subspace values
         # that claim 2 contradict it.
         tup = MatrixTuple([[[int(r == c == i) for c in range(3)] for r in range(3)] for i in range(3)], 101)
         assert ranks._ncrk_bounds(tup) == (3, 3)
-        monkeypatch.setattr(ranks, "_kernel_witness", lambda vectors, p, name: 2)
+        monkeypatch.setattr(ranks, "_subspace_value", lambda mats, basis, name: 2)
         with pytest.raises(RuntimeError, match="^ncrk combination rank 3 exceeds the certified upper bound 2$"):
             ranks._ncrk_bounds(tup)
 
     @pytest.mark.parametrize("run", [ncrk_bruteforce, ncrk_via_grank])
     def test_singular_combination_minor_raises(self, monkeypatch, run):
-        # On the pair, L and both kernel bases have 1 x 1 minors; A1 + A2 has
+        # On the pair, L, the common kernel and the annihilator of the
+        # whole space's images have 1 x 1 minors, the whole space and the
+        # annihilator of the kernel's zero images 3 x 3 ones; A1 + A2 has
         # rank 2, so its 2 x 2 minor is the only one of that size.
         real = ranks._det_int
         monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
         with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the ncrk lower bound is singular mod 101$"):
             run(_F101_PAIR)
+
+
+def _reference_reduced_mod_p(vectors, p):
+    """``_reduced_mod_p`` as it was, verbatim: the nonzero rows of the
+    reduced row echelon form, each with its pivot column."""
+    rows = [r for r in ([x % p for x in v] for v in vectors) if any(r)]
+    reduced: list[tuple[int, list[int]]] = []
+    for col in range(len(vectors[0])):
+        if not rows:
+            break
+        k = next((k for k, r in enumerate(rows) if r[col]), -1)
+        if k < 0:
+            continue
+        pivot = rows.pop(k)
+        inv = pow(pivot[col], p - 2, p)
+        pivot[:] = [x * inv % p for x in pivot]
+        for r in rows + [r for _, r in reduced]:  # rows above and below
+            if f := r[col]:
+                r[:] = [(a - f * b) % p for a, b in zip(r, pivot)]
+        rows = [r for r in rows if any(r)]
+        reduced.append((col, pivot))
+    return reduced
+
+
+def _reference_kernel_mod_p(vectors, p):
+    """``_kernel_mod_p`` as it was, verbatim: the kernel read off the
+    reduced row echelon form."""
+    reduced = _reference_reduced_mod_p(vectors, p)
+    pivots = {c for c, _ in reduced}
+    basis = []
+    for f in range(len(vectors[0])):
+        if f not in pivots:
+            x = [0] * len(vectors[0])
+            x[f] = 1
+            for c, row in reduced:
+                x[c] = -row[f] % p
+            basis.append((f, x))
+    return basis
+
+
+class TestSubspaceValue:
+    def test_back_substitution_matches_the_reduced_form(self):
+        rng = random.Random(43)
+        for k in range(500):
+            p = rng.choice((2, 3, 5, 7, 101, 2**61 - 1))
+            width = rng.randint(1, 6)
+            small = min(p, 3) if k % 2 else p  # small entries often repeat a row
+            vectors = [[rng.randrange(-small, small) for _ in range(width)] for _ in range(rng.randint(1, 6))]
+            if k % 7 == 0:
+                vectors.append([x * 2 + y for x, y in zip(vectors[0], vectors[-1])])
+            got = _annihilator_mod_p(vectors, p, width)
+            assert got == _reference_kernel_mod_p(vectors, p), (vectors, p)
+
+    def test_value_matches_the_reference_ranks(self):
+        rng = random.Random(47)
+        seen = dict.fromkeys(("empty", "zero", "dependent", "independent"), 0)
+        for k in range(400):
+            tup = _random_matrix_tuple(rng) if k % 5 else _alternating_triple(rng.choice((2, 3, 5)))
+            p, cols = tup.modulus, tup.cols
+            kind = ("empty", "zero", "dependent", "independent")[k % 4]
+            if kind == "empty":
+                basis = []
+            elif kind == "zero":
+                basis = [[0] * cols for _ in range(rng.randint(1, 3))]
+            else:
+                basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(rng.randint(1, cols))]
+                if kind == "dependent":
+                    basis.append([(a + 2 * b) % p for a, b in zip(basis[0], basis[-1])])
+            want = cols + _reference_rank_mod_p(_images(tup, basis), p) - _reference_rank_mod_p(basis, p)
+            assert _subspace_value(tup, basis, "test") == want, (tup, basis)
+            seen[kind] += 1
+        assert all(seen.values())
+
+
+class TestNcrkBruteforceCheck:
+    """Brute force checks the subspace of its least value."""
+
+    @staticmethod
+    def _under_report_first_subspace(monkeypatch, by):
+        # The first enumerated subspace's elimination loses ``by`` pivots;
+        # every other elimination, the check's included, is left alone.
+        real_bases, real_echelon, armed = ranks._rref_bases, ranks._echelon_mod_p, []
+
+        def bases(q, k, p):
+            for basis in real_bases(q, k, p):
+                armed.append(basis)
+                yield basis
+
+        def echelon(vectors, p):
+            pivots, rows = real_echelon(vectors, p)
+            if len(armed) == 1:
+                armed.append(None)
+                return pivots[:-by], rows[:-by]
+            return pivots, rows
+
+        monkeypatch.setattr(ranks, "_rref_bases", bases)
+        monkeypatch.setattr(ranks, "_echelon_mod_p", echelon)
+
+    def test_check_runs_on_the_least_subspace(self, monkeypatch):
+        # The alternating triple's bounds are 2 and 3: no subspace reaches
+        # below 3, so there is nothing to check.  On the pair over F_2 of
+        # TestNcrkBruteforceStop, the third plane lowers U0 = 3 to 2.
+        calls = _count_calls(monkeypatch, "_subspace_value")
+        assert ncrk_bruteforce(_alternating_triple(3)) == 3
+        assert calls["_subspace_value"] == 2  # the common kernel and the whole space
+        tup = MatrixTuple([[[0, 0, 1], [1, 0, 0], [1, 0, 1], [0, 0, 0]],
+                           [[0, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 1]]], 2)
+        assert ranks._ncrk_bounds(tup) == (2, 3)
+        calls["_subspace_value"] = 0
+        assert ncrk_bruteforce(tup) == 2
+        assert calls["_subspace_value"] == 3
+
+    def test_under_reported_subspace_raises(self, monkeypatch):
+        # Every line of the alternating triple over F_3 has value
+        # 3 + 2 - 1 = 4.  Under-reported by 2, the first reads 2 = L', below
+        # the ncrk 3 but not below the bound, and would stop the enumeration.
+        tup = _alternating_triple(3)
+        assert ranks._ncrk_bounds(tup) == (2, 3)
+        self._under_report_first_subspace(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^ncrk brute force reached 2 on a subspace whose checked value is 4$"):
+            ncrk_bruteforce(tup)
+
+    def test_under_reported_subspace_exits_3(self, monkeypatch, capsys, tmp_path):
+        from stablerank.cli import main
+
+        path = tmp_path / "alternating.json"
+        path.write_text(json.dumps({"modulus": 3, "matrices": _alternating_triple(3).matrices}))
+        self._under_report_first_subspace(monkeypatch, 2)
+        code = main(["ncrk", str(path), "--mode", "brute"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: ncrk brute force reached 2 on a subspace whose checked value is 4\n"
 
 
 class TestNcrkSliceCover:
@@ -930,7 +1130,7 @@ class TestNcrkSliceCover:
 
     @pytest.mark.parametrize("tup,cover", [(MatrixTuple([[[1, 0], [0, 1]]], 2), 2), (_alternating_triple(3), 3)])
     def test_cover_below_the_lower_bound_raises(self, monkeypatch, tup, cover):
-        monkeypatch.setattr(ranks, "_ncrk_lower_bound", lambda mats: cover + 1)
+        monkeypatch.setattr(ranks, "_raise_lower", lambda lower, upper, matrices, p: cover + 1)
         calls = self._spy(monkeypatch)
         with pytest.raises(RuntimeError, match=f"^ncrk slice cover reached {cover}, below the certified lower bound {cover + 1}$"):
             ncrk_via_grank(tup, budget=200)
@@ -961,7 +1161,7 @@ def _ncrk_reference(tup):
                 for m in tup.matrices
                 for w in basis
             ]
-            best = min(best, q + _rank_mod_p(images, p) - k)
+            best = min(best, q + _reference_rank_mod_p(images, p) - k)
     return best
 
 
@@ -1038,7 +1238,7 @@ class TestNcrk:
                 rows, cols = rng.randint(1, 3), rng.randint(1, 3)
                 m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
                 tup = MatrixTuple([m], p)
-                assert ncrk_bruteforce(tup) == _rank_mod_p(m, p)
+                assert ncrk_bruteforce(tup) == _reference_rank_mod_p(m, p)
 
     def test_limit_enforced(self):
         wide = MatrixTuple([[[1] * 25]], 2)
