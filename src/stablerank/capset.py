@@ -13,9 +13,8 @@ and cross-validate against the uncollapsed LP for tiny n.
 The collapsed LP has about (2n)^3/36 rows, but few of them bind.  Prefix
 minima keep a t vector feasible and cost no more, so some optimal t is
 nonincreasing, and for such a t the *binding* rows, whose triples sum to
-exactly 2n, imply all the others.  :func:`_tight_triples` proves, exactly
-for any t and in O(n^2), that t covers every row of the full LP, and lists
-the binding rows on which t is tight.
+exactly 2n, imply all the others.  :func:`_covers` proves, exactly for
+any t and in O(n^2), that t covers every row of the full LP.
 
 The answer has one route, with no simplex and no LP built.
 :func:`reduced_lp` certifies :func:`conjectured_t`: if that t covers every
@@ -24,9 +23,10 @@ at t (40 of 154 at n = 20, 402 of 1,261 at n = 60) and sums to the cost of
 t proves t optimal, by weak duality.  :func:`_closed_form_dual` writes that
 dual down by a fixed rule, a run of ``3 f_i`` that fills one column and
 spills onto the next, and a tail from a 2x2 to 4x4 integer system, and
-checks it exactly: at every n = 1..300, as the tests check.  A failed check
-raises; nothing is reported unproved.  The row cap counts the binding rows,
-the rows the coverage pass walks, and is checked first.
+checks it exactly, each triple of it on the triple itself: at every
+n = 1..300, as the tests check.  A failed check raises; nothing is reported
+unproved.  The row cap counts the binding rows, the rows the coverage pass
+walks, and is checked first.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ def _binding_triple_count(n: int) -> int:
     return ((2 * n + 3) ** 2 + 6) // 12
 
 
-def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] | None:
-    """The binding triples on which ``t = q / d`` is tight, if t covers
-    every row ``t_i + t_j + t_k >= 1``, ``i <= j <= k``, ``i + j + k <= 2n``;
-    otherwise None.
+def _covers(q: list[int], d: int, n: int) -> bool:
+    """Whether ``t = q / d`` covers every row ``t_i + t_j + t_k >= 1``,
+    ``i <= j <= k``, ``i + j + k <= 2n``.
 
     Exact for any t, monotone or not.  The prefix minima ``m`` of t are
     nonincreasing and at most t, so a row's sum is at least
@@ -88,21 +87,15 @@ def _tight_triples(q: list[int], d: int, n: int) -> list[tuple[int, int, int]] |
     m-sum is the sum of some row, as ``m_a = t_a'`` with ``a' <= a``.  So t
     covers every row iff m covers every binding triple.  The triples are
     enumerated here, not read from any LP, and compared on the integer
-    numerators ``q`` over the one denominator ``d > 0``.  A binding triple
-    is tight when its t-sum is exactly 1, which needs its m-sum to be 1.
+    numerators ``q`` over the one denominator ``d > 0``.
     """
     m = list(accumulate(q, min))
     top = 2 * n
-    tight = []
     for i in range(top // 3 + 1):
         for j in range(i, (top - i) // 2 + 1):
-            k = top - i - j
-            s = m[i] + m[j] + m[k]
-            if s < d:
-                return None
-            if s == d and q[i] + q[j] + q[k] == d:
-                tight.append((i, j, k))
-    return tight
+            if m[i] + m[j] + m[top - i - j] < d:
+                return False
+    return True
 
 
 def _cost(q: list[int], d: int, n: int) -> Fraction:
@@ -128,16 +121,16 @@ def reduced_lp(n: int) -> CapsetLPResult:
 
     The full LP is never built, and no LP is solved.  t is
     :func:`conjectured_t`, and its proof of optimality is exact: t >= 0
-    covers every row of the full LP, by the one pass of
-    :func:`_tight_triples` that :func:`_guess_coverage` shares with
-    :func:`verify_conjecture`, which also lists the binding triples T tight
-    at t.  A y >= 0 on T with ``sum_T mult_j(T) y_T <= 3 f_j`` for each
-    column j, zero on every other row, is a dual solution of the full LP,
-    so by weak duality ``sum(y) <= OPT <= c.t``; :func:`_closed_form_dual`
-    writes such a y down by a rule and checks ``c.t == sum(y)``, an identity
-    of integers over the common denominator.  It does so at every
-    n = 1..300.  The guess is never trusted: an uncovered row or a failed
-    check raises ``RuntimeError``.  The duals are not reported.
+    covers every row of the full LP, by one pass of :func:`_covers`.  A
+    y >= 0 on binding triples T tight at t with
+    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j, zero on every other
+    row, is a dual solution of the full LP, so by weak duality
+    ``sum(y) <= OPT <= c.t``; :func:`_closed_form_dual` writes such a y down
+    by a rule, checks each of its triples on the triple itself, and checks
+    ``c.t == sum(y)``, an identity of integers over the common denominator.
+    It does so at every n = 1..300.  The guess is never trusted: a negative
+    entry, an uncovered row or a failed check raises ``RuntimeError``.  The
+    duals are not reported.
 
     ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, the rows the
     coverage pass walks, and is checked first.  An n below 1 raises
@@ -145,21 +138,12 @@ def reduced_lp(n: int) -> CapsetLPResult:
     """
     _coefficients(n)  # an n below 1 raises here
     _check_rows(_binding_triple_count(n))
-    t, q, d, tight = _guess_coverage(n)
-    if tight is None or _closed_form_dual(n, q, d, tight) is None:
+    t = conjectured_t(n)
+    q, d = _over_one_denominator(t)
+    if min(q) < 0 or not _covers(q, d, n) or _closed_form_dual(n, q, d) is None:
         raise RuntimeError("collapsed LP certificate failed")
     value = _cost(q, d, n)
     return CapsetLPResult(n, t, value, math.floor(value))
-
-
-@lru_cache(maxsize=1)  # reduced_lp and verify_conjecture check the same guess
-def _guess_coverage(n: int) -> tuple[tuple[Fraction, ...], list[int], int, list | None]:
-    """``(t, q, d, tight)`` for ``t = conjectured_t(n) = q / d``: ``tight``
-    is :func:`_tight_triples` of t, or None if an entry of t is negative or
-    t leaves a row uncovered."""
-    t = conjectured_t(n)
-    q, d = _over_one_denominator(t)
-    return t, q, d, _tight_triples(q, d, n) if min(q) >= 0 else None
 
 
 def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
@@ -178,15 +162,14 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     its t: the triples with a negative index are dropped.  At p = 2n + 1,
     which has no column p, the 2n + 1 columns outnumber the tail.
 
-    The ``3 f_i`` fill column p, then spill onto column p+1.  Where column
-    p has room for the whole run, its cap ``3 f_p`` less the tail's load on
-    it, with ``(m, p, p)`` counted twice, the run triples ``(i, p, 2n-p-i)``
-    take it all.  Otherwise, walking i from m down to 0, each run triple
-    takes as much as column p still has room for, and the rest goes on
-    ``(i, p+1, 2n-p-1-i)``.  Of n = 1..300, only n = 0 (mod 3) from 57 on
-    spills: there the i below some s spill whole and i = s is shared.  The
-    triples are listed by ascending i, the run triple first where i is
-    shared.
+    The ``3 f_i`` fill column p, then spill onto column p+1.  Walking i
+    from m down to 0, each run triple ``(i, p, 2n-p-i)`` takes as much as
+    column p still has room for, of its cap ``3 f_p`` less the tail's load
+    on it, and the rest goes on ``(i, p+1, 2n-p-1-i)``.  Where column p has
+    room for the whole run, nothing spills.  Of n = 1..300, only
+    n = 0 (mod 3) from 57 on spills: there the i below some s spill whole
+    and i = s is shared.  The triples are listed by ascending i, the run
+    triple first where i is shared.
     """
     f = _coefficients(n)
     m = 2 * n - 2 * p
@@ -213,38 +196,34 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     ]
     den = sign * det
     room = 3 * f[p] * den - sum(triple.count(p) * v for triple, v in zip(tail, nums))
-    triples = [(i, p, 2 * n - p - i) for i in range(m + 1)]
-    y = [3 * f[i] * den for i in range(m + 1)]
-    # Column p's load from the run: (m, p, p) meets it twice, as does
-    # (p, p, m) where p <= m; at p = m they are one triple, met three times.
-    if m >= 0 and sum(y) + y[m] + (y[p] if p <= m else 0) > room:
-        run = []
-        for i in range(m, -1, -1):
-            triple, full = triples[i], y[i]
-            kept = min(full, room // triple.count(p))
-            room -= triple.count(p) * kept
-            if kept < full:
-                run.append(((i, p + 1, 2 * n - p - 1 - i), full - kept))
-            if kept:
-                run.append((triple, kept))
-        run.reverse()
-        triples, y = [triple for triple, _ in run], [v for _, v in run]
-    return triples + tail, y + nums, den
+    run = []
+    for i in range(m, -1, -1):
+        triple, full = (i, p, 2 * n - p - i), 3 * f[i] * den
+        # (m, p, p) and (p, p, m) meet column p twice, (p, p, p) three times
+        kept = min(full, room // triple.count(p))
+        room -= triple.count(p) * kept
+        if kept < full:
+            run.append(((i, p + 1, 2 * n - p - 1 - i), full - kept))
+        if kept:
+            run.append((triple, kept))
+    run.reverse()
+    return [triple for triple, _ in run] + tail, [v for _, v in run] + nums, den
 
 
 def _closed_form_dual(
-    n: int, q: list[int], d: int, tight: list[tuple[int, int, int]]
+    n: int, q: list[int], d: int
 ) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
     """A dual solution of the full LP that proves ``t = q / d`` optimal, as
     ``(triples, numerators, den)`` from :func:`_rule_dual`, if it passes an
     exact check; otherwise None.
 
-    ``tight`` is :func:`_tight_triples` of t, so t covers every row.  The
-    check: every triple of y is in ``tight``, every ``y >= 0``, the load
-    ``sum_T mult_j(T) y_T`` is at most ``3 f_j`` on each of the 2n+1
-    columns, and ``sum(y) == c.t``, each on integers over the common
-    denominator.  By weak duality t is then optimal.  The rule passes at
-    every n = 1..300.
+    t >= 0 covers every row, by :func:`_covers`.  The check: every triple
+    ``(i, j, k)`` of y is a binding row tight at t, ``0 <= i <= j <= k``,
+    ``i + j + k == 2n`` and ``q_i + q_j + q_k == d``, tested on the triple
+    itself; every ``y >= 0``; the load ``sum_T mult_j(T) y_T`` is at most
+    ``3 f_j`` on each of the 2n+1 columns; and ``sum(y) == c.t``, each on
+    integers over the common denominator.  By weak duality t is then
+    optimal.  The rule passes at every n = 1..300.
     """
     f = _coefficients(n)
     p = sum(1 for v in q if v > 0)
@@ -252,13 +231,12 @@ def _closed_form_dual(
     if rule is None:
         return None
     triples, y, den = rule
-    on = set(tight)
-    if not all(triple in on for triple in triples) or min(y) < 0:
-        return None
     load = [0] * (2 * n + 1)
-    for triple, v in zip(triples, y):
-        for j in triple:
-            load[j] += v
+    for (i, j, k), v in zip(triples, y):
+        if v < 0 or not (0 <= i <= j <= k and i + j + k == 2 * n and q[i] + q[j] + q[k] == d):
+            return None
+        for c in (i, j, k):
+            load[c] += v
     if any(s > 3 * fj * den for s, fj in zip(load, f)):
         return None
     if sum(y) * d != 3 * sum(map(mul, f, q)) * den:
@@ -319,12 +297,15 @@ def conjectured_t(n: int) -> tuple[Fraction, ...]:
 def t_vector_feasible(t, n: int) -> bool:
     """Exact feasibility of a t vector for the collapsed LP constraints."""
     q, d = _over_one_denominator(t)
-    return len(q) == 2 * n + 1 and min(q) >= 0 and _tight_triples(q, d, n) is not None
+    return len(q) == 2 * n + 1 and min(q) >= 0 and _covers(q, d, n)
 
 
 def t_vector_value(t, n: int) -> Fraction:
-    """The objective ``3 * sum_i f_i t_i``, summed on integer numerators."""
+    """The objective ``3 * sum_i f_i t_i``, summed on integer numerators.
+    A t without exactly 2n+1 entries raises ``ValueError``."""
     q, d = _over_one_denominator(t)
+    if len(q) != 2 * n + 1:
+        raise ValueError(f"t needs 2n+1 = {2 * n + 1} entries, got {len(q)}")
     return _cost(q, d, n)
 
 
@@ -349,16 +330,13 @@ class ConjectureReport:
 def verify_conjecture(n: int) -> ConjectureReport:
     """Check the conjectured t vector against the certified LP optimum.
 
-    Reports feasibility and whether the conjectured objective attains the
-    optimum :func:`reduced_lp` proves; the match is reported, never assumed.
-    Since that proof certifies the conjectured t itself, a report exists
-    only where the two agree: where the proof fails, ``reduced_lp`` raises.
+    The report is the proof of :func:`reduced_lp`, whose certificate covers
+    every row with the conjectured t itself and proves its cost optimal:
+    t is feasible and attains the optimum.  A report exists only where the
+    proof holds: where it fails, ``reduced_lp`` raises.
     """
-    _, q, d, tight = _guess_coverage(n)
-    feasible = tight is not None
-    cval = _cost(q, d, n)
-    lp_value = reduced_lp(n).value
-    return ConjectureReport(n, feasible, cval, lp_value, feasible and cval == lp_value)
+    value = reduced_lp(n).value
+    return ConjectureReport(n, True, value, value, True)
 
 
 def base_tensor() -> SparseTensor:

@@ -107,6 +107,11 @@ class TestReducedLp:
         for n in (1, 4, 9):
             res = reduced_lp(n)
             assert t_vector_feasible(res.t, n)
+        # a t without 2n+1 entries is infeasible, and has no value
+        for t in ([1, 1], [1] * 7):
+            assert not t_vector_feasible(t, 2)
+            with pytest.raises(ValueError, match=r"2n\+1 = 5 entries, got"):
+                t_vector_value(t, 2)
 
 
 def _all_rows(n):
@@ -169,10 +174,8 @@ def _binding_row_optimum(n):
 def fresh_cache():
     """Certify every collapsed LP anew, and leave no result of a patched run behind."""
     capset.reduced_lp.cache_clear()
-    capset._guess_coverage.cache_clear()
     yield
     capset.reduced_lp.cache_clear()
-    capset._guess_coverage.cache_clear()
 
 
 def _no_simplex(monkeypatch):
@@ -190,8 +193,8 @@ def _route_spy(monkeypatch):
     taken = []
     closed_form = capset._closed_form_dual
 
-    def closed(n, q, d, tight):
-        y = closed_form(n, q, d, tight)
+    def closed(n, q, d):
+        y = closed_form(n, q, d)
         taken.append("declined" if y is None else "closed form")
         return y
 
@@ -279,8 +282,8 @@ class TestRowGeneration:
             rows = _all_rows(n)
             for t in _sampled_t(n, rows, rng):
                 low = min(t[i] + t[j] + t[k] for i, j, k in rows)
-                tight = capset._tight_triples(*lp_module._over_one_denominator(t), n)
-                assert (tight is not None) is (low >= 1), (n, t)
+                covered = capset._covers(*lp_module._over_one_denominator(t), n)
+                assert covered is (low >= 1), (n, t)
                 assert t_vector_feasible(t, n) is (low >= 1 and min(t) >= 0), (n, t)
                 monotone = all(a >= b for a, b in zip(t, t[1:]))
                 seen[low >= 1, low == 1, monotone] += 1
@@ -426,10 +429,9 @@ class TestRowGeneration:
         res = reduced_lp(2)
         assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
         capset.reduced_lp.cache_clear()
-        capset._guess_coverage.cache_clear()
         passes = []
-        real = capset._tight_triples
-        monkeypatch.setattr(capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n))
+        real = capset._covers
+        monkeypatch.setattr(capset, "_covers", lambda q, d, n: passes.append(n) or real(q, d, n))
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "3")
         with pytest.raises(lp_module.LPSizeError, match="LP has 4 rows"):
             reduced_lp(2)
@@ -478,17 +480,30 @@ def _cancelling_pair(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", paired)
 
 
-def _drop_run_triple(monkeypatch):
-    """Drop the first run triple ``(0, p, 2n-p)`` from the tight triples
-    that the coverage pass lists."""
-    real = capset._guess_coverage
+def _move_run_triple(monkeypatch, to):
+    """Move the rule's y on the first run triple ``(0, p, 2n-p)`` onto the
+    triple ``to(n, p)``."""
+    real = capset._rule_dual
 
-    def dropped(n):
-        t, q, d, tight = real(n)
-        p = sum(1 for v in q if v > 0)
-        return t, q, d, [tr for tr in tight if tr != (0, p, 2 * n - p)]
+    def moved(n, p):
+        triples, y, den = real(n, p)
+        assert triples[0] == (0, p, 2 * n - p)
+        return [to(n, p), *triples[1:]], y, den
 
-    monkeypatch.setattr(capset, "_guess_coverage", dropped)
+    monkeypatch.setattr(capset, "_rule_dual", moved)
+
+
+def _untight_run_triple(monkeypatch):
+    """Move the first run triple to the binding ``(0, p-1, 2n-p+1)``, on
+    which t sums to ``1 + t_{p-1} > 1``."""
+    _move_run_triple(monkeypatch, lambda n, p: (0, p - 1, 2 * n - p + 1))
+
+
+def _unbinding_run_triple(monkeypatch):
+    """Move the first run triple to ``(0, p, 2n-p-1)``, a row of the full LP
+    that sums to 2n - 1, not 2n: its loads and sum(y) still pass their
+    checks at n = 6, 7 and 20, and only the binding test declines it."""
+    _move_run_triple(monkeypatch, lambda n, p: (0, p, 2 * n - p - 1))
 
 
 def _overload_column_0(monkeypatch):
@@ -525,12 +540,18 @@ def _unspill_one_unit(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", moved)
 
 
+def _guess(n):
+    """``(t, q, d)`` for ``t = conjectured_t(n) = q / d``."""
+    t = conjectured_t(n)
+    return (t, *lp_module._over_one_denominator(t))
+
+
 def _assert_declined_and_refused(monkeypatch, capsys, tamper, n):
     """A tampered y fails its exact check, and nothing is reported in its
     place: ``reduced_lp`` raises and the CLI exits 3, with no LP solved."""
     tamper(monkeypatch)
-    _, q, d, tight = capset._guess_coverage(n)
-    assert capset._closed_form_dual(n, q, d, tight) is None
+    _, q, d = _guess(n)
+    assert capset._closed_form_dual(n, q, d) is None
     taken = _route_spy(monkeypatch)
     _no_simplex(monkeypatch)
     _assert_refused(capsys, n)
@@ -549,15 +570,17 @@ class TestClosedFormDual:
             routes[n] = list(taken)
         assert routes == {n: ["closed form"] for n in range(1, capset.TABLE_MAX_N + 1)}
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 29, 30, 31, 57, 60, 99])
+    @pytest.mark.parametrize("n", range(3, 301))
     def test_certificate_is_exact(self, n):
-        # the checked y, rebuilt here on Fractions: tight triples, y >= 0,
-        # every column load at most 3 f_j, and sum(y) == c.t == the optimum
-        t, q, d, tight = capset._guess_coverage(n)
-        triples, nums, den = capset._closed_form_dual(n, q, d, tight)
+        # the checked y, rebuilt here on Fractions: binding triples tight at
+        # t, y >= 0, every column load at most 3 f_j, and
+        # sum(y) == c.t == the optimum
+        t, q, d = _guess(n)
+        triples, nums, den = capset._closed_form_dual(n, q, d)
         f = trinomial(n)
         y = [F(v, den) for v in nums]
-        assert set(triples) <= set(tight) and min(y) >= 0
+        assert set(triples) <= set(_binding_triples(n)) and min(y) >= 0
+        assert all(t[i] + t[j] + t[k] == 1 for i, j, k in triples)
         load = Counter()
         for triple, v in zip(triples, y):
             for j in triple:
@@ -575,11 +598,14 @@ class TestClosedFormDual:
         spill = {i: v for (i, j, k), v in zip(head, y) if (j, k) == (p + 1, 2 * n - p - 1 - i)}
         assert len(run) + len(spill) == len(head)
         assert [run.get(i, 0) + spill.get(i, 0) for i in range(m + 1)] == [3 * f[i] for i in range(m + 1)]
-        # s is the i shared by the run and the spill; the i below it spill whole
-        s = {57: 26, 60: 31, 99: 60}.get(n)
-        if s is None:
-            assert sorted(run) == list(range(m + 1)) and spill == {}
+        # of n = 3..300, only n = 0 (mod 3) from 57 on spills; there s, the
+        # largest spilled i, is shared by the run and the spill, and the i
+        # below it spill whole
+        assert bool(spill) is (n % 3 == 0 and n >= 57)
+        if not spill:
+            assert sorted(run) == list(range(m + 1))
         else:
+            s = max(spill)
             assert sorted(spill) == list(range(s + 1)) and sorted(run) == list(range(s, m + 1))
             # column p is filled to its cap exactly, and column p + 1 is not
             assert load[p] == 3 * f[p] and load[p + 1] < 3 * f[p + 1]
@@ -594,8 +620,8 @@ class TestClosedFormDual:
         ],
     )
     def test_truncated_tail_certifies_n_1_and_2(self, fresh_cache, n, triples, y):
-        _, q, d, tight = capset._guess_coverage(n)
-        got, nums, den = capset._closed_form_dual(n, q, d, tight)
+        _, q, d = _guess(n)
+        got, nums, den = capset._closed_form_dual(n, q, d)
         assert got == triples and [F(v, den) for v in nums] == y
         assert sum(y) == reduced_lp(n).value == SMALL_TABLE[n][2]
 
@@ -612,8 +638,8 @@ class TestClosedFormDual:
     def test_lp_checker_accepts_the_closed_form(self, n):
         # the second exact checker: lp.verify_certificate accepts t, y / den
         # and c.t on the covering LP of the rule's triples, built here
-        t, q, d, tight = capset._guess_coverage(n)
-        triples, nums, den = capset._closed_form_dual(n, q, d, tight)
+        t, q, d = _guess(n)
+        triples, nums, den = capset._closed_form_dual(n, q, d)
         sol = LPSolution("optimal", capset._cost(q, d, n), t, tuple(F(v, den) for v in nums))
         assert verify_certificate(_covering_lp(n, triples), sol)
 
@@ -623,7 +649,8 @@ class TestClosedFormDual:
         [
             _raise_tail_numerator,
             _lower_tail_numerator,
-            _drop_run_triple,
+            _untight_run_triple,
+            _unbinding_run_triple,
             _overload_column_0,
             _cancelling_pair,
         ],
@@ -643,10 +670,9 @@ class TestClosedFormDual:
         for n in range(2, 9):
             for t in _sampled_t(n, _all_rows(n), rng):
                 q, d = lp_module._over_one_denominator(t)
-                tight = capset._tight_triples(q, d, n) if min(q) >= 0 else None
-                if tight is None:
+                if min(q) < 0 or not capset._covers(q, d, n):
                     continue
-                certified = capset._closed_form_dual(n, q, d, tight) is not None
+                certified = capset._closed_form_dual(n, q, d) is not None
                 assert not certified or t_vector_value(t, n) == reduced_lp(n).value
                 seen[certified] += 1
         assert seen[False] > 50
@@ -666,10 +692,8 @@ class TestClosedFormDual:
         # --table 20 checks each guess once for reduced_lp and
         # verify_conjecture together; n = 1 prints no conjecture match
         passes = []
-        real = capset._tight_triples
-        monkeypatch.setattr(
-            capset, "_tight_triples", lambda q, d, n: passes.append(n) or real(q, d, n)
-        )
+        real = capset._covers
+        monkeypatch.setattr(capset, "_covers", lambda q, d, n: passes.append(n) or real(q, d, n))
         assert main(["capset", "--table", "20"]) == 0
         assert passes == list(range(1, 21))
         capsys.readouterr()
