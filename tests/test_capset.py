@@ -170,14 +170,6 @@ def _binding_row_optimum(n):
     return sol.x, sol.value
 
 
-@pytest.fixture
-def fresh_cache():
-    """Certify every collapsed LP anew, and leave no result of a patched run behind."""
-    capset.reduced_lp.cache_clear()
-    yield
-    capset.reduced_lp.cache_clear()
-
-
 def _no_simplex(monkeypatch):
     """Make the exact simplex raise, so that any pivot fails the test."""
 
@@ -306,7 +298,7 @@ class TestRowGeneration:
             assert min(t[i] + t[j] + t[k] for i, j, k in _all_rows(n)) >= 1, n
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
-    def test_half_of_the_binding_rows(self, fresh_cache, monkeypatch, capsys, n):
+    def test_half_of_the_binding_rows(self, monkeypatch, capsys, n):
         # t solved on every other binding row leaves a row of the full LP
         # uncovered; handed to reduced_lp as its guess, it is refused
         sol = lp_module.solve(_covering_lp(n, _binding_triples(n)[::2]))
@@ -319,7 +311,7 @@ class TestRowGeneration:
         assert taken == []  # an uncovered t never reaches the closed form
 
     @pytest.mark.parametrize("tamper,declined", [(_lower_guess, False), (_raise_guess, True)])
-    def test_wrong_guess_is_refused(self, fresh_cache, monkeypatch, capsys, tamper, declined):
+    def test_wrong_guess_is_refused(self, monkeypatch, capsys, tamper, declined):
         # an uncovered guess never reaches the closed form; a covering one
         # that costs too much is declined by it; either way nothing is
         # reported, and no LP is solved in its place
@@ -332,14 +324,14 @@ class TestRowGeneration:
     # n = 2 is certified by the closed form's truncated tail, like every
     # other n; a tampered t or y there is refused, not solved around
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
-    def test_tampered_solution_raises(self, fresh_cache, monkeypatch, tamper):
+    def test_tampered_solution_raises(self, monkeypatch, tamper):
         tamper(monkeypatch)
         _no_simplex(monkeypatch)
         with pytest.raises(RuntimeError, match=FAILED):
             reduced_lp(2)
 
     @pytest.mark.parametrize("tamper", [_lower_one_t, _raise_one_y])
-    def test_tampered_solution_exits_3(self, fresh_cache, monkeypatch, capsys, tamper):
+    def test_tampered_solution_exits_3(self, monkeypatch, capsys, tamper):
         tamper(monkeypatch)
         _no_simplex(monkeypatch)
         assert main(["capset", "--n", "2"]) == 3
@@ -383,7 +375,7 @@ class TestRowGeneration:
         for n in range(1, 13):
             assert reduced_lp(n).value == F(pinned[f"capset-{n}"])
 
-    def test_shorter_side_keeps_t_and_value(self, fresh_cache, monkeypatch):
+    def test_shorter_side_keeps_t_and_value(self, monkeypatch):
         # the covering LP on the binding rows, built here row by row and
         # solved on its own, has the t and value that reduced_lp returns;
         # reduced_lp itself pivots no LP, primal or dual
@@ -397,38 +389,36 @@ class TestRowGeneration:
             assert (res.t, res.value) == expected[n], n
         assert calls == []
 
-    def test_every_table_n_is_certified_without_the_fallback(self, fresh_cache, monkeypatch):
+    def test_every_table_n_is_certified_without_the_fallback(self, monkeypatch):
         # with the simplex made to raise, every n the CLI prints is still
         # certified, n = 1 and 2 included
         _no_simplex(monkeypatch)
         for n in range(1, capset.TABLE_MAX_N + 1):
             assert reduced_lp(n).t == conjectured_t(n)
 
-    def test_route_matches_the_binding_row_solve(self, fresh_cache):
+    def test_route_matches_the_binding_row_solve(self):
         # the oracle: the covering LP on the binding rows, built here and
         # solved by the simplex, for every n the CLI prints
         for n in range(1, capset.TABLE_MAX_N + 1):
             res = reduced_lp(n)
             assert (res.t, res.value) == _binding_row_optimum(n), n
 
-    def test_row_cap_at_n_2_prints_the_uncapped_row(self, fresh_cache, monkeypatch, capsys):
+    def test_row_cap_at_n_2_prints_the_uncapped_row(self, monkeypatch, capsys):
         # a cap of 4 admits the 4 binding rows of n = 2
         assert main(["capset", "--n", "2"]) == 0
         uncapped = capsys.readouterr()
-        capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         assert main(["capset", "--n", "2"]) == 0
         assert capsys.readouterr() == uncapped
         assert uncapped.out.startswith("n: 2\nvalue: 6\n")
 
-    def test_row_cap_at_n_2(self, fresh_cache, monkeypatch):
+    def test_row_cap_at_n_2(self, monkeypatch):
         # 4 binding rows: a cap of 4 certifies n = 2, with no LP solved, and
         # a cap of 3 refuses it before the coverage pass walks them
         _no_simplex(monkeypatch)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         res = reduced_lp(2)
         assert list(res.t) == SMALL_TABLE[2][1] and res.value == SMALL_TABLE[2][2]
-        capset.reduced_lp.cache_clear()
         passes = []
         real = capset._covers
         monkeypatch.setattr(capset, "_covers", lambda q, d, n: passes.append(n) or real(q, d, n))
@@ -437,12 +427,18 @@ class TestRowGeneration:
             reduced_lp(2)
         assert passes == []
 
-    def test_row_cap_counts_the_solved_rows(self, fresh_cache, monkeypatch, capsys):
+    def test_row_cap_counts_the_solved_rows(self, monkeypatch, capsys):
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(_binding_triples(20))))
         assert reduced_lp(20).bound == BOUNDS_1_TO_20[19]
-        capset.reduced_lp.cache_clear()
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(_binding_triples(20)) - 1))
         assert main(["capset", "--n", "20"]) == 4
+        # a repeat call checks the cap again: a bound proved uncapped is not
+        # returned under a cap below its 154 binding rows
+        monkeypatch.delenv("STABLERANK_MAX_LP_ROWS")
+        assert reduced_lp(20).bound == BOUNDS_1_TO_20[19]
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "153")
+        with pytest.raises(lp_module.LPSizeError, match="LP has 154 rows"):
+            reduced_lp(20)
 
 
 def _shift_tail_numerator(monkeypatch, by):
@@ -559,7 +555,7 @@ def _assert_declined_and_refused(monkeypatch, capsys, tamper, n):
 
 
 class TestClosedFormDual:
-    def test_route_of_every_table_n(self, fresh_cache, monkeypatch):
+    def test_route_of_every_table_n(self, monkeypatch):
         # one route: the closed form, n = 1 and 2 included, and no simplex
         taken = _route_spy(monkeypatch)
         _no_simplex(monkeypatch)
@@ -619,7 +615,7 @@ class TestClosedFormDual:
             (2, [(0, 1, 3), (0, 2, 2), (1, 1, 2)], [F(0), F(3), F(3)]),
         ],
     )
-    def test_truncated_tail_certifies_n_1_and_2(self, fresh_cache, n, triples, y):
+    def test_truncated_tail_certifies_n_1_and_2(self, n, triples, y):
         _, q, d = _guess(n)
         got, nums, den = capset._closed_form_dual(n, q, d)
         assert got == triples and [F(v, den) for v in nums] == y
@@ -655,11 +651,11 @@ class TestClosedFormDual:
             _cancelling_pair,
         ],
     )
-    def test_tampered_dual_declines(self, fresh_cache, monkeypatch, capsys, tamper, n):
+    def test_tampered_dual_declines(self, monkeypatch, capsys, tamper, n):
         _assert_declined_and_refused(monkeypatch, capsys, tamper, n)
 
     @pytest.mark.parametrize("n", [57, 60])
-    def test_unspilled_unit_declines(self, fresh_cache, monkeypatch, capsys, n):
+    def test_unspilled_unit_declines(self, monkeypatch, capsys, n):
         _assert_declined_and_refused(monkeypatch, capsys, _unspill_one_unit, n)
 
     def test_any_covering_t_is_declined_or_optimal(self):
@@ -677,7 +673,7 @@ class TestClosedFormDual:
                 seen[certified] += 1
         assert seen[False] > 50
 
-    def test_reach_past_the_table(self, fresh_cache, monkeypatch):
+    def test_reach_past_the_table(self, monkeypatch):
         # the closed form certifies n = 100, 200 and 299 with no LP solved,
         # and the spilling n = 57, 60, 63, 150, 201 and 300 too
         _no_simplex(monkeypatch)
@@ -688,14 +684,20 @@ class TestClosedFormDual:
         for n in (57, 60, 63, 150, 201, 300):
             assert reduced_lp(n).t == conjectured_t(n), n
 
-    def test_one_coverage_pass_per_n(self, fresh_cache, monkeypatch, capsys):
-        # --table 20 checks each guess once for reduced_lp and
-        # verify_conjecture together; n = 1 prints no conjecture match
-        passes = []
-        real = capset._covers
-        monkeypatch.setattr(capset, "_covers", lambda q, d, n: passes.append(n) or real(q, d, n))
+    def test_one_coverage_pass_per_n(self, monkeypatch, capsys):
+        # --table 20 proves each row once: one reduced_lp call and one
+        # coverage pass per n, and no verify_conjecture, which would prove
+        # the row a second time; n = 1 prints no conjecture match
+        def spy(name):
+            calls = []
+            real = getattr(capset, name)
+            monkeypatch.setattr(capset, name, lambda *args: calls.append(args[-1]) or real(*args))
+            return calls
+
+        passes, proofs, reports = spy("_covers"), spy("reduced_lp"), spy("verify_conjecture")
         assert main(["capset", "--table", "20"]) == 0
-        assert passes == list(range(1, 21))
+        assert passes == proofs == list(range(1, 21))
+        assert reports == []
         capsys.readouterr()
 
 

@@ -287,7 +287,6 @@ class TestCapsetCommand:
             raise AssertionError("simplex reached")
 
         monkeypatch.setattr(stablerank.lp, "_run_simplex", refuse)
-        capset.reduced_lp.cache_clear()
         for fmt, suffix in (("csv", "csv"), ("json", "json"), ("text", "txt")):
             code, out = run(capsys, "capset", "--table", "60", "--format", fmt)
             assert code == 0

@@ -264,6 +264,17 @@ class TestSandwich:
             sandwich(SparseTensor((2, 2), {(0, 0): F(1, 10**400)}))
         res = sandwich(SparseTensor((2, 2), {}, mod_domain(3)))
         assert res.lower == 0.0 and res.upper == 0
+        # a weight with no positive finite double, 0.0 or none, is refused
+        # by its mode, by the ascent too; the zero tensor's bounds take none
+        swap = SparseTensor((2, 2), {(0, 1): 1, (1, 0): 1})
+        for alpha, mode in (((F(1, 10**400), 1), 0), ((1, F(10**400)), 1)):
+            message = f"weight of mode {mode} is outside double precision"
+            with pytest.raises(ValueError, match=message):
+                sandwich(swap, alpha)
+            with pytest.raises(ValueError, match=message):
+                ascend(to_dense_complex(swap), alpha)
+            res = sandwich(SparseTensor((2, 2), {}), alpha)
+            assert res.lower == 0.0 and res.upper == 0
 
     def test_mode_apply_matches_einsum(self):
         rng = np.random.default_rng(37)
