@@ -380,8 +380,7 @@ def main(argv=None) -> int:
     except (LPSizeError, SliceLimitError, SubspaceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RuntimeError as exc:

@@ -265,8 +265,15 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     the best value seen.  Each step updates only the whitened mode, of the
     group and of the iterate, and reads that mode's flattening and damped
     identity from the tensor's flattening plan, built once per call.  The
-    reported bound is monotone in the iteration count and always a valid
-    lower bound, whether or not the iteration converges.  Stops after
+    reported bound is monotone in the iteration count, but it is read from
+    the renormalised iterate, which each step updates in place of applying
+    the group to ``a`` again; once g is ill-conditioned the iterate can
+    drift from g·a, and the bound is then no lower bound.  On the (3,3,3)
+    tensor {(0,0,2): 1, (0,1,1): 3/2, (0,2,0): -1, (0,2,1): 3,
+    (2,0,2): -5/4} it reports 2.99999999925, above the upper bound 2 that
+    the basis search certifies, while the objective at the returned group
+    reads about 1.04.
+    Only a value read at g·a itself is a lower bound.  Stops after
     ``max_iters`` steps or when the step-to-step improvement falls below
     ``tol`` relatively.  A negative ``max_iters``, a ``tol`` that is
     negative, nan or infinite, or a weight with no positive finite double

@@ -400,7 +400,9 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     Every sampled value is a valid upper bound; the reported number carries
     no tightness claim.  The whole budget is always spent: there is no
     lower bound to stop at here (:func:`ncrk_via_grank` has one and stops
-    early on the same stream).
+    early on the same stream).  The identity is always evaluated, so a
+    ``budget`` of 0 returns what a ``budget`` of 1 does: the support rank
+    of ``v`` itself.
     Deterministic for a fixed seed.  A support LP that fails its
     certificate check raises ``RuntimeError``; a negative ``budget`` raises
     ``ValueError``.
@@ -433,12 +435,12 @@ class MatrixTuple:
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __init__(self, matrices, modulus: int):
-        p = modulus_of(mod_domain(modulus))
+        mod_domain(modulus)  # raises unless the modulus is a prime int
         mats = []
         for m in matrices:
             mats.append(tuple(
                 tuple(
-                    _matrix_entry(v) % p
+                    _matrix_entry(v) % modulus
                     for v in _listed(row, "each matrix row must be a list of entries")
                 )
                 for row in _listed(m, "each matrix must be a list of rows")
@@ -452,7 +454,7 @@ class MatrixTuple:
         for m in mats:
             if len(m) != rows or any(len(r) != cols for r in m):
                 raise ValueError("all matrices must have identical dimensions")
-        object.__setattr__(self, "modulus", p)
+        object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "matrices", tuple(mats))
 
     @property

@@ -327,14 +327,12 @@ def outer(v: SparseTensor, w: SparseTensor) -> SparseTensor:
 
 def _integer_matrix(mat, width: int, p: int | None, axis: int):
     """The checks on the matrix for mode ``axis``, and that matrix over one
-    denominator: its integer numerators and the denominator.  A matrix of
-    ints is its own numerator matrix.  Over F_p the denominator must be 1."""
+    denominator: its integer numerators and the denominator.  Over F_p the
+    denominator must be 1."""
     if len(mat) < 1:
         raise ValueError(f"matrix for mode {axis} has no rows")
     if any(len(row) != width for row in mat):
         raise ValueError(f"matrix for mode {axis} has wrong column count")
-    if all(isinstance(x, int) for row in mat for x in row):
-        return mat, 1
     rows = [[Fraction(x) for x in row] for row in mat]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     if p is not None and den != 1:
@@ -373,10 +371,10 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
     lie in the tensor's domain: rationals (a float is taken at its exact
     value), or integers on a mod-p tensor.  The inputs are checked and put
     on integers, the entries over one denominator and each matrix over its
-    own (a matrix whose entries are all ints is used as it is); one integer
-    kernel then applies the matrices, reducing each mode's sums mod p over
-    F_p, and the rational result is divided by the product of the
-    denominators.
+    own; one integer kernel then applies the matrices, reducing each mode's
+    sums mod p over F_p, and the rational result is divided by the product
+    of the denominators.  The result is built by the :class:`SparseTensor`
+    constructor, whose checks it passes like any other tensor.
     """
     if len(mats) != v.order:
         raise ValueError("need exactly one matrix per mode")
@@ -395,13 +393,7 @@ def mode_transform(v: SparseTensor, mats: Sequence[Sequence[Sequence]]) -> Spars
     entries = _transform_ints(entries, nums, p)
     if p is None:
         entries = {k: Fraction(x, den) for k, x in entries.items()}
-    # Every index and value was made here, in range and in the domain, so
-    # the checks of the constructor are skipped.
-    out = object.__new__(SparseTensor)
-    object.__setattr__(out, "shape", tuple(len(mat) for mat in mats))
-    object.__setattr__(out, "domain", v.domain)
-    object.__setattr__(out, "entries", entries)
-    return out
+    return SparseTensor(tuple(len(mat) for mat in mats), entries, v.domain)
 
 
 def as_weight(alpha, order: int) -> Weight:

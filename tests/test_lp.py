@@ -341,6 +341,29 @@ def test_dual_program_matches_the_constructor():
     assert len(lps) == 782
 
 
+@pytest.mark.parametrize("c,rows,rhs", [
+    _BY_ROUTE[True],
+    ([F(-3, 4), 20, F(-1, 2), 6], _BEALE_ROWS, [0, 0, -1]),  # den 4
+    ([], [], []),
+])
+def test_dual_program_goes_through_the_constructor(monkeypatch, c, rows, rhs):
+    """The dual program is built by ``LinearProgram.__init__``, with its
+    checks, like every other program: the object returned is one the
+    constructor initialised."""
+    lp = dense_lp(c, rows, rhs)
+    built = []
+    real = LinearProgram.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(LinearProgram, "__init__", spy)
+    dual = lp_module.dual_program(lp)
+    assert len(built) == 1 and built[0] is dual
+    assert dual.den == lp.den
+
+
 def test_stored_integers_are_the_callers_rationals():
     """``LinearProgram`` stores integers over one denominator; they must be
     the caller's rationals, over the least such denominator, and survive two
@@ -427,8 +450,9 @@ def _canonical_int_rows(rows, num_vars):
 
 
 def test_builders_emit_canonical_int_rows(monkeypatch):
-    """The package builds its LPs from canonical int rows, which the
-    constructor stores as given: ``ranks._cover_lp`` and ``dual_program``."""
+    """``ranks._cover_lp`` builds its LPs from canonical int rows, which the
+    constructor stores as given; the programs ``dual_program`` returns
+    store canonical int rows too."""
     built = []
     real = ranks.LinearProgram
     monkeypatch.setattr(

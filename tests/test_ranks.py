@@ -28,7 +28,7 @@ from stablerank import (
     trank,
     tslice,
 )
-from stablerank import INFEASIBLE, LPSolution, ranks, tensors
+from stablerank import INFEASIBLE, LPSolution, capset, ranks, tensors
 from stablerank import lp as lp_module
 from stablerank.ranks import _annihilator_mod_p, _echelon_mod_p, _packing_bound, _subspace_value
 from stablerank.tensors import as_weight, mode_transform, modulus_of
@@ -215,6 +215,14 @@ class TestTslice:
 
     def test_capset_support(self):
         assert tslice(CAPSET_SUPPORT).value == 3
+
+    @pytest.mark.parametrize("n,value", [(1, 3), (2, 7)])
+    def test_capset_powers_meet_the_prime_bound(self, n, value):
+        # the slice rank of the n-fold power's support is eg_prime_bound(n)
+        power = capset.base_tensor()
+        for _ in range(n - 1):
+            power = boxtimes(power, capset.base_tensor())
+        assert tslice(support_of(power)).value == capset.eg_prime_bound(n) == value
 
     def test_limit_enforced(self):
         big = Support((21, 21), [(0, 0)])

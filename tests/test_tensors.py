@@ -328,6 +328,28 @@ class TestModeTransform:
             assert {k: type(x) for k, x in got.entries.items()} == {
                 k: type(x) for k, x in expect.entries.items()}
 
+    @pytest.mark.parametrize("domain,entries,mats", [
+        ("rational", {(0, 1): F(1, 2), (1, 0): 3}, [[[1, 2], [0, 1]], [[F(1, 3), 1]]]),
+        ("rational", {(0, 1): 1, (1, 1): 2}, [[[1, 1], [1, -1]], [[0, 1], [1, 0]]]),
+        ("mod:5", {(0, 1): 4, (1, 0): 3}, [[[1, 2], [0, 1]], [[1, 1]]]),
+        ("mod:2", {(0, 0): 1, (1, 0): 1}, [[[1, 1]], [[1, 0]]]),  # the result is zero
+    ])
+    def test_result_goes_through_the_constructor(self, monkeypatch, domain, entries, mats):
+        # int matrices and mixed ones, over Q and F_p: the tensor returned
+        # is one that SparseTensor.__init__ initialised, with its checks
+        v = SparseTensor((2, 2), entries, domain)
+        built = []
+        real = SparseTensor.__init__
+
+        def spy(self, *args):
+            built.append(self)
+            real(self, *args)
+
+        monkeypatch.setattr(SparseTensor, "__init__", spy)
+        got = mode_transform(v, mats)
+        assert len(built) == 1 and built[0] is got
+        assert got == fraction_mode_transform(v, mats)
+
     @pytest.mark.parametrize("mats", [
         [[[1, 0], [0, 1]]] * 2,  # one matrix too few
         [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0, 0]]],  # three columns, not two
