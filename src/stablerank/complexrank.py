@@ -11,10 +11,14 @@ Each whitening step multiplies only the whitened mode; the other modes are
 left as they are.  An ascent builds one flattening plan per tensor shape
 (``_plan``): for each mode the axis order and matrix shape of its
 flattening, the transpositions that store a whitened product, and the
-damped identity of a step.  The loop reads them instead of rebuilding them,
-and does its scalar arithmetic on Python floats; the floating-point
-operations, their operands and their order are those of ``flatten`` and
-``spectral_norm``, so every bit of the result is the same.
+damped identity of a step; and for each mode size one gather index that
+stacks the flattenings of that size.  The loop reads them instead of
+rebuilding them.  Every evaluation of the ratios, and the residual, takes
+per mode size one gather, one batched Gram product and one ``eigvalsh``
+over the stack, and does its scalar arithmetic on Python floats in mode
+order.  On stacked input numpy runs the same LAPACK and BLAS routine once
+per matrix, so every bit equals that of ``flatten`` and ``spectral_norm``
+applied one mode at a time.
 
 Everything here is double precision and nothing is checked exactly; the
 bounds are tolerance-qualified, not certified.  This is the only module that
@@ -87,14 +91,9 @@ def spectral_norm(m) -> float:
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return 0.0
-    return float(scale * _top_singular_value(a / scale))
-
-
-def _top_singular_value(a: np.ndarray) -> float:
-    """Largest singular value of a matrix whose entries are at most 1 in
-    modulus, from the top eigenvalue of its smaller Gram matrix."""
+    a = a / scale
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    return float(scale * math.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def mode_apply(v, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -123,20 +122,33 @@ class _Mode(NamedTuple):
     damped: np.ndarray  # (1 - _STEP) * I, a whitening step's first term
 
 
-def _plan(shape: tuple[int, ...]) -> list[_Mode]:
-    """The flattening plan of a tensor shape, one ``_Mode`` per mode.
+class _Plan(NamedTuple):
+    """A tensor shape's flattening plan; see ``_plan``."""
+
+    modes: list[_Mode]  # one per mode, in mode order
+    groups: list[tuple[tuple[int, ...], np.ndarray]]  # (modes, gather index) per size
+
+
+def _plan(shape: tuple[int, ...]) -> _Plan:
+    """The flattening plan of a tensor shape: one ``_Mode`` per mode, and
+    the modes grouped by size with one gather index per group.
 
     ``w.transpose(p.axes).reshape(p.matrix)`` is ``flatten(w, i)`` without
     its checks.  A mode-i product holds the modes in the order
     (i, 0, .., i-1, i+1, ..); ``stored`` takes them in the order
     (d-1, 0, .., d-2), and ``view`` shows a copy so ordered in mode order.
+    Modes of one size have flattenings of one shape (rows, cols): a group's
+    index, of shape (modes, rows, cols), holds the position of each
+    flattening entry among the C-ordered entries, so ``np.take(w, index)``
+    stacks the group's flattenings.
     """
     d = len(shape)
     last_first = [d - 1] + list(range(d - 1))
-    plan = []
+    positions = np.arange(math.prod(shape)).reshape(shape)
+    modes, by_size = [], {}
     for i, n in enumerate(shape):
         axes = (i,) + tuple(k for k in range(d) if k != i)
-        plan.append(_Mode(
+        modes.append(_Mode(
             axes=axes,
             matrix=(n, math.prod(shape[k] for k in axes[1:])),
             product=tuple(shape[k] for k in axes),
@@ -144,27 +156,43 @@ def _plan(shape: tuple[int, ...]) -> list[_Mode]:
             view=tuple(range(1, d)) + (0,),
             damped=(1.0 - _STEP) * np.eye(n),
         ))
-    return plan
+        by_size.setdefault(n, []).append(i)
+    groups = [(tuple(group), np.stack([positions.transpose(modes[i].axes).reshape(modes[i].matrix)
+                                       for i in group]))
+              for group in by_size.values()]
+    return _Plan(modes, groups)
 
 
 def _ratios(w: np.ndarray, alpha_f: Sequence[float],
-            plan: Sequence[_Mode]) -> tuple[float, list[float]]:
+            plan: _Plan) -> tuple[float, list[float]]:
     """``|w|^2`` and the list of ``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2``
     over the modes, with the flattenings read from ``plan``, the plan of
     ``w.shape``.
 
     Every flattening holds the same entries, so one division by the largest
-    entry serves them all.  The scalars are Python floats; each operation
-    is the one ``spectral_norm`` does on a numpy scalar.
+    entry serves them all.  Each group of modes of one size takes one gather
+    of the scaled entries, one stacked Gram product (of the rows, or of the
+    columns where a flattening is taller than wide) and one stacked
+    ``eigvalsh``; on stacked input numpy runs the same LAPACK and BLAS
+    routine once per matrix, so every value is the one ``spectral_norm``
+    computes.  The scalars are Python floats, taken in mode order; each
+    operation is the one ``spectral_norm`` does on a numpy scalar.
     """
     n2 = float(np.vdot(w, w).real)
     scale = float(np.abs(w).max())
     if scale == 0.0:
         raise ValueError("ratios undefined for the zero tensor")
     scaled = w / scale
+    top = [0.0] * len(alpha_f)
+    for modes, index in plan.groups:
+        fs = np.take(scaled, index)
+        h = fs.conj().transpose(0, 2, 1)
+        gram = fs @ h if index.shape[1] <= index.shape[2] else h @ fs
+        for i, lam in zip(modes, np.linalg.eigvalsh(gram)[:, -1].tolist()):
+            top[i] = lam
     out = []
-    for mode, a in zip(plan, alpha_f):
-        sigma = scale * _top_singular_value(scaled.transpose(mode.axes).reshape(mode.matrix))
+    for a, lam in zip(alpha_f, top):
+        sigma = scale * math.sqrt(lam)
         out.append(a * n2 / (sigma * sigma))
     return n2, out
 
@@ -203,20 +231,27 @@ def stationarity_residual(v, alpha, r: float) -> float:
     For each mode the matrix ``alpha_i |v|^2 I - r * F F*`` (F the mode
     flattening) must be positive semidefinite at an optimal point; the
     residual is the worst normalized negative eigenvalue, 0 when the
-    condition holds.
+    condition holds.  Modes of one size share one gather of their
+    flattenings, one batched Gram product and one ``eigvalsh``, as in
+    ``_ratios``; every value equals that of the mode taken alone.
     """
     a = np.asarray(v, dtype=complex)
     w = as_weight(alpha, a.ndim)
     n2 = float(np.vdot(a, a).real)
     if n2 == 0.0:
         raise ValueError("residual undefined for the zero tensor")
+    scales = [float(x) * n2 for x in w]
+    lam_min = [0.0] * a.ndim
+    for modes, index in _plan(a.shape).groups:
+        fs = np.take(a, index)
+        gram = fs @ fs.conj().transpose(0, 2, 1)
+        diag = np.array([scales[i] for i in modes])[:, None, None] * np.eye(index.shape[1])
+        h = diag - float(r) * gram
+        for i, lam in zip(modes, np.linalg.eigvalsh(h)[:, 0].tolist()):
+            lam_min[i] = lam
     worst = 0.0
-    for i in range(a.ndim):
-        f = flatten(a, i)
-        scale = float(w[i]) * n2
-        h = scale * np.eye(a.shape[i]) - float(r) * (f @ f.conj().T)
-        lam_min = float(np.linalg.eigvalsh(h)[0])
-        worst = max(worst, max(0.0, -lam_min) / scale)
+    for scale, lam in zip(scales, lam_min):
+        worst = max(worst, max(0.0, -lam) / scale)
     return worst
 
 
@@ -312,7 +347,7 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     for it in range(1, max_iters + 1):
         iterations = it
         i = _first_argmin(ratios)
-        mode = plan[i]
+        mode = plan.modes[i]
         f = cur.transpose(mode.axes).reshape(mode.matrix)
         gram = f @ f.conj().T
         eps = 1e-12 * n2  # |cur|^2, from the _ratios call that made ratios

@@ -78,10 +78,11 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
     range and whose coefficients are nonzero is returned as given, as a
     tuple, after one read of each pair.  Any other row is read again, pair
     by pair: a column must be integral (``2.0`` is stored as 2) and in
-    range, and a coefficient that is not an int becomes a ``Fraction``.
-    The coefficients are summed per column, and the nonzero sums come back
-    in column order.  A malformed pair raises at that pair, so errors come
-    in the order of the pairs.
+    range, and a coefficient that is not an int becomes a ``Fraction``,
+    stored as its numerator when its denominator is 1.  The coefficients
+    are summed per column, and the nonzero sums come back in column order.
+    A malformed pair raises at that pair, so errors come in the order of
+    the pairs.
     """
     row = tuple(row)
     last = -1
@@ -106,7 +107,10 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
             raise ValueError(f"column {col} out of range for {num_vars} variables")
         if type(coeff) is not int:
             coeff = Fraction(coeff)
-            integral = False
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+            else:
+                integral = False
         acc[col] = acc.get(col, 0) + coeff
     return tuple(sorted((j, c) for j, c in acc.items() if c)), integral
 
@@ -143,8 +147,8 @@ class LinearProgram:
     canonicalised in one more pass, which sums the coefficients per column
     and sorts the nonzero sums.  The lcm of the denominators and the
     rebuild of the rows over it run only when some value is not an integer;
-    an objective or rhs entry that is a ``Fraction`` with denominator 1
-    counts as an integer.
+    a value that is a ``Fraction`` with denominator 1, in the objective, the
+    rhs or a row, counts as an integer.
     """
 
     objective: tuple[int, ...]

@@ -540,15 +540,37 @@ def test_ascend_skips_unneeded_work(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot))
-    for t in _grank_ascent_corpus():
+    for t in _grank_ascent_corpus() + [_edge_case((3, 2, 3, 2), 8)]:
         calls.update(eigh=0, eigvalsh=0, vdot=0)
         iterations = ascend(t).iterations
-        # One eigh per step; one eigvalsh per mode for the start, for each
-        # step's ratios and for the residual; one vdot for the start, for
-        # each step and for the residual.
+        # One eigh per step; one eigvalsh per mode size for the start, for
+        # each step's ratios and for the residual; one vdot for the start,
+        # for each step and for the residual.
         assert calls["eigh"] == iterations
-        assert calls["eigvalsh"] == t.ndim * (iterations + 2)
+        assert calls["eigvalsh"] == len(set(t.shape)) * (iterations + 2)
         assert calls["vdot"] == iterations + 2
+
+
+# Modes that share a size are read together; these shapes group them every
+# way: partly shared sizes, all sizes distinct, a tall mode, modes of size 1,
+# order 5.
+GROUPING_SHAPES = [(3, 2, 3, 2), (2, 3, 4), (6, 2, 2), (1, 3, 1), (2, 3, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("shape", GROUPING_SHAPES, ids=str)
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_grouped_flattenings_match_reference(shape, complex_entries):
+    # complex dtype throughout, as ascend and objective hand it to _ratios
+    t = np.asarray(_edge_case(shape, 9, complex_entries), dtype=complex)
+    alpha = tuple(F(k + 1, 2) for k in range(len(shape))) if complex_entries else None
+    alpha_f = [1.0] * t.ndim if alpha is None else [float(x) for x in alpha]
+    expect = _reference_ratios(t, alpha_f)
+    _, ratios = complexrank._ratios(t, alpha_f, complexrank._plan(t.shape))
+    assert [float.hex(x) for x in ratios] == [float.hex(x) for x in expect]
+    w = (F(1),) * t.ndim if alpha is None else alpha
+    for r in (min(expect), 1.5 * min(expect)):
+        assert float.hex(stationarity_residual(t, alpha, r)) == float.hex(
+            _reference_residual(t, w, r))
 
 
 W_SPARSE = SparseTensor((2, 2, 2), {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})

@@ -321,9 +321,9 @@ def _vertex_corpus_lps():
 
 
 def test_dual_program_matches_the_constructor():
-    """``dual_program`` skips the constructor's checks; it must build the
-    program the constructor builds from the transposed rational data, and
-    dualizing twice must give the LP back."""
+    """``dual_program`` passes the transposed rational data to the
+    constructor; it must build the program the constructor builds from that
+    data, and dualizing twice must give the LP back."""
     lps = [lp for lp, _ in _vertex_corpus_lps()]
     for lp in lps:
         cols = [[] for _ in range(lp.num_vars)]
@@ -432,6 +432,27 @@ def test_every_spelling_of_a_row_stores_the_same_lp():
             # == takes Fraction(1) for 1, so the stored types are checked too.
             assert all(type(v) is int for v in got.objective + got.rhs), how
             assert all(type(j) is type(a) is int for row in got.rows for j, a in row), how
+
+
+def test_integral_fractions_skip_the_lcm_pass(monkeypatch):
+    """An integral program spelled with ``Fraction``s over 1, rows included,
+    stores the int-spelled program without the lcm pass."""
+    def no_lcm_pass(values):
+        raise AssertionError("the lcm pass ran")
+
+    # each program's stored integers, read as an integral program
+    lps = [LinearProgram(lp.objective, lp.rows, lp.rhs) for lp, _ in _vertex_corpus_lps()]
+    monkeypatch.setattr(lp_module, "_over_one_denominator", no_lcm_pass)
+    for lp in lps:
+        got = LinearProgram(
+            [F(c) for c in lp.objective],
+            [[(j, F(a)) for j, a in row] for row in lp.rows],
+            [F(b) for b in lp.rhs],
+        )
+        assert got == lp
+        assert all(type(v) is int for v in got.objective + got.rhs + (got.den,))
+        assert all(type(j) is type(a) is int for row in got.rows for j, a in row)
+    assert len(lps) == 782
 
 
 def _canonical_int_rows(rows, num_vars):
