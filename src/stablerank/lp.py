@@ -36,13 +36,8 @@ Fractions appear only in the solution.
 ``2 * cols + 8`` rows as its dual, built by :func:`dual_program`, and any
 other LP as given.  It certifies what it returns: every optimal pair is
 re-checked, before it leaves the solver, by :func:`verify_certificate`,
-which also runs on integers but shares no code with the pivot loop.  It
-keeps the last certified pair it returned, a memo of exactly one entry keyed
-by the ``LinearProgram`` (a frozen dataclass compared by value): after the
-row cap is checked, an LP equal to the stored one gets the stored solution,
-already certified, with no pivot and no second check.  ``tslice``'s root
-relaxation is the LP ``trank`` solves on the same support with unit
-weights, so the pair, called back to back, solves it once.
+which also runs on integers but shares no code with the pivot loop.  The
+module keeps no state between calls: every call pivots its LP.
 """
 
 from __future__ import annotations
@@ -388,11 +383,6 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     return LinearProgram(map(negate, lp.rhs), cols, map(negate, lp.objective))
 
 
-# The last certified ``(LinearProgram, LPSolution)`` pair that solve
-# returned, or None: a memo of exactly one entry, replaced in one assignment.
-_last: tuple[LinearProgram, LPSolution] | None = None
-
-
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve an LP exactly, producing a primal-dual optimal pair.
 
@@ -405,22 +395,15 @@ def solve(lp: LinearProgram) -> LPSolution:
     ``dual_trank`` and ``tslice``, which print or branch on ``x`` and ``y``,
     and the vertices of ``tests/data/lp_vertices.json`` depend on it.
     ``STABLERANK_MAX_LP_ROWS`` counts the rows of ``lp``, whichever side is
-    pivoted, and is checked on every call, before the memo is read.
-    Deterministic: identical input yields an identical solution, so the
-    memo, which holds the last certified optimum and returns it for an LP
-    equal to the one it was solved for, returns what a fresh solve would;
-    an LP that is not optimal is not stored.
+    pivoted, and is checked on every call.  Deterministic: identical input
+    yields an identical solution.
 
     An optimal pair is re-checked against ``lp`` by
     :func:`verify_certificate` before it is returned, on either side; a
     pair that fails raises ``RuntimeError``.  Every optimum that leaves
     this function is therefore certified, and callers need not check it.
     """
-    global _last
     _check_rows(lp.num_rows)
-    last = _last
-    if last is not None and last[0] == lp:
-        return last[1]
     status = None
     if lp.num_rows > 2 * lp.num_vars + 8:
         status, y, x, value = _run_simplex(dual_program(lp))
@@ -433,7 +416,6 @@ def solve(lp: LinearProgram) -> LPSolution:
     sol = LPSolution(OPTIMAL, value, tuple(x), tuple(y))
     if not verify_certificate(lp, sol):
         raise RuntimeError("LP optimum failed its certificate check")
-    _last = lp, sol
     return sol
 
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .lp import OPTIMAL, LinearProgram, _over_one_denominator, dual_program, solve
+from .lp import (
+    OPTIMAL,
+    LinearProgram,
+    LPSolution,
+    _check_rows,
+    _over_one_denominator,
+    dual_program,
+    solve,
+)
 from .tensors import (
     Index,
     SparseTensor,
@@ -45,7 +53,12 @@ def _cover_lp(shape: Sequence[int], weights, elements, banned=frozenset()):
     """The covering LP over the (mode, slice) slots of ``shape`` not in
     ``banned``: one column per slot in (mode, slice) order, costing the
     weight of its mode, and one row per element of ``elements``, in order,
-    asking its slots to cover it.  Returns the program and its slots."""
+    asking its slots to cover it.  Returns the program and its slots.
+
+    When every weight is integral the objective goes in as ints, which the
+    constructor stores after one read; the stored program is the same."""
+    if all(a.denominator == 1 for a in weights):
+        weights = [a.numerator for a in weights]
     slots = [(i, j) for i, n in enumerate(shape) for j in range(n) if (i, j) not in banned]
     col: list[list[int | None]] = [[None] * n for n in shape]
     for k, (i, j) in enumerate(slots):
@@ -60,9 +73,42 @@ def _cover_lp(shape: Sequence[int], weights, elements, banned=frozenset()):
 
 def build_lp(support: Support, alpha) -> LinearProgram:
     """The covering LP of a support: one variable per (mode, slice),
-    one constraint per support element, objective weighted by alpha."""
+    one constraint per support element, objective weighted by alpha.
+
+    This is the program that :func:`trank` solves, and with unit weights
+    the root relaxation of :func:`tslice`; both get its solution from
+    ``_root``, which builds it only when its memo misses."""
     w = as_weight(alpha, support.order)
     return _cover_lp(support.shape, w, support.sorted_elements)[0]
+
+
+# The last certified root: ``(support, weights, slots, solution)`` of the
+# covering LP that ``_root`` solved, or None.  One entry, replaced in one
+# assignment.
+_last_root: tuple[Support, tuple, list, LPSolution] | None = None
+
+
+def _root(support: Support, w) -> tuple[list[tuple[int, int]], LPSolution]:
+    """The slots and the certified solution of the covering LP of
+    ``support`` with the validated weights ``w``.
+
+    ``STABLERANK_MAX_LP_ROWS`` is checked first, on every call.  The last
+    optimum is kept, keyed by the support and the weights, both compared by
+    value: an equal pair gets it back with no LP built and no pivot, so
+    :func:`tslice` right after :func:`trank` on one support, or the other
+    way round, solves the root once.  Only an optimum is stored, and
+    ``solve`` raises before returning one that fails its certificate.
+    """
+    global _last_root
+    _check_rows(len(support))
+    last = _last_root
+    if last is not None and last[0] == support and last[1] == w:
+        return last[2], last[3]
+    lp, slots = _cover_lp(support.shape, w, support.sorted_elements)
+    sol = solve(lp)
+    if sol.status == OPTIMAL:
+        _last_root = support, w, slots, sol
+    return slots, sol
 
 
 @dataclass(frozen=True)
@@ -97,9 +143,12 @@ def trank(support: Support, alpha=None) -> TRankResult:
     The zero tensor (empty support) has rank 0: its LP has no rows, and
     x = 0 is optimal.  ``alpha`` defaults to all ones.  The optimum is
     certified by :func:`~stablerank.lp.solve`; a failed check raises
-    ``RuntimeError``.
+    ``RuntimeError``.  It comes from ``_root``'s one-entry memo, keyed by
+    the support and the weights, when the last root solved was this one
+    (as after :func:`tslice` on the same support with unit weights);
+    ``STABLERANK_MAX_LP_ROWS`` is checked on a hit too.
     """
-    sol = solve(build_lp(support, alpha))
+    _, sol = _root(support, as_weight(alpha, support.order))
     if sol.status != OPTIMAL:  # covering LPs are always feasible and bounded
         raise RuntimeError(f"support LP unexpectedly {sol.status}")
     dual = dict(zip(support.sorted_elements, sol.y))
@@ -148,10 +197,14 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     Exact 0/1 optimum via branch and bound on the covering LP relaxation.
     Branches on the fractional slice closest to 1/2, ties broken by (mode,
     slice) order, taking the slice before discarding it.  The root
-    relaxation is solved once.  Every node's LP value, the root's included,
-    is certified by :func:`~stablerank.lp.solve` before it bounds anything;
-    a failed check, or a node LP that is not optimal, raises
-    ``RuntimeError``.  A negative ``limit`` raises ``ValueError``.
+    relaxation is :func:`trank`'s LP with unit weights, and comes from the
+    same one-entry memo, keyed by the support and the weights: right after
+    ``trank(support)`` no root LP is built or solved, and
+    ``STABLERANK_MAX_LP_ROWS`` is still checked.  Every node's LP value,
+    the root's included, is certified by :func:`~stablerank.lp.solve`
+    before it bounds anything; a failed check, or a node LP that is not
+    optimal, raises ``RuntimeError``.  A negative ``limit`` raises
+    ``ValueError``.
     """
     check_count("limit", limit)
     total = sum(support.shape)
@@ -163,10 +216,12 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
     elements = support.sorted_elements
     d = support.order
     ones = ones_weight(d)
-    root, root_slots = _cover_lp(support.shape, ones, elements)
-    root_sol = solve(root)
+    root_slots, root_sol = _root(support, ones)
     # Initial incumbent: slices with LP weight >= 1/d always form a cover.
-    best = frozenset(slot for slot, v in zip(root_slots, root_sol.x) if v >= Fraction(1, d))
+    # Each test on an LP value v = p/q (q > 0) runs on p and q.
+    best = frozenset(
+        slot for slot, v in zip(root_slots, root_sol.x) if v.numerator * d >= v.denominator
+    )
 
     def explore(fixed: frozenset, banned: frozenset, remaining, solved=None) -> None:
         nonlocal best
@@ -184,14 +239,16 @@ def tslice(support: Support, limit: int = 40) -> TSliceResult:
             raise RuntimeError(f"slice-cover LP unexpectedly {sol.status}")
         if len(fixed) + math.ceil(sol.value) >= len(best):
             return
-        x = dict(zip(slots, sol.x))
-        fractional = [
-            (abs(v - Fraction(1, 2)), slot) for slot, v in x.items() if 0 < v < 1
-        ]
-        if not fractional:
-            best = min(best, fixed | {slot for slot, v in x.items() if v == 1}, key=len)
+        # The first slot in (mode, slice) order with 0 < v < 1 and the least
+        # |v - 1/2| = |2p - q| / 2q; a / b starts at 1, above every such value.
+        slot, a, b = None, 1, 1
+        for s, v in zip(slots, sol.x):
+            p, q = v.numerator, v.denominator
+            if 0 < p < q and abs(2 * p - q) * b < a * 2 * q:
+                slot, a, b = s, abs(2 * p - q), 2 * q
+        if slot is None:
+            best = min(best, fixed | {s for s, v in zip(slots, sol.x) if v == 1}, key=len)
             return
-        _, slot = min(fractional)
         i, j = slot
         explore(fixed | {slot}, banned, tuple(s for s in remaining if s[i] != j))
         explore(fixed, banned | {slot}, remaining)

@@ -8,14 +8,23 @@ import pytest
 
 from stablerank import SparseTensor, Support, modulus_of
 from stablerank import lp as lp_module
+from stablerank import ranks
 
 
 @pytest.fixture(autouse=True)
-def _cold_lp_memo():
-    """Start every test with ``solve``'s one-entry memo empty, so a test
-    that patches the pivot loop or the certificate check reaches them even
-    when the test before it solved the same LP."""
-    lp_module._last = None
+def _cold_root_memo():
+    """Start every test with the one-entry memo of ``ranks._root`` empty,
+    so a test that patches the pivot loop or the certificate check reaches
+    them even when the test before it solved the same support."""
+    ranks._last_root = None
+
+
+def count_simplex(monkeypatch) -> list:
+    """Record each program that ``solve`` pivots; returns that list."""
+    runs = []
+    real = lp_module._run_simplex
+    monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: runs.append(lp) or real(lp))
+    return runs
 
 
 def random_support(rng: random.Random, order=None, max_dim=4, max_elems=15) -> Support:

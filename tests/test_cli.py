@@ -143,6 +143,17 @@ class TestTsliceCommand:
             code, out = run(capsys, command, path, "--format", "json")
             assert code == 0 and out == (DATA_DIR / f"corpus_30_{command}.json").read_text()
 
+    @pytest.mark.parametrize("first", [None, "trank", "tslice"])
+    def test_weighted_corpus_support_prints_the_pinned_bytes(self, capsys, first):
+        # The weights have denominator 12, so the objective is not integral.
+        # After a unit-weight trank or tslice on the same support, the
+        # weighted root is solved again and prints the pinned JSON.
+        path = str(DATA_DIR / "corpus_30_support.json")
+        if first is not None:
+            assert run(capsys, first, path, "--format", "json")[0] == 0
+        code, out = run(capsys, "trank", path, "--alpha", "1/2,1,3/4,2,1/3", "--format", "json")
+        assert code == 0 and out == (DATA_DIR / "corpus_30_trank_alpha.json").read_text()
+
     def test_limit_exits_4(self, capsys, w_support_file):
         code, _ = run(capsys, "tslice", w_support_file, "--limit", "3")
         assert code == 4

@@ -10,25 +10,24 @@ import math
 import random
 from fractions import Fraction as F
 
-from conftest import random_support
+from conftest import count_simplex, random_support
 
 from stablerank import (
-    LinearProgram,
     MatrixTuple,
     SparseTensor,
+    Support,
     boxtimes,
+    build_lp,
     dual_trank,
     grank_upper_search,
     ncrk_bruteforce,
     ncrk_via_grank,
     psg_slope,
     ranks,
-    solve,
     support_of,
     trank,
     tslice,
 )
-from stablerank import lp as lp_module
 from stablerank.capset import base_tensor
 from stablerank.cli import main
 
@@ -181,28 +180,25 @@ def test_ncrk_bounds_bracket_brute_force(tmp_path):
 
 
 def test_trank_and_tslice_do_not_depend_on_call_order(monkeypatch):
-    """``solve`` keeps its last certified pair, and ``tslice``'s root
-    relaxation is the LP that ``trank`` solves: on the acceptance corpus's
-    supports both give the same value, primal, dual and chosen slices
-    called cold (each after an unrelated solve), trank first and tslice
-    first.
-    Trank first pivots exactly once less than cold; tslice first saves the
-    pivot run only when its last solve was the root."""
-    runs = []
-    real = lp_module._run_simplex
-    monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: runs.append(lp) or real(lp))
-    unrelated = LinearProgram([1, 1], [[(0, 1)], [(1, 1)]], [1, 1])
+    """``ranks._root`` keeps the last certified root, keyed by the support
+    and the weights, and ``tslice``'s root relaxation is the LP that
+    ``trank`` solves with unit weights: on the acceptance corpus's supports
+    both give the same value, primal, dual and chosen slices called cold
+    (each after ``trank`` of an unrelated support), trank first and tslice
+    first.  Either order pivots exactly once less than cold."""
+    runs = count_simplex(monkeypatch)
+    unrelated = Support((1, 1), [(0, 0)])  # order 2: no corpus support has its LP
+    unrelated_lp = build_lp(unrelated, None)
     rng = random.Random(20240814)
-    saved = 0  # supports where tslice first also spares trank's solve
     for _ in range(200):
         support = random_support(rng)
         results, pivots = [], []
         for order in ("cold", "trank first", "tslice first"):
-            solve(unrelated)  # each order starts from a memo of another LP
+            trank(unrelated)  # each order starts from a memo of another support
             runs.clear()
             if order == "cold":
                 t = trank(support)
-                solve(unrelated)
+                trank(unrelated)
                 s = tslice(support)
             elif order == "trank first":
                 t = trank(support)
@@ -211,9 +207,6 @@ def test_trank_and_tslice_do_not_depend_on_call_order(monkeypatch):
                 s = tslice(support)
                 t = trank(support)
             results.append((t.value, t.primal, t.dual, s.value, s.chosen))
-            pivots.append(sum(lp != unrelated for lp in runs))
+            pivots.append(sum(lp != unrelated_lp for lp in runs))
         assert results[0] == results[1] == results[2], support
-        assert pivots[1] == pivots[0] - 1, support
-        assert pivots[2] in (pivots[0] - 1, pivots[0]), support
-        saved += pivots[2] < pivots[0]
-    assert 0 < saved < 200  # both kinds of tslice-first run are seen
+        assert pivots[1] == pivots[2] == pivots[0] - 1, support

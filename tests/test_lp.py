@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from conftest import random_support
+from conftest import count_simplex, random_support
 from make_lp_vertices import capset_lp, lp_to_json
 
 from stablerank import (
@@ -530,61 +530,26 @@ class TestSolveCertifies:
             solve(dense_lp(c, rows, rhs))
 
 
-def _count_simplex(monkeypatch):
-    """Record each program ``solve`` pivots; returns that list."""
-    runs = []
-    real = lp_module._run_simplex
-    monkeypatch.setattr(lp_module, "_run_simplex", lambda lp: runs.append(lp) or real(lp))
-    return runs
-
-
-class TestOneEntryMemo:
-    """``solve`` keeps the last certified pair and returns it for an equal LP."""
+class TestNoState:
+    """``solve`` keeps nothing between calls."""
 
     @pytest.mark.parametrize("dual", [False, True])
-    def test_equal_lp_is_not_pivoted_again(self, monkeypatch, dual):
-        runs = _count_simplex(monkeypatch)
+    def test_equal_lp_is_pivoted_again(self, monkeypatch, dual):
+        runs = count_simplex(monkeypatch)
         c, rows, rhs = _BY_ROUTE[dual]
-        first, again = dense_lp(c, rows, rhs), dense_lp(c, rows, rhs)
-        assert first == again and first is not again
-        sol = solve(first)
-        assert solve(again) is sol
-        assert len(runs) == 1
-
-    def test_one_entry_only(self, monkeypatch):
-        runs = _count_simplex(monkeypatch)
-        a, b = dense_lp(*_BY_ROUTE[False]), build_lp(W_SUPPORT, (1, 1, 1))
-        first = solve(a)
-        solve(b)
-        assert solve(a) == first
-        assert runs == [a, b, a]
-
-    def test_not_optimal_is_not_stored(self, monkeypatch):
-        runs = _count_simplex(monkeypatch)
-        lp = dense_lp([F(0)], [[F(-1)]], [F(1)])
-        assert solve(lp).status == solve(lp).status == INFEASIBLE
+        lp = dense_lp(c, rows, rhs)
+        assert solve(lp) == solve(dense_lp(c, rows, rhs))
         assert len(runs) == 2
 
-    def test_row_cap_is_checked_on_a_hit(self, monkeypatch):
-        runs = _count_simplex(monkeypatch)
-        lp = build_lp(W_SUPPORT, (1, 1, 1))
-        solve(lp)
-        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(lp.num_rows - 1))
-        with pytest.raises(LPSizeError):
-            solve(build_lp(W_SUPPORT, (1, 1, 1)))
-        assert len(runs) == 1
-
-    def test_failed_certificate_is_not_stored(self, monkeypatch):
-        runs = _count_simplex(monkeypatch)
-        real = lp_module.verify_certificate
-        monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
-        lp = build_lp(W_SUPPORT, (1, 1, 1))
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match="failed its certificate check"):
-                solve(lp)
-        assert len(runs) == 2
-        monkeypatch.setattr(lp_module, "verify_certificate", real)
-        assert solve(lp).status == OPTIMAL and len(runs) == 3
+    def test_solve_writes_no_module_global(self):
+        before = dict(vars(lp_module))
+        for dual in (False, True):
+            solve(dense_lp(*_BY_ROUTE[dual]))
+        solve(build_lp(W_SUPPORT, (1, 1, 1)))
+        solve(dense_lp([F(0)], [[F(-1)]], [F(1)]))  # infeasible
+        after = vars(lp_module)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 class TestRowCap:

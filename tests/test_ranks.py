@@ -28,12 +28,18 @@ from stablerank import (
     trank,
     tslice,
 )
-from stablerank import INFEASIBLE, LPSolution, capset, ranks, tensors
+from stablerank import INFEASIBLE, LinearProgram, LPSizeError, LPSolution, capset, ranks, tensors
 from stablerank import lp as lp_module
 from stablerank.ranks import _annihilator_mod_p, _echelon_mod_p, _packing_bound, _subspace_value
 from stablerank.tensors import as_weight, mode_transform, modulus_of
 
-from conftest import exhaustive_min_cover, fraction_mode_transform, indicator_tensor, random_support
+from conftest import (
+    count_simplex,
+    exhaustive_min_cover,
+    fraction_mode_transform,
+    indicator_tensor,
+    random_support,
+)
 
 W_SUPPORT = Support((2, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 CAPSET_SUPPORT = Support(
@@ -224,6 +230,17 @@ class TestTslice:
             power = boxtimes(power, capset.base_tensor())
         assert tslice(support_of(power)).value == capset.eg_prime_bound(n) == value
 
+    def test_root_weight_of_exactly_one_over_d_joins_the_first_cover(self):
+        # Three root weights here are exactly 1/3: left out of the first
+        # incumbent, the slices would not cover, and the search would
+        # return 2 against the oracle's 3.
+        s = Support(
+            (3, 3, 3),
+            [(1, 2, 1), (0, 2, 1), (1, 0, 1), (0, 1, 0), (1, 2, 0), (1, 1, 2), (2, 2, 1), (1, 1, 1)],
+        )
+        assert sum(v == F(1, 3) for mode in trank(s).primal for v in mode) == 3
+        assert tslice(s).value == exhaustive_min_cover(s) == 3
+
     def test_limit_enforced(self):
         big = Support((21, 21), [(0, 0)])
         with pytest.raises(SliceLimitError):
@@ -312,6 +329,83 @@ class TestTslice:
         monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
         with pytest.raises(RuntimeError, match="certificate"):
             tslice(W_SUPPORT)
+
+
+class TestRootMemo:
+    """``_root`` keeps the last certified covering-LP solution, keyed by
+    the support and the weights, for ``trank`` and ``tslice``'s root."""
+
+    @pytest.mark.parametrize("alpha", [None, (2, 1, 3), (F(1, 2), F(3, 4), 2)])
+    def test_equal_support_and_weights_pivot_once(self, monkeypatch, alpha):
+        runs = count_simplex(monkeypatch)
+        again = Support(W_SUPPORT.shape, W_SUPPORT.elements)
+        assert again == W_SUPPORT and again is not W_SUPPORT
+        first = trank(W_SUPPORT, alpha)
+        weights = None if alpha is None else tuple(F(a) for a in alpha)
+        assert trank(again, weights) == first
+        assert len(runs) == 1
+
+    def test_tslice_and_trank_share_the_unit_weight_root(self, monkeypatch):
+        runs = count_simplex(monkeypatch)
+        tslice(CAPSET_SUPPORT)  # solved at its root
+        assert trank(CAPSET_SUPPORT, (1, 1, 1)).value == F(9, 4)
+        tslice(CAPSET_SUPPORT)
+        assert len(runs) == 1
+
+    def test_other_weights_or_support_are_solved_again(self, monkeypatch):
+        runs = count_simplex(monkeypatch)
+        trank(W_SUPPORT)
+        trank(W_SUPPORT, (1, 2, 1))
+        trank(CAPSET_SUPPORT, (1, 2, 1))
+        tslice(CAPSET_SUPPORT)  # unit weights: a root of its own
+        assert len(runs) == 4
+
+    def test_one_entry_only(self, monkeypatch):
+        runs = count_simplex(monkeypatch)
+        a, b = trank(W_SUPPORT), trank(CAPSET_SUPPORT)
+        assert trank(W_SUPPORT) == a and trank(CAPSET_SUPPORT) == b
+        assert len(runs) == 4
+
+    def test_row_cap_is_checked_on_a_hit(self, monkeypatch):
+        runs = count_simplex(monkeypatch)
+        trank(CAPSET_SUPPORT)
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(CAPSET_SUPPORT) - 1))
+        for rank in (trank, tslice):
+            with pytest.raises(LPSizeError):
+                rank(CAPSET_SUPPORT)
+        assert len(runs) == 1
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", str(len(CAPSET_SUPPORT)))
+        assert tslice(CAPSET_SUPPORT).value == 3 and len(runs) == 1
+
+    def test_failed_certificate_stores_nothing(self, monkeypatch):
+        runs = count_simplex(monkeypatch)
+        real = lp_module.verify_certificate
+        monkeypatch.setattr(lp_module, "verify_certificate", lambda lp, sol: False)
+        for rank in (trank, trank, tslice):
+            with pytest.raises(RuntimeError, match="failed its certificate check"):
+                rank(W_SUPPORT)
+        assert len(runs) == 3 and ranks._last_root is None
+        monkeypatch.setattr(lp_module, "verify_certificate", real)
+        assert trank(W_SUPPORT).value == F(3, 2) and len(runs) == 4
+        assert trank(W_SUPPORT).value == F(3, 2) and len(runs) == 4
+
+    @pytest.mark.parametrize("support,nodes", [(CAPSET_SUPPORT, 0), (W_SUPPORT, 2)])
+    def test_tslice_after_trank_builds_no_root_program(self, monkeypatch, support, nodes):
+        trank(support)
+        root = build_lp(support, None)
+        built = []
+        real = LinearProgram.__init__
+
+        def spy(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(LinearProgram, "__init__", spy)
+        expected = tslice(support)
+        assert len(built) == nodes and root not in built
+        monkeypatch.undo()
+        ranks._last_root = None
+        assert tslice(support) == expected
 
 
 class TestProducts:
