@@ -24,11 +24,12 @@ from .ranks import (
     MatrixTuple,
     SliceLimitError,
     SubspaceLimitError,
+    _check_subspace_limit,
     _ncrk_bounds,
+    _ncrk_brute,
+    _ncrk_search,
     check_count,
     check_tolerance,
-    ncrk_bruteforce,
-    ncrk_via_grank,
     trank,
     tslice,
 )
@@ -264,12 +265,17 @@ def _cmd_ncrk(args, out) -> int:
     mats = _parsed(args.file, MatrixTuple, *fields)
     payload: dict = {"command": "ncrk", "mode": args.mode}
     code = EXIT_OK
+    # Both routes start from the same certified bounds, worked out once and
+    # only after an over-limit column space has been refused.
     if args.mode in ("brute", "both"):
-        payload["brute"] = ncrk_bruteforce(mats, limit=args.limit)
+        _check_subspace_limit(mats, args.limit)
+    bounds = _ncrk_bounds(mats)
+    if args.mode in ("brute", "both"):
+        payload["brute"] = _ncrk_brute(mats, bounds)
     if args.mode in ("search", "both"):
         ell = min(mats.rows, mats.cols)
         payload["alpha"] = f"1,1,{ell}"
-        payload["search"] = ncrk_via_grank(mats, budget=args.budget, seed=args.seed)
+        payload["search"] = _ncrk_search(mats, bounds, args.budget, args.seed)
     if args.mode == "both":
         payload["agree"] = payload["brute"] == payload["search"]
         if not payload["agree"]:
@@ -278,7 +284,7 @@ def _cmd_ncrk(args, out) -> int:
     # only where it meets the certified lower bound.
     if "brute" in payload:
         payload["ncrk"] = payload["brute"]
-    elif payload["search"] == _ncrk_bounds(mats)[0]:
+    elif payload["search"] == bounds[0]:
         payload["ncrk"] = payload["search"]
     _emit(payload, args.format, out)
     return code

@@ -9,16 +9,25 @@ bound seen together with a stationarity residual measuring how far the
 final point is from the positive-semidefiniteness optimality condition.
 Each whitening step multiplies only the whitened mode; the other modes are
 left as they are.  An ascent builds one flattening plan per tensor shape
-(``_plan``): for each mode the axis order and matrix shape of its
-flattening, the transpositions that store a whitened product, and the
-damped identity of a step; and for each mode size one gather index that
-stacks the flattenings of that size.  The loop reads them instead of
+(``_plan``): for each mode the transpositions that store a whitened
+product, the damped identity of a step and the place of its flattening
+among the stacks; and for each mode size one gather index that stacks the
+flattenings of that size.  The loop reads them instead of
 rebuilding them.  Every evaluation of the ratios, and the residual, takes
 per mode size one gather, one batched Gram product and one ``eigvalsh``
 over the stack, and does its scalar arithmetic on Python floats in mode
 order.  On stacked input numpy runs the same LAPACK and BLAS routine once
 per matrix, so every bit equals that of ``flatten`` and ``spectral_norm``
-applied one mode at a time.
+applied one mode at a time.  A step reads the whitened mode's flattening
+from the stacks that gave it its ratios.
+
+Every eigensolve calls LAPACK through numpy's own gufuncs
+(``numpy.linalg._umath_linalg``), under the error state that
+``np.linalg`` sets, so each value and each non-convergence error is the
+one ``np.linalg.eigvalsh`` or ``eigh`` gives.  numpy's wrappers only check
+and convert their input, which costs about as much as LAPACK on these
+small matrices, and every input here is a square complex stack by
+construction.
 
 Everything here is double precision and nothing is checked exactly; the
 bounds are tolerance-qualified, not certified.  This is the only module that
@@ -34,6 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .ranks import check_count, check_tolerance, grank_upper_search
 from .tensors import SparseTensor, as_weight, modulus_of
@@ -78,6 +88,29 @@ def to_dense_complex(v: SparseTensor) -> np.ndarray:
     return out
 
 
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(h)`` for a complex Hermitian matrix or stack of
+    them: the gufunc that numpy dispatches to, called under numpy's error
+    state, so a LAPACK failure raises the same ``LinAlgError``.  numpy's
+    checks and conversions are left out, since every caller hands in a
+    square complex stack."""
+    with np.errstate(call=_raise_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(h)``, eigenvalues and eigenvectors, as ``_eigvalsh``
+    gives ``np.linalg.eigvalsh(h)``."""
+    with np.errstate(call=_raise_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
 def spectral_norm(m) -> float:
     """Largest singular value: the root of the top eigenvalue of the
     smaller of the two Gram matrices (LAPACK ``eigvalsh``).
@@ -93,7 +126,7 @@ def spectral_norm(m) -> float:
         return 0.0
     a = a / scale
     gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    return float(scale * math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return float(scale * math.sqrt(_eigvalsh(gram)[-1]))
 
 
 def mode_apply(v, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -114,12 +147,12 @@ def _identity_group(shape) -> list[np.ndarray]:
 class _Mode(NamedTuple):
     """One mode's entry of a flattening plan; see ``_plan``."""
 
-    axes: tuple[int, ...]  # the mode first, then the others ascending
-    matrix: tuple[int, int]  # the flattening's shape: mode size, the rest
-    product: tuple[int, ...]  # the shape of the axes-ordered tensor
+    product: tuple[int, ...]  # the product's shape: the mode's size, then the others'
     stored: tuple[int, ...]  # product axes in the order last mode, 0, 1, ..
     view: tuple[int, ...]  # the stored copy's axes back in mode order
     damped: np.ndarray  # (1 - _STEP) * I, a whitening step's first term
+    group: int  # the plan's group of the mode's size
+    slot: int  # the mode's place in its group
 
 
 class _Plan(NamedTuple):
@@ -133,14 +166,14 @@ def _plan(shape: tuple[int, ...]) -> _Plan:
     """The flattening plan of a tensor shape: one ``_Mode`` per mode, and
     the modes grouped by size with one gather index per group.
 
-    ``w.transpose(p.axes).reshape(p.matrix)`` is ``flatten(w, i)`` without
-    its checks.  A mode-i product holds the modes in the order
-    (i, 0, .., i-1, i+1, ..); ``stored`` takes them in the order
+    A mode-i product holds the modes in the order (i, 0, .., i-1, i+1, ..),
+    the axes of ``flatten(w, i)``; ``stored`` takes them in the order
     (d-1, 0, .., d-2), and ``view`` shows a copy so ordered in mode order.
     Modes of one size have flattenings of one shape (rows, cols): a group's
     index, of shape (modes, rows, cols), holds the position of each
     flattening entry among the C-ordered entries, so ``np.take(w, index)``
-    stacks the group's flattenings.
+    stacks the group's flattenings.  Groups are in the order of their first
+    mode, and mode i's flattening is entry ``slot`` of group ``group``.
     """
     d = len(shape)
     last_first = [d - 1] + list(range(d - 1))
@@ -148,52 +181,63 @@ def _plan(shape: tuple[int, ...]) -> _Plan:
     modes, by_size = [], {}
     for i, n in enumerate(shape):
         axes = (i,) + tuple(k for k in range(d) if k != i)
+        members = by_size.setdefault(n, [])
         modes.append(_Mode(
-            axes=axes,
-            matrix=(n, math.prod(shape[k] for k in axes[1:])),
             product=tuple(shape[k] for k in axes),
             stored=tuple(0 if k == i else k + (k < i) for k in last_first),
             view=tuple(range(1, d)) + (0,),
             damped=(1.0 - _STEP) * np.eye(n),
+            group=list(by_size).index(n),
+            slot=len(members),
         ))
-        by_size.setdefault(n, []).append(i)
-    groups = [(tuple(group), np.stack([positions.transpose(modes[i].axes).reshape(modes[i].matrix)
-                                       for i in group]))
-              for group in by_size.values()]
+        members.append((i, positions.transpose(axes).reshape(n, math.prod(shape[k] for k in axes[1:]))))
+    groups = [(tuple(i for i, _ in members), np.stack([index for _, index in members]))
+              for members in by_size.values()]
     return _Plan(modes, groups)
 
 
-def _ratios(w: np.ndarray, alpha_f: Sequence[float],
-            plan: _Plan) -> tuple[float, list[float]]:
-    """``|w|^2`` and the list of ``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2``
-    over the modes, with the flattenings read from ``plan``, the plan of
-    ``w.shape``.
+def _flattened_ratios(w: np.ndarray, alpha_f: Sequence[float],
+                      plan: _Plan) -> tuple[float, list[float], list[np.ndarray]]:
+    """``|w|^2``, the list of ``alpha_i * |w|^2 / spectral_norm(flatten(w, i))^2``
+    over the modes, and per group of ``plan``, the plan of ``w.shape``, the
+    stack of the group's flattenings of ``w``.
 
     Every flattening holds the same entries, so one division by the largest
-    entry serves them all.  Each group of modes of one size takes one gather
-    of the scaled entries, one stacked Gram product (of the rows, or of the
-    columns where a flattening is taller than wide) and one stacked
-    ``eigvalsh``; on stacked input numpy runs the same LAPACK and BLAS
-    routine once per matrix, so every value is the one ``spectral_norm``
-    computes.  The scalars are Python floats, taken in mode order; each
-    operation is the one ``spectral_norm`` does on a numpy scalar.
+    entry serves them all.  The entries are gathered from one C-ordered
+    copy of ``w``, one gather per group of modes of one size, and each
+    stack is divided by the largest entry: every entry is the one a gather
+    of the scaled tensor reads.  Each group then takes one stacked Gram
+    product (of the rows, or of the columns where a flattening is taller
+    than wide) and one stacked ``eigvalsh``; on stacked input numpy runs
+    the same LAPACK and BLAS routine once per matrix, so every value is the
+    one ``spectral_norm`` computes.  The scalars are Python floats, taken in
+    mode order; each operation is the one ``spectral_norm`` does on a numpy
+    scalar.  The stacks returned are the unscaled ones.
     """
-    n2 = float(np.vdot(w, w).real)
-    scale = float(np.abs(w).max())
+    c = np.ascontiguousarray(w)
+    n2 = float(np.vdot(c, c).real)
+    scale = float(np.maximum.reduce(np.abs(c), axis=None))
     if scale == 0.0:
         raise ValueError("ratios undefined for the zero tensor")
-    scaled = w / scale
+    stacks = [c.take(index) for _, index in plan.groups]
     top = [0.0] * len(alpha_f)
-    for modes, index in plan.groups:
-        fs = np.take(scaled, index)
+    for (modes, index), stack in zip(plan.groups, stacks):
+        fs = stack / scale
         h = fs.conj().transpose(0, 2, 1)
         gram = fs @ h if index.shape[1] <= index.shape[2] else h @ fs
-        for i, lam in zip(modes, np.linalg.eigvalsh(gram)[:, -1].tolist()):
+        for i, lam in zip(modes, _eigvalsh(gram)[:, -1].tolist()):
             top[i] = lam
     out = []
     for a, lam in zip(alpha_f, top):
         sigma = scale * math.sqrt(lam)
         out.append(a * n2 / (sigma * sigma))
+    return n2, out, stacks
+
+
+def _ratios(w: np.ndarray, alpha_f: Sequence[float],
+            plan: _Plan) -> tuple[float, list[float]]:
+    """``|w|^2`` and the weighted ratios of ``_flattened_ratios``."""
+    n2, out, _ = _flattened_ratios(w, alpha_f, plan)
     return n2, out
 
 
@@ -204,8 +248,9 @@ def _whitening_product(mode: _Mode, m: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     Only mode i is multiplied: an identity product changes no value.  The
     result is laid out in memory as ``mode_apply`` lays out its own, last
-    mode outermost, because ``np.linalg.norm`` sums in memory order and the
-    iterate's norm must keep every bit.  The plan holds both transpositions.
+    mode outermost, because the iterate's norm sums in memory order, as
+    ``np.linalg.norm`` does, and must keep every bit.  The plan holds both
+    transpositions.
     """
     prod = np.dot(m, f).reshape(mode.product)
     return np.ascontiguousarray(prod.transpose(mode.stored)).transpose(mode.view)
@@ -247,7 +292,7 @@ def stationarity_residual(v, alpha, r: float) -> float:
         gram = fs @ fs.conj().transpose(0, 2, 1)
         diag = np.array([scales[i] for i in modes])[:, None, None] * np.eye(index.shape[1])
         h = diag - float(r) * gram
-        for i, lam in zip(modes, np.linalg.eigvalsh(h)[:, 0].tolist()):
+        for i, lam in zip(modes, _eigvalsh(h)[:, 0].tolist()):
             lam_min[i] = lam
     worst = 0.0
     for scale, lam in zip(scales, lam_min):
@@ -298,12 +343,13 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     Starts at the identity (so the starting bound is the plain norm-ratio
     bound), repeatedly whitens the mode attaining the minimum, and reports
     the best value seen.  Each step updates only the whitened mode, of the
-    group and of the iterate, and reads that mode's flattening and damped
-    identity from the tensor's flattening plan, built once per call.  The
-    reported bound is monotone in the iteration count, but it is read from
-    the renormalised iterate, which each step updates in place of applying
-    the group to ``a`` again; once g is ill-conditioned the iterate can
-    drift from g·a, and the bound is then no lower bound.  On the (3,3,3)
+    group and of the iterate, reads that mode's flattening from the stacks
+    that gave the step its ratios, and its damped identity from the
+    tensor's flattening plan, built once per call.  The reported bound is
+    monotone in the iteration count, but it is read from the renormalised
+    iterate, which each step updates in place of applying the group to
+    ``a`` again; once g is ill-conditioned the iterate can drift from g·a,
+    and the bound is then no lower bound.  On the (3,3,3)
     tensor {(0,0,2): 1, (0,1,1): 3/2, (0,2,0): -1, (0,2,1): 3,
     (2,0,2): -5/4} it reports 2.99999999925, above the upper bound 2 that
     the basis search certifies, while the objective at the returned group
@@ -335,11 +381,11 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
     cur = a / norm
     plan = _plan(a.shape)
     gs = _identity_group(a.shape)
-    n2, ratios = _ratios(cur, alpha_f, plan)
+    n2, ratios, stacks = _flattened_ratios(cur, alpha_f, plan)
     best = min(ratios)
     # The loop replaces gs[i] by a new array and never writes into one, and
-    # each _ratios call returns a new list, so neither needs a copy to keep
-    # the best point as it stood.
+    # each _flattened_ratios call returns a new list, so neither needs a
+    # copy to keep the best point as it stood.
     best_gs = list(gs)
     best_ratios = ratios
     prev = best
@@ -348,18 +394,20 @@ def ascend(v, alpha=None, max_iters: int = 400, tol: float = 1e-10) -> LowerBoun
         iterations = it
         i = _first_argmin(ratios)
         mode = plan.modes[i]
-        f = cur.transpose(mode.axes).reshape(mode.matrix)
+        f = stacks[mode.group][mode.slot]  # flatten(cur, i)
         gram = f @ f.conj().T
-        eps = 1e-12 * n2  # |cur|^2, from the _ratios call that made ratios
-        evals, evecs = np.linalg.eigh(gram)
+        eps = 1e-12 * n2  # |cur|^2, from the call that made ratios
+        evals, evecs = _eigh(gram)
         whiten = (evecs * (evals + eps) ** -0.5) @ evecs.conj().T
         blend = mode.damped + _STEP * whiten
         gs[i] = blend @ gs[i]
         cur = _whitening_product(mode, blend, f)
-        norm = np.linalg.norm(cur)
+        # np.linalg.norm(cur), summed in memory order as numpy sums it
+        flat = cur.ravel(order="K")
+        norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
         cur = cur / norm
         gs[i] = gs[i] / norm
-        n2, ratios = _ratios(cur, alpha_f, plan)
+        n2, ratios, stacks = _flattened_ratios(cur, alpha_f, plan)
         val = min(ratios)
         if val > best:
             best = val

@@ -578,6 +578,13 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
     any subspace enumerated.  A negative ``limit`` raises ``ValueError``.
     """
     check_count("limit", limit)
+    _check_subspace_limit(mats, limit)
+    return _ncrk_brute(mats, _ncrk_bounds(mats))
+
+
+def _check_subspace_limit(mats: MatrixTuple, limit: int) -> None:
+    """Raise ``SubspaceLimitError`` if the column space of ``mats`` has
+    more than ``limit`` subspaces."""
     p, q = mats.modulus, mats.cols
     count = _subspace_count(q, p, limit)
     if count > limit:
@@ -585,7 +592,13 @@ def ncrk_bruteforce(mats: MatrixTuple, limit: int = 1 << 20) -> int:
             f"F_{p}^{q} has at least {count} subspaces, above the enumeration limit "
             f"{limit}; use the search mode"
         )
-    lower, best = _ncrk_bounds(mats)
+
+
+def _ncrk_brute(mats: MatrixTuple, bounds: tuple[int, int]) -> int:
+    """``ncrk_bruteforce`` from the ``bounds`` that ``_ncrk_bounds(mats)``
+    gives, with the subspace limit already checked."""
+    p, q = mats.modulus, mats.cols
+    lower, best = bounds
     argmin = None  # the subspace of the least enumerated value below U0
     for k in range(1, q):
         if best <= lower:
@@ -766,7 +779,13 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     ``_ncrk_bounds``.  A negative ``budget`` raises ``ValueError``.
     """
     check_count("budget", budget)
-    lower, upper = _ncrk_bounds(mats)
+    return _ncrk_search(mats, _ncrk_bounds(mats), budget, seed)
+
+
+def _ncrk_search(mats: MatrixTuple, bounds: tuple[int, int], budget: int, seed: int) -> int:
+    """``ncrk_via_grank`` from the ``bounds`` that ``_ncrk_bounds(mats)``
+    gives, with ``budget`` already checked."""
+    lower, upper = bounds
     if lower == upper:
         return lower
     t = matrix_tuple_tensor(mats)

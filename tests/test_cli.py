@@ -444,6 +444,33 @@ class TestNcrkCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.fixture
+    def bounds_calls(self, monkeypatch):
+        calls = []
+        real = stablerank.ranks._ncrk_bounds
+
+        def counted(mats):
+            calls.append(mats)
+            return real(mats)
+
+        monkeypatch.setattr(stablerank.ranks, "_ncrk_bounds", counted)
+        monkeypatch.setattr(cli, "_ncrk_bounds", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["brute", "search", "both"])
+    @pytest.mark.parametrize("name", ["ncrk_f2_8x8", "ncrk_alternating_f3", "ncrk_f101_rank1"])
+    def test_bounds_are_worked_out_once(self, capsys, bounds_calls, name, mode):
+        code, out = run(capsys, "ncrk", str(DATA_DIR / f"{name}.json"), "--mode", mode)
+        assert code == 0 and len(bounds_calls) == 1
+        if mode == "both":
+            assert out == (DATA_DIR / f"{name}_both.txt").read_text()
+
+    @pytest.mark.parametrize("mode,code,calls", [("brute", 4, 0), ("both", 4, 0), ("search", 0, 1)])
+    def test_limit_is_checked_before_the_bounds(self, capsys, bounds_calls, identity_file, mode, code, calls):
+        # F_2^2 has 5 subspaces; the search enumerates none and takes no limit.
+        assert run(capsys, "ncrk", identity_file, "--mode", mode, "--limit", "4")[0] == code
+        assert len(bounds_calls) == calls
+
     def test_limit_exits_4(self, capsys, identity_file):
         code, _ = run(capsys, "ncrk", identity_file, "--limit", "1")
         assert code == 4

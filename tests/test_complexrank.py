@@ -537,8 +537,9 @@ def test_ascend_skips_unneeded_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    # Every eigensolve of the module goes through its two LAPACK helpers.
+    monkeypatch.setattr(complexrank, "_eigh", counted("eigh", complexrank._eigh))
+    monkeypatch.setattr(complexrank, "_eigvalsh", counted("eigvalsh", complexrank._eigvalsh))
     monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot))
     for t in _grank_ascent_corpus() + [_edge_case((3, 2, 3, 2), 8)]:
         calls.update(eigh=0, eigvalsh=0, vdot=0)
@@ -549,6 +550,66 @@ def test_ascend_skips_unneeded_work(monkeypatch):
         assert calls["eigh"] == iterations
         assert calls["eigvalsh"] == len(set(t.shape)) * (iterations + 2)
         assert calls["vdot"] == iterations + 2
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_bound_is_the_objective_at_the_group_on_the_bench_corpus(k):
+    # The ascent reads its bound from the renormalised iterate; on these
+    # well-conditioned tensors the iterate stays g.a, so the objective at
+    # the reported group gives the bound back.
+    t = _grank_ascent_corpus()[k]
+    report = ascend(t)
+    assert abs(report.bound - objective(t, report.group, None)) <= 1e-9
+
+
+def _hermitian_stacks(n):
+    """Seeded Hermitian n x n Grams: one plain matrix, then stacks of depth
+    1 to 5."""
+    rng = np.random.default_rng(50 + n)
+    out = []
+    for depth in (None, 1, 2, 3, 4, 5):
+        size = (n, n) if depth is None else (depth, n, n)
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        out.append(x @ np.swapaxes(x.conj(), -1, -2))
+    return out
+
+
+def _special_grams():
+    """A Gram with a repeated eigenvalue, and a rank-deficient one."""
+    rng = np.random.default_rng(60)
+    u = random_unitary(rng, 4)
+    repeated = (u * np.array([2.0, 2.0, 1.0, 3.0])) @ u.conj().T
+    f = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    return [repeated, f @ f.conj().T]
+
+
+def _arrays(result):
+    return [(x.shape, x.dtype.str, x.tobytes()) for x in result]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lapack_helpers_match_numpy_linalg(n):
+    for h in _hermitian_stacks(n) + (_special_grams() if n == 1 else []):
+        assert _arrays([complexrank._eigvalsh(h)]) == _arrays([np.linalg.eigvalsh(h)])
+        assert _arrays(complexrank._eigh(h)) == _arrays(np.linalg.eigh(h))
+
+
+# The Gram at which the ascent on the (4,2,2) tensor of DIVERGENT fails.
+_NAN = complex(np.nan, np.nan)
+NONCONVERGENT_GRAM = np.array([[[_NAN, _NAN, _NAN, np.nan],
+                                [_NAN, _NAN, _NAN, np.nan],
+                                [_NAN, _NAN, _NAN, np.nan],
+                                [np.nan, np.nan, np.nan, np.inf]]], dtype=complex)
+
+
+@pytest.mark.parametrize("name", ["eigvalsh", "eigh"])
+def test_lapack_helpers_fail_as_numpy_linalg_does(name):
+    outcomes = []
+    for solve in (getattr(complexrank, "_" + name), getattr(np.linalg, name)):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            solve(NONCONVERGENT_GRAM)
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1] == (np.linalg.LinAlgError, "Eigenvalues did not converge")
 
 
 # Modes that share a size are read together; these shapes group them every
