@@ -14,7 +14,9 @@ The collapsed LP has about (2n)^3/36 rows, but few of them bind.  Prefix
 minima keep a t vector feasible and cost no more, so some optimal t is
 nonincreasing, and for such a t the *binding* rows, whose triples sum to
 exactly 2n, imply all the others.  :func:`_covers` proves, exactly for
-any t and in O(n^2), that t covers every row of the full LP.
+any t, that t covers every row of the full LP; its walk of the binding
+rows starts at the first open prefix minimum, so for the conjectured t it
+is one linear pass and a handful of rows.
 
 The answer has one route, with no simplex and no LP built.
 :func:`reduced_lp` certifies :func:`conjectured_t`: if that t covers every
@@ -25,9 +27,9 @@ dual down by a fixed rule, a run of ``3 f_i`` that fills one column and
 spills onto the next, and a tail from a 2x2 to 4x4 integer system, and
 checks it exactly, each triple of it on the triple itself: at every
 n = 1..300, as the tests check.  A failed check raises; nothing is reported
-unproved.  The row cap counts the binding rows, the rows the coverage pass
-walks, and is checked first, on every call: no result is kept between
-calls, so each call proves its bound anew.
+unproved.  The row cap counts the collapsed LP's binding rows and is
+checked first, on every call: no result is kept between calls, so each
+call proves its bound anew.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -56,23 +57,15 @@ def trinomial(n: int) -> list[int]:
     With ``P = (1 + x + x^2)^n``, the identity ``(1 + x + x^2) P' =
     n (1 + 2x) P`` gives ``k f_k = (n-k+1) f_{k-1} + (2n-k+2) f_{k-2}``,
     whose division by k is exact; the recurrence runs for k = 1..n and the
-    symmetry ``f_{2n-k} = f_k`` gives the rest.
+    symmetry ``f_{2n-k} = f_k`` gives the rest.  An n below 1 raises
+    ``ValueError``.
     """
-    return list(_coefficients(n))
-
-
-# A table row asks for one n's coefficients six times: four in reduced_lp
-# (itself, _rule_dual, _closed_form_dual and _cost), then eg_bound and
-# eg_prime_bound.  Without this cache the 20 rows of --table 20 took 1.75 ms
-# against 1.52 ms, best of 1,500 in-process passes (Python 3.11, Xeon).
-@lru_cache(maxsize=1)
-def _coefficients(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be at least 1")
     f = [1, n]  # f_0, and f_1 from k = 1 with f_{-1} = 0
     for k in range(2, n + 1):
         f.append(((n - k + 1) * f[k - 1] + (2 * n - k + 2) * f[k - 2]) // k)
-    return tuple(f + f[-2::-1])
+    return f + f[-2::-1]
 
 
 def _binding_triple_count(n: int) -> int:
@@ -93,20 +86,27 @@ def _covers(q: list[int], d: int, n: int) -> bool:
     covers every row iff m covers every binding triple.  The triples are
     enumerated here, not read from any LP, and compared on the integer
     numerators ``q`` over the one denominator ``d > 0``.
+
+    Where the last prefix minimum is ``>= 0``, every m is, so a binding
+    triple whose least index i has ``m_i >= d`` is covered: the walk starts
+    at the first open prefix minimum, ``m_i < d``.  For
+    :func:`conjectured_t` that is one linear pass over t and a handful of
+    triples; a t whose minima drop early walks more of the
+    ``~(2n+3)^2 / 12``.
     """
     m = list(accumulate(q, min))
     top = 2 * n
-    for i in range(top // 3 + 1):
+    start = next((i for i, v in enumerate(m) if v < d), len(m)) if m[-1] >= 0 else 0
+    for i in range(start, top // 3 + 1):
         for j in range(i, (top - i) // 2 + 1):
             if m[i] + m[j] + m[top - i - j] < d:
                 return False
     return True
 
 
-def _cost(q: list[int], d: int, n: int) -> Fraction:
+def _cost(q: list[int], d: int, f: list[int]) -> Fraction:
     """The objective ``3 * sum_i f_i t_i`` of ``t = q / d``, summed on integers."""
-    f = _coefficients(n)
-    return Fraction(3 * sum(f[i] * v for i, v in enumerate(q)), d)
+    return Fraction(3 * sum(map(mul, f, q)), d)
 
 
 @dataclass(frozen=True)
@@ -125,37 +125,39 @@ def reduced_lp(n: int) -> CapsetLPResult:
 
     The full LP is never built, and no LP is solved.  t is
     :func:`conjectured_t`, and its proof of optimality is exact: t >= 0
-    covers every row of the full LP, by one pass of :func:`_covers`.  A
-    y >= 0 on binding triples T tight at t with
-    ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j, zero on every other
-    row, is a dual solution of the full LP, so by weak duality
-    ``sum(y) <= OPT <= c.t``; :func:`_closed_form_dual` writes such a y down
-    by a rule, checks each of its triples on the triple itself, and checks
-    ``c.t == sum(y)``, an identity of integers over the common denominator.
+    covers every row of the full LP, by one linear pass of :func:`_covers`
+    that starts at t's first entry below 1.  A y >= 0 on binding triples T
+    tight at t with ``sum_T mult_j(T) y_T <= 3 f_j`` for each column j,
+    zero on every other row, is a dual solution of the full LP, so by weak
+    duality ``sum(y) <= OPT <= c.t``; :func:`_closed_form_dual` writes such
+    a y down by a rule, checks each of its triples on the triple itself,
+    and checks ``c.t == sum(y)``, an identity of integers over the common
+    denominator.
     It does so at every n = 1..300.  The guess is never trusted: a negative
     entry, an uncovered row or a failed check raises ``RuntimeError``.  The
     duals are not reported.
 
-    ``STABLERANK_MAX_LP_ROWS`` counts the binding rows, the rows the
-    coverage pass walks, and is checked first, on every call: nothing is
-    cached, so a repeat call checks the cap and the proof again.  An n
-    below 1 raises ``ValueError``.
+    ``STABLERANK_MAX_LP_ROWS`` counts the collapsed LP's binding rows,
+    ``~(2n+3)^2 / 12`` of them, and is checked first, on every call:
+    nothing is cached, so a repeat call checks the cap and the proof again.
+    The row of trinomials is computed once and passed down.  An n below 1
+    raises ``ValueError``.
     """
-    _coefficients(n)  # an n below 1 raises here
+    f = trinomial(n)  # an n below 1 raises here
     _check_rows(_binding_triple_count(n))
     t = conjectured_t(n)
     q, d = _over_one_denominator(t)
-    if min(q) < 0 or not _covers(q, d, n) or _closed_form_dual(n, q, d) is None:
+    if min(q) < 0 or not _covers(q, d, n) or _closed_form_dual(f, q, d) is None:
         raise RuntimeError("collapsed LP certificate failed")
-    value = _cost(q, d, n)
+    value = _cost(q, d, f)
     return CapsetLPResult(n, t, value, math.floor(value))
 
 
-def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
+def _rule_dual(f: list[int], p: int) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
     """The dual y that the rule predicts for a t with ``p`` positive
     entries, ``p >= 1``, as ``(triples, numerators, den)`` with ``den > 0``,
-    or None if its tail system is not square or is singular.  Nothing here
-    is checked.
+    or None if its tail system is not square or is singular.  ``f`` is the
+    row :func:`trinomial` of ``n = len(f) // 2``.  Nothing here is checked.
 
     With ``m = 2n - 2p``, y carries ``3 f_i`` for each i = 0..m, and on a
     tail of 2 to 4 triples chosen by n mod 3 it solves the square system
@@ -176,7 +178,7 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
     and i = s is shared.  The triples are listed by ascending i, the run
     triple first where i is shared.
     """
-    f = _coefficients(n)
+    n = len(f) // 2
     m = 2 * n - 2 * p
     residue = n % 3
     if residue == 0:
@@ -216,11 +218,12 @@ def _rule_dual(n: int, p: int) -> tuple[list[tuple[int, int, int]], list[int], i
 
 
 def _closed_form_dual(
-    n: int, q: list[int], d: int
+    f: list[int], q: list[int], d: int
 ) -> tuple[list[tuple[int, int, int]], list[int], int] | None:
     """A dual solution of the full LP that proves ``t = q / d`` optimal, as
     ``(triples, numerators, den)`` from :func:`_rule_dual`, if it passes an
-    exact check; otherwise None.
+    exact check; otherwise None.  ``f`` is the row :func:`trinomial` of
+    ``n = len(f) // 2``.
 
     t >= 0 covers every row, by :func:`_covers`.  Weak duality needs four
     checks, each on integers over the common denominator: every triple
@@ -234,9 +237,9 @@ def _closed_form_dual(
     every triple with ``y > 0`` once the four hold.  The rule passes all
     six at every n = 1..300.
     """
-    f = _coefficients(n)
+    n = len(f) // 2
     p = sum(1 for v in q if v > 0)
-    rule = _rule_dual(n, p)
+    rule = _rule_dual(f, p)
     if rule is None:
         return None
     triples, y, den = rule
@@ -260,14 +263,14 @@ def capset_bound(n: int) -> int:
 
 def eg_bound(n: int) -> int:
     """The single-cutoff count ``3 * sum_{i <= 2n/3} f_i``."""
-    f = _coefficients(n)
+    f = trinomial(n)
     return 3 * sum(f[i] for i in range(0, 2 * n // 3 + 1))
 
 
 def eg_prime_bound(n: int) -> int:
     """The sharper three-cutoff count with per-coordinate thresholds
     2n/3, (2n-1)/3 and (2n-2)/3."""
-    f = _coefficients(n)
+    f = trinomial(n)
     return sum(
         sum(f[i] for i in range(0, cutoff + 1))
         for cutoff in ((2 * n) // 3, (2 * n - 1) // 3, (2 * n - 2) // 3)
@@ -315,7 +318,7 @@ def t_vector_value(t, n: int) -> Fraction:
     q, d = _over_one_denominator(t)
     if len(q) != 2 * n + 1:
         raise ValueError(f"t needs 2n+1 = {2 * n + 1} entries, got {len(q)}")
-    return _cost(q, d, n)
+    return _cost(q, d, trinomial(n))
 
 
 @dataclass(frozen=True)

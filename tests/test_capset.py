@@ -185,8 +185,8 @@ def _route_spy(monkeypatch):
     taken = []
     closed_form = capset._closed_form_dual
 
-    def closed(n, q, d):
-        y = closed_form(n, q, d)
+    def closed(f, q, d):
+        y = closed_form(f, q, d)
         taken.append("declined" if y is None else "closed form")
         return y
 
@@ -240,8 +240,8 @@ def _raise_one_y(monkeypatch):
     carries more than ``3 f_0``, and sum(y) exceeds c.t."""
     real = capset._rule_dual
 
-    def raised(n, p):
-        triples, y, den = real(n, p)
+    def raised(f, p):
+        triples, y, den = real(f, p)
         return triples, [y[0] + 1, *y[1:]], den
 
     monkeypatch.setattr(capset, "_rule_dual", raised)
@@ -414,7 +414,7 @@ class TestRowGeneration:
 
     def test_row_cap_at_n_2(self, monkeypatch):
         # 4 binding rows: a cap of 4 certifies n = 2, with no LP solved, and
-        # a cap of 3 refuses it before the coverage pass walks them
+        # a cap of 3 refuses it before the coverage pass
         _no_simplex(monkeypatch)
         monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "4")
         res = reduced_lp(2)
@@ -445,8 +445,8 @@ def _shift_tail_numerator(monkeypatch, by):
     """Add ``by`` to the last tail numerator of the rule's y."""
     real = capset._rule_dual
 
-    def shifted(n, p):
-        triples, y, den = real(n, p)
+    def shifted(f, p):
+        triples, y, den = real(f, p)
         assert y[-1] + by >= 0
         return triples, [*y[:-1], y[-1] + by], den
 
@@ -469,8 +469,8 @@ def _cancelling_pair(monkeypatch):
     load and sum(y) stay as they were, but one y is negative."""
     real = capset._rule_dual
 
-    def paired(n, p):
-        triples, y, den = real(n, p)
+    def paired(f, p):
+        triples, y, den = real(f, p)
         return [*triples, triples[-1], triples[-1]], [*y, 1, -1], den
 
     monkeypatch.setattr(capset, "_rule_dual", paired)
@@ -481,8 +481,9 @@ def _move_run_triple(monkeypatch, to):
     triple ``to(n, p)``."""
     real = capset._rule_dual
 
-    def moved(n, p):
-        triples, y, den = real(n, p)
+    def moved(f, p):
+        n = len(f) // 2
+        triples, y, den = real(f, p)
         assert triples[0] == (0, p, 2 * n - p)
         return [to(n, p), *triples[1:]], y, den
 
@@ -508,8 +509,8 @@ def _overload_column_0(monkeypatch):
     carries 3 f_0 plus one unit."""
     real = capset._rule_dual
 
-    def moved(n, p):
-        triples, y, den = real(n, p)
+    def moved(f, p):
+        triples, y, den = real(f, p)
         assert triples[0][0] == 0 and 0 not in triples[-1] and y[-1] >= 1
         return triples, [y[0] + 1, *y[1:-1], y[-1] - 1], den
 
@@ -523,8 +524,9 @@ def _unspill_one_unit(monkeypatch):
     more."""
     real = capset._rule_dual
 
-    def moved(n, p):
-        triples, y, den = real(n, p)
+    def moved(f, p):
+        n = len(f) // 2
+        triples, y, den = real(f, p)
         s = max(i for i, j, _ in triples if j == p + 1)
         spill = triples.index((s, p + 1, 2 * n - p - 1 - s))
         run = triples.index((s, p, 2 * n - p - s))
@@ -547,7 +549,7 @@ def _assert_declined_and_refused(monkeypatch, capsys, tamper, n):
     place: ``reduced_lp`` raises and the CLI exits 3, with no LP solved."""
     tamper(monkeypatch)
     _, q, d = _guess(n)
-    assert capset._closed_form_dual(n, q, d) is None
+    assert capset._closed_form_dual(trinomial(n), q, d) is None
     taken = _route_spy(monkeypatch)
     _no_simplex(monkeypatch)
     _assert_refused(capsys, n)
@@ -572,8 +574,8 @@ class TestClosedFormDual:
         # t, y >= 0, every column load at most 3 f_j, and
         # sum(y) == c.t == the optimum
         t, q, d = _guess(n)
-        triples, nums, den = capset._closed_form_dual(n, q, d)
         f = trinomial(n)
+        triples, nums, den = capset._closed_form_dual(f, q, d)
         y = [F(v, den) for v in nums]
         assert set(triples) <= set(_binding_triples(n)) and min(y) >= 0
         assert all(t[i] + t[j] + t[k] == 1 for i, j, k in triples)
@@ -617,7 +619,7 @@ class TestClosedFormDual:
     )
     def test_truncated_tail_certifies_n_1_and_2(self, n, triples, y):
         _, q, d = _guess(n)
-        got, nums, den = capset._closed_form_dual(n, q, d)
+        got, nums, den = capset._closed_form_dual(trinomial(n), q, d)
         assert got == triples and [F(v, den) for v in nums] == y
         assert sum(y) == reduced_lp(n).value == SMALL_TABLE[n][2]
 
@@ -626,17 +628,19 @@ class TestClosedFormDual:
         # 1..2n+1, gives a y or None, never an error; p = 2n + 1 has no
         # column p to fill
         for n in range(1, 40):
+            f = trinomial(n)
             for p in range(1, 2 * n + 1):
-                capset._rule_dual(n, p)
-            assert capset._rule_dual(n, 2 * n + 1) is None
+                capset._rule_dual(f, p)
+            assert capset._rule_dual(f, 2 * n + 1) is None
 
     @pytest.mark.parametrize("n", [*range(1, 61), 100, 200, 300])
     def test_lp_checker_accepts_the_closed_form(self, n):
         # the second exact checker: lp.verify_certificate accepts t, y / den
         # and c.t on the covering LP of the rule's triples, built here
         t, q, d = _guess(n)
-        triples, nums, den = capset._closed_form_dual(n, q, d)
-        sol = LPSolution("optimal", capset._cost(q, d, n), t, tuple(F(v, den) for v in nums))
+        f = trinomial(n)
+        triples, nums, den = capset._closed_form_dual(f, q, d)
+        sol = LPSolution("optimal", capset._cost(q, d, f), t, tuple(F(v, den) for v in nums))
         assert verify_certificate(_covering_lp(n, triples), sol)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 20])
@@ -668,7 +672,7 @@ class TestClosedFormDual:
                 q, d = lp_module._over_one_denominator(t)
                 if min(q) < 0 or not capset._covers(q, d, n):
                     continue
-                certified = capset._closed_form_dual(n, q, d) is not None
+                certified = capset._closed_form_dual(trinomial(n), q, d) is not None
                 assert not certified or t_vector_value(t, n) == reduced_lp(n).value
                 seen[certified] += 1
         assert seen[False] > 50
@@ -683,6 +687,19 @@ class TestClosedFormDual:
         assert time.perf_counter() - start < 0.2
         for n in (57, 60, 63, 150, 201, 300):
             assert reduced_lp(n).t == conjectured_t(n), n
+
+    def test_coverage_pass_is_linear(self):
+        # the pass starts at the first open prefix minimum, so it walks a
+        # handful of the binding rows: about 0.01 s at n = 10,000 and
+        # 0.02 s for reduced_lp(3000), against 3 s and 0.25 s for a pass
+        # over all (2n+3)^2 / 12 of them (Python 3.11, Xeon)
+        t = conjectured_t(10_000)
+        start = time.perf_counter()
+        assert t_vector_feasible(t, 10_000)
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        assert reduced_lp(3000).t == conjectured_t(3000)
+        assert time.perf_counter() - start < 0.1
 
     def test_one_coverage_pass_per_n(self, monkeypatch, capsys):
         # --table 20 proves each row once: one reduced_lp call and one

@@ -722,6 +722,23 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path, command, text, exponents)
     assert captured.err.startswith("error: ")
 
 
+# The first modulus that Miller-Rabin on the first 13 primes cannot decide.
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("ncrk", '{"modulus": 3317044064679887385961981, "matrices": [[[1, 0], [0, 1]]]}'),
+        ("trank", '{"shape": [2], "domain": "mod:3317044064679887385961981", "entries": []}'),
+    ],
+)
+def test_modulus_past_the_primality_limit_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large to test for primality" in captured.err
+
+
 # JSON files whose top level is not an object with the expected keys.
 @pytest.mark.parametrize(
     "command,text,message",

@@ -168,6 +168,15 @@ class TestCertificates:
         bad_x = (sol.x[0] + F(1, 3),) + sol.x[1:]
         assert not verify_certificate(lp, LPSolution(OPTIMAL, sol.value, bad_x, sol.y))
 
+    def test_wrong_length_vectors_fail(self):
+        # a zero appended to x or to y changes no product or sum, so only the
+        # length check refuses it
+        lp = build_lp(W_SUPPORT, (1, 1, 1))
+        sol = solve(lp)
+        assert verify_certificate(lp, sol)
+        assert not verify_certificate(lp, LPSolution(OPTIMAL, sol.value, (*sol.x, F(0)), sol.y))
+        assert not verify_certificate(lp, LPSolution(OPTIMAL, sol.value, sol.x, (*sol.y, F(0))))
+
     def test_non_optimal_status_fails(self):
         lp = dense_lp([F(1)], [[F(1)]], [F(1)])
         assert not verify_certificate(lp, LPSolution(INFEASIBLE, None, (), ()))
