@@ -15,8 +15,9 @@ minima keep a t vector feasible and cost no more, so some optimal t is
 nonincreasing, and for such a t the *binding* rows, whose triples sum to
 exactly 2n, imply all the others.  :func:`_covers` proves, exactly for
 any t, that t covers every row of the full LP; its walk of the binding
-rows starts at the first open prefix minimum, so for the conjectured t it
-is one linear pass and a handful of rows.
+rows skips every row the prefix minima provably cover, so for the
+conjectured t it starts at the first open prefix minimum and is one linear
+pass and a handful of rows.
 
 The answer has one route, with no simplex and no LP built.
 :func:`reduced_lp` certifies :func:`conjectured_t`: if that t covers every
@@ -87,16 +88,17 @@ def _covers(q: list[int], d: int, n: int) -> bool:
     enumerated here, not read from any LP, and compared on the integer
     numerators ``q`` over the one denominator ``d > 0``.
 
-    Where the last prefix minimum is ``>= 0``, every m is, so a binding
-    triple whose least index i has ``m_i >= d`` is covered: the walk starts
-    at the first open prefix minimum, ``m_i < d``.  For
-    :func:`conjectured_t` that is one linear pass over t and a handful of
+    As m is nonincreasing, a binding triple ``i <= j <= k`` has
+    ``m_j + m_k >= 2 m_{2n}``, so it is covered if ``m_i + 2 m_{2n} >= d``;
+    that sum only falls as i grows, so the walk starts at the first i where
+    it is below d.  As ``m_{2n} = 0`` for :func:`conjectured_t`, that is the
+    first open prefix minimum, one linear pass over t and a handful of
     triples; a t whose minima drop early walks more of the
     ``~(2n+3)^2 / 12``.
     """
     m = list(accumulate(q, min))
     top = 2 * n
-    start = next((i for i, v in enumerate(m) if v < d), len(m)) if m[-1] >= 0 else 0
+    start = next((i for i, v in enumerate(m) if v + 2 * m[-1] < d), len(m))
     for i in range(start, top // 3 + 1):
         for j in range(i, (top - i) // 2 + 1):
             if m[i] + m[j] + m[top - i - j] < d:

@@ -285,6 +285,14 @@ class TestRowGeneration:
             assert seen[True, False, monotone] and seen[True, True, monotone]
             assert seen[False, False, monotone]
 
+    def test_coverage_skip_counts_a_negative_last_minimum(self):
+        # a row is skipped only if m_i + 2 m_2n covers it: with m_2n < 0,
+        # m_i + m_2n >= 1 does not, and (0, 1, 1) sums to 4/5 here
+        for t, covered in (((F(9, 5), F(-1, 2), F(-1, 2)), False), ((F(2), F(-1, 2), F(-1, 2)), True)):
+            low = min(t[i] + t[j] + t[k] for i, j, k in _all_rows(1))
+            assert (low >= 1) is covered
+            assert capset._covers(*lp_module._over_one_denominator(t), 1) is covered, t
+
     def test_binding_rows_suffice(self):
         # the covering LP on the binding rows alone and the full collapsed
         # LP, every row of it listed by brute force, both built here and
@@ -538,6 +546,19 @@ def _unspill_one_unit(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", moved)
 
 
+class _CountedDenominator(int):
+    """A denominator that counts the comparisons ``sum < d`` made against it."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.comparisons = 0
+        return self
+
+    def __gt__(self, other):
+        self.comparisons += 1
+        return int(self) > other
+
+
 def _guess(n):
     """``(t, q, d)`` for ``t = conjectured_t(n) = q / d``."""
     t = conjectured_t(n)
@@ -688,18 +709,24 @@ class TestClosedFormDual:
         for n in (57, 60, 63, 150, 201, 300):
             assert reduced_lp(n).t == conjectured_t(n), n
 
-    def test_coverage_pass_is_linear(self):
-        # the pass starts at the first open prefix minimum, so it walks a
-        # handful of the binding rows: about 0.01 s at n = 10,000 and
-        # 0.02 s for reduced_lp(3000), against 3 s and 0.25 s for a pass
-        # over all (2n+3)^2 / 12 of them (Python 3.11, Xeon)
-        t = conjectured_t(10_000)
-        start = time.perf_counter()
-        assert t_vector_feasible(t, 10_000)
-        assert time.perf_counter() - start < 0.5
-        start = time.perf_counter()
+    def test_coverage_pass_is_linear(self, monkeypatch):
+        # the pass skips every binding row the prefix minima provably cover,
+        # so for the conjectured t it compares at most 2n+1 sums against d,
+        # where a pass over all (2n+3)^2 / 12 binding rows compares one each
+        for n in (10, 60, 3000, 10_000):
+            q, d = lp_module._over_one_denominator(conjectured_t(n))
+            d = _CountedDenominator(d)
+            assert capset._covers(q, d, n)
+            assert d.comparisons <= 2 * n + 1 < capset._binding_triple_count(n), n
+        real, counted = capset._covers, []
+
+        def covers(q, d, n):
+            counted.append(_CountedDenominator(d))
+            return real(q, counted[-1], n)
+
+        monkeypatch.setattr(capset, "_covers", covers)
         assert reduced_lp(3000).t == conjectured_t(3000)
-        assert time.perf_counter() - start < 0.1
+        assert len(counted) == 1 and counted[0].comparisons <= 6001
 
     def test_one_coverage_pass_per_n(self, monkeypatch, capsys):
         # --table 20 proves each row once: one reduced_lp call and one
