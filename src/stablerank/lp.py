@@ -18,11 +18,14 @@ the pivot loop, fraction-free in the manner of Edmonds and Bareiss, and the
 certificate check.  Each tableau row is stored as a positive integer
 multiple of the rational row, with no denominator beside it; the first rows
 are the stored rows, with surplus coefficient ``-den``, so each starts as
-``den`` times its rational row.  A pivot on ``(r, k)`` first makes row r
-primitive (divides it by the gcd of its entries) with ``q = a_rk > 0``;
-every other row with ``f = a_ik != 0`` becomes ``row_i - (f / q) * row_r``
-in place when q divides f, and otherwise ``row_i * q - f * row_r`` made
-primitive.  A row's multiple is positive, so the signs the entering rule
+``den`` times its rational row, and the phase-I cost row is summed from
+the stored sparse rows as they are laid out.  A pivot on ``(r, k)`` first
+negates row r if ``a_rk < 0`` and makes it primitive (divides it by the
+gcd of its entries) unless ``q = a_rk`` is 1, as a row with a unit entry
+already is; every other row with ``f = a_ik != 0`` becomes
+``row_i - (f / q) * row_r`` in place when q divides f, which needs no test
+when q is 1, and otherwise ``row_i * q - f * row_r`` made primitive.  A
+row's multiple is positive, so the signs the entering rule
 reads are its entries' signs, and the ratio test compares
 ``b_i * a_jk`` with ``b_j * a_ik``: every comparison is the rational one,
 so the pivots, and the returned vertex, are those of a rational tableau.
@@ -30,7 +33,8 @@ A basic row's multiple is its entry in its basic column.  A cost row keeps
 its multiple in one trailing slot, which every tableau row holds as 0; the
 duals and the optimal value are read from the final cost row over that
 slot, the value from the slot before it rather than summed again.
-Fractions appear only in the solution.
+Fractions appear only in the solution, where every zero entry of ``x``
+and ``y`` is one shared ``Fraction(0)``.
 
 :func:`solve` is the one entry point.  It pivots an LP with more than
 ``2 * cols + 8`` rows as its dual, built by :func:`dual_program`, and any
@@ -45,6 +49,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import gcd, lcm
 from operator import mul, neg
@@ -73,11 +78,14 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
     range and whose coefficients are nonzero is returned as given, as a
     tuple, after one read of each pair.  Any other row is read again, pair
     by pair: a column must be integral (``2.0`` is stored as 2) and in
-    range, and a coefficient that is not an int becomes a ``Fraction``,
-    stored as its numerator when its denominator is 1.  The coefficients
-    are summed per column, and the nonzero sums come back in column order.
-    A malformed pair raises at that pair, so errors come in the order of
-    the pairs.
+    range, and a coefficient that is neither an int nor a ``Fraction``
+    becomes a ``Fraction``; a ``Fraction`` with denominator 1 is stored as
+    its numerator.  If the columns then strictly increase and no
+    coefficient is zero, as in the rows :func:`dual_program` passes when
+    ``den`` is not 1, the pairs come back in that order; otherwise the
+    coefficients are summed per column, and the nonzero sums come back in
+    column order.  A malformed pair raises at that pair, so errors come in
+    the order of the pairs.
     """
     row = tuple(row)
     last = -1
@@ -90,8 +98,9 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
         last = col
     else:
         return row, True
-    acc: dict = {}
-    integral = True
+    pairs = []
+    integral = ordered = True
+    last = -1
     for col, coeff in row:
         if type(col) is not int:
             j = int(col)
@@ -101,11 +110,18 @@ def _canonical_row(row, num_vars: int) -> tuple[SparseRow, bool]:
         if not 0 <= col < num_vars:
             raise ValueError(f"column {col} out of range for {num_vars} variables")
         if type(coeff) is not int:
-            coeff = Fraction(coeff)
+            coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
             if coeff.denominator == 1:
                 coeff = coeff.numerator
             else:
                 integral = False
+        ordered = ordered and last < col and coeff != 0
+        last = col
+        pairs.append((col, coeff))
+    if ordered:
+        return tuple(pairs), integral
+    acc: dict = {}
+    for col, coeff in pairs:
         acc[col] = acc.get(col, 0) + coeff
     return tuple(sorted((j, c) for j, c in acc.items() if c)), integral
 
@@ -136,11 +152,11 @@ class LinearProgram:
     A row given as ``(int, int)`` tuples with strictly increasing columns
     and nonzero coefficients is stored as given, after one read of each
     pair; the support LPs of ``ranks`` are built from such rows.  Any other
-    spelling (a column out of order or repeated, a zero, a column such as
-    ``2.0``, a coefficient that is not an int, such as the ``Fraction``
-    coefficients :func:`dual_program` passes when ``den`` is not 1) is
-    canonicalised in one more pass, which sums the coefficients per column
-    and sorts the nonzero sums.  The lcm of the denominators and the
+    spelling (a column such as ``2.0``, a coefficient that is not an int,
+    such as the ``Fraction`` coefficients :func:`dual_program` passes when
+    ``den`` is not 1) is read in one more pass, pair by pair; only a row
+    with a column out of order or repeated, or a zero, is then summed per
+    column and its nonzero sums sorted.  The lcm of the denominators and the
     rebuild of the rows over it run only when some value is not an integer;
     a value that is a ``Fraction`` with denominator 1, in the objective, the
     rhs or a row, counts as an integer.
@@ -243,24 +259,28 @@ def _run_simplex(lp: LinearProgram):
 
     Each row is stored as a positive integer multiple of the rational row,
     which a pivot makes primitive (divided by the gcd of its entries) unless
-    it only subtracts an integer multiple of the pivot row.  Every row
+    it only subtracts an integer multiple of the pivot row.  The pivot row
+    itself is made primitive only when its entry in the pivot column is not
+    1: a row with a unit entry is primitive already, and then every other
+    row takes the in-place update with no divisibility test.  Every row
     starts at multiple ``lp.den``: a constraint row is read as stored, with
     surplus coefficient ``-den``, and the phase-II row is the stored
     objective.  A basic row's multiple is its entry in its basic column, so
-    ``x_k = row[width] / row[k]``; an artificial row keeps multiple ``den``
-    until the phase-I row is built, before the first pivot.  A cost row
-    keeps its multiple in a trailing slot, ``width + 1``, where every
-    tableau row holds 0, so one pivot loop clears the column from both
-    kinds of row.
+    ``x_k = row[width] / row[k]``.  A cost row keeps its multiple in a
+    trailing slot, ``width + 1``, where every tableau row holds 0, so one
+    pivot loop clears the column from both kinds of row.
 
     Both cost rows are built before the first pivot and carried after the
     tableau rows, the phase-II row at ``tab[m]`` and the phase-I row at
     ``tab[m + 1]``: every pivot clears its column from each, while a phase
     prices only its own.  The start basis costs nothing in the objective,
-    so the phase-II row starts as the objective itself; the phase-I row is
+    so the phase-II row starts as the objective itself.  The phase-I row,
+    minus the sum of the artificial rows at multiple ``den``, is summed
+    from their stored sparse pairs while the tableau is laid out, and is
     dropped once phase I ends.  ``y`` is read as the reduced costs of the
     surplus columns, and ``value`` from slot ``width`` of the phase-II row,
-    minus the objective value, each over the row's multiple.
+    minus the objective value, each over the row's multiple; every zero in
+    ``x`` and ``y`` is one shared ``Fraction(0)``.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -269,20 +289,23 @@ def _run_simplex(lp: LinearProgram):
 
     tab: list[list[int]] = []  # m tableau rows, then the live cost rows
     basis: list[int] = []
-    art_rows: list[int] = []
+    # The phase-I cost row: minus the sum of the artificial rows, each at
+    # multiple den, over multiple den; summed from the stored sparse rows.
+    c1 = [0] * (width + 1) + [den]
     for i, (coeffs, bi) in enumerate(zip(lp.rows, lp.rhs)):
-        s = -1 if bi < 0 else 1
         row = [0] * (width + 2)
-        for j, a in coeffs:
-            row[j] = s * a
-        row[n + i] = -s * den
-        row[width] = s * bi
-        tab.append(row)
-        if s == -1:
-            basis.append(n + i)  # flipped surplus column is +e_i
+        basis.append(n + i if bi < 0 else width + i)
+        if bi < 0:  # negated, so its surplus column is +e_i
+            for j, a in coeffs:
+                row[j] = -a
+            row[n + i], row[width] = den, -bi
         else:
-            basis.append(width + i)
-            art_rows.append(i)
+            for j, a in coeffs:
+                row[j] = a
+                c1[j] -= a
+            row[n + i], row[width] = -den, bi
+            c1[n + i], c1[width] = den, c1[width] - bi
+        tab.append(row)
 
     # The phase-II cost row, the objective itself at the start basis.
     tab.append(list(lp.objective) + [0] * (m + 1) + [den])
@@ -291,61 +314,54 @@ def _run_simplex(lp: LinearProgram):
         piv = tab[r]
         if piv[k] < 0:
             piv = [-v for v in piv]
-        tab[r] = piv = _primitive(piv)
+        # A row with a unit entry in the pivot column is already primitive.
+        tab[r] = piv = piv if piv[k] == 1 else _primitive(piv)
         q = piv[k]
         nz = list(compress(range(len(piv)), piv))
         for i, row in enumerate(tab):
             f = row[k]
             if f and i != r:
-                if f % q:
-                    tab[i] = _primitive([a * q - f * b for a, b in zip(row, piv)])
-                else:  # q divides f, so the row stays an integer multiple
+                if q == 1 or not f % q:  # q divides f: the row stays an integer multiple
                     f //= q
                     for j in nz:
                         row[j] -= f * piv[j]
+                else:
+                    tab[i] = _primitive([a * q - f * b for a, b in zip(row, piv)])
         basis[r] = k
 
     def price(at: int) -> str:
         while True:
             c = tab[at]
-            k = -1
-            for j in range(width):
-                if c[j] < 0:
-                    k = j
+            for k in range(width):
+                if c[k] < 0:
                     break
-            if k < 0:
+            else:
                 return OPTIMAL
             # Ratio test: b_i / a_ik, unchanged by each row's multiple.
             r = -1
             for i, row in zip(range(m), tab):
                 a = row[k]
                 if a > 0:
-                    if r < 0:
-                        r, best_b, best_a = i, row[width], a
-                        continue
-                    lhs = row[width] * best_a
-                    rhs = best_b * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                        r, best_b, best_a = i, row[width], a
+                    if r >= 0:
+                        lhs, rhs = row[width] * best_a, best_b * a
+                        if rhs < lhs or (lhs == rhs and basis[r] < basis[i]):
+                            continue  # row r keeps the lower ratio, or label
+                    r, best_b, best_a = i, row[width], a
             if r < 0:
                 return UNBOUNDED
             pivot(r, k)
 
-    if art_rows:
-        # Phase I: minimize the sum of the artificial starting variables;
-        # no pivot has run, so each artificial row is at multiple den.
-        c = [0] * (width + 1) + [den]
-        for i in art_rows:
-            c = [v - a for v, a in zip(c, tab[i])]
-        tab.append(_primitive(c))
-        status = price(m + 1)
-        if status != OPTIMAL:  # pragma: no cover - phase I is bounded below
+    if any(k >= width for k in basis):
+        # Phase I: minimize the sum of the artificial starting variables.
+        tab.append(_primitive(c1))
+        if price(m + 1) != OPTIMAL:  # pragma: no cover - phase I is bounded below
             raise AssertionError("phase I cannot be unbounded")
-        if any(tab[i][width] > 0 for i in art_rows if basis[i] >= width):
+        # Only an artificial's label is >= width, and artificials never enter.
+        if any(row[width] > 0 for k, row in zip(basis, tab) if k >= width):
             return INFEASIBLE, [], [], None
         tab.pop()
         # Drive the artificials left at level zero out of the basis.
-        for i in reversed(art_rows):
+        for i in reversed(range(m)):
             if basis[i] >= width:
                 pivot(i, next(j for j in range(width) if tab[i][j]))
 
@@ -353,13 +369,14 @@ def _run_simplex(lp: LinearProgram):
     if status != OPTIMAL:
         return status, [], [], None
 
-    x = [Fraction(0)] * n
+    zero = Fraction(0)  # shared by every nonbasic x and every zero dual
+    x = [zero] * n
     for k, row in zip(basis, tab):
         if k < n:
             x[k] = Fraction(row[width], row[k])
     # The reduced cost of row k's surplus column is the dual of row k.
     c = tab[m]
-    y = [Fraction(c[n + k], c[-1]) for k in range(m)]
+    y = [Fraction(v, c[-1]) if v else zero for v in c[n:width]]
     return OPTIMAL, x, y, Fraction(-c[width], c[-1])
 
 
@@ -372,10 +389,10 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     """
     # Integer data (den 1) goes in as ints: each column collects nonzero
     # ints in increasing row order, a canonical row that the constructor
-    # stores after one read, where Fractions over 1 would take its
-    # canonicalising pass (the three tall LPs of a grank-ascent pass took
-    # 5.5 ms that way and 0.25 ms this way, Python 3.11 on a 2-vCPU Xeon).
-    negate = neg if lp.den == 1 else (lambda v: Fraction(-v, lp.den))
+    # stores after one read.  Other data goes in as one Fraction per
+    # distinct stored integer, its columns in the same order, which the
+    # constructor reads pair by pair but neither sums nor sorts.
+    negate = neg if lp.den == 1 else cache(lambda v: Fraction(-v, lp.den))
     cols: list[list[tuple[int, int | Fraction]]] = [[] for _ in range(lp.num_vars)]
     for i, row in enumerate(lp.rows):
         for j, a in row:

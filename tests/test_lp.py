@@ -464,6 +464,57 @@ def test_integral_fractions_skip_the_lcm_pass(monkeypatch):
     assert len(lps) == 782
 
 
+def _weighted_corpus_30_lp():
+    """The covering LP of acceptance support 30 under the weights
+    ``1/2,1,3/4,2,1/3``, stored over den 12."""
+    data = json.loads((Path(__file__).parent / "data" / "corpus_30_support.json").read_text())
+    support = Support(tuple(data["shape"]), [tuple(e) for e in data["elements"]])
+    return build_lp(support, [F(1, 2), 1, F(3, 4), 2, F(1, 3)])
+
+
+def test_weighted_dual_of_corpus_30_is_pinned():
+    """``dual_program`` of the den-12 covering LP stores the objective,
+    rows, rhs and den of ``corpus_30_dual_alpha.json``, all ints."""
+    pin = json.loads((Path(__file__).parent / "data" / "corpus_30_dual_alpha.json").read_text())
+    dual = lp_module.dual_program(_weighted_corpus_30_lp())
+    assert dual.den == pin["den"] == 12
+    assert dual.objective == tuple(pin["objective"])
+    assert dual.rhs == tuple(pin["rhs"])
+    assert dual.rows == tuple(tuple(map(tuple, row)) for row in pin["rows"])
+    assert all(type(v) is int for v in dual.objective + dual.rhs)
+    assert all(type(j) is type(a) is int for row in dual.rows for j, a in row)
+
+
+def test_fraction_rows_in_column_order_are_not_sorted(monkeypatch):
+    """A row of ``Fraction``s whose columns strictly increase, as
+    ``dual_program`` passes at den > 1, is stored without the sum-and-sort
+    pass, and a non-integral ``Fraction`` in it is kept, not wrapped again;
+    the same rows with their pairs reversed still take that pass, once per
+    row of two pairs or more."""
+    sorts = []
+    monkeypatch.setattr(
+        lp_module, "sorted", lambda pairs: sorts.append(1) or sorted(pairs), raising=False
+    )
+    lp = _weighted_corpus_30_lp()
+    dual = lp_module.dual_program(lp)
+    assert sorts == []
+
+    half, third = F(1, 2), F(-7, 3)
+    stored, integral = lp_module._canonical_row([(0, half), (2, F(-4)), (5, third)], 6)
+    assert stored == ((0, half), (2, -4), (5, third)) and not integral
+    assert stored[0][1] is half and stored[2][1] is third and type(stored[1][1]) is int
+    assert sorts == []
+
+    cols = [[] for _ in range(lp.num_vars)]
+    for i, row in enumerate(lp.rows):
+        for j, a in row:
+            cols[j].append((i, F(-a, lp.den)))
+    rhs = [F(-c, lp.den) for c in lp.objective]
+    reordered = LinearProgram([F(-b, lp.den) for b in lp.rhs], [col[::-1] for col in cols], rhs)
+    assert reordered == dual
+    assert len(sorts) == sum(len(col) >= 2 for col in cols) > 0
+
+
 def _canonical_int_rows(rows, num_vars):
     """Whether each row is ``(column, coefficient)`` tuples of ints, with
     columns strictly increasing in range and no zero coefficient."""
