@@ -37,7 +37,6 @@ from .tensors import (
     mod_domain,
     modulus_of,
     ones_weight,
-    support_of,
 )
 
 
@@ -375,7 +374,9 @@ def _transvection(rng: random.Random, n: int, p: int | None):
     return mat
 
 
-def _packing_bound(shape: Sequence[int], elements, caps: Sequence[int]) -> int:
+def _packing_bound(
+    shape: Sequence[int], elements, caps: Sequence[int], multipliers: dict | None = None
+) -> int:
     """A lower bound on ``scale * trank`` of a support, on integers.
 
     ``caps[i]`` is the weight of mode i times ``scale``.  Greedy packing in
@@ -383,21 +384,49 @@ def _packing_bound(shape: Sequence[int], elements, caps: Sequence[int]) -> int:
     slots' degrees, index), each gets the smallest cap left among its
     slots, which is then taken from those slots.  The multipliers stay
     within every slot's cap, so their sum is a feasible dual value and, by
-    weak duality, at most the optimum.
+    weak duality, at most the optimum.  Where ``multipliers`` is a dict,
+    each positive multiplier is stored in it under its element, so that a
+    caller can check the packing with ``_check_packing``.
     """
+    get = list.__getitem__
     degree = [[0] * n for n in shape]
     for e in elements:
-        for i, j in enumerate(e):
-            degree[i][j] += 1
+        for row, j in zip(degree, e):
+            row[j] += 1
     left = [[c] * n for c, n in zip(caps, shape)]
     total = 0
-    for _, e in sorted((sum(degree[i][j] for i, j in enumerate(e)), e) for e in elements):
-        y = min(left[i][j] for i, j in enumerate(e))
+    for _, e in sorted((sum(map(get, degree, e)), e) for e in elements):
+        y = min(map(get, left, e))
         if y:
-            for i, j in enumerate(e):
-                left[i][j] -= y
+            for row, j in zip(left, e):
+                row[j] -= y
             total += y
+            if multipliers is not None:
+                multipliers[e] = y
     return total
+
+
+def _check_packing(
+    shape: Sequence[int], elements, caps: Sequence[int], multipliers: Mapping[Index, int], value: int
+) -> None:
+    """Raise ``RuntimeError`` unless ``multipliers``, a map from elements to
+    integers, is a feasible solution of value ``value`` of the dual covering
+    LP of ``elements`` with the slot caps ``caps``: every multiplier is
+    nonnegative and sits on an element of the support, every slot's load is
+    within its cap, and the multipliers sum to ``value``.  The check reads
+    only the support, the caps and the multipliers, and shares no code with
+    the greedy of ``_packing_bound``."""
+    loads = [[0] * n for n in shape]
+    for e, y in multipliers.items():
+        if y < 0 or e not in elements:
+            raise RuntimeError(f"packing multiplier {y} on {e} is not a dual variable of the support")
+        for i, j in enumerate(e):
+            loads[i][j] += y
+    over = [(i, j) for i, row in enumerate(loads) for j, load in enumerate(row) if load > caps[i]]
+    if over:
+        raise RuntimeError(f"packing overloads slot {over[0]} of the support")
+    if (total := sum(multipliers.values())) != value:
+        raise RuntimeError(f"packing multipliers sum to {total}, not to the slice cover {value}")
 
 
 def _running_minima(v: SparseTensor, w, budget: int, seed: int) -> Iterator[Fraction]:
@@ -408,17 +437,40 @@ def _running_minima(v: SparseTensor, w, budget: int, seed: int) -> Iterator[Frac
     sample, permutations and already-seen supports included, so a caller
     that stops early has drawn a prefix of the same random stream.  ``w``
     is a validated weight; an empty support yields 0 once.
+
+    Each support evaluated (the identity, and every new sample whose
+    packing bound is below the minimum) gets its greedy packing once.
+    Where its value P equals C = min_i caps_i * (the slices of mode i the
+    support uses), the cost of covering the support with the slices of one
+    mode, weak duality pins the support rank at C / scale: it is taken with
+    no ``Support`` built and no LP, once ``STABLERANK_MAX_LP_ROWS`` has
+    been checked as ``trank`` would and ``_check_packing`` has found the
+    multipliers a feasible dual of value C (the cover is feasible by
+    construction).  A failed check raises ``RuntimeError`` and no value
+    enters the minimum.  Otherwise the rank is ``trank``'s.
     """
     if v.is_zero():
         yield Fraction(0)
         return
     caps, scale = _over_one_denominator(w)
-    best = trank(support_of(v), w).value
+    shape = v.shape
+
+    def rank(key: frozenset, bound: int, multipliers: dict) -> Fraction:
+        cover = min(c * len(set(col)) for c, col in zip(caps, zip(*key)))
+        if bound != cover:
+            return trank(Support(shape, key), w).value
+        _check_rows(len(key))
+        _check_packing(shape, key, caps, multipliers, cover)
+        return Fraction(cover, scale)
+
+    key = frozenset(v.entries)
+    multipliers: dict = {}
+    best = rank(key, _packing_bound(shape, key, caps, multipliers), multipliers)
     yield best
     nums, _ = _over_one_denominator(v.entries.values())
     ints = dict(zip(v.entries, nums))
     # Supports already seen: each has rank at least the current minimum.
-    seen = {frozenset(v.entries)}
+    seen = {key}
     rng = random.Random(seed)
     p = modulus_of(v.domain)
     for count in range(1, budget):
@@ -426,16 +478,18 @@ def _running_minima(v: SparseTensor, w, budget: int, seed: int) -> Iterator[Frac
         if kind == 0:
             # A permutation relabels slices and keeps the identity's value:
             # it is drawn, as _permutation draws it, but never built.
-            for n in v.shape:
+            for n in shape:
                 rng.sample(range(n), n)
         else:
             draw = _transvection if kind == 1 else _random_invertible
             # The drawn matrices are square, int and invertible: valid as they are.
-            key = frozenset(_transform_ints(ints, [draw(rng, n, p) for n in v.shape], p))
+            key = frozenset(_transform_ints(ints, [draw(rng, n, p) for n in shape], p))
             if key not in seen:
                 seen.add(key)
-                if _packing_bound(v.shape, key, caps) * best.denominator < best.numerator * scale:
-                    best = min(best, trank(Support(v.shape, key), w).value)
+                multipliers = {}
+                bound = _packing_bound(shape, key, caps, multipliers)
+                if bound * best.denominator < best.numerator * scale:
+                    best = min(best, rank(key, bound, multipliers))
         yield best
 
 
@@ -450,8 +504,14 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     dense matrix is redrawn until its integer determinant is nonzero (mod p
     over F_p), which draws exactly the invertible matrices.  A sample whose
     exact packing bound (a feasible dual) already reaches the minimum
-    cannot lower it and skips its LP; every value that enters the minimum
-    is a certificate-checked LP optimum.  Only supports are read, and
+    cannot lower it and skips its LP.  Every value that enters the minimum
+    is certified: where a support's greedy packing meets its one-mode
+    slice cover, the cover's cost is the rank by weak duality, taken once
+    the packing's multipliers are checked to be a feasible dual of that
+    value; elsewhere it is a certificate-checked LP optimum.  A search that certifies its identity
+    this way solves no LP for it and leaves ``_root``'s memo as it was, so
+    a later :func:`trank` on the same support solves it then: only that
+    call's speed moves, not its value.  Only supports are read, and
     supp(g . v) = supp(g . (d v)) for d > 0, so the samples transform the
     entries of ``v`` over one denominator, as ints, and build no tensor.
     Every sampled value is a valid upper bound; the reported number carries
@@ -460,9 +520,10 @@ def grank_upper_search(v: SparseTensor, alpha=None, budget: int = 64, seed: int 
     early on the same stream).  The identity is always evaluated, so a
     ``budget`` of 0 returns what a ``budget`` of 1 does: the support rank
     of ``v`` itself.
-    Deterministic for a fixed seed.  A support LP that fails its
-    certificate check raises ``RuntimeError``; a negative ``budget`` raises
-    ``ValueError``.
+    Deterministic for a fixed seed.  A support LP or a packing that fails
+    its certificate check raises ``RuntimeError``; a negative ``budget``
+    raises ``ValueError``.  ``STABLERANK_MAX_LP_ROWS`` is checked for every
+    support evaluated, LP or not.
     """
     check_count("budget", budget)
     for best in _running_minima(v, as_weight(alpha, v.order), budget, seed):
@@ -770,7 +831,10 @@ def ncrk_via_grank(mats: MatrixTuple, budget: int = 200, seed: int = 0) -> int:
     rank, which is at least L', so the search stops at the first running
     minimum whose floor equals L': no later sample could lower the result,
     and it equals the floor of the full ``budget`` search with the same
-    seed (the bounds draw nothing from its stream), capped at U0.  Where
+    seed (the bounds draw nothing from its stream), capped at U0.  The
+    search's values are those of :func:`grank_upper_search`: a support whose
+    checked packing meets its one-mode slice cover takes that cover with no
+    LP, and every other support its certified LP optimum.  Where
     the true rank exceeds L' (the 3 x 3 alternating triple E12 - E21,
     E13 - E31, E23 - E32 has L' = 2 and rank 3 = U0), the stop never fires
     and the whole budget is spent.  A running minimum whose floor falls

@@ -232,6 +232,28 @@ class TestGrankCommand:
         code, out = run(capsys, "grank", str(path), "--alpha", alpha)
         assert code == 0 and "upper_bound: 0\n" in out
 
+    def test_dense_tensor_sandwich_under_the_row_cap(self, capsys, monkeypatch, tmp_path):
+        # All 27 entries are nonzero.  The search takes the support's rank, 3,
+        # from a checked packing that meets its one-mode slice cover, with no
+        # LP, and checks the 27-row cap as the LP would.
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"shape": [3, 3, 3], "entries": [
+            {"idx": [i, j, k], "val": 1 + (i + 2 * j + 4 * k) % 3}
+            for i in range(3) for j in range(3) for k in range(3)
+        ]}))
+        code, out = run(capsys, "grank", str(path), "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["upper_bound"] == "3"
+        assert abs(data["lower_bound"] - 3) <= 1e-6 and data["lower_bound"] <= 3 + 1e-6
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "26")
+        code = main(["grank", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == "error: LP has 27 rows, exceeding STABLERANK_MAX_LP_ROWS=26\n"
+        monkeypatch.setenv("STABLERANK_MAX_LP_ROWS", "27")
+        code, out = run(capsys, "grank", str(path))
+        assert code == 0 and "upper_bound: 3\n" in out
+
     def test_dense_array_too_large_exits_4(self, capsys, tmp_path):
         # numpy refuses the 10^15-entry complex array before allocating it.
         path = tmp_path / "huge.json"

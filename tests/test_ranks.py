@@ -807,6 +807,103 @@ def test_ncrk_search_stops_at_the_lower_bound(monkeypatch):
     assert calls == {"trank": 0, "_transform_ints": 0}
 
 
+def _grank_ascent_tensors():
+    """The five tensors of the benchmark's ``grank-ascent`` workload: the
+    W-state, then (3,3,3) at density 0.6, dense (4,4,4) and (5,5,5), and
+    (3,3,3,3) at density 0.5, entries +-1 or +-2 drawn from seed 0."""
+    rng = random.Random(0)
+    tensors = [indicator_tensor(W_SUPPORT)]
+    for shape, density in (((3, 3, 3), 0.6), ((4, 4, 4), 1.0), ((5, 5, 5), 1.0), ((3, 3, 3, 3), 0.5)):
+        entries = {}
+        for idx in itertools.product(*[range(n) for n in shape]):
+            if rng.random() < density:
+                entries[idx] = rng.choice((-2, -1, 1, 2))
+        tensors.append(SparseTensor(shape, entries))
+    return tensors
+
+
+# Every entry is nonzero, so the support is all 27 cells.
+DENSE_333 = SparseTensor((3, 3, 3), {idx: 1 + (idx[0] + 2 * idx[1] + 4 * idx[2]) % 3
+                                     for idx in itertools.product(range(3), repeat=3)})
+DIAGONAL = SparseTensor((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
+
+
+class TestCoverCertificate:
+    """The search takes a support's rank as its one-mode slice cover C /
+    scale where the greedy packing reaches C, once the packing is checked."""
+
+    def test_bench_tensors_solve_two_lps(self, monkeypatch):
+        # The identities of the four tensors after the W-state are certified;
+        # only the W-state's identity and one of its samples are solved.
+        calls = _count_calls(monkeypatch, "solve")
+        got = [grank_upper_search(v, budget=8, seed=0) for v in _grank_ascent_tensors()]
+        assert got == [F(3, 2), 3, 4, 5, 3]
+        assert calls == {"solve": 2}
+
+    def test_dense_tensor_solves_no_lp(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "solve")
+        assert grank_upper_search(DENSE_333, budget=64, seed=0) == 3
+        assert calls == {"solve": 0}
+
+    @pytest.mark.parametrize("tamper,message", [
+        pytest.param(lambda m: m.update({(0, 0, 0): 2, (1, 1, 1): 0}), "overloads slot", id="overload"),
+        pytest.param(lambda m: m.update({(0, 0, 0): 3, (1, 1, 1): -1}), "not a dual variable", id="negative"),
+        pytest.param(lambda m: m.update({(0, 1, 1): m.pop((1, 1, 1))}), "not a dual variable", id="off-support"),
+        pytest.param(lambda m: m.pop((1, 1, 1)), "sum to 1", id="short-sum"),
+    ])
+    def test_tampered_packing_raises(self, monkeypatch, tamper, message):
+        # The diagonal's packing, 1 on each element, meets its cover 2.  A
+        # greedy that reports 2 but whose multipliers are no feasible dual of
+        # value 2 must not pass its value into the minimum.
+        real = ranks._packing_bound
+
+        def tampered(shape, elements, caps, multipliers=None):
+            bound = real(shape, elements, caps, multipliers)
+            tamper(multipliers)
+            return bound
+
+        monkeypatch.setattr(ranks, "_packing_bound", tampered)
+        calls = _count_calls(monkeypatch, "solve")
+        with pytest.raises(RuntimeError, match=message):
+            grank_upper_search(DIAGONAL, budget=1)
+        assert calls == {"solve": 0}
+
+    @pytest.mark.parametrize("alpha", [None, (2, 3, 5), (F(1, 2), 1, 3)])
+    def test_short_packing_takes_the_lp(self, monkeypatch, alpha):
+        # The diagonal's and the dense tensor's packings meet their covers;
+        # one unit short, each identity goes to trank and gets its value.
+        real = ranks._packing_bound
+        monkeypatch.setattr(ranks, "_packing_bound", lambda *args: real(*args) - 1)
+        calls = _count_calls(monkeypatch, "trank")
+        for v in (DIAGONAL, DENSE_333, indicator_tensor(W_SUPPORT)):
+            assert grank_upper_search(v, alpha, budget=1) == trank(support_of(v), alpha).value
+        assert calls == {"trank": 3}
+
+    # How many of the 200 supports each weighting certifies.
+    @pytest.mark.parametrize("weight_seed,certified", [(None, 193), (1, 195), (2, 196), (3, 191)])
+    def test_certificate_is_sound_on_acceptance_corpus(self, weight_seed, certified):
+        # The draws of TestPackingBound's acceptance corpus test.
+        rng = random.Random(20240814)
+        weight_rng = random.Random(weight_seed)
+        count = 0
+        for _ in range(200):
+            s = random_support(rng)
+            weight = as_weight(None if weight_seed is None else _random_weight(weight_rng, s.order),
+                               s.order)
+            scale = math.lcm(*(a.denominator for a in weight))
+            caps = [int(a * scale) for a in weight]
+            multipliers = {}
+            bound = _packing_bound(s.shape, s.elements, caps, multipliers)
+            cover = min(caps[i] * len({e[i] for e in s.elements}) for i in range(s.order))
+            if bound == cover:
+                ranks._check_packing(s.shape, s.elements, caps, multipliers, cover)
+                assert trank(s, weight).value == F(cover, scale)
+                count += 1
+            v = indicator_tensor(s)
+            assert grank_upper_search(v, weight, budget=1) == trank(s, weight).value
+        assert count == certified
+
+
 def _alternating_triple(p):
     """E12 - E21, E13 - E31, E23 - E32: every matrix has rank 2, the ncrk is 3."""
     mats = []
