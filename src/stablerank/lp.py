@@ -33,8 +33,8 @@ A basic row's multiple is its entry in its basic column.  A cost row keeps
 its multiple in one trailing slot, which every tableau row holds as 0; the
 duals and the optimal value are read from the final cost row over that
 slot, the value from the slot before it rather than summed again.
-Fractions appear only in the solution, where every zero entry of ``x``
-and ``y`` is one shared ``Fraction(0)``.
+Fractions appear only in the solution, where every entry of ``x`` and
+``y`` that is 0 or 1 is one of two shared immutable constants.
 
 :func:`solve` is the one entry point.  It pivots an LP with more than
 ``2 * cols + 8`` rows as its dual, built by :func:`dual_program`, and any
@@ -61,6 +61,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ROW_CAP_ENV = "STABLERANK_MAX_LP_ROWS"
+
+# Every 0 and every 1 of a solution's x and y; Fractions are immutable.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class LPSizeError(RuntimeError):
@@ -279,8 +283,9 @@ def _run_simplex(lp: LinearProgram):
     from their stored sparse pairs while the tableau is laid out, and is
     dropped once phase I ends.  ``y`` is read as the reduced costs of the
     surplus columns, and ``value`` from slot ``width`` of the phase-II row,
-    minus the objective value, each over the row's multiple; every zero in
-    ``x`` and ``y`` is one shared ``Fraction(0)``.
+    minus the objective value, each over the row's multiple; every 0 and
+    every 1 in ``x`` and ``y`` is the shared ``_ZERO`` or ``_ONE``, so only
+    the other entries build a ``Fraction``.
     """
     n = lp.num_vars
     m = lp.num_rows
@@ -369,15 +374,16 @@ def _run_simplex(lp: LinearProgram):
     if status != OPTIMAL:
         return status, [], [], None
 
-    zero = Fraction(0)  # shared by every nonbasic x and every zero dual
-    x = [zero] * n
+    x = [_ZERO] * n
     for k, row in zip(basis, tab):
         if k < n:
-            x[k] = Fraction(row[width], row[k])
+            b, a = row[width], row[k]
+            x[k] = _ONE if b == a else Fraction(b, a)
     # The reduced cost of row k's surplus column is the dual of row k.
     c = tab[m]
-    y = [Fraction(v, c[-1]) if v else zero for v in c[n:width]]
-    return OPTIMAL, x, y, Fraction(-c[width], c[-1])
+    q = c[-1]
+    y = [_ZERO if not v else _ONE if v == q else Fraction(v, q) for v in c[n:width]]
+    return OPTIMAL, x, y, Fraction(-c[width], q)
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -408,9 +414,9 @@ def solve(lp: LinearProgram) -> LPSolution:
     directly, as a non-optimal dual status does not pin the primal one.  For
     an LP with ``c > 0`` the dual route has no phase I: every row of the
     dual starts on its own surplus column at ``y = 0``.  Either side prices
-    by Bland's rule, which pins the vertex a caller gets, so ``trank``,
-    ``dual_trank`` and ``tslice``, which print or branch on ``x`` and ``y``,
-    and the vertices of ``tests/data/lp_vertices.json`` depend on it.
+    by Bland's rule, which pins the vertex a caller gets, so ``trank`` and
+    ``tslice``, which print or branch on ``x`` and ``y``, and the vertices
+    of ``tests/data/lp_vertices.json`` depend on it.
     ``STABLERANK_MAX_LP_ROWS`` counts the rows of ``lp``, whichever side is
     pivoted, and is checked on every call.  Deterministic: identical input
     yields an identical solution.
@@ -438,11 +444,15 @@ def solve(lp: LinearProgram) -> LPSolution:
 
 def _over_one_denominator(values) -> tuple[list[int], int]:
     """Integer numerators ``q`` and a denominator ``d > 0`` with
-    ``values[k] == q[k] / d``, ``d`` the lcm of the denominators.  Ints pass
-    through as their own numerators; other values go through ``Fraction``."""
-    fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    d = lcm(*{f.denominator for f in fracs})
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+    ``values[k] == q[k] / d``, ``d`` the lcm of the denominators.  Each int
+    or ``Fraction`` is read as its ``as_integer_ratio()``, one call rather
+    than two property reads; other values go through ``Fraction`` first."""
+    ratios = [
+        v.as_integer_ratio() if type(v) is Fraction or type(v) is int else Fraction(v).as_integer_ratio()
+        for v in values
+    ]
+    d = lcm(*{q for _, q in ratios})
+    return [p * (d // q) for p, q in ratios], d
 
 
 def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
@@ -454,36 +464,37 @@ def verify_certificate(lp: LinearProgram, sol: LPSolution) -> bool:
     shared with the pivot loop.
 
     The check runs on Python ints.  The program is ``A``, ``B`` and ``C``
-    over ``lp.den``; ``x`` is brought to numerators ``X`` over one
-    denominator ``dx``, and ``y`` to ``Y`` over ``dy``.  Each inequality and
-    equality is then the rational one with both sides multiplied by the same
-    positive integer: ``A x >= b`` as ``A X >= B dx``, ``A^T y <= c`` as
-    ``A^T Y <= C dy``, ``c.x == b.y`` as ``C.X dy == B.Y dx`` and
-    ``c.x == value`` as ``C.X == value den dx``.
+    over ``lp.den``; ``x``, ``y`` and the value are brought, in one pass, to
+    numerators ``X``, ``Y`` and ``V`` over one denominator ``d``.  Each
+    inequality and equality is then the rational one with both sides
+    multiplied by the same positive integer: ``A x >= b`` as ``A X >= B d``,
+    ``A^T y <= c`` as ``A^T Y <= C d``, ``c.x == b.y`` as ``C.X == B.Y`` and
+    ``c.x == value`` as ``C.X == V den``.
     """
     if sol.status != OPTIMAL or sol.value is None:
         return False
-    if len(sol.x) != lp.num_vars or len(sol.y) != lp.num_rows:
+    n = lp.num_vars
+    if len(sol.x) != n or len(sol.y) != lp.num_rows:
         return False
-    x, dx = _over_one_denominator(sol.x)
-    y, dy = _over_one_denominator(sol.y)
-    if any(v < 0 for v in x) or any(v < 0 for v in y):
+    nums, d = _over_one_denominator((*sol.x, *sol.y, sol.value))
+    x, y, value = nums[:n], nums[n:-1], nums[-1]
+    if min(x, default=0) < 0 or min(y, default=0) < 0:
         return False
     for row, bi in zip(lp.rows, lp.rhs):
         s = 0
         for j, a in row:  # no generator per row: this check runs after every solve
             s += a * x[j]
-        if s < bi * dx:
+        if s < bi * d:
             return False
-    col_sums = [0] * lp.num_vars
+    col_sums = [0] * n
     for row, yi in zip(lp.rows, y):
         if yi:
             for j, a in row:
                 col_sums[j] += a * yi
-    if any(s > cj * dy for s, cj in zip(col_sums, lp.objective)):
+    for s, cj in zip(col_sums, lp.objective):
+        if s > cj * d:
+            return False
+    primal = sum(map(mul, lp.objective, x))  # c.x * den * d
+    if primal != sum(map(mul, lp.rhs, y)):  # b.y * den * d
         return False
-    primal = sum(map(mul, lp.objective, x))  # c.x * den * dx
-    if primal * dy != sum(map(mul, lp.rhs, y)) * dx:  # b.y * den * dy
-        return False
-    value = Fraction(sol.value)
-    return primal * value.denominator == value.numerator * lp.den * dx
+    return primal == value * lp.den

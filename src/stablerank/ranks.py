@@ -91,17 +91,20 @@ def _root(support: Support, w) -> tuple[list[tuple[int, int]], LPSolution]:
     """The slots and the certified solution of the covering LP of
     ``support`` with the validated weights ``w``.
 
-    ``STABLERANK_MAX_LP_ROWS`` is checked first, on every call.  The last
-    optimum is kept, keyed by the support and the weights, both compared by
-    value: an equal pair gets it back with no LP built and no pivot, so
-    :func:`tslice` right after :func:`trank` on one support, or the other
-    way round, solves the root once.  Only an optimum is stored, and
-    ``solve`` raises before returning one that fails its certificate.
+    The last optimum is kept, keyed by the support and the weights, both
+    compared by value: an equal pair gets it back with no LP built and no
+    pivot, so :func:`tslice` right after :func:`trank` on one support, or
+    the other way round, solves the root once.  ``ones_weight`` gives every
+    unit weight the same entries, so a unit key compares by identity.
+    ``STABLERANK_MAX_LP_ROWS`` is checked on every call: here on a hit, and
+    by ``solve`` on a miss, on the LP's one row per element.  Only an
+    optimum is stored, and ``solve`` raises before returning one that fails
+    its certificate.
     """
     global _last_root
-    _check_rows(len(support))
     last = _last_root
     if last is not None and last[0] == support and last[1] == w:
+        _check_rows(len(support))
         return last[2], last[3]
     lp, slots = _cover_lp(support.shape, w, support.sorted_elements)
     sol = solve(lp)

@@ -409,8 +409,15 @@ def as_weight(alpha, order: int) -> Weight:
     return w
 
 
+# Every unit weight holds this one immutable Fraction(1), so two unit
+# weights compare equal entry by entry by identity, with no Fraction.__eq__.
+_ONE = Fraction(1)
+
+
 def ones_weight(order: int) -> Weight:
-    return (Fraction(1),) * order
+    """The all-ones weight of ``order`` modes, each entry the one shared
+    ``Fraction(1)``."""
+    return (_ONE,) * order
 
 
 def psg_slope(x: Sequence[Sequence[int]], support: Support, alpha) -> Fraction:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import time
@@ -546,6 +547,18 @@ def _unspill_one_unit(monkeypatch):
     monkeypatch.setattr(capset, "_rule_dual", moved)
 
 
+def _append_zero_triple(monkeypatch, triple):
+    """Append ``triple`` to the rule's triples with y = 0: no column's load
+    and not sum(y) moves, so only the tests on the triple itself see it."""
+    real = capset._rule_dual
+
+    def appended(f, p):
+        triples, y, den = real(f, p)
+        return [*triples, triple], [*y, 0], den
+
+    monkeypatch.setattr(capset, "_rule_dual", appended)
+
+
 class _CountedDenominator(int):
     """A denominator that counts the comparisons ``sum < d`` made against it."""
 
@@ -678,6 +691,26 @@ class TestClosedFormDual:
     )
     def test_tampered_dual_declines(self, monkeypatch, capsys, tamper, n):
         _assert_declined_and_refused(monkeypatch, capsys, tamper, n)
+
+    def test_triple_out_of_order_declines(self, monkeypatch, capsys):
+        # (1, 12, -1) at n = 6 sums to 2n, and q read from its end makes it
+        # tight at t = (1, 1, 1, 2/3, 1/3, 0, ...): q_1 + q_12 + q_{-1} = d.
+        # With y = 0 it passes every other test, and k < 0 fails only the
+        # order test 0 <= i <= j <= k
+        _, q, d = _guess(6)
+        assert q[1] + q[12] + q[-1] == d
+        tamper = functools.partial(_append_zero_triple, triple=(1, 12, -1))
+        _assert_declined_and_refused(monkeypatch, capsys, tamper, 6)
+
+    def test_untight_triple_with_zero_y_declines(self, monkeypatch, capsys):
+        # (0, 0, 6) at n = 3 is binding and in order, but t sums to 2 on it,
+        # not 1.  With y = 0 it changes no load and not sum(y), so weak
+        # duality still holds and only the tightness test declines it: that
+        # test pins the rule's shape, and this pins the test
+        t, _, _ = _guess(3)
+        assert t[0] + t[0] + t[6] == 2
+        tamper = functools.partial(_append_zero_triple, triple=(0, 0, 6))
+        _assert_declined_and_refused(monkeypatch, capsys, tamper, 3)
 
     @pytest.mark.parametrize("n", [57, 60])
     def test_unspilled_unit_declines(self, monkeypatch, capsys, n):

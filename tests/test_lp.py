@@ -168,6 +168,23 @@ class TestCertificates:
         bad_x = (sol.x[0] + F(1, 3),) + sol.x[1:]
         assert not verify_certificate(lp, LPSolution(OPTIMAL, sol.value, bad_x, sol.y))
 
+    def test_primal_row_short_by_one_over_its_denominator_fails(self):
+        # min x1 + x2 with x1 >= 1 and x2 >= 1: x = (1/2, 3/2) and y = (1, 1)
+        # keep c.x == b.y == value == 2 and A^T y <= c, but x1 misses its row
+        # by exactly 1 over the common denominator 2
+        lp = dense_lp([1, 1], [[1, 0], [0, 1]], [1, 1])
+        assert verify_certificate(lp, LPSolution(OPTIMAL, F(2), (F(1), F(1)), (F(1), F(1))))
+        assert not verify_certificate(lp, LPSolution(OPTIMAL, F(2), (F(1, 2), F(3, 2)), (F(1), F(1))))
+
+    def test_dual_column_over_its_cost_by_one_over_its_denominator_fails(self):
+        # max y1 + y2 with y1 + y2 <= 1 (the dual of min x : x >= 1, x >= 1):
+        # y = (1/2, 1/2) sits on the bound and passes; y = (1, 1/2) is over it
+        # by exactly 1 over the common denominator 2, with b.y = 3/2 = c.x at
+        # x = 3/2, so only the dual row check can refuse it
+        lp = dense_lp([1], [[1], [1]], [1, 1])
+        assert verify_certificate(lp, LPSolution(OPTIMAL, F(1), (F(1),), (F(1, 2), F(1, 2))))
+        assert not verify_certificate(lp, LPSolution(OPTIMAL, F(3, 2), (F(3, 2),), (F(1), F(1, 2))))
+
     def test_wrong_length_vectors_fail(self):
         # a zero appended to x or to y changes no product or sum, so only the
         # length check refuses it

@@ -289,6 +289,34 @@ class TestTslice:
             "b037e983bd6ab2648d3d30a974b9542d0bf75814e1753758f95b80c822d986bf"
         )
 
+    def test_trank_and_tslice_pinned_on_acceptance_corpus(self):
+        """One sha256 over ``trank``'s value, primal and dual at unit
+        weights and at weight (k+1)/2 for mode k, and ``tslice``'s value
+        and chosen slots, on the 200 acceptance supports.  ``tslice`` runs
+        right after the unit ``trank``, so its root comes from ``_root``'s
+        memo, and the weighted ``trank`` misses it."""
+
+        def rank_json(r):
+            return [
+                str(r.value),
+                [[str(v) for v in mode] for mode in r.primal],
+                [[list(e), str(v)] for e, v in sorted(r.dual.items())],
+            ]
+
+        rng = random.Random(20240814)
+        pinned = []
+        for _ in range(200):
+            s = random_support(rng)
+            unit = trank(s)
+            cover = tslice(s)
+            weighted = trank(s, tuple(F(k + 1, 2) for k in range(s.order)))
+            chosen = sorted(list(c) for c in cover.chosen)
+            pinned.append([rank_json(unit), rank_json(weighted), [cover.value, chosen]])
+        text = json.dumps(pinned, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "789b60dfc722c3f74de1f53d9b5c8740b98566fcc141748c13ac630557d786f3"
+        )
+
     def test_every_solve_certified_on_acceptance_corpus(self, monkeypatch):
         solved, verified = [], []
         real_solve, real_verify = ranks.solve, lp_module.verify_certificate
@@ -1168,6 +1196,13 @@ class TestNcrkBounds:
         monkeypatch.setattr(ranks, "_det_int", lambda m: 0 if len(m) == 2 else real(m))
         with pytest.raises(RuntimeError, match="^the 2 x 2 minor certifying the ncrk lower bound is singular mod 101$"):
             run(_F101_PAIR)
+
+    def test_singular_one_by_one_minor_raises(self):
+        # 101 is nonzero over the integers but zero mod 101, so a 1 x 1
+        # minor is checked like any other
+        with pytest.raises(RuntimeError, match="^the 1 x 1 minor certifying the test rank is singular mod 101$"):
+            ranks._certified_rank([[101]], [(0, 0)], 101, "the test rank")
+        assert ranks._certified_rank([[102]], [(0, 0)], 101, "the test rank") == 1
 
 
 def _reference_reduced_mod_p(vectors, p):
