@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .lp import (
@@ -305,27 +306,38 @@ def _echelon_mod_p(vectors: Sequence[Sequence[int]], p: int) -> tuple[list[tuple
     earlier pivots, so the echelon rows span the same space as
     ``vectors``, and the square minor of ``vectors`` on the pivot rows and
     columns is nonsingular mod p.
+
+    The package passes entries in [0, p).  One pass reduces every vector
+    mod p and drops the zero ones, so other integers give the pivots of
+    their residues, and every echelon row has its entries in [0, p), 0
+    left of its pivot.
     """
-    index = [i for i, v in enumerate(vectors) if any(x % p for x in v)]
-    rows = [list(vectors[i]) for i in index]
+    index, rows = [], []
+    for i, v in enumerate(vectors):
+        if any(row := [x % p for x in v]):
+            index.append(i)
+            rows.append(row)
     pivots: list[tuple[int, int]] = []
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), -1)
-        if piv < 0:
+    n, rank = len(rows), 0
+    for col in range(len(rows[0]) if rows else 0):
+        for piv in range(rank, n):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        index[rank], index[piv] = index[piv], index[rank]
+        pivot = rows[piv]
+        rows[piv], rows[rank] = rows[rank], pivot
+        index[piv], index[rank] = index[rank], index[piv]
         pivots.append((index[rank], col))
-        pivot = rows[rank]
-        inv = pow(pivot[col], p - 2, p)
-        for r in range(rank + 1, len(rows)):  # echelon form: rows below only
-            if f := rows[r][col] * inv % p:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], pivot)]
-        if rank + 1 == len(rows):
+        rank += 1
+        if rank == n:
             break
-    return pivots, rows[: len(pivots)]
+        inv = pow(pivot[col], p - 2, p)
+        for r in range(rank, n):  # echelon form: rows below only
+            if f := rows[r][col]:
+                f = f * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], pivot)]
+    return pivots, rows[:rank]
 
 
 def _annihilator_mod_p(vectors: Sequence[Sequence[int]], p: int, width: int) -> list[tuple[int, list[int]]]:
@@ -334,13 +346,16 @@ def _annihilator_mod_p(vectors: Sequence[Sequence[int]], p: int, width: int) -> 
     non-pivot column f, returned as (f, x), with 1 at f and 0 at every
     other non-pivot column.  Nothing here is checked."""
     pivots, rows = _echelon_mod_p(vectors, p)
-    cols = [c for _, c in pivots]
+    # Last pivot first, each with the inverse of its pivot entry.
+    back = [(c, row, pow(row[c], p - 2, p)) for (_, c), row in zip(reversed(pivots), reversed(rows))]
     basis = []
-    for f in sorted(set(range(width)).difference(cols)):
+    for f in sorted(set(range(width)).difference(c for _, c in pivots)):
         x = [0] * width
         x[f] = 1
-        for c, row in zip(reversed(cols), reversed(rows)):
-            x[c] = -sum(a * b for a, b in zip(row[c + 1 :], x[c + 1 :])) * pow(row[c], p - 2, p) % p
+        # row is 0 left of c and x is still 0 at c: the whole dot product
+        # is the one right of c.
+        for c, row, inv in back:
+            x[c] = -sum(map(mul, row, x)) * inv % p
         basis.append((f, x))
     return basis
 
@@ -591,17 +606,11 @@ def _rref_bases(q: int, k: int, p: int):
     """All reduced row-echelon generator matrices of k-dimensional subspaces
     of F_p^q; each subspace appears exactly once."""
     for pivots in itertools.combinations(range(q), k):
-        pivot_set = set(pivots)
-        free = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, q)
-            if c not in pivot_set
-        ]
+        free = [(r, c) for r, pivot in enumerate(pivots) for c in range(pivot + 1, q) if c not in pivots]
         for values in itertools.product(range(p), repeat=len(free)):
             basis = [[0] * q for _ in range(k)]
-            for r in range(k):
-                basis[r][pivots[r]] = 1
+            for r, c in enumerate(pivots):
+                basis[r][c] = 1
             for (r, c), val in zip(free, values):
                 basis[r][c] = val
             yield basis
@@ -660,17 +669,27 @@ def _check_subspace_limit(mats: MatrixTuple, limit: int) -> None:
 
 def _ncrk_brute(mats: MatrixTuple, bounds: tuple[int, int]) -> int:
     """``ncrk_bruteforce`` from the ``bounds`` that ``_ncrk_bounds(mats)``
-    gives, with the subspace limit already checked."""
+    gives, with the subspace limit already checked.
+
+    The value of a basis needs the rank of its images A_j w, w a basis
+    row.  Consecutive RREF bases of one dimension k mostly differ only in
+    their last row, so each dimension keeps the rows of the last basis and
+    their images, k rows and k times ``len(mats.matrices)`` image vectors,
+    and multiplies out again only the rows that changed.  Only the rank is
+    read, so the images go to the elimination in basis-row order.
+    """
     p, q = mats.modulus, mats.cols
     lower, best = bounds
     argmin = None  # the subspace of the least enumerated value below U0
     for k in range(1, q):
         if best <= lower:
             break
+        last, images = [None] * k, [None] * k
         for basis in _rref_bases(q, k, p):
-            images = [[sum(a * b for a, b in zip(row, w)) % p for row in m]
-                      for m in mats.matrices for w in basis]
-            value = q + len(_echelon_mod_p(images, p)[0]) - k
+            for r, w in enumerate(basis):
+                if w != last[r]:
+                    last[r], images[r] = w, [[sum(map(mul, row, w)) % p for row in m] for m in mats.matrices]
+            value = q + len(_echelon_mod_p([v for row_images in images for v in row_images], p)[0]) - k
             if value < best:
                 best, argmin = value, basis
                 if best <= lower:
@@ -737,9 +756,9 @@ def _subspace_value(mats: MatrixTuple, basis: Sequence[Sequence[int]], name: str
     """
     p, rows = mats.modulus, mats.rows
     dim = _certified_rank(basis, _echelon_mod_p(basis, p)[0], p, f"the dimension of the {name}")
-    images = [[sum(a * b for a, b in zip(row, u)) % p for row in m] for m in mats.matrices for u in basis]
+    images = [[sum(map(mul, row, u)) % p for row in m] for m in mats.matrices for u in basis]
     annihilator = _annihilator_mod_p(images, p, rows)
-    if any(sum(a * b for a, b in zip(v, x)) % p for _, x in annihilator for v in images):
+    if any(sum(map(mul, v, x)) % p for _, x in annihilator for v in images):
         raise RuntimeError(f"the annihilator of the {name}'s images fails its check mod {p}")
     units = [(i, f) for i, (f, _) in enumerate(annihilator)]
     _certified_rank([x for _, x in annihilator], units, p, f"the annihilator of the {name}'s images")
@@ -812,11 +831,10 @@ def _ncrk_bounds(mats: MatrixTuple) -> tuple[int, int]:
         if upper == lower:
             return lower, upper
     if len(mats.matrices) > 1:
-        combos = (
-            [[sum(a * m[r][c] for a, m in zip(coeffs, mats.matrices)) % p for c in range(cols)]
-             for r in range(rows)]
-            for coeffs in _combinations(len(mats.matrices), p)
-        )
+        # zip(*mats.matrices) gives the r-th rows of the A_i, and zipping
+        # those gives (A_i[r][c])_i, dotted with coeffs for entry (r, c).
+        combos = ([[sum(map(mul, coeffs, e)) % p for e in zip(*rows_r)] for rows_r in zip(*mats.matrices)]
+                  for coeffs in _combinations(len(mats.matrices), p))
         lower = _raise_lower(lower, upper, combos, p)
     return lower, upper
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -596,6 +597,28 @@ class TestNcrkCommand:
         # used to fail the gate.
         code, out = run(capsys, "ncrk", str(DATA_DIR / f"{name}.json"), "--mode", "both")
         assert code == 0 and out == (DATA_DIR / f"{name}_both.txt").read_text()
+
+    @pytest.mark.parametrize("n,bounds", [(6, (5, 6)), (8, (7, 8))])
+    def test_gap_pairs_are_the_first_drawn(self, n, bounds):
+        # Pairs of n x n matrices over F_2 drawn row by row with
+        # random.Random(0) and randrange(2): the checked-in pair is the first
+        # whose certified bounds do not meet.
+        rng = random.Random(0)
+        for _ in range(10):  # 4 draws at n = 6, 1 at n = 8
+            matrices = [[[rng.randrange(2) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+            if (got := stablerank.ranks._ncrk_bounds(stablerank.MatrixTuple(matrices, 2)))[0] < got[1]:
+                break
+        assert got == bounds
+        assert json.loads((DATA_DIR / f"ncrk_f2_{n}x{n}_gap.json").read_text()) == {"modulus": 2, "matrices": matrices}
+
+    @pytest.mark.parametrize("mode,pin", [("brute", "ncrk_f2_6x6_gap.txt"), ("both", "ncrk_f2_6x6_gap_both.txt")])
+    def test_gap_pair_enumerates_every_subspace(self, capsys, mode, pin):
+        # Bounds (5, 6) and ncrk 6: brute force never reaches the lower
+        # bound, so it enumerates all 2,823 subspaces of F_2^6 of dimension
+        # 1 to 5, and the search spends its whole budget.  The pinned text
+        # was written before the mod-p kernels' per-rank savings.
+        code, out = run(capsys, "ncrk", str(DATA_DIR / "ncrk_f2_6x6_gap.json"), "--mode", mode)
+        assert code == 0 and out == (DATA_DIR / pin).read_text()
 
 
 @pytest.mark.parametrize(

@@ -1410,6 +1410,24 @@ class TestNcrkBruteforceStop:
                                   [[0, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 1]]], 2))
         cases += [_random_matrix_tuple(rng) for _ in range(300)]
         assert any(t.rows != t.cols for t in cases)
+        # 4- and 5-column tuples over F_2 and F_3 whose bounds do not meet,
+        # three of each: brute force enumerates planes and up, where
+        # consecutive RREF bases share their first rows.
+        gap_rng, gap_drops = random.Random(53), set()
+        for p, cols in itertools.product((2, 3), (4, 5)):
+            drawn = 0
+            while drawn < 3:
+                rows, count = gap_rng.randint(cols - 1, cols + 1), gap_rng.randint(2, 3)
+                tup = MatrixTuple([[[gap_rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+                                   for _ in range(count)], p)
+                lower, upper = ranks._ncrk_bounds(tup)
+                if lower < upper:
+                    cases.append(tup)
+                    gap_drops.add(upper - _ncrk_reference(tup))
+                    drawn += 1
+        # Some gap tuples reach L' below U0, where the enumeration stops
+        # midway; the others run it to the end.
+        assert gap_drops == {0, 1}
         for tup in cases:
             assert ncrk_bruteforce(tup) == _ncrk_reference(tup), tup
 
